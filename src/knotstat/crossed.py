@@ -1,7 +1,6 @@
 """Exact arithmetic for the semigroup actions on Q[Q/Z] and its pullbacks.
 
-This module is the exact-rational core of the crossed-product machinery.
-It provides
+The exact core of the crossed-product machinery.  It provides
 
 * ``QmodZ`` -- elements of Q/Z, identified with roots of unity;
 * ``GroupRingElement`` -- finite Q-linear combinations of basis symbols,
@@ -9,10 +8,11 @@ It provides
   abelianized pullback group;
 * the endomorphisms ``sigma_n`` (``e(r) -> e(nr)``), their partial inverses
   ``alpha_n`` (averages over n-th roots), and the idempotents ``e_n``;
-* membership and action routines for the pullback group, where a group
-  element is recorded by its abelianization exponent ``n_gamma`` together
-  with a root of unity ``zeta`` whose ``n``-th power matches the image of
-  ``gamma`` in the cyclic quotient of order ``n_rho``;
+  on pullback labels they act on ``zeta`` alone, through the same code;
+* membership for the pullback group, where a group element is recorded by
+  its abelianization exponent ``n_gamma`` together with a root of unity
+  ``zeta`` whose ``n``-th power matches the image of ``gamma`` in the
+  cyclic quotient of order ``n_rho``;
 * a term-rewriting normal form ``mu_a . x . mu_b*`` for words in the
   isometries ``mu_n``, their adjoints, and group-ring elements, using the
   defining relations
@@ -20,6 +20,24 @@ It provides
       mu_n* mu_n = 1,     mu_n mu_n* = e_n,      mu_n mu_m = mu_{nm},
       mu_n e(r) mu_n* = alpha_n(e(r)),   mu_n* e(r) mu_n = sigma_n(e(r)).
 
+Representation.  A group-ring element is a level N, a positive common
+denominator D and a sparse dict from keys to integer numerators: the key
+``r`` (a residue mod N) stands for ``e(r/N)``, the key ``(n_gamma, r)`` for
+``d(n_gamma, r/N)``, and the coefficient is numerator / D.  The form is
+canonical -- N is the least common order of the labels and D is coprime
+to the numerators -- so ``==`` and ``hash`` compare three fields.  Being
+sparse, a prime level near 10^16 costs no more than a small one.  For
+elements of t and u terms:
+
+    x * y          t u integer multiply-adds, keys (r + s) mod lcm(N, M)
+    sigma_n(x)     t products r n mod N, at level N / gcd(n, N)
+    alpha_n(x)     n t keys r + kN at level nN, D multiplied by n
+    e_n            alpha_n(1): n keys at level n with D = n
+    hatpi_member   one modular inverse and two gcds
+    canonical form one gcd over the residues and one over the numerators
+
+``QmodZ`` labels and ``Fraction`` coefficients appear only at the edge:
+the constructor, ``terms``, ``coefficient``, ``support`` and ``repr``.
 Everything here is exact: no floating point enters this module.
 """
 
@@ -116,38 +134,64 @@ class HatPiLabel(NamedTuple):
 
 
 Label = Union[QmodZ, HatPiLabel]
+# e(r/N) has key r, d(n_gamma, r/N) has key (n_gamma, r); see the module docstring.
+Key = Union[int, tuple[int, int]]
 
 
-def _label_product(a: Label, b: Label) -> Label:
-    # both label families are abelian; the group law is componentwise addition
-    if isinstance(a, QmodZ) and isinstance(b, QmodZ):
-        return a + b
-    if isinstance(a, HatPiLabel) and isinstance(b, HatPiLabel):
-        return HatPiLabel(a.n_gamma + b.n_gamma, a.zeta + b.zeta)
-    raise TypeError("cannot multiply group-ring elements over different groups")
+def _residue(key: Key) -> int:
+    return key if type(key) is int else key[1]
+
+
+def _rekey(key: Key, r: int) -> Key:
+    return r if type(key) is int else (key[0], r)
+
+
+def _merge(pairs: Iterable[tuple[Key, int]]) -> dict[Key, int]:
+    """Numerators summed over equal keys."""
+    num: dict[Key, int] = {}
+    for k, c in pairs:
+        num[k] = num.get(k, 0) + c
+    return num
+
+
+def _element(level: int, den: int, num: dict[Key, int]) -> "GroupRingElement":
+    """The canonical element: zero numerators dropped, N and D divided by
+    gcd(N, residues) and gcd(D, numerators) (so the zero element has N = D = 1)."""
+    num = {k: c for k, c in num.items() if c}
+    g = math.gcd(level, *map(_residue, num))
+    if g > 1:
+        level //= g
+        num = {_rekey(k, _residue(k) // g): c for k, c in num.items()}
+    h = math.gcd(den, *num.values())
+    if h > 1:
+        den //= h
+        num = {k: c // h for k, c in num.items()}
+    x = object.__new__(GroupRingElement)
+    x._level, x._den, x._num = level, den, num
+    return x
+
+
+def _same_group(x: "GroupRingElement", y: "GroupRingElement") -> None:
+    if x._num and y._num and type(next(iter(x._num))) is not type(next(iter(y._num))):
+        raise TypeError("cannot combine group-ring elements over different groups")
 
 
 class GroupRingElement:
-    """A finite Q-linear combination of group basis labels.
+    """A finite Q-linear combination of basis labels of one of the two groups.
 
-    Immutable; zero coefficients are never stored.  Supports +, -, scalar
-    multiplication by rationals, and convolution product *.
+    Held in the canonical level/denominator/residue form of the module
+    docstring.  Immutable; supports +, -, rational scaling and the product *.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_level", "_den", "_num")
 
     def __init__(self, terms: Mapping[Label, Fraction] | Iterable[tuple[Label, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Label, Fraction] = {}
-        for label, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                new = acc.get(label, Fraction(0)) + coeff
-                if new:
-                    acc[label] = new
-                else:
-                    acc.pop(label, None)
-        self._terms = acc
+        x = _element(1, 1, {})
+        for label, c in terms.items() if isinstance(terms, Mapping) else terms:
+            g, zeta = label if isinstance(label, HatPiLabel) else (None, label)
+            key = zeta.numerator if g is None else (g, zeta.numerator)
+            x += _element(zeta.denominator, 1, {key: 1}).scale(c)
+        self._level, self._den, self._num = x._level, x._den, x._num
 
     @staticmethod
     def basis(label: Label) -> "GroupRingElement":
@@ -158,95 +202,77 @@ class GroupRingElement:
         """The basis element e(r) of Q[Q/Z]."""
         if not isinstance(r, QmodZ):
             r = QmodZ(Fraction(r))
-        return GroupRingElement.basis(r)
+        return _element(r.denominator, 1, {r.numerator: 1})
 
     @staticmethod
     def one() -> "GroupRingElement":
         """The unit e(0) of Q[Q/Z]."""
-        return GroupRingElement.e(0)
+        return _element(1, 1, {0: 1})
+
+    def _label(self, key: Key) -> Label:
+        zeta = QmodZ(Fraction(_residue(key), self._level))
+        return zeta if type(key) is int else HatPiLabel(key[0], zeta)
 
     @property
     def terms(self) -> dict[Label, Fraction]:
-        return dict(self._terms)
+        return {self._label(k): Fraction(c, self._den) for k, c in self._num.items()}
 
     def coefficient(self, label: Label) -> Fraction:
-        return self._terms.get(label, Fraction(0))
+        return self.terms.get(label, Fraction(0))
 
     def support(self) -> list[Label]:
-        return sorted(self._terms, key=_label_sort_key)
+        return [self._label(k) for k in sorted(self._num)]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
+
+    def _lifted(self, level: int, den: int) -> list[tuple[Key, int]]:
+        """Keys and numerators over a multiple of the level and of the denominator."""
+        s, t = level // self._level, den // self._den
+        return [(_rekey(k, _residue(k) * s), c * t) for k, c in self._num.items()]
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc = dict(self._terms)
-        for label, coeff in other._terms.items():
-            new = acc.get(label, Fraction(0)) + coeff
-            if new:
-                acc[label] = new
-            else:
-                acc.pop(label, None)
-        return GroupRingElement(acc)
+        _same_group(self, other)
+        level, den = math.lcm(self._level, other._level), math.lcm(self._den, other._den)
+        return _element(level, den, _merge(self._lifted(level, den) + other._lifted(level, den)))
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({l: -c for l, c in self._terms.items()})
+        return _element(self._level, self._den, {k: -c for k, c in self._num.items()})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def scale(self, scalar: Fraction | int) -> "GroupRingElement":
-        scalar = Fraction(scalar)
-        return GroupRingElement({l: scalar * c for l, c in self._terms.items()})
+        s = Fraction(scalar)
+        num = {k: c * s.numerator for k, c in self._num.items()}
+        return _element(self._level, self._den * s.denominator, num)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc: dict[Label, Fraction] = {}
-        for la, ca in self._terms.items():
-            for lb, cb in other._terms.items():
-                label = _label_product(la, lb)
-                new = acc.get(label, Fraction(0)) + ca * cb
-                if new:
-                    acc[label] = new
-                else:
-                    acc.pop(label, None)
-        return GroupRingElement(acc)
-
-    def map_labels(self, fn) -> "GroupRingElement":
-        """Relabel basis elements through fn, merging coefficients."""
-        acc: dict[Label, Fraction] = {}
-        for label, coeff in self._terms.items():
-            new_label = fn(label)
-            new = acc.get(new_label, Fraction(0)) + coeff
-            if new:
-                acc[new_label] = new
-            else:
-                acc.pop(new_label, None)
-        return GroupRingElement(acc)
+        """Convolution, e(r) e(s) = e(r + s), over the level lcm(N, M)."""
+        _same_group(self, other)
+        level = math.lcm(self._level, other._level)
+        xs, ys = self._lifted(level, self._den), other._lifted(level, other._den)
+        if xs and type(xs[0][0]) is int:
+            pairs = (((r + s) % level, c * d) for r, c in xs for s, d in ys)
+        else:
+            pairs = (((g + h, (r + s) % level), c * d) for (g, r), c in xs for (h, s), d in ys)
+        return _element(level, self._den * other._den, _merge(pairs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self._terms == other._terms
+        return (self._level, self._den, self._num) == (other._level, other._den, other._num)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._level, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
-        for label in self.support():
-            coeff = self._terms[label]
-            if isinstance(label, QmodZ):
-                parts.append(f"{coeff}*e({label})")
-            else:
-                parts.append(f"{coeff}*d({label.n_gamma},{label.zeta})")
-        return " + ".join(parts)
-
-
-def _label_sort_key(label: Label):
-    if isinstance(label, QmodZ):
-        return (0, label.frac)
-    return (1, label.n_gamma, label.zeta.frac)
+        for k in sorted(self._num):
+            label = self._label(k)
+            symbol = f"e({label})" if type(k) is int else f"d({label.n_gamma},{label.zeta})"
+            parts.append(f"{Fraction(self._num[k], self._den)}*{symbol}")
+        return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -268,9 +294,13 @@ class RhoContext:
         """Whether n lies in the semigroup N_rho."""
         return n >= 1 and math.gcd(n, self.n_rho) == 1
 
+    def require(self, n: int) -> None:
+        if not self.admits(n):
+            raise DomainError(f"n={n} is not coprime to n_rho={self.n_rho}")
+
 
 # ---------------------------------------------------------------------------
-# sigma_n, alpha_n, idempotents on Q[Q/Z]
+# sigma_n, alpha_n, idempotents (both label families); pullback membership
 # ---------------------------------------------------------------------------
 
 
@@ -280,38 +310,29 @@ def _check_n(n: int) -> None:
 
 
 def sigma_n(x: GroupRingElement, n: int) -> GroupRingElement:
-    """sigma_n(e(r)) = e(nr), extended linearly."""
+    """sigma_n(e(r)) = e(nr), extended linearly; n r/N = (n/g) r / (N/g), g = gcd(n, N)."""
     _check_n(n)
-    return x.map_labels(lambda r: r.scale(n))
+    g = math.gcd(n, x._level)
+    level, m = x._level // g, n // g
+    pairs = ((_rekey(k, _residue(k) * m % level), c) for k, c in x._num.items())
+    return _element(level, x._den, _merge(pairs))
 
 
 def alpha_n(x: GroupRingElement, n: int) -> GroupRingElement:
-    """alpha_n(e(r)) = (1/n) * sum of e(s) over the n preimages s with ns = r."""
+    """alpha_n(e(r)) = (1/n) * sum of e(s) over the n preimages s with ns = r.
+
+    The preimages of r/N are (r + kN) / (nN), k = 0 .. n-1: distinct
+    residues at level nN, with the denominator multiplied by n.
+    """
     _check_n(n)
-    acc: dict[Label, Fraction] = {}
-    inv_n = Fraction(1, n)
-    for label, coeff in x.terms.items():
-        r = label.frac
-        for k in range(n):
-            s = QmodZ((r + k) / n)
-            new = acc.get(s, Fraction(0)) + coeff * inv_n
-            if new:
-                acc[s] = new
-            else:
-                acc.pop(s, None)
-    return GroupRingElement(acc)
+    level = x._level
+    num = {_rekey(k, s): c for k, c in x._num.items() for s in range(_residue(k), n * level, level)}
+    return _element(n * level, n * x._den, num)
 
 
 def idempotent_e(n: int) -> GroupRingElement:
-    """e_n = (1/n) * sum of e(s) over the n-torsion points s in Q/Z."""
-    _check_n(n)
-    inv_n = Fraction(1, n)
-    return GroupRingElement([(QmodZ.of(k, n), inv_n) for k in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# pullback-group labels: membership, sigma_n, alpha_n, idempotents
-# ---------------------------------------------------------------------------
+    """e_n = alpha_n(e(0)) = (1/n) * sum of e(s) over the n-torsion points s in Q/Z."""
+    return alpha_n(GroupRingElement.one(), n)
 
 
 def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:
@@ -323,53 +344,39 @@ def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:
 
         m * zeta = gamma_exp / n_rho  (mod 1).
 
-    Since m * zeta mod 1 depends only on m mod b (b the denominator of
-    zeta), and stepping m by b sweeps an entire congruence class mod
-    gcd(b, n_rho)-fiber of residues mod n_rho, every residue pattern that
-    can occur occurs for some m <= b * n_rho.  The search below is
-    therefore exhaustive.
+    Closed form.  Write zeta = a/b in lowest terms.  The left side has a
+    denominator dividing b, so a solution needs n_rho | gamma_exp b; the
+    congruence then reads m a = t (mod b), t = gamma_exp b / n_rho, solved
+    by m = m0 + j b with m0 = t a^-1 mod b.  Some such m is coprime to
+    n_rho exactly when gcd(m0, b, n_rho) = 1.  A prime dividing all three
+    divides every m0 + j b.  Otherwise take a prime p | n_rho: if p | b,
+    then p does not divide m0, so it divides no m0 + j b; if not, then
+    p | m0 + j b for one class of j mod p only.  The Chinese remainder
+    theorem picks a j outside these classes for all such p at once.
     """
-    target = QmodZ.of(gamma_exp, ctx.n_rho)
-    b = zeta.denominator
-    for m in range(1, b * ctx.n_rho + 1):
-        if math.gcd(m, ctx.n_rho) != 1:
-            continue
-        if zeta.scale(m) == target:
-            return True
-    return False
+    a, b, n_rho = zeta.numerator, zeta.denominator, ctx.n_rho
+    t, rem = divmod(gamma_exp * b, n_rho)
+    if rem:
+        return False
+    m0 = t * pow(a, -1, b) % b
+    return math.gcd(m0, b, n_rho) == 1
 
 
 def sigma_n_hatpi(x: GroupRingElement, n: int, ctx: RhoContext) -> GroupRingElement:
     """sigma_n(gamma, zeta) = (gamma, zeta^n) on pullback labels; needs n in N_rho."""
-    if not ctx.admits(n):
-        raise DomainError(f"n={n} is not coprime to n_rho={ctx.n_rho}")
-    return x.map_labels(lambda lab: HatPiLabel(lab.n_gamma, lab.zeta.scale(n)))
+    ctx.require(n)
+    return sigma_n(x, n)
 
 
 def alpha_n_hatpi(x: GroupRingElement, n: int, ctx: RhoContext) -> GroupRingElement:
-    """alpha_n(d(gamma, zeta)) = (1/n) * sum over eta with eta^n = zeta."""
-    if not ctx.admits(n):
-        raise DomainError(f"n={n} is not coprime to n_rho={ctx.n_rho}")
-    acc: dict[Label, Fraction] = {}
-    inv_n = Fraction(1, n)
-    for label, coeff in x.terms.items():
-        z = label.zeta.frac
-        for k in range(n):
-            eta = QmodZ((z + k) / n)
-            new_label = HatPiLabel(label.n_gamma, eta)
-            new = acc.get(new_label, Fraction(0)) + coeff * inv_n
-            if new:
-                acc[new_label] = new
-            else:
-                acc.pop(new_label, None)
-    return GroupRingElement(acc)
+    """alpha_n(d(gamma, zeta)) = (1/n) * sum over eta with eta^n = zeta; needs n in N_rho."""
+    ctx.require(n)
+    return alpha_n(x, n)
 
 
 def idempotent_e_hatpi(n: int) -> GroupRingElement:
-    """e_n = (1/n) * sum of d(1, xi) over xi with xi^n = 1 (identity group part)."""
-    _check_n(n)
-    inv_n = Fraction(1, n)
-    return GroupRingElement([(HatPiLabel(0, QmodZ.of(k, n)), inv_n) for k in range(n)])
+    """e_n = alpha_n(d(0, 0)) = (1/n) * sum of d(0, xi) over xi with xi^n = 1."""
+    return alpha_n(_element(1, 1, {(0, 0): 1}), n)
 
 
 def congruence_inverse(n: int, n_rho: int) -> int:
@@ -381,10 +388,7 @@ def congruence_inverse(n: int, n_rho: int) -> int:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
     if math.gcd(n, n_rho) != 1:
         raise DomainError(f"n={n} and n_rho={n_rho} are not coprime")
-    k = pow(n, -1, n_rho) if n_rho > 1 else 0
-    if k == 0:
-        k = n_rho  # representative in 1..n_rho
-    return k
+    return pow(n, -1, n_rho) or n_rho  # 0 only for n_rho = 1; representative in 1..n_rho
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +432,8 @@ def _fold_token(state: BCNormalForm, token: Token) -> BCNormalForm:
     """
     kind = token[0]
     if kind == "e":
-        r = token[1]
-        if not isinstance(r, QmodZ):
-            r = QmodZ(Fraction(r))
-        return BCNormalForm(state.a, state.x * sigma_n(GroupRingElement.e(r.frac), state.b), state.b)
+        x = state.x * sigma_n(GroupRingElement.e(token[1]), state.b)
+        return BCNormalForm(state.a, x, state.b)
     if kind == "mu":
         n = int(token[1])
         _check_n(n)
@@ -481,10 +483,8 @@ def parse_bc_word(tokens: Iterable[str]) -> list[Token]:
         if ":" not in tok:
             raise DomainError(f"malformed token {tok!r}; expected kind:value")
         kind, value = tok.split(":", 1)
-        if kind == "mu":
-            word.append(("mu", int(value)))
-        elif kind == "mu*":
-            word.append(("mu*", int(value)))
+        if kind in ("mu", "mu*"):
+            word.append((kind, int(value)))
         elif kind == "e":
             word.append(("e", QmodZ.parse(value)))
         else:
@@ -502,12 +502,9 @@ def cyclic_tower_check(n: int, m: int, x_max: int = 100) -> bool:
 
     rho_k sends the abelianization generator's x-th power to the class
     x/k mod 1; raising to the m-th power must land in the order-n quotient.
+    Both sides are compared as residues mod nm: m x mod nm against
+    m (x mod n).
     """
     if n < 1 or m < 1:
         raise DomainError("tower indices must be >= 1")
-    for x in range(max(n * m, x_max) + 1):
-        via_tower = QmodZ.of(x, n * m).scale(m)
-        direct = QmodZ.of(x, n)
-        if via_tower != direct:
-            return False
-    return True
+    return all(m * x % (n * m) == m * (x % n) for x in range(max(n * m, x_max) + 1))

@@ -55,6 +55,12 @@ _TINY_LOG = -745.0
 Source = Union[Catalog, MultiplicityModel]
 
 
+def _require_finite_beta(name: str, beta: float) -> None:
+    """Refuse NaN and +-inf, which slip past order tests such as ``beta <= 0``."""
+    if not math.isfinite(beta):
+        raise DomainError(f"{name} requires a finite beta, got {beta}")
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Value of a (possibly truncated) series with its convergence bookkeeping.
@@ -451,6 +457,7 @@ def z_alternating(
     guaranteed divergence below beta_minus (raised as an error), silence
     in between (returned with status 'unknown-band').
     """
+    _require_finite_beta("z_alternating", beta)
     if beta <= 0:
         raise DomainError(f"z_alternating requires beta > 0, got {beta}")
     if q < 2:
@@ -559,6 +566,7 @@ def z_grothendieck(
     q^(-beta(Cr+g)(K)).  For a catalog source the direct truncated sum is
     recorded in details alongside the closed form.
     """
+    _require_finite_beta("z_grothendieck", beta)
     if beta <= 0:
         raise DomainError(f"z_grothendieck requires beta > 0, got {beta}")
     if isinstance(source, MultiplicityModel):
@@ -665,6 +673,7 @@ def qstar_partition(
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
     """
+    _require_finite_beta("qstar_partition", beta)
     if beta <= 1:
         raise DivergenceError(
             f"qstar partition function diverges for beta <= 1, got {beta}"
@@ -834,6 +843,7 @@ def z_tau(
     in ascending f order; stabilization is reported as |P_N - P_2N| with
     N = half the truncation.
     """
+    _require_finite_beta("z_tau", beta)
     if beta <= 1:
         raise DomainError(
             f"Z_tau is trace-class only for beta > 1, got beta = {beta}"

@@ -10,10 +10,14 @@ import csv
 import io
 import json
 import math
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from knotstat import partition as pt
+from knotstat.catalog import builtin_catalog_path
 from knotstat.cli import run
 
 CSV_HEADER = "name,crossings,genus,alternating,torus,alexander\n"
@@ -212,6 +216,12 @@ class TestPartitionCommands:
         code, payload = invoke_json(capsys, "z-tau", "--beta", "1.0")
         assert code == 1
         assert "error" in payload
+
+    @pytest.mark.parametrize("command", ["z-alt", "z-groth", "z-qstar", "z-tau"])
+    def test_nan_beta_refused(self, capsys, command):
+        code, payload = invoke_json(capsys, command, "--beta", "nan")
+        assert code == 1
+        assert "finite beta" in payload["error"]
 
 
 class TestFigures:
@@ -494,3 +504,19 @@ class TestPresentationCommands:
         )
         assert code == 1
         assert "error" in payload
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cli.json"
+
+
+def test_reference_outputs_byte_identical(capsys, tmp_path, monkeypatch):
+    """Every README command reproduces its recorded stdout and exit code."""
+    for name in [n for n in os.environ if n.startswith("KNOTSTAT_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(builtin_catalog_path(), tmp_path / "my_knots.csv")
+    reference = json.loads(REFERENCE.read_text())
+    assert len(reference) >= 15
+    for command, expected in reference.items():
+        code, out = invoke(capsys, *expected["argv"])
+        assert (code, out) == (expected["exit_code"], expected["stdout"]), command

@@ -454,3 +454,18 @@ class TestZTau:
     def test_n_rho_domain(self):
         with pytest.raises(DomainError):
             z_tau(1.5, [1], n_rho=0)
+
+
+class TestNonFiniteBeta:
+    """NaN and +-inf pass order tests such as ``beta <= 0``; each entry point refuses them."""
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_refused(self, cat, beta):
+        with pytest.raises(DomainError, match="finite beta"):
+            z_alternating(beta, 2, cat)
+        with pytest.raises(DomainError, match="finite beta"):
+            z_grothendieck(beta, 2, cat)
+        with pytest.raises(DomainError, match="finite beta"):
+            z_tau(beta, [1, 2, 3])
+        with pytest.raises(DomainError, match="finite beta"):
+            qstar_partition(beta)
