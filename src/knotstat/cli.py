@@ -232,14 +232,18 @@ def _cmd_z_qstar(args, cfg: Config) -> None:
 
 
 def _cmd_z_tau(args, cfg: Config) -> None:
+    # f(g) = q^(scale * v) depends on g only through its weight v, so the
+    # product runs over the G(v) group elements of each weight at once.
     cat = cfg.load_catalog()
-    w = _sg.WeightFunction(q=cfg.q)
-    elements = _sg.enumerate_group_elements(cat, args.max_weight)
-    f_values = [_sg.f_weight(g, w, cat) for g, _ in elements]
-    result = _pt.z_tau(args.beta, f_values, n_rho=cfg.n_rho, tol=cfg.tolerance)
+    scale = _sg.WeightFunction(q=cfg.q).exponent_scale
+    counts = _pt.groth_weight_counts(
+        [rec.weight for rec in cat if rec.alternating], args.max_weight
+    )
+    f_counts = {cfg.q ** (scale * v): g_v for v, g_v in enumerate(counts) if g_v}
+    result = _pt.z_tau(args.beta, f_counts, n_rho=cfg.n_rho, tol=cfg.tolerance)
     _emit_json(_series_payload(
         result, beta=args.beta, q=cfg.q, n_rho=cfg.n_rho,
-        max_weight=args.max_weight, group_elements=len(f_values),
+        max_weight=args.max_weight, group_elements=sum(counts),
     ))
 
 

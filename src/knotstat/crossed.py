@@ -121,8 +121,10 @@ class QmodZ:
         """Parse 'a/b' or a bare integer."""
         text = text.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(Fraction(int(num), int(den)))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise DomainError(f"zero denominator in {text!r}")
+            return cls(Fraction(num, den))
         return cls(Fraction(int(text)))
 
 

@@ -34,6 +34,7 @@ from .semigroup import (
     weight_of,
 )
 from .specfun import (
+    _huge_weight_cut,
     divisors,
     mobius,
     mobius_f,
@@ -304,11 +305,6 @@ class SupportedFunction:
         return SupportedFunction(
             tuple((h.compose(g), mono) for g, mono in self.entries)
         )
-
-
-def _huge_weight_cut(beta: float) -> int:
-    """Weights above this make every nontrivial term underflow float64."""
-    return int(2.0 * 745.0 / (beta * math.log(2.0))) + 1
 
 
 def _e_factor(r: QmodZ, s_weight: int, beta: float, u: AdelicUnit, n_rho: int) -> complex:

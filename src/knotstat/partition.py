@@ -9,20 +9,30 @@ tensor-product partition function Z_tau(beta) over a truncation of the
 Grothendieck group.
 
 Numerical policy: direct sums run in deterministic ascending weight order
-with compensated (Kahan) summation; every truncated series carries an
-explicit tail bound; root-finding is bracketing bisection on functions
-that are monotone on the bracket.
+and are summed with the correctly rounded ``math.fsum``; every truncated
+series carries an explicit tail bound; root-finding is bracketing
+bisection on functions that are monotone on the bracket.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .catalog import Catalog, MultiplicityModel, weights_with_counts
 from .errors import DivergenceError, DomainError
-from .specfun import restricted_zeta, riemann_zeta
+from .specfun import (
+    _TINY_LOG,
+    _factorize,
+    _huge_weight_cut,
+    _omega_squarefree_sieve,
+    primes_up_to,
+    restricted_zeta,
+    riemann_zeta,
+)
 
 __all__ = [
     "SeriesResult",
@@ -41,6 +51,7 @@ __all__ = [
     "figure_H_grid",
     "z_alternating",
     "z_grothendieck",
+    "groth_weight_counts",
     "qstar_euler_factor",
     "qstar_partition",
     "spectral_commutator_norm",
@@ -49,8 +60,6 @@ __all__ = [
     "z_tau",
     "primes_up_to",
 ]
-
-_TINY_LOG = -745.0
 
 Source = Union[Catalog, MultiplicityModel]
 
@@ -113,7 +122,7 @@ def lambda_beta(beta: float, q: float) -> float:
         raise DomainError(f"lambda_beta requires beta > 0, got {beta}")
     if q < 2:
         raise DomainError(f"lambda_beta requires q >= 2, got {q}")
-    x = math.exp(-beta * math.log(q)) if -beta * math.log(q) >= _TINY_LOG else 0.0
+    x = _pow_q(q, -beta)
     return x / (1.0 - x)
 
 
@@ -174,6 +183,13 @@ def _bisect(fn, lo: float, hi: float, name: str) -> float:
     return root
 
 
+def _threshold_bracket(q: int) -> tuple[float, float]:
+    """Bisection bracket for the threshold equations: from just above
+    ln2/lnq to beta = 60, capped at 700/ln q so that q^(-beta), and with
+    it lambda_beta, stays above double-precision underflow."""
+    return math.log(2.0) / math.log(q) + 1e-9, min(60.0, 700.0 / math.log(q))
+
+
 def threshold_beta_minus(q: int) -> float:
     """The unique beta > ln2/lnq with beta - 6 ln lambda_beta = 2 ln 20 - 6 ln ln 2.
 
@@ -186,8 +202,7 @@ def threshold_beta_minus(q: int) -> float:
     def fn(beta: float) -> float:
         return beta - 6.0 * math.log(lambda_beta(beta, q)) - rhs
 
-    lo = math.log(2.0) / math.log(q) + 1e-9
-    return _bisect(fn, lo, 60.0, "threshold_beta_minus")
+    return _bisect(fn, *_threshold_bracket(q), "threshold_beta_minus")
 
 
 def threshold_beta_tilde(q: int, C: float = 400.0) -> float:
@@ -204,8 +219,7 @@ def threshold_beta_tilde(q: int, C: float = 400.0) -> float:
     def fn(beta: float) -> float:
         return beta - 6.0 * math.log(lambda_beta(beta, q)) + 6.0 * math.log(beta) - rhs
 
-    lo = math.log(2.0) / math.log(q) + 1e-9
-    root = _bisect(fn, lo, 60.0, "threshold_beta_tilde")
+    root = _bisect(fn, *_threshold_bracket(q), "threshold_beta_tilde")
     upper = threshold_beta_minus(q)
     if not root < upper:
         raise DomainError(
@@ -288,49 +302,10 @@ def figure_H_grid(q_grid: Iterable[float], C: float = 400.0) -> list[tuple[float
 # ---------------------------------------------------------------------------
 
 
-class _Kahan:
-    """Compensated accumulator; deterministic for a fixed term order."""
-
-    __slots__ = ("total", "_comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._comp = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-
 def _pow_q(q: float, exponent: float) -> float:
     """q^exponent with graceful underflow to 0.0."""
     e = exponent * math.log(q)
     return math.exp(e) if e >= _TINY_LOG else 0.0
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, n + 1) if flags[i]]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +380,7 @@ def _model_log_product(
     log_x = -beta * math.log(q)
     rate = model.C ** (1.0 / 6.0)
     log_rho = rate + log_x
-    acc = _Kahan()
+    terms: list[float] = []
     w = 4  # minimal prime weight: crossing number 3, genus 1
     used = 0
     w_cap = max(64, min(model.n_max, 4000))
@@ -416,23 +391,23 @@ def _model_log_product(
         corr = -math.log1p(-xw) / xw if xw > 0.0 else 1.0
         t = log_n + log_x * w
         if t > 700.0:
-            acc.total = math.inf
+            terms.append(math.inf)
             used += 1
             break
         if t >= _TINY_LOG:
-            acc.add(math.exp(t) * corr)
+            terms.append(math.exp(t) * corr)
         used += 1
         if log_rho < 0.0 and w >= 16:
             log_tail = math.exp((w + 1) * log_rho) / (-math.expm1(log_rho))
             log_tail /= max(1e-300, -math.expm1(log_x))
             if log_tail < tol * 1e-3:
-                return acc.total, used, log_tail
+                return math.fsum(terms), used, log_tail
         w += 1
     if log_rho >= 0.0:
-        return acc.total, used, math.inf
+        return math.fsum(terms), used, math.inf
     log_tail = math.exp((w_cap + 1) * log_rho) / (-math.expm1(log_rho))
     log_tail /= max(1e-300, -math.expm1(log_x))
-    return acc.total, used, log_tail
+    return math.fsum(terms), used, log_tail
 
 
 def z_alternating(
@@ -497,17 +472,11 @@ def z_alternating(
     if mode not in ("direct", "both"):
         raise DomainError(f"unknown mode {mode!r}")
     counts = _multiset_weight_counts(cat, max_weight)
-    acc = _Kahan()
-    used = 0
-    for v, m_v in enumerate(counts):
-        if m_v == 0:
-            continue
-        acc.add(m_v * _pow_q(q, -beta * v))
-        used += 1
+    direct = math.fsum(m_v * _pow_q(q, -beta * v) for v, m_v in enumerate(counts) if m_v)
+    used = sum(1 for m_v in counts if m_v)
     tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * _catalog_product(
         beta / 2.0, q, cat
     )
-    direct = acc.total
     if mode == "direct":
         return SeriesResult(
             value=direct,
@@ -532,23 +501,22 @@ def z_alternating(
 # ---------------------------------------------------------------------------
 
 
-def _groth_weight_counts(cat: Catalog, max_weight: int) -> list[int]:
-    """G[v] = sum over weight-v prime multisets of 2^(number of distinct primes).
+def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
+    """G[v] = sum over weight-v prime multisets of 2^(number of distinct
+    primes), for 0 <= v <= max_weight and primes of the given weights.
 
-    Each catalog prime contributes the factor 1 + 2(x^w + x^{2w} + ...):
-    multiplicity zero counts once, any positive multiplicity twice (once
-    for each sign in a reduced formal difference).
+    G[v] is the number of reduced formal differences of total weight v.
+    Each prime of weight w contributes the factor 1 + 2(x^w + x^{2w} + ...)
+    = (1 + x^w)/(1 - x^w): multiplicity zero counts once, any positive
+    multiplicity twice (once for each sign).  The division is one ascending
+    pass over the weight grid, the multiplication one descending pass.
     """
-    counts = [0] * (max_weight + 1)
-    counts[0] = 1
-    for rec in cat:
-        w = rec.weight
-        new = counts[:]
-        for k in range(1, max_weight // w + 1):
-            shift = k * w
-            for v in range(shift, max_weight + 1):
-                new[v] += 2 * counts[v - shift]
-        counts = new
+    counts = [1] + [0] * max_weight
+    for w in weights:
+        for v in range(w, max_weight + 1):
+            counts[v] += counts[v - w]
+        for v in range(max_weight, w - 1, -1):
+            counts[v] += counts[v - w]
     return counts
 
 
@@ -594,14 +562,9 @@ def z_grothendieck(
     za = _catalog_product(beta, q, cat)
     za2 = _catalog_product(2 * beta, q, cat)
     value = za**2 / za2
-    counts = _groth_weight_counts(cat, max_weight)
-    acc = _Kahan()
-    used = 0
-    for v, g_v in enumerate(counts):
-        if g_v == 0:
-            continue
-        acc.add(g_v * _pow_q(q, -beta * v))
-        used += 1
+    counts = groth_weight_counts([rec.weight for rec in cat], max_weight)
+    direct = math.fsum(g_v * _pow_q(q, -beta * v) for v, g_v in enumerate(counts) if g_v)
+    used = sum(1 for g_v in counts if g_v)
     # two-temperature trick: G(v) x^v <= x^((W+1)/2) G(v) x^(v/2)
     half = z_grothendieck_closed(beta / 2.0, q, cat)
     tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
@@ -612,8 +575,8 @@ def z_grothendieck(
         converged=True,
         status="converged",
         details={
-            "direct": acc.total,
-            "agreement": abs(value - acc.total),
+            "direct": direct,
+            "agreement": abs(value - direct),
             "z_a_beta": za,
             "z_a_2beta": za2,
         },
@@ -632,32 +595,12 @@ def z_grothendieck_closed(beta: float, q: int, cat: Catalog) -> float:
 
 def qstar_euler_factor(p: int, beta: float) -> float:
     """(1 - p^(-2 beta)) / (1 - p^(-beta))^2, the local factor at the prime p."""
-    if not _is_prime(p):
+    if _factorize(p) != ((p, 1),):
         raise DomainError(f"qstar_euler_factor requires a prime, got {p}")
     if beta <= 0:
         raise DomainError(f"qstar_euler_factor requires beta > 0, got {beta}")
     x = _pow_q(p, -beta)
     return (1.0 - x * x) / (1.0 - x) ** 2
-
-
-def _omega_sieve(n_max: int) -> bytearray:
-    """omega(n) (number of distinct prime factors) for 0 <= n <= n_max."""
-    omega = bytearray(n_max + 1)
-    for p in range(2, n_max + 1):
-        if omega[p] == 0:  # p is prime: untouched by smaller primes
-            for m in range(p, n_max + 1, p):
-                omega[m] += 1
-    return omega
-
-
-def _squarefree_sieve(n_max: int) -> bytearray:
-    flags = bytearray([1]) * (n_max + 1)
-    p = 2
-    while p * p <= n_max:
-        for m in range(p * p, n_max + 1, p * p):
-            flags[m] = 0
-        p += 1
-    return flags
 
 
 def qstar_partition(
@@ -690,11 +633,10 @@ def qstar_partition(
         )
     if mode not in ("direct", "both"):
         raise DomainError(f"unknown mode {mode!r}")
-    omega = _omega_sieve(n_max)
-    acc = _Kahan()
-    for n in range(1, n_max + 1):
-        acc.add(float(1 << omega[n]) * math.exp(-beta * math.log(n)) if n > 1 else 1.0)
-    direct = acc.total
+    omega, squarefree = _omega_squarefree_sieve(n_max)
+    direct = math.fsum(
+        float(1 << omega[n]) * math.exp(-beta * math.log(n)) for n in range(1, n_max + 1)
+    )
 
     # tail: sum_{n>N} 2^omega(n) n^-beta
     #     = sum_d mu^2(d) d^-beta sum_{m > N/d} m^-beta
@@ -705,12 +647,14 @@ def qstar_partition(
             return riemann_zeta(beta)
         return m_float ** (1.0 - beta) / (beta - 1.0) + m_float**-beta
 
-    squarefree = _squarefree_sieve(n_max)
-    tail_acc = _Kahan()
-    for d in range(1, n_max + 1):
-        if squarefree[d]:
-            tail_acc.add(math.exp(-beta * math.log(d)) * integral_tail(n_max / d))
-    tail = tail_acc.total + integral_tail(float(n_max)) * riemann_zeta(beta)
+    tail = math.fsum(chain(
+        (
+            math.exp(-beta * math.log(d)) * integral_tail(n_max / d)
+            for d in range(1, n_max + 1)
+            if squarefree[d]
+        ),
+        [integral_tail(float(n_max)) * riemann_zeta(beta)],
+    ))
     if mode == "direct":
         return SeriesResult(
             value=direct,
@@ -733,7 +677,7 @@ def qstar_partition(
 def spectral_commutator_norm(p: int, m: int) -> float:
     """Operator norm |m| ln p of the commutator of the p-adic scaling
     generator with the shift by p^m."""
-    if not _is_prime(p):
+    if _factorize(p) != ((p, 1),):
         raise DomainError(f"spectral_commutator_norm requires a prime, got {p}")
     return abs(m) * math.log(p)
 
@@ -817,31 +761,33 @@ def _log_restricted_zeta_prime_sum(s: float, n_rho: int) -> tuple[float, float]:
     if s < 8.0:
         return math.log(restricted_zeta(s, n_rho)), 0.0
     cutoff = 100 if s >= 40 else 1000
-    acc = _Kahan()
+    terms = []
     for p in primes_up_to(cutoff):
         if n_rho % p == 0:
             continue
         e = -s * math.log(p)
         if e < _TINY_LOG:
             break
-        acc.add(-math.log1p(-math.exp(e)))
+        terms.append(-math.log1p(-math.exp(e)))
     tail = cutoff ** (1.0 - s) / (s - 1.0) + cutoff**-s
-    return acc.total, tail
+    return math.fsum(terms), tail
 
 
 def z_tau(
     beta: float,
-    f_values: Sequence[int],
+    f_values: Union[Sequence[int], Mapping[int, int]],
     n_rho: int = 1,
     tol: float = 1e-12,
 ) -> SeriesResult:
     """Z_tau(beta) = product over group elements g of zeta_{n_rho}(f(g) beta).
 
     ``f_values`` is the weight function evaluated over a truncation of the
-    Grothendieck group; exactly one entry must equal 1 (the identity).
-    Finite if and only if beta > 1.  Factors are accumulated in log space
-    in ascending f order; stabilization is reported as |P_N - P_2N| with
-    N = half the truncation.
+    Grothendieck group, as a list of values or as a mapping {f: number of
+    elements}; exactly one element must have f = 1 (the identity).
+    Finite if and only if beta > 1.  Each distinct f is evaluated once and
+    enters the log-product weighted by its multiplicity; stabilization is
+    reported as |P_N - P_2N|, with P_N the product of the N smallest
+    factors and N half the truncation.
     """
     _require_finite_beta("z_tau", beta)
     if beta <= 1:
@@ -850,48 +796,58 @@ def z_tau(
         )
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
-    values = sorted(int(f) for f in f_values)
-    if not values:
+    counts: Counter = Counter()
+    pairs = f_values.items() if isinstance(f_values, Mapping) else ((f, 1) for f in f_values)
+    for f, c in pairs:
+        counts[int(f)] += int(c)
+    if any(c < 0 for c in counts.values()):
+        raise DomainError("weight multiplicities must be >= 0")
+    classes = sorted((f, c) for f, c in counts.items() if c)
+    if not classes:
         raise DomainError("f_values must be nonempty")
-    ones = sum(1 for f in values if f == 1)
-    if ones != 1:
+    if counts[1] != 1:
         raise DomainError(
-            f"expected exactly one weight equal to 1 (the identity), got {ones}"
+            f"expected exactly one weight equal to 1 (the identity), got {counts[1]}"
         )
-    if values[0] < 1:
-        raise DomainError(f"weights must be >= 1, got {values[0]}")
+    if classes[0][0] < 1:
+        raise DomainError(f"weights must be >= 1, got {classes[0][0]}")
 
-    huge_cut = int(2.0 * -_TINY_LOG / (beta * math.log(2.0))) + 1
-    log_acc = _Kahan()
+    n_factors = sum(c for _, c in classes)
+    n_half = n_factors // 2
+    huge_cut = _huge_weight_cut(beta)
+    logs: list[float] = []
+    half_logs: list[float] = []
     tail_acc = 0.0
-    partials: list[float] = []
-    for f in values:
+    seen = 0
+    for f, c in classes:
         if f == 1:
-            log_acc.add(math.log(restricted_zeta(beta, n_rho)))
+            log_f, tail_f = math.log(restricted_zeta(beta, n_rho)), 0.0
         elif f > huge_cut:
-            # s = f*beta so large that even 2^-s underflows: factor is 1.0
-            pass
+            # s = f*beta so large that even 2^-s underflows: this factor and
+            # every later one is 1.0
+            break
         else:
             log_f, tail_f = _log_restricted_zeta_prime_sum(float(f) * beta, n_rho)
-            log_acc.add(log_f)
-            tail_acc += tail_f
-        partials.append(log_acc.total)
+        logs.append(c * log_f)
+        tail_acc += c * tail_f
+        if seen < n_half:
+            half_logs.append(min(c, n_half - seen) * log_f)
+        seen += c
 
-    n_half = len(values) // 2
-    p_half = math.exp(partials[n_half - 1]) if n_half >= 1 else 1.0
-    p_full = math.exp(partials[-1])
+    p_half = math.exp(math.fsum(half_logs))
+    p_full = math.exp(math.fsum(logs))
     stabilization = abs(p_full - p_half)
     value = p_full
     tail = value * math.expm1(tail_acc) if tail_acc < 1.0 else math.inf
     return SeriesResult(
         value=value,
-        terms_used=len(values),
+        terms_used=n_factors,
         tail_bound=tail,
         converged=tail < tol * max(1.0, value),
         status="converged",
         details={
             "stabilization": stabilization,
             "partial_half": p_half,
-            "n_factors": len(values),
+            "n_factors": n_factors,
         },
     )

@@ -47,9 +47,19 @@ __all__ = [
     "mobius",
     "distinct_prime_factors",
     "divisors",
+    "primes_up_to",
 ]
 
 _TINY_LOG = -745.0  # exp() underflows to 0.0 below this
+
+# Below s = 30, Li_s at a b-th root of unity costs b Hurwitz zetas (about
+# 12 us each); larger denominators are refused rather than left to run.
+_MAX_HURWITZ_DENOMINATOR = 10_000
+
+
+def _huge_weight_cut(beta: float) -> int:
+    """Weights above this make every nontrivial term underflow float64."""
+    return int(2.0 * -_TINY_LOG / (beta * math.log(2.0))) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +106,31 @@ def divisors(n: int) -> list[int]:
     for p, k in _factorize(n):
         out = [d * p**j for d in out for j in range(k + 1)]
     return sorted(out)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n by sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, int(n**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return [i for i in range(2, n + 1) if flags[i]]
+
+
+def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
+    """omega(n) (number of distinct prime factors) and the squarefree flag
+    of n, for 0 <= n <= n_max, from one pass over the primes."""
+    omega = bytearray(n_max + 1)
+    squarefree = bytearray([1]) * (n_max + 1)
+    for p in range(2, n_max + 1):
+        if omega[p] == 0:  # p is prime: untouched by smaller primes
+            for m in range(p, n_max + 1, p):
+                omega[m] += 1
+            squarefree[p * p :: p * p] = bytes(len(range(p * p, n_max + 1, p * p)))
+    return omega, squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +280,9 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
 
     For r = 0 this is zeta(s).  For moderate s the root-of-unity splitting
     Li_s(e^{2 pi i a / b}) = b^{-s} * sum_j e^{2 pi i j a / b} zeta(s, j/b)
-    is used; for s >= 30 the direct series converges to full precision in
-    a few dozen terms and avoids the overflow of zeta(s, j/b) ~ (b/j)^s.
+    is used, for b up to ``_MAX_HURWITZ_DENOMINATOR``; for s >= 30 the
+    direct series converges to full precision in a few dozen terms and
+    avoids the overflow of zeta(s, j/b) ~ (b/j)^s.
     """
     if s <= 1:
         raise DomainError(f"polylog_roots_of_unity requires s > 1, got {s}")
@@ -267,6 +303,11 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
             if n > 1 and mag < 1e-20:
                 break
         return acc
+    if b > _MAX_HURWITZ_DENOMINATOR:
+        raise DomainError(
+            f"polylog_roots_of_unity at s = {s} < 30 sums b Hurwitz zetas; "
+            f"denominator b = {b} exceeds {_MAX_HURWITZ_DENOMINATOR}"
+        )
     scale = math.exp(-s * math.log(b))
     acc = 0.0 + 0.0j
     num = r.numerator

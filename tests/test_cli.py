@@ -12,6 +12,7 @@ import json
 import math
 import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,28 @@ class TestExitCodes:
         assert code == 1
         assert "tolerance" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kms-bc", "--r", "1/0", "--beta", "2"),
+            ("bc-normalize", "--word", "e:1/0"),
+            ("kms-psi", "--beta", "2", "--entry", "unknot::e:1/0"),
+        ],
+    )
+    def test_zero_denominator_is_one(self, capsys, argv):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 1
+        assert "denominator" in payload["error"]
+
+    def test_huge_polylog_denominator_refused_in_time(self, capsys):
+        start = time.perf_counter()
+        code, payload = invoke_json(
+            capsys, "kms-bc", "--r", "1/30000001", "--beta", "2"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert "30000001" in payload["error"]
+
     def test_csv_error_mode(self, capsys):
         code, out = invoke(
             capsys, "z-alt", "--beta", "1.5", "--source", "model",
@@ -105,6 +128,11 @@ class TestThresholds:
         assert p100["beta_minus"] == pytest.approx(0.3362, abs=5e-4)
         _, p1000 = invoke_json(capsys, "thresholds", "--q", "1000")
         assert p1000["beta_minus"] == pytest.approx(0.2262, abs=5e-4)
+
+    def test_huge_q(self, capsys):
+        code, payload = invoke_json(capsys, "thresholds", "--q", "1000000")
+        assert code == 0
+        assert payload["beta_tilde_minus"] < payload["beta_minus"] < payload["beta_plus"]
 
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KNOTSTAT_Q", "100")
@@ -211,6 +239,29 @@ class TestPartitionCommands:
         assert payload["converged"] is True
         assert payload["group_elements"] == 117
         assert payload["value"] > 1.0
+
+    def test_z_tau_by_weight_class(self, capsys, cat):
+        """W = 60 (about 4e8 group elements) needs only the weight counts;
+        the count matches the product over alternating primes of
+        1 + 2 (x^w + x^2w + ...), multiplied out term by term."""
+        start = time.perf_counter()
+        code, payload = invoke_json(
+            capsys, "z-tau", "--beta", "1.5", "--max-weight", "60"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        poly = [1] + [0] * 60
+        for rec in cat:
+            if rec.alternating:
+                factor = [1] + [0] * 60
+                for v in range(rec.weight, 61, rec.weight):
+                    factor[v] = 2
+                poly = [
+                    sum(poly[i] * factor[v - i] for i in range(v + 1))
+                    for v in range(61)
+                ]
+        assert payload["group_elements"] == sum(poly)
+        assert payload["converged"] is True
 
     def test_z_tau_divergence_signal(self, capsys):
         code, payload = invoke_json(capsys, "z-tau", "--beta", "1.0")

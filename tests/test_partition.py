@@ -8,6 +8,7 @@ programs.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from knotstat.partition import (
     figure_H_value,
     figure_f_grid,
     figure_f_value,
+    groth_weight_counts,
     lambda_beta,
     primes_up_to,
     qstar_euler_factor,
@@ -39,7 +41,7 @@ from knotstat.partition import (
     z_knots_times_n,
     z_tau,
 )
-from knotstat.semigroup import enumerate_knots, omega
+from knotstat.semigroup import enumerate_group_elements, enumerate_knots, omega
 from knotstat.specfun import restricted_zeta, riemann_zeta
 
 
@@ -104,6 +106,18 @@ class TestThresholds:
             rhs = math.log(400.0) - 6 * math.log(math.log(q))
             assert abs(lhs - rhs) < 1e-9
             assert beta < threshold_beta_minus(q)
+
+    @pytest.mark.parametrize("q", [10**6, 10**9, 10**12])
+    def test_large_q_roots(self, q):
+        """beta = 60 underflows lambda_beta at these q; the capped bracket
+        still finds both roots."""
+        minus, tilde = threshold_beta_minus(q), threshold_beta_tilde(q)
+        f_minus = minus - 6 * math.log(lambda_beta(minus, q))
+        assert abs(f_minus - beta_minus_rhs_constant()) < 1e-9
+        f_tilde = figure_f_value(tilde, q)
+        assert abs(f_tilde - (math.log(400.0) - 6 * math.log(math.log(q)))) < 1e-9
+        rep = threshold_report(q)
+        assert rep.beta_tilde_minus < rep.beta_minus < rep.beta_plus
 
     def test_report_ordering_sampled(self):
         for q in (2, 3, 5, 10, 31, 100, 1000):
@@ -355,6 +369,24 @@ class TestQstarSystem:
         assert errors[1] < errors[0]
 
 
+    def test_euler_factor_needs_a_prime(self):
+        for p in (-3, 0, 1, 4, 91):
+            with pytest.raises(DomainError):
+                qstar_euler_factor(p, 2.0)
+
+
+class TestGrothWeightCounts:
+    @pytest.mark.parametrize("max_weight", [0, 4, 9, 12, 16])
+    def test_matches_enumeration(self, cat, max_weight):
+        weights = [rec.weight for rec in cat if rec.alternating]
+        by_weight = Counter(v for _, v in enumerate_group_elements(cat, max_weight))
+        counts = groth_weight_counts(weights, max_weight)
+        assert counts == [by_weight[v] for v in range(max_weight + 1)]
+
+    def test_negative_truncation_keeps_identity(self):
+        assert groth_weight_counts([4, 5], -1) == [1]
+
+
 class TestSpectralCommutator:
     def test_closed_form(self):
         assert spectral_commutator_norm(2, 1) == pytest.approx(math.log(2))
@@ -436,6 +468,33 @@ class TestZTau:
         res = z_tau(1.5, values)
         assert res.details["stabilization"] < 1e-9
         assert res.converged
+
+    @pytest.mark.parametrize("n_rho", [1, 6])
+    def test_unskipped_factors_match_restricted_zeta(self, n_rho):
+        # n_half = 3 takes one of the three f = 3 factors: a split class;
+        # f = 6 gives s = 9, on the prime-sum route
+        values = [6, 3, 1, 3, 2, 6, 3]
+        res = z_tau(1.5, values, n_rho=n_rho)
+        factors = [restricted_zeta(f * 1.5, n_rho) for f in sorted(values)]
+        assert res.value == pytest.approx(math.prod(factors), rel=1e-12)
+        assert res.details["partial_half"] == pytest.approx(
+            math.prod(factors[:3]), rel=1e-12
+        )
+        assert res.details["n_factors"] == res.terms_used == 7
+
+    def test_mapping_equals_expanded_list(self):
+        counts = {1: 1, 2: 1, 3: 3, 6: 2, 2**40: 5}
+        expanded = [f for f, c in counts.items() for _ in range(c)]
+        for n_rho in (1, 6):
+            by_map, by_list = z_tau(1.5, counts, n_rho), z_tau(1.5, expanded, n_rho)
+            assert by_map == by_list
+            assert by_map.details == by_list.details
+
+    def test_mapping_multiplicities_validated(self):
+        with pytest.raises(DomainError):
+            z_tau(1.5, {1: 2})
+        with pytest.raises(DomainError):
+            z_tau(1.5, {1: 1, 4: -1})
 
     def test_divergence_at_one(self):
         with pytest.raises(DomainError):

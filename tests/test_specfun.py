@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from knotstat.crossed import QmodZ
 from knotstat.errors import DomainError
 from knotstat.specfun import (
+    _MAX_HURWITZ_DENOMINATOR,
+    _factorize,
+    _omega_squarefree_sieve,
     distinct_prime_factors,
     divisors,
     eulerian,
@@ -113,6 +116,15 @@ class TestPolylog:
         r = QmodZ.of(1, 3)
         got = polylog_roots_of_unity(1e13, r)
         assert got == pytest.approx(cmath.exp(2j * math.pi / 3), abs=1e-14)
+
+
+    def test_large_denominator_refused_below_thirty(self):
+        r = QmodZ.of(1, 30000001)
+        assert 30000001 > _MAX_HURWITZ_DENOMINATOR
+        with pytest.raises(DomainError, match="30000001"):
+            polylog_roots_of_unity(2.0, r)
+        # the s >= 30 direct series has no such cost
+        assert abs(polylog_roots_of_unity(40.0, r) - 1.0) < 1e-6
 
 
 class TestLerch:
@@ -267,3 +279,11 @@ class TestDivisors:
     def test_divisors_complete(self, n):
         ds = divisors(n)
         assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_omega_squarefree_sieve_matches_factorize():
+    omega, squarefree = _omega_squarefree_sieve(2000)
+    for n in range(1, 2001):
+        fact = _factorize(n)
+        assert omega[n] == len(fact), n
+        assert squarefree[n] == all(k == 1 for _, k in fact), n
