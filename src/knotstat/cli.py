@@ -20,15 +20,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import catalog as _catalog
-from . import kms as _kms
-from . import knotgroups as _kg
-from . import partition as _pt
-from . import semigroup as _sg
-from .crossed import QmodZ, bc_normalize, parse_bc_word
 from .errors import KnotstatError
+
+# Each handler imports the modules it runs, so a fresh process loads only
+# the code its subcommand needs (numpy only for ``derham``).
+if TYPE_CHECKING:
+    from . import kms as _kms
+    from . import knotgroups as _kg
+    from . import partition as _pt
+    from . import semigroup as _sg
 
 ENV_PREFIX = "KNOTSTAT_"
 
@@ -203,6 +206,8 @@ def _source(args, cfg: Config):
 
 
 def _cmd_z_alt(args, cfg: Config) -> None:
+    from . import partition as _pt
+
     result = _pt.z_alternating(
         args.beta, cfg.q, _source(args, cfg), tol=cfg.tolerance,
         mode=args.mode, max_weight=args.max_weight,
@@ -213,6 +218,8 @@ def _cmd_z_alt(args, cfg: Config) -> None:
 
 
 def _cmd_z_groth(args, cfg: Config) -> None:
+    from . import partition as _pt
+
     result = _pt.z_grothendieck(
         args.beta, cfg.q, _source(args, cfg), tol=cfg.tolerance,
         max_weight=args.max_weight,
@@ -223,6 +230,8 @@ def _cmd_z_groth(args, cfg: Config) -> None:
 
 
 def _cmd_z_qstar(args, cfg: Config) -> None:
+    from . import partition as _pt
+
     result = _pt.qstar_partition(
         args.beta, n_max=args.n_max, mode=args.mode, tol=cfg.tolerance
     )
@@ -232,6 +241,9 @@ def _cmd_z_qstar(args, cfg: Config) -> None:
 
 
 def _cmd_z_tau(args, cfg: Config) -> None:
+    from . import partition as _pt
+    from . import semigroup as _sg
+
     # f(g) = q^(scale * v) depends on g only through its weight v, so the
     # product runs over the G(v) group elements of each weight at once.
     cat = cfg.load_catalog()
@@ -248,6 +260,8 @@ def _cmd_z_tau(args, cfg: Config) -> None:
 
 
 def _cmd_thresholds(args, cfg: Config) -> None:
+    from . import partition as _pt
+
     report = _pt.threshold_report(cfg.q)
     _emit_json(
         {
@@ -263,8 +277,13 @@ def _cmd_thresholds(args, cfg: Config) -> None:
 
 
 def _cmd_figures(args, cfg: Config) -> None:
+    from . import partition as _pt
+
     if args.which == "f":
         beta_min = None if args.beta_min == "auto" else float(args.beta_min)
+        for flag, value in (("--beta-min", beta_min), ("--beta-max", args.beta_max)):
+            if value is not None and not math.isfinite(value):
+                raise KnotstatError(f"{flag} must be finite, got {value}")
         rows = _pt.figure_f_grid(
             cfg.q, beta_min=beta_min, beta_max=args.beta_max,
             n_points=args.n_points,
@@ -285,6 +304,9 @@ def _cmd_figures(args, cfg: Config) -> None:
 
 
 def _cmd_kms_toeplitz(args, cfg: Config) -> None:
+    from . import kms as _kms
+    from . import semigroup as _sg
+
     cat = cfg.load_catalog()
     knot = _sg.parse_knot(args.knot)
     ev = _kms.toeplitz_eigenlist(knot, args.beta, cfg.q, cat)
@@ -304,6 +326,8 @@ def _cmd_kms_toeplitz(args, cfg: Config) -> None:
 
 
 def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
+    from . import kms as _kms
+
     if not text:
         return _kms.AdelicUnit.one()
     mapping = {}
@@ -318,6 +342,9 @@ def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
 
 
 def _cmd_kms_bc(args, cfg: Config) -> None:
+    from . import kms as _kms
+    from .crossed import QmodZ
+
     r = QmodZ.parse(args.r)
     beta = math.inf if args.beta.lower() in ("inf", "infinity") else float(args.beta)
     u = _parse_unit(args.u)
@@ -332,6 +359,9 @@ def _cmd_kms_bc(args, cfg: Config) -> None:
 
 
 def _parse_monomial(text: str) -> _kms.Monomial:
+    from . import kms as _kms
+    from .crossed import QmodZ
+
     parts = text.split(":")
     if parts[0] == "e" and len(parts) >= 2:
         return _kms.Monomial.e(QmodZ.parse(":".join(parts[1:])))
@@ -345,6 +375,8 @@ def _parse_monomial(text: str) -> _kms.Monomial:
 
 
 def _parse_entry(text: str) -> tuple[_sg.GroupElement, _kms.Monomial]:
+    from . import semigroup as _sg
+
     group_part, sep, mono_part = text.partition("::")
     if not sep:
         raise KnotstatError(
@@ -357,6 +389,9 @@ def _parse_entry(text: str) -> tuple[_sg.GroupElement, _kms.Monomial]:
 
 
 def _cmd_kms_psi(args, cfg: Config) -> None:
+    from . import kms as _kms
+    from . import semigroup as _sg
+
     cat = cfg.load_catalog()
     w = _sg.WeightFunction(q=cfg.q)
     u = _parse_unit(args.u)
@@ -390,6 +425,8 @@ def _cmd_kms_psi(args, cfg: Config) -> None:
 
 
 def _cmd_ratio_witness(args, cfg: Config) -> None:
+    from . import kms as _kms
+
     ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, cfg.q, cfg.model())
     _emit_json(
         {
@@ -404,6 +441,8 @@ def _cmd_ratio_witness(args, cfg: Config) -> None:
 
 
 def _presentation_from_args(args) -> _kg.Presentation:
+    from . import knotgroups as _kg
+
     sources = [bool(args.knot), bool(args.braid), bool(getattr(args, "file", None))]
     if sum(sources) != 1:
         raise KnotstatError(
@@ -420,6 +459,8 @@ def _presentation_from_args(args) -> _kg.Presentation:
 def _presentation_text(p: _kg.Presentation) -> str:
     import tempfile
 
+    from . import knotgroups as _kg
+
     with tempfile.NamedTemporaryFile("r", suffix=".txt", delete=False) as handle:
         path = handle.name
     try:
@@ -431,6 +472,8 @@ def _presentation_text(p: _kg.Presentation) -> str:
 
 
 def _cmd_wirtinger(args, cfg: Config) -> None:
+    from . import knotgroups as _kg
+
     p = _presentation_from_args(args)
     if args.out:
         _kg.save_presentation(p, args.out)
@@ -454,6 +497,8 @@ def _cmd_wirtinger(args, cfg: Config) -> None:
 
 
 def _cmd_alexander(args, cfg: Config) -> None:
+    from . import knotgroups as _kg
+
     if args.seifert:
         rows = [
             [int(x) for x in row.split()]
@@ -502,6 +547,8 @@ def _alexander_roots(poly: _kg.LaurentPoly) -> list[complex]:
 
 
 def _cmd_derham(args, cfg: Config) -> None:
+    from . import knotgroups as _kg
+
     p = _presentation_from_args(args)
     poly = _kg.alexander_poly_fox(p)
     if args.root is not None:
@@ -531,6 +578,8 @@ def _cmd_derham(args, cfg: Config) -> None:
 
 
 def _cmd_bc_normalize(args, cfg: Config) -> None:
+    from .crossed import bc_normalize, parse_bc_word
+
     word = parse_bc_word(args.word.split())
     nf = bc_normalize(word)
     terms = {

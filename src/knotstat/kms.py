@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 from .catalog import Catalog, MultiplicityModel, count_weight
 from .crossed import QmodZ
 from .errors import DomainError
-from .partition import threshold_beta_plus
+from .partition import _require_finite_beta, threshold_beta_plus
 from .semigroup import (
     GroupElement,
     Knot,
@@ -106,6 +106,7 @@ def toeplitz_eigenlist(
     The state on the shift algebra of K has spectrum
     (1 - q^(-beta w)) q^(-beta n w) with w the knot's invariant weight.
     """
+    _require_finite_beta("toeplitz_eigenlist", beta)
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     if k.is_unknot():
@@ -154,6 +155,7 @@ def bc_high_temperature(r: QmodZ, beta: float) -> float:
     mu(d) (b/d)^k and b is the reduced denominator of r.  The
     denominator f_1(b) is the Euler totient, never zero.
     """
+    _require_finite_beta("bc_high_temperature", beta)
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"high-temperature range is 0 < beta <= 1, got {beta}")
     b = r.denominator
@@ -235,6 +237,8 @@ def bc_low_temperature(
     Defined for beta > 1; beta = inf returns the boundary value u(r)
     itself, the root of unity e^(2 pi i u_b a / b).
     """
+    if math.isnan(beta):
+        raise DomainError("bc_low_temperature requires beta > 1 or inf, got nan")
     ur = _unit_phase(r, u)
     if beta == math.inf:
         return cmath.exp(2j * math.pi * float(ur.frac))
@@ -359,6 +363,7 @@ def psi_product_state(
     ``precompose`` evaluates the weight at precompose g instead, which
     realizes the pulled-back weight alpha_(precompose^-1)(f).
     """
+    _require_finite_beta("psi_product_state", beta)
     if beta <= 1.0:
         raise DomainError(f"product states need beta > 1, got {beta}")
     if n_rho < 1:
@@ -391,6 +396,7 @@ def psi_pushforward(
     computed independently: the left by translating the support, the
     right by precomposing the weight argument with h.
     """
+    _require_finite_beta("psi_pushforward", beta)
     lhs = psi_product_state(
         f.translate(h), beta, u, w, cat, n_rho,
         assume_cr_additive=assume_cr_additive,
@@ -474,6 +480,7 @@ def ratio_witness(
     equals q^(-beta) identically; the equality is asserted to 1e-14
     relative.
     """
+    _require_finite_beta("ratio_witness", beta)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if beta <= 0:

@@ -25,8 +25,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import PresentationError
 
 __all__ = [
@@ -838,12 +836,16 @@ class DeRhamRep:
     kernel_dim: int
 
     def matrix(self, index: int) -> np.ndarray:
+        import numpy as np
+
         s = self.sqrt_root
         return np.array(
             [[s, self.x_values[index]], [0.0, 1.0 / s]], dtype=complex
         )
 
     def word_matrix(self, word: Sequence[int]) -> np.ndarray:
+        import numpy as np
+
         out = np.eye(2, dtype=complex)
         for letter in word:
             m = self.matrix(abs(letter) - 1)
@@ -854,6 +856,8 @@ class DeRhamRep:
 def _max_relator_residual(
     p: Presentation, word_matrix, dim: int
 ) -> float:
+    import numpy as np
+
     worst = 0.0
     eye = np.eye(dim, dtype=complex)
     for word in p.relators:
@@ -877,6 +881,8 @@ def derham_solve(
     The two square-root branches give the two representations attached to
     the root; the x-vector is branch-independent.
     """
+    import numpy as np
+
     if branch not in (1, -1):
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
     delta = alexander if alexander is not None else alexander_poly_fox(p)
@@ -948,6 +954,8 @@ class DirectSumRep:
     residual: float
 
     def matrix(self, index: int) -> np.ndarray:
+        import numpy as np
+
         n1 = self.rep1.presentation.n_generators
         out = np.zeros((4, 4), dtype=complex)
         if index < n1:
@@ -963,6 +971,8 @@ class DirectSumRep:
         return out
 
     def word_matrix(self, word: Sequence[int]) -> np.ndarray:
+        import numpy as np
+
         out = np.eye(4, dtype=complex)
         for letter in word:
             m = self.matrix(abs(letter) - 1)

@@ -17,6 +17,7 @@ bisection on functions that are monotone on the bracket.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -153,11 +154,20 @@ def bound_gap_F(q: float) -> float:
     beta_minus < beta_plus.
     """
     bp = threshold_beta_plus()
-    return bp - 6.0 * math.log(lambda_beta(bp, q)) - beta_minus_rhs_constant()
+    lam = lambda_beta(bp, q)
+    # Below the normal range q^(-beta_plus) loses precision or underflows,
+    # and ln lambda = -beta_plus ln q to double precision.
+    log_lam = math.log(lam) if lam >= sys.float_info.min else -bp * math.log(q)
+    return bp - 6.0 * log_lam - beta_minus_rhs_constant()
 
 
 def _bisect(fn, lo: float, hi: float, name: str) -> float:
-    """Bracketing bisection to argument width 1e-12; verifies |f(root)| < 1e-10."""
+    """Bracketing bisection to argument width 1e-12; verifies |f(root)| < 1e-10.
+
+    Where f is steep (slope about 6 ln q near small roots at huge q) that
+    width still leaves a residual above the check, so the bisection then
+    goes on until the midpoint is one of the two floats bracketing the root.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -167,20 +177,24 @@ def _bisect(fn, lo: float, hi: float, name: str) -> float:
         raise DomainError(
             f"{name}: root not bracketed on [{lo}, {hi}] (f: {flo}, {fhi})"
         )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    if abs(fn(root)) > 1e-10:
-        raise DomainError(f"{name}: residual at root too large: {fn(root)}")
-    return root
+    for width in (1e-12, 0.0):
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            fmid = fn(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        root = 0.5 * (lo + hi)
+        residual = fn(root)
+        if abs(residual) <= 1e-10:
+            return root
+    raise DomainError(f"{name}: residual at root too large: {residual}")
 
 
 def _threshold_bracket(q: int) -> tuple[float, float]:
@@ -265,6 +279,8 @@ def figure_f_grid(
     left = math.log(2.0) / math.log(q)
     if beta_min is None:
         beta_min = left + 1e-3
+    _require_finite_beta("figure_f_grid", beta_min)
+    _require_finite_beta("figure_f_grid", beta_max)
     if beta_min <= left:
         raise DomainError(
             f"beta_min must exceed ln2/lnq = {left:.6g}, got {beta_min}"

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -133,6 +135,12 @@ class TestThresholds:
         code, payload = invoke_json(capsys, "thresholds", "--q", "1000000")
         assert code == 0
         assert payload["beta_tilde_minus"] < payload["beta_minus"] < payload["beta_plus"]
+
+    def test_astronomical_q(self, capsys):
+        code, payload = invoke_json(capsys, "thresholds", "--q", str(10**40))
+        assert code == 0
+        assert payload["beta_tilde_minus"] < payload["beta_minus"] < payload["beta_plus"]
+        assert payload["F"] > 0
 
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KNOTSTAT_Q", "100")
@@ -318,6 +326,19 @@ class TestFigures:
         assert payload["columns"] == ["q", "H"]
         assert len(payload["rows"]) == 5
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--beta-min", "nan"), ("--beta-min", "inf"), ("--beta-max", "nan"),
+         ("--beta-max", "-inf")],
+    )
+    def test_non_finite_beta_bound_refused(self, capsys, flag, value):
+        code, payload = invoke_json(
+            capsys, "figures", "--which", "f", "--q", "11", f"{flag}={value}",
+            "--n-points", "3",
+        )
+        assert code == 1
+        assert flag in payload["error"]
+
     def test_bit_identical_runs(self, capsys):
         args = ("figures", "--which", "f", "--q", "3", "--output", "csv")
         _, first = invoke(capsys, *args)
@@ -443,6 +464,25 @@ class TestKmsCommands:
         )
         assert code == 1
         assert "beta_plus" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kms-bc", "--r", "1/2", "--beta", "nan"),
+            ("kms-bc", "--r", "1/2", "--beta=-inf"),
+            ("ratio-witness", "--n", "3", "--big-n", "12", "--beta", "nan"),
+            ("kms-psi", "--beta", "nan", "--entry", "unknot::e:1/2"),
+            ("kms-psi", "--beta", "inf", "--entry", "unknot::e:1/2",
+             "--translate", "3_1"),
+            ("kms-toeplitz", "--knot", "3_1", "--beta", "nan"),
+        ],
+    )
+    def test_non_finite_beta_refused(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)  # bare NaN would still parse, so check the keys
+        assert set(payload) == {"error"}
+        assert "beta" in payload["error"]
 
 
 class TestPresentationCommands:
@@ -571,3 +611,42 @@ def test_reference_outputs_byte_identical(capsys, tmp_path, monkeypatch):
     for command, expected in reference.items():
         code, out = invoke(capsys, *expected["argv"])
         assert (code, out) == (expected["exit_code"], expected["stdout"]), command
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter with the package on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+
+
+class TestLazyImports:
+    """A fresh process loads only the modules its subcommand runs."""
+
+    def test_cli_import_is_light(self):
+        out = _fresh(
+            "import sys, knotstat.cli\n"
+            "print(sorted(m for m in ('numpy', 'knotstat.kms', 'knotstat.knotgroups',"
+            " 'knotstat.partition', 'knotstat.crossed') if m in sys.modules))"
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_bc_normalize_loads_crossed_only(self):
+        out = _fresh(
+            "import io, sys, contextlib\n"
+            "from knotstat import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(['bc-normalize', '--word', 'mu:2 e:1/3 mu*:2'])\n"
+            "print(code, 'knotstat.crossed' in sys.modules,"
+            " 'knotstat.partition' in sys.modules, 'numpy' in sys.modules)"
+        ).stdout
+        assert out.split() == ["0", "True", "False", "False"]
+
+    def test_derham_matches_reference_in_fresh_process(self):
+        argv = ["derham", "--knot", "3_1", "--root-index", "0"]
+        expected = json.loads(REFERENCE.read_text())[" ".join(argv)]
+        proc = _fresh(f"from knotstat.cli import run; raise SystemExit(run({argv!r}))")
+        assert proc.stdout == expected["stdout"]

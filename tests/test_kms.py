@@ -656,3 +656,28 @@ class TestRatioWitness:
     def test_underflow_guard(self, model):
         with pytest.raises(DomainError, match="underflow"):
             ratio_witness(600, 12, 1.0, 2, model)
+
+
+class TestNonFiniteBeta:
+    """NaN and +-inf slip past order tests such as ``beta <= 0``; each state refuses them."""
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_refused(self, cat, wq2, model, beta):
+        f = SupportedFunction.of({ID: Monomial.e(QmodZ.of(1, 2))})
+        with pytest.raises(DomainError, match="finite beta"):
+            toeplitz_eigenlist(Knot.prime("3_1"), beta, 2, cat)
+        with pytest.raises(DomainError, match="finite beta"):
+            bc_high_temperature(QmodZ.of(1, 2), beta)
+        with pytest.raises(DomainError, match="finite beta"):
+            psi_product_state(f, beta, ONE, wq2, cat)
+        with pytest.raises(DomainError, match="finite beta"):
+            psi_pushforward(elem("3_1"), f, beta, ONE, wq2, cat)
+        with pytest.raises(DomainError, match="finite beta"):
+            ratio_witness(3, 12, beta, 2, model)
+
+    def test_low_temperature_refuses_nan_only(self):
+        with pytest.raises(DomainError, match="nan"):
+            bc_low_temperature(QmodZ.of(1, 2), math.nan)
+        with pytest.raises(DomainError, match="beta > 1"):
+            bc_low_temperature(QmodZ.of(1, 2), -math.inf)
+        assert bc_low_temperature(QmodZ.of(1, 2), math.inf) == cmath.exp(1j * math.pi)

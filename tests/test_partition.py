@@ -119,6 +119,18 @@ class TestThresholds:
         rep = threshold_report(q)
         assert rep.beta_tilde_minus < rep.beta_minus < rep.beta_plus
 
+    @pytest.mark.parametrize("q", [10**20, 10**40, 10**100, 10**300])
+    def test_astronomical_q_roots(self, q):
+        """Near these roots the defining functions have slope about 6 ln q, so
+        the 1e-12 bisection width alone leaves residuals above 1e-10."""
+        minus, tilde = threshold_beta_minus(q), threshold_beta_tilde(q)
+        f_minus = minus - 6 * math.log(lambda_beta(minus, q))
+        assert abs(f_minus - beta_minus_rhs_constant()) < 1e-9
+        f_tilde = figure_f_value(tilde, q)
+        assert abs(f_tilde - (math.log(400.0) - 6 * math.log(math.log(q)))) < 1e-9
+        assert math.log(2) / math.log(q) < tilde < minus
+        assert bound_gap_F(q) > bound_gap_F(10**12)
+
     def test_report_ordering_sampled(self):
         for q in (2, 3, 5, 10, 31, 100, 1000):
             rep = threshold_report(q)
@@ -528,3 +540,7 @@ class TestNonFiniteBeta:
             z_tau(beta, [1, 2, 3])
         with pytest.raises(DomainError, match="finite beta"):
             qstar_partition(beta)
+        with pytest.raises(DomainError, match="finite beta"):
+            figure_f_grid(11, beta_min=beta)
+        with pytest.raises(DomainError, match="finite beta"):
+            figure_f_grid(11, beta_max=beta)
