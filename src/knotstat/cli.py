@@ -243,6 +243,7 @@ def _cmd_z_qstar(args, cfg: Config) -> None:
 def _cmd_z_tau(args, cfg: Config) -> None:
     from . import partition as _pt
     from . import semigroup as _sg
+    from .specfun import _huge_weight_cut
 
     # f(g) = q^(scale * v) depends on g only through its weight v, so the
     # product runs over the G(v) group elements of each weight at once.
@@ -251,7 +252,19 @@ def _cmd_z_tau(args, cfg: Config) -> None:
     counts = _pt.groth_weight_counts(
         [rec.weight for rec in cat if rec.alternating], args.max_weight
     )
-    f_counts = {cfg.q ** (scale * v): g_v for v, g_v in enumerate(counts) if g_v}
+    # Every class with f above the huge-weight cut is a factor 1.0 that
+    # z_tau only counts, so those classes go in as one entry, keyed by the
+    # first such f.  z_tau refuses beta <= 1 whatever the weights are.
+    _pt._require_finite_beta("z_tau", args.beta)
+    cut = _huge_weight_cut(max(args.beta, 1.0))
+    f_counts = {}
+    for v, g_v in enumerate(counts):
+        if g_v:
+            f = cfg.q ** (scale * v)
+            if f > cut:
+                f_counts[f] = sum(counts[v:])
+                break
+            f_counts[f] = g_v
     result = _pt.z_tau(args.beta, f_counts, n_rho=cfg.n_rho, tol=cfg.tolerance)
     _emit_json(_series_payload(
         result, beta=args.beta, q=cfg.q, n_rho=cfg.n_rho,

@@ -135,6 +135,8 @@ def gibbs_monomial(
     """
     if a < 0 or (b is not None and b < 0):
         raise DomainError("monomial powers must be >= 0")
+    if math.isnan(beta):  # beta = inf stays: the ground state
+        raise DomainError("gibbs_monomial requires beta to be a number, got nan")
     if b is not None and b != a:
         return 0.0
     if a == 0:

@@ -20,7 +20,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .catalog import Catalog, MultiplicityModel, weights_with_counts
@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 Source = Union[Catalog, MultiplicityModel]
+
+# qstar_partition's direct sum sieves two n_max-byte arrays and sums n_max
+# terms (about 0.5 s per 10^6); larger truncations are refused
+_MAX_QSTAR_TERMS = 10_000_000
 
 
 def _require_finite_beta(name: str, beta: float) -> None:
@@ -119,9 +123,9 @@ class ThresholdReport:
 
 def lambda_beta(beta: float, q: float) -> float:
     """lambda_beta = q^(-beta) / (1 - q^(-beta)) for beta > 0, q >= 2."""
-    if beta <= 0:
+    if not beta > 0:  # NaN fails every comparison
         raise DomainError(f"lambda_beta requires beta > 0, got {beta}")
-    if q < 2:
+    if not q >= 2:
         raise DomainError(f"lambda_beta requires q >= 2, got {q}")
     x = _pow_q(q, -beta)
     return x / (1.0 - x)
@@ -631,6 +635,7 @@ def qstar_partition(
     computes sum_{n <= n_max} 2^omega(n) n^(-beta) with a sieve and an
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
+    Both sieve modes need 1 <= n_max <= 10^7.
     """
     _require_finite_beta("qstar_partition", beta)
     if beta <= 1:
@@ -649,6 +654,10 @@ def qstar_partition(
         )
     if mode not in ("direct", "both"):
         raise DomainError(f"unknown mode {mode!r}")
+    if not 1 <= n_max <= _MAX_QSTAR_TERMS:
+        raise DomainError(
+            f"qstar_partition needs 1 <= n_max <= {_MAX_QSTAR_TERMS}, got {n_max}"
+        )
     omega, squarefree = _omega_squarefree_sieve(n_max)
     direct = math.fsum(
         float(1 << omega[n]) * math.exp(-beta * math.log(n)) for n in range(1, n_max + 1)
@@ -657,20 +666,20 @@ def qstar_partition(
     # tail: sum_{n>N} 2^omega(n) n^-beta
     #     = sum_d mu^2(d) d^-beta sum_{m > N/d} m^-beta
     #    <= sum_{d<=N} mu^2(d) d^-beta T(N/d) + T(N) zeta(beta)
-    # with T(M) = sum_{m>M} m^-beta <= M^(1-beta)/(beta-1) + M^-beta.
-    def integral_tail(m_float: float) -> float:
-        if m_float < 1.0:
-            return riemann_zeta(beta)
-        return m_float ** (1.0 - beta) / (beta - 1.0) + m_float**-beta
-
-    tail = math.fsum(chain(
-        (
-            math.exp(-beta * math.log(d)) * integral_tail(n_max / d)
-            for d in range(1, n_max + 1)
-            if squarefree[d]
-        ),
-        [integral_tail(float(n_max)) * riemann_zeta(beta)],
-    ))
+    # with T(M) = sum_{m>M} m^-beta <= M^(1-beta)/(beta-1) + M^-beta.  For
+    # d <= N each term d^-beta T(N/d) is N^(1-beta)/((beta-1) d) + N^-beta,
+    # so the d-sum is N^(1-beta)/(beta-1) * sum 1/d + Q(N) N^-beta over the
+    # Q(N) squarefree d <= N.
+    reciprocals = math.fsum(
+        map((1.0).__truediv__, compress(range(1, n_max + 1), squarefree[1:]))
+    )
+    head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
+    last = float(n_max) ** -beta
+    tail = math.fsum([
+        head * reciprocals,
+        (squarefree.count(1) - 1) * last,
+        (head + last) * riemann_zeta(beta),
+    ])
     if mode == "direct":
         return SeriesResult(
             value=direct,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .catalog import Catalog, KnotRecord
+from .catalog import Catalog
 from .errors import DomainError
 from .partition import threshold_beta_plus
 
@@ -171,8 +171,12 @@ def groth_reduce(k1: Knot, k2: Knot) -> GroupElement:
     return GroupElement(k1, k2)
 
 
-def _record_for(name: str, cat: Catalog) -> KnotRecord:
-    return cat.get(name)
+def _cr_additivity_error(name: str) -> DomainError:
+    return DomainError(
+        f"crossing-number additivity needs alternating factors; "
+        f"{name} is not alternating (pass assume_cr_additive=True "
+        f"to use the conjectural extension)"
+    )
 
 
 def invariants_additive(
@@ -188,13 +192,9 @@ def invariants_additive(
     cr = 0
     genus = 0
     for name, mult in k.factors:
-        rec = _record_for(name, cat)
+        rec = cat.get(name)
         if not rec.alternating and not assume_cr_additive:
-            raise DomainError(
-                f"crossing-number additivity needs alternating factors; "
-                f"{name} is not alternating (pass assume_cr_additive=True "
-                f"to use the conjectural extension)"
-            )
+            raise _cr_additivity_error(name)
         cr += mult * rec.crossing_number
         genus += mult * rec.genus
     return cr, genus
@@ -215,7 +215,7 @@ def lambda_multiplicative(k: Knot, cat: Catalog) -> int:
     """Product over factors of |top Alexander coefficient|^multiplicity."""
     out = 1
     for name, mult in k.factors:
-        out *= _record_for(name, cat).top_coefficient ** mult
+        out *= cat.get(name).top_coefficient ** mult
     return out
 
 
@@ -231,9 +231,12 @@ def f_weight(
     exponent, so f is 1 exactly at the identity and at least q^(4*scale)
     everywhere else.
     """
-    total = weight_of(g.positive, cat, assume_cr_additive) + weight_of(
-        g.negative, cat, assume_cr_additive
-    )
+    total = 0
+    for name, mult in g.positive.factors + g.negative.factors:
+        rec = cat.get(name)
+        if not rec.alternating and not assume_cr_additive:
+            raise _cr_additivity_error(name)
+        total += mult * (rec.crossing_number + rec.genus)
     return w.q ** (w.exponent_scale * total)
 
 
@@ -295,6 +298,32 @@ def format_group_element(g: GroupElement) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _knot(factors: tuple[tuple[str, int], ...]) -> Knot:
+    """A Knot from factors already sorted by name, with distinct names and
+    multiplicities >= 1, built without re-validating them."""
+    k = object.__new__(Knot)
+    object.__setattr__(k, "factors", factors)
+    return k
+
+
+def _group_element(positive: Knot, negative: Knot) -> GroupElement:
+    """A GroupElement from halves with disjoint supports (already reduced)."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "positive", positive)
+    object.__setattr__(g, "negative", negative)
+    return g
+
+
+def _enumeration_records(
+    cat: Catalog, assume_cr_additive: bool
+) -> list[tuple[str, int]]:
+    """(name, weight) of the usable primes, sorted by name: factor tuples
+    built by walking them in this order come out sorted."""
+    return sorted(
+        (rec.name, rec.weight) for rec in cat if rec.alternating or assume_cr_additive
+    )
+
+
 def enumerate_knots(
     cat: Catalog,
     max_weight: int,
@@ -305,27 +334,21 @@ def enumerate_knots(
     Deterministic order: ascending weight, then factor tuple.  Includes
     the unknot at weight 0.
     """
-    recs = [
-        (rec.name, rec.weight)
-        for rec in cat
-        if rec.alternating or assume_cr_additive
-    ]
-    out: list[tuple[Knot, int]] = []
+    recs = _enumeration_records(cat, assume_cr_additive)
+    found: list[tuple[int, tuple]] = []
 
-    def extend(idx: int, acc: list[tuple[str, int]], used: int) -> None:
-        out.append((Knot(tuple(acc)), used))
+    def extend(idx: int, acc: tuple, used: int) -> None:
+        found.append((used, acc))
         for j in range(idx, len(recs)):
             name, wgt = recs[j]
-            if used + wgt > max_weight:
-                continue
-            mult = 1
-            while used + mult * wgt <= max_weight:
-                extend(j + 1, acc + [(name, mult)], used + mult * wgt)
-                mult += 1
+            mult, total = 1, used + wgt
+            while total <= max_weight:
+                extend(j + 1, acc + ((name, mult),), total)
+                mult, total = mult + 1, total + wgt
 
-    extend(0, [], 0)
-    out.sort(key=lambda pair: (pair[1], pair[0].factors))
-    return out
+    extend(0, (), 0)
+    found.sort()
+    return [(_knot(factors), used) for used, factors in found]
 
 
 def enumerate_group_elements(
@@ -337,34 +360,27 @@ def enumerate_group_elements(
 
     Total weight is weight(positive) + weight(negative); supports are
     disjoint by reducedness.  Deterministic order: ascending weight, then
-    the factor tuples.  Includes the identity at weight 0.
+    the factor tuples.  Includes the identity at weight 0.  Each prime
+    goes to one half only, so supports are disjoint by construction and
+    every distinct half is built once and shared between elements.
     """
-    recs = [
-        (rec.name, rec.weight)
-        for rec in cat
-        if rec.alternating or assume_cr_additive
-    ]
-    out: list[tuple[GroupElement, int]] = []
+    recs = _enumeration_records(cat, assume_cr_additive)
+    found: list[tuple[int, tuple, tuple]] = []
 
-    def extend(
-        idx: int,
-        pos: list[tuple[str, int]],
-        neg: list[tuple[str, int]],
-        used: int,
-    ) -> None:
-        out.append((GroupElement(Knot(tuple(pos)), Knot(tuple(neg))), used))
+    def extend(idx: int, pos: tuple, neg: tuple, used: int) -> None:
+        found.append((used, pos, neg))
         for j in range(idx, len(recs)):
             name, wgt = recs[j]
-            if used + wgt > max_weight:
-                continue
-            mult = 1
-            while used + mult * wgt <= max_weight:
-                extend(j + 1, pos + [(name, mult)], neg, used + mult * wgt)
-                extend(j + 1, pos, neg + [(name, mult)], used + mult * wgt)
-                mult += 1
+            mult, total = 1, used + wgt
+            while total <= max_weight:
+                factor = ((name, mult),)
+                extend(j + 1, pos + factor, neg, total)
+                extend(j + 1, pos, neg + factor, total)
+                mult, total = mult + 1, total + wgt
 
-    extend(0, [], [], 0)
-    out.sort(
-        key=lambda pair: (pair[1], pair[0].positive.factors, pair[0].negative.factors)
-    )
-    return out
+    extend(0, (), (), 0)
+    found.sort()
+    knots = {f: _knot(f) for f in {f for _, pos, neg in found for f in (pos, neg)}}
+    return [
+        (_group_element(knots[pos], knots[neg]), used) for used, pos, neg in found
+    ]

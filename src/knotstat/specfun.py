@@ -26,6 +26,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Union
 
 from .crossed import QmodZ
@@ -114,21 +115,26 @@ def primes_up_to(n: int) -> list[int]:
         return []
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, n + 1) if flags[i]]
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
+# bytes.translate table for +1; omega(n) <= 8 for n <= 10^7 (the product of
+# the first nine primes exceeds 10^7), and the table saturates at 255 anyway
+_INCREMENT = bytes(range(1, 256)) + b"\xff"
 
 
 def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
     """omega(n) (number of distinct prime factors) and the squarefree flag
-    of n, for 0 <= n <= n_max, from one pass over the primes."""
+    of n, for 0 <= n <= n_max, from one pass over the primes: each prime
+    bumps its multiples by one slice-wide table lookup."""
     omega = bytearray(n_max + 1)
     squarefree = bytearray([1]) * (n_max + 1)
-    for p in range(2, n_max + 1):
-        if omega[p] == 0:  # p is prime: untouched by smaller primes
-            for m in range(p, n_max + 1, p):
-                omega[m] += 1
+    for p in primes_up_to(n_max):
+        omega[p::p] = omega[p::p].translate(_INCREMENT)
+        if p * p <= n_max:
             squarefree[p * p :: p * p] = bytes(len(range(p * p, n_max + 1, p * p)))
     return omega, squarefree
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from knotstat import cli
 from knotstat import partition as pt
 from knotstat.catalog import builtin_catalog_path
 from knotstat.cli import run
@@ -270,6 +271,46 @@ class TestPartitionCommands:
                 ]
         assert payload["group_elements"] == sum(poly)
         assert payload["converged"] is True
+
+    @pytest.mark.parametrize("max_weight", [12, 28, 36, 60])
+    @pytest.mark.parametrize("beta, q", [("1.5", 2), ("1.01", 2), ("4", 3)])
+    def test_z_tau_stdout_matches_every_weight_class(
+        self, capsys, cat, max_weight, beta, q
+    ):
+        """The CLI passes the classes beyond the huge-weight cut as one entry;
+        stdout equals that of z_tau over every class {q^(10 v): G(v)}."""
+        code, out = invoke(
+            capsys, "z-tau", "--beta", beta, "--q", str(q),
+            "--max-weight", str(max_weight),
+        )
+        assert code == 0
+        counts = pt.groth_weight_counts(
+            [rec.weight for rec in cat if rec.alternating], max_weight
+        )
+        every_class = {q ** (10 * v): g_v for v, g_v in enumerate(counts) if g_v}
+        result = pt.z_tau(float(beta), every_class, n_rho=1, tol=1e-12)
+        cli._emit_json(cli._series_payload(
+            result, beta=float(beta), q=q, n_rho=1, max_weight=max_weight,
+            group_elements=sum(counts),
+        ))
+        assert out == capsys.readouterr().out
+
+    def test_z_tau_huge_truncation_in_time(self, capsys):
+        start = time.perf_counter()
+        code, payload = invoke_json(
+            capsys, "z-tau", "--beta", "1.5", "--max-weight", "5000"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and payload["converged"] is True
+
+    @pytest.mark.parametrize("mode", ["direct", "both"])
+    @pytest.mark.parametrize("n_max", ["-1", "0", "10000001"])
+    def test_z_qstar_n_max_refused(self, capsys, mode, n_max):
+        code, payload = invoke_json(
+            capsys, "z-qstar", "--beta", "2", "--mode", mode, "--n-max", n_max
+        )
+        assert code == 1
+        assert "n_max" in payload["error"]
 
     def test_z_tau_divergence_signal(self, capsys):
         code, payload = invoke_json(capsys, "z-tau", "--beta", "1.0")

@@ -675,6 +675,13 @@ class TestNonFiniteBeta:
         with pytest.raises(DomainError, match="finite beta"):
             ratio_witness(3, 12, beta, 2, model)
 
+    def test_gibbs_monomial_refuses_nan_only(self, cat):
+        with pytest.raises(DomainError, match="nan"):
+            gibbs_monomial(Knot.prime("3_1"), 1, math.nan, 2, cat)
+        with pytest.raises(DomainError, match="nan"):
+            gibbs_monomial(Knot.prime("3_1"), 2, math.nan, 2, cat, b=3)
+        assert gibbs_monomial(Knot.prime("3_1"), 1, math.inf, 2, cat) == 0.0
+
     def test_low_temperature_refuses_nan_only(self):
         with pytest.raises(DomainError, match="nan"):
             bc_low_temperature(QmodZ.of(1, 2), math.nan)

@@ -68,6 +68,15 @@ class TestLambdaBeta:
         with pytest.raises(DomainError):
             lambda_beta(1.0, 1)
 
+    def test_nan_refused(self):
+        with pytest.raises(DomainError, match="beta > 0"):
+            lambda_beta(math.nan, 2)
+        with pytest.raises(DomainError, match="q >= 2"):
+            lambda_beta(1.0, math.nan)
+
+    def test_infinite_beta_is_zero(self):
+        assert lambda_beta(math.inf, 2) == 0.0
+
 
 class TestThresholds:
     def test_beta_plus_value(self):
@@ -380,6 +389,57 @@ class TestQstarSystem:
             errors.append(abs(product - closed))
         assert errors[1] < errors[0]
 
+
+    @staticmethod
+    def _per_d_tail(beta, n_max):
+        """The tail bound summed term by term: sum over squarefree d <= N of
+        d^-beta T(N/d), plus T(N) zeta(beta), T(M) = M^(1-beta)/(beta-1) + M^-beta."""
+        squarefree = [True] * (n_max + 1)
+        p = 2
+        while p * p <= n_max:
+            for m in range(p * p, n_max + 1, p * p):
+                squarefree[m] = False
+            p += 1
+
+        def t(m):
+            return m ** (1.0 - beta) / (beta - 1.0) + m**-beta
+
+        return math.fsum(
+            [d**-beta * t(n_max / d) for d in range(1, n_max + 1) if squarefree[d]]
+            + [t(float(n_max)) * riemann_zeta(beta)]
+        )
+
+    @pytest.mark.parametrize("beta", [1.05, 1.5, 2.0, 3.7, 8.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 10, 1000, 100_000])
+    def test_closed_form_tail_matches_per_d_sum(self, beta, n_max):
+        res = qstar_partition(beta, n_max=n_max, mode="direct")
+        assert res.tail_bound == pytest.approx(self._per_d_tail(beta, n_max), rel=1e-12)
+        # the bound covers the truncation; 1e-14 covers the closed form's rounding
+        closed = res.details["closed"]
+        assert abs(closed - res.value) <= res.tail_bound + 1e-14 * closed
+        both = qstar_partition(beta, n_max=n_max, mode="both")
+        assert both.details["direct"] == res.value
+        assert both.tail_bound == res.tail_bound
+
+    @pytest.mark.parametrize("beta, frozen", [
+        (1.5, "0x1.677607020e710p+2"),
+        (2.0, "0x1.3ffd0cdf215b2p+1"),
+        (3.7, "0x1.375cd15878f01p+0"),
+    ])
+    def test_direct_sum_bits_frozen(self, beta, frozen):
+        """The direct sum is the oracle; its bits at N = 10^5 are frozen."""
+        res = qstar_partition(beta, n_max=100_000, mode="direct")
+        assert res.value == float.fromhex(frozen)
+        assert qstar_partition(beta, n_max=100_000, mode="both").details["direct"] == res.value
+
+    @pytest.mark.parametrize("mode", ["direct", "both"])
+    @pytest.mark.parametrize("n_max", [-1, 0, 10_000_001])
+    def test_n_max_bounded(self, mode, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            qstar_partition(2.0, n_max=n_max, mode=mode)
+
+    def test_closed_mode_ignores_n_max(self):
+        assert qstar_partition(2.0, n_max=-1).value == qstar_partition(2.0).value
 
     def test_euler_factor_needs_a_prime(self):
         for p in (-3, 0, 1, 4, 91):

@@ -7,6 +7,7 @@ directly from the factor maps.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotstat.errors import CatalogError, DomainError
-from knotstat.partition import threshold_beta_plus, z_grothendieck
+from knotstat.partition import (
+    _multiset_weight_counts,
+    groth_weight_counts,
+    threshold_beta_plus,
+    z_grothendieck,
+)
 from knotstat.semigroup import (
     GroupElement,
     Knot,
@@ -417,3 +423,62 @@ class TestEnumeration:
             assert float(partial) <= full * (1 + 1e-12)
             previous = partial
         assert float(previous) == pytest.approx(full, rel=1e-9)
+
+
+class TestEnumerationConstruction:
+    """The enumerations build knots and group elements without the validating
+    constructors; each result must be the object those constructors give."""
+
+    CASES = [(w, False) for w in (0, 4, 9, 16, 20, 24)] + [(w, True) for w in (10, 14, 17)]
+
+    @staticmethod
+    def _count_map(counts):
+        return Counter({v: c for v, c in enumerate(counts) if c})
+
+    @pytest.mark.parametrize("max_w, assume", CASES)
+    def test_group_elements_equal_validated_rebuild(self, cat, max_w, assume):
+        elements = enumerate_group_elements(cat, max_w, assume_cr_additive=assume)
+        keys = [(v, g.positive.factors, g.negative.factors) for g, v in elements]
+        assert keys == sorted(set(keys))
+        for g, v in elements:
+            rebuilt = GroupElement(Knot(g.positive.factors), Knot(g.negative.factors))
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+            for half in (g.positive, g.negative):
+                assert list(half.factors) == sorted(half.factors)
+                assert all(mult >= 1 for _, mult in half.factors)
+            assert not g.positive.support() & g.negative.support()
+            assert v == weight_of(g.positive, cat, assume) + weight_of(g.negative, cat, assume)
+        weights = [rec.weight for rec in cat if rec.alternating or assume]
+        assert Counter(v for _, v in elements) == self._count_map(
+            groth_weight_counts(weights, max_w)
+        )
+
+    @pytest.mark.parametrize("max_w, assume", CASES)
+    def test_knots_equal_validated_rebuild(self, cat, max_w, assume):
+        knots = enumerate_knots(cat, max_w, assume_cr_additive=assume)
+        keys = [(v, k.factors) for k, v in knots]
+        assert keys == sorted(set(keys))
+        for k, v in knots:
+            rebuilt = Knot(k.factors)
+            assert k == rebuilt and hash(k) == hash(rebuilt)
+            assert v == weight_of(k, cat, assume)
+        source = cat if assume else cat.filtered("alternating")
+        assert Counter(v for _, v in knots) == self._count_map(
+            _multiset_weight_counts(source, max_w)
+        )
+
+    def test_f_weight_names_the_non_alternating_factor(self, cat, wq2):
+        name = next(rec.name for rec in cat if not rec.alternating)
+        g = GroupElement(Knot.prime("3_1"), Knot.prime(name))
+        with pytest.raises(DomainError) as f_err:
+            f_weight(g, wq2, cat)
+        with pytest.raises(DomainError) as inv_err:
+            invariants_additive(Knot.prime(name), cat)
+        assert str(f_err.value) == str(inv_err.value)
+        assert name in str(f_err.value)
+        total = weight_of(g.positive, cat, True) + weight_of(g.negative, cat, True)
+        assert f_weight(g, wq2, cat, assume_cr_additive=True) == 2 ** (10 * total)
+
+    def test_f_weight_unknown_factor(self, cat, wq2):
+        with pytest.raises(CatalogError):
+            f_weight(GroupElement(Knot.unknot(), Knot.prime("99_1")), wq2, cat)
