@@ -99,8 +99,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> Config:
     if args.q < 2:
         raise KnotstatError(f"q must be >= 2, got {args.q}")
-    if args.tolerance <= 0:
-        raise KnotstatError(f"tolerance must be positive, got {args.tolerance}")
+    if not 0 < args.tolerance < math.inf:  # NaN fails both comparisons
+        raise KnotstatError(
+            f"tolerance must be positive and finite, got {args.tolerance}"
+        )
     return Config(
         q=args.q,
         catalog_path=args.catalog,
@@ -301,6 +303,11 @@ def _cmd_figures(args, cfg: Config) -> None:
             cfg.q, beta_min=beta_min, beta_max=args.beta_max,
             n_points=args.n_points,
         )
+        if not math.isfinite(rows[-1][1]):  # f increases with beta
+            raise KnotstatError(
+                f"--beta-max {args.beta_max} is too large: f(beta, q) "
+                "overflows a float there"
+            )
         header = ["beta", "f"]
     else:
         if args.n_points > 1:

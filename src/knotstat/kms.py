@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Optional
@@ -24,7 +25,7 @@ from typing import Mapping, Optional
 from .catalog import Catalog, MultiplicityModel, count_weight
 from .crossed import QmodZ
 from .errors import DomainError
-from .partition import _require_finite_beta, threshold_beta_plus
+from .partition import _pow_q, _require_finite_beta, threshold_beta_plus
 from .semigroup import (
     GroupElement,
     Knot,
@@ -114,7 +115,7 @@ def toeplitz_eigenlist(
     if len(k.factors) != 1 or k.factors[0][1] != 1:
         raise DomainError("toeplitz_eigenlist needs a prime knot")
     w = weight_of(k, cat)
-    ratio = float(q) ** (-beta * w)
+    ratio = _q_power(q, -beta * w)
     if not 0.0 < ratio < 1.0:
         raise DomainError(f"q^(-beta w) = {ratio} is not in (0,1)")
     return EigenvalueList(lambda1=1.0 - ratio, generator_ratio=ratio)
@@ -135,14 +136,25 @@ def gibbs_monomial(
     """
     if a < 0 or (b is not None and b < 0):
         raise DomainError("monomial powers must be >= 0")
-    if math.isnan(beta):  # beta = inf stays: the ground state
-        raise DomainError("gibbs_monomial requires beta to be a number, got nan")
+    if math.isnan(beta) or beta == -math.inf:  # beta = inf stays: the ground state
+        raise DomainError(
+            f"gibbs_monomial requires beta to be a number or +inf, got {beta}"
+        )
     if b is not None and b != a:
         return 0.0
-    if a == 0:
+    aw = a * weight_of(k, cat)
+    if aw == 0:  # before the power: inf * 0 would be NaN
         return 1.0
-    w = weight_of(k, cat)
-    return float(q) ** (-beta * a * w)
+    return _q_power(q, -beta * aw)
+
+
+def _q_power(q: int, exponent: float) -> float:
+    """q^exponent; in log form (``partition._pow_q``) once q is past the
+    float range.  Inside it the float power is kept, so values stay bit
+    for bit."""
+    if q <= sys.float_info.max:
+        return float(q) ** exponent
+    return _pow_q(q, exponent)
 
 
 # ---------------------------------------------------------------------------

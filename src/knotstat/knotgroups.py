@@ -11,16 +11,17 @@ blocks be computed from a single square Fox determinant.  Presentations
 built here record their block structure; unstructured input falls back to
 the gcd over all maximal minors.
 
-All polynomial arithmetic is exact over the integers (Fractions
-internally for gcd); the representation-theoretic checks are complex
-double precision with explicit residual tolerances.
+All polynomial arithmetic is exact, on dense integer coefficient tuples
+(gcds by primitive pseudo-remainders); the representation-theoretic
+checks are complex double precision with explicit residual tolerances.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+import operator
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -87,105 +88,113 @@ def exponent_sum(word: Sequence[int], generator: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
-    """Finitely supported integer Laurent polynomial in one variable t."""
+    """Finitely supported integer Laurent polynomial in one variable t.
 
-    coeffs: tuple[tuple[int, int], ...] = ()  # sorted (exponent, coefficient)
+    ``LaurentPoly([c0, c1, ...], lowest=k)`` is c0 t^k + c1 t^(k+1) + ....
+    Stored as the lowest exponent and the dense coefficient tuple from it
+    up, with no zero at either end; the zero polynomial is ``()`` at 0.
+    Arithmetic builds its results canonical and skips the validation.
+    """
 
-    def __post_init__(self):
-        cleaned: dict[int, int] = {}
-        for e, c in self.coeffs:
-            if c:
-                cleaned[e] = cleaned.get(e, 0) + c
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(sorted((e, c) for e, c in cleaned.items() if c)),
+    __slots__ = ("_low", "_c")
+
+    def __init__(self, coefficients: Sequence[int] = (), lowest: int = 0):
+        self._low, self._c = _trim(
+            operator.index(lowest), [operator.index(c) for c in coefficients]
         )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(((0, 1),))
+        return _ONE
 
     @classmethod
     def monomial(cls, coefficient: int, exponent: int = 0) -> "LaurentPoly":
-        return cls(((exponent, coefficient),))
+        return cls((coefficient,), exponent)
 
     @classmethod
     def from_list(cls, coefficients: Sequence[int], lowest: int = 0) -> "LaurentPoly":
-        return cls(tuple((lowest + i, c) for i, c in enumerate(coefficients)))
+        return cls(coefficients, lowest)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def lowest(self) -> int:
-        if not self.coeffs:
+        if not self._c:
             raise PresentationError("zero polynomial has no degree span")
-        return self.coeffs[0][0]
+        return self._low
 
     @property
     def highest(self) -> int:
-        if not self.coeffs:
-            raise PresentationError("zero polynomial has no degree span")
-        return self.coeffs[-1][0]
+        return self.lowest + len(self._c) - 1
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (exponent, coefficient) pairs of the nonzero terms."""
+        return tuple((e, c) for e, c in enumerate(self._c, self._low) if c)
 
     def coefficient(self, exponent: int) -> int:
-        for e, c in self.coeffs:
-            if e == exponent:
-                return c
-        return 0
+        i = exponent - self._low
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def as_list(self) -> list[int]:
         """Dense coefficients from the lowest to the highest exponent."""
-        if self.is_zero():
-            return [0]
-        out = [0] * (self.highest - self.lowest + 1)
-        for e, c in self.coeffs:
-            out[e - self.lowest] = c
-        return out
+        return list(self._c) or [0]
 
     @property
     def content(self) -> int:
         """gcd of the absolute coefficient values (0 for the zero polynomial)."""
-        from math import gcd
-
-        g = 0
-        for _, c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return math.gcd(*self._c)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self.coeffs + other.coeffs)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(self._c), other._low + len(other._c)) - low)
+        for p in (self, other):
+            i, j = p._low - low, p._low - low + len(p._c)
+            out[i:j] = [x + y for x, y in zip(out[i:j], p._c)]
+        return _poly(*_trim(low, out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.coeffs))
+        return _poly(self._low, tuple(-c for c in self._c))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(tuple(acc.items()))
+        a, b = self._c, other._c
+        if not a or not b:
+            return _ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        low = self._low + other._low
+        if len(a) == 1:
+            return _poly(low, tuple(a[0] * y for y in b))
+        # the product of two nonzero end coefficients is nonzero: canonical
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+        return _poly(low, tuple(out))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
+        return _poly(self._low + k, self._c) if self._c else self
 
     def evaluate(self, z: complex) -> complex:
         total = 0j
@@ -195,15 +204,24 @@ class LaurentPoly:
 
     def normalized(self) -> "LaurentPoly":
         """The unit-normal form: lowest exponent 0, leading coefficient > 0."""
-        if self.is_zero():
+        c = self._c
+        if not c:
             return self
-        shifted = self.shift(-self.lowest)
-        if shifted.coeffs[-1][1] < 0:
-            shifted = -shifted
-        return shifted
+        return _poly(0, c if c[-1] > 0 else tuple(-x for x in c))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._low == other._low and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self._low, self._c))
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({list(self._c)}, lowest={self._low})"
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self._c:
             return "0"
         parts = []
         for e, c in self.coeffs:
@@ -216,115 +234,148 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
+def _trim(low: int, c: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The canonical (lowest, coefficients) pair of a dense list from ``low``."""
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not c[lo]:
+        lo += 1
+    return (low + lo, tuple(c[lo:hi])) if hi else (0, ())
+
+
+def _poly(low: int, c: tuple[int, ...]) -> LaurentPoly:
+    """Unchecked constructor: ``c`` is canonical, ``(0, ())`` if zero."""
+    p = object.__new__(LaurentPoly)
+    p._low = low
+    p._c = c
+    return p
+
+
+_ZERO = _poly(0, ())
+_ONE = _poly(0, (1,))
+
+
 def _poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in ZZ[t, 1/t]; raises if the division is not exact."""
-    if den.is_zero():
+    d = den._c
+    if not d:
         raise PresentationError("polynomial division by zero")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    # work with dense integer lists, lowest exponents tracked separately
-    n_low, d_low = num.lowest, den.lowest
-    n = num.as_list()
-    d = den.as_list()
-    dl = d[-1]
-    q = [0] * (len(n) - len(d) + 1)
-    if len(n) < len(d):
+    n = num._c
+    if not n:
+        return _ZERO
+    low = num._low - den._low
+    if d == (1,):
+        return _poly(low, n)
+    nd = len(d)
+    if len(n) < nd:
         raise PresentationError("inexact polynomial division (degree)")
-    rem = n[:]
+    # long division from the top; an exact quotient has nonzero ends
+    dl = d[-1]
+    rem = list(n)
+    q = [0] * (len(n) - nd + 1)
     for i in range(len(q) - 1, -1, -1):
-        lead = rem[i + len(d) - 1]
-        if lead % dl != 0:
-            raise PresentationError("inexact polynomial division (coefficient)")
-        q[i] = lead // dl
-        if q[i]:
-            for j, dj in enumerate(d):
-                rem[i + j] -= q[i] * dj
+        lead = rem[i + nd - 1]
+        if lead:
+            if lead % dl:
+                raise PresentationError("inexact polynomial division (coefficient)")
+            qi = q[i] = lead // dl
+            rem[i : i + nd] = [r - qi * y for r, y in zip(rem[i : i + nd], d)]
     if any(rem):
         raise PresentationError("inexact polynomial division (remainder)")
-    return LaurentPoly.from_list(q, lowest=n_low - d_low)
+    return _poly(low, tuple(q))
+
+
+def _primitive(c: Sequence[int]) -> list[int]:
+    """Divide a canonical coefficient list by its content, making lead > 0."""
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return [x // g for x in c]
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd in ZZ[t, 1/t] up to units, returned unit-normalized.
 
-    Uses the rational Euclidean algorithm on primitive parts, then
-    restores the integer content gcd.
+    Gauss's lemma splits it into the gcd of the contents times the gcd of
+    the primitive parts, which the primitive pseudo-remainder sequence
+    computes over the integers.
     """
-    from math import gcd as igcd
-
     if a.is_zero():
         return b.normalized()
     if b.is_zero():
         return a.normalized()
-    content = igcd(a.content, b.content)
-
-    def primitive_q(p: LaurentPoly) -> list[Fraction]:
-        dense = p.normalized().as_list()
-        c = p.content
-        return [Fraction(x, c) for x in dense]
-
-    fa, fb = primitive_q(a), primitive_q(b)
-
-    def degree(poly: list[Fraction]) -> int:
-        for i in range(len(poly) - 1, -1, -1):
-            if poly[i]:
-                return i
-        return -1
-
-    def rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-        num = num[:]
-        dn = degree(den)
-        lead = den[dn]
-        while degree(num) >= dn:
-            k = degree(num)
-            factor = num[k] / lead
-            for j in range(dn + 1):
-                num[k - dn + j] -= factor * den[j]
-        return num
-
-    while degree(fb) >= 0:
-        fa, fb = fb, rem(fa, fb)
-        fb = fb[: degree(fb) + 1] if degree(fb) >= 0 else []
-    # fa is the rational gcd; clear denominators and primitivize
-    if not fa:
-        return LaurentPoly.zero()
-    denom = 1
-    for x in fa:
-        denom = denom * x.denominator // igcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fa]
-    g = 0
-    for x in ints:
-        g = igcd(g, abs(x))
-    ints = [x // g for x in ints]
-    return (LaurentPoly.from_list(ints) * LaurentPoly.monomial(content)).normalized()
+    fa, fb = _primitive(a._c), _primitive(b._c)
+    while fb:
+        # pseudo-remainder: lead(fb)^k * fa reduced by fb, then made primitive
+        lead, nb = fb[-1], len(fb)
+        while len(fa) >= nb:
+            top, at = fa[-1], len(fa) - nb
+            fa = [x * lead for x in fa]
+            fa[at:] = [x - top * y for x, y in zip(fa[at:], fb)]
+            fa = list(_trim(0, fa)[1])  # dropping factors t (a unit) too
+        fa, fb = fb, (_primitive(fa) if fa else [])
+    return _poly(0, tuple(math.gcd(a.content, b.content) * x for x in fa))
 
 
 def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant over ZZ[t, 1/t] by fraction-free elimination."""
+    """Exact determinant over ZZ[t, 1/t] by fraction-free elimination.
+
+    Step k maps every lower row to (row * p_k - m[i][k] * row_k) / p_(k-1),
+    p_k being its pivot.  A row whose m[i][k] is zero is only rescaled by
+    p_k / p_(k-1); those factors telescope, so such a row is left as it is
+    and rescaled once, by p_(k-1) / p_(s-1), at the next step k that needs
+    it, s - 1 being the last step that updated it.  Zero entries stay
+    zero, and a product with a zero factor is skipped.
+    """
     n = len(matrix)
     if n == 0:
-        return LaurentPoly.one()
+        return _ONE
     m = [row[:] for row in matrix]
+    level = [0] * n  # row i holds its entries after step level[i] - 1
+    pivots = [_ONE]  # pivots[s] = p_(s-1)
     sign = 1
-    prev = LaurentPoly.one()
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
+        if not m[k][k]._c:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]._c), None)
             if pivot_row is None:
-                return LaurentPoly.zero()
+                return _ZERO
             m[k], m[pivot_row] = m[pivot_row], m[k]
+            level[k], level[pivot_row] = level[pivot_row], level[k]
             sign = -sign
+        prev = pivots[k]
+        _rescale(m[k], k, prev, pivots[level[k]])
+        row_k = m[k]
+        pivot = row_k[k]
+        pivots.append(pivot)
         for i in range(k + 1, n):
+            row_i = m[i]
+            if not row_i[k]._c:
+                continue
+            _rescale(row_i, k, prev, pivots[level[i]])
+            level[i] = k + 1
+            minus_mik = -row_i[k]
             for j in range(k + 1, n):
-                m[i][j] = _poly_divexact(
-                    m[i][j] * m[k][k] - m[i][k] * m[k][j], prev
-                )
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+                mij, mkj = row_i[j], row_k[j]
+                if mkj._c:
+                    cross = minus_mik * mkj
+                    num = mij * pivot + cross if mij._c else cross
+                elif mij._c:
+                    num = mij * pivot
+                else:
+                    continue
+                row_i[j] = _poly_divexact(num, prev)
+    last = m[n - 1]
+    _rescale(last, n - 1, pivots[n - 1], pivots[level[n - 1]])
+    return last[n - 1] if sign > 0 else -last[n - 1]
+
+
+def _rescale(row: list[LaurentPoly], start: int, num: LaurentPoly, den: LaurentPoly) -> None:
+    """row[j] * num / den in place for j >= start; zero entries stay zero."""
+    if num is den:
+        return
+    for j in range(start, len(row)):
+        if row[j]._c:
+            row[j] = _poly_divexact(row[j] * num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +456,6 @@ class Presentation:
             for w in self.relators
         )
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown generator {name!r}") from None
-
 
 def unknot_presentation(name: str = "a") -> Presentation:
     """The one-generator, no-relator presentation of the unknot group."""
@@ -454,21 +499,17 @@ def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> P
 
     # sweep: arc ids per strand position; fresh id after each undercrossing
     arcs = list(range(k))
-    next_id = k
     crossings: list[tuple[int, int, int, int]] = []  # (sign, over, under_in, under_out)
-    for s in braid:
+    for out, s in enumerate(braid, k):
         i = abs(s) - 1
         if s > 0:
             over, under = arcs[i], arcs[i + 1]
-            out = next_id
-            crossings.append((1, over, under, out))
             arcs[i], arcs[i + 1] = out, over
         else:
             over, under = arcs[i + 1], arcs[i]
-            out = next_id
-            crossings.append((-1, over, under, out))
             arcs[i], arcs[i + 1] = over, out
-        next_id += 1
+        crossings.append((1 if s > 0 else -1, over, under, out))
+    next_id = k + len(braid)
 
     # trace closure merges the final arc at each position with the initial one
     parent = list(range(next_id))
@@ -479,11 +520,8 @@ def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> P
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
     for position in range(k):
-        union(arcs[position], position)
+        parent[find(arcs[position])] = find(position)
 
     classes: dict[int, int] = {}
     for arc in range(next_id):
@@ -502,10 +540,7 @@ def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> P
     relators = []
     for sign, over, under, out in crossings:
         o, u, c = gen(over), gen(under), gen(out)
-        if sign > 0:
-            relators.append((o, u, -o, -c))
-        else:
-            relators.append((-o, u, o, -c))
+        relators.append((sign * o, u, -sign * o, -c))
 
     names = tuple(_letter_name(i) for i in range(n_arcs))
     return Presentation(
@@ -564,7 +599,7 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     shared meridian.
     """
     for p in (p1, p2):
-        if not (p.is_wirtinger() or p.is_wirtinger_like()):
+        if not p.is_wirtinger_like():
             raise PresentationError(
                 "amalgamate needs Wirtinger-form presentations"
             )
@@ -587,12 +622,10 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
         for word in p2.relators
     )
     identification = (p1.basepoint + 1, -(n1 + p2.basepoint + 1))
-    blocks1 = p1.blocks if p1.blocks is not None else None
-    blocks2 = p2.blocks if p2.blocks is not None else None
-    if blocks1 is not None and blocks2 is not None:
+    if p1.blocks is not None and p2.blocks is not None:
         offset = len(p1.relators)
-        blocks = blocks1 + tuple(
-            tuple(i + offset for i in block) for block in blocks2
+        blocks = p1.blocks + tuple(
+            tuple(i + offset for i in block) for block in p2.blocks
         )
     else:
         blocks = None
@@ -615,59 +648,44 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     Returns the nonzero invariant factors d_1 | d_2 | ... (positive).
     """
     m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return []
-    n_rows, n_cols = len(m), len(m[0])
     divisors: list[int] = []
-    top = 0
-    left = 0
-    while top < n_rows and left < n_cols:
-        # find the nonzero entry of least absolute value in the working block
+    while m and m[0]:
+        # the nonzero entry of least absolute value, first in row-major order
         best = None
-        for i in range(top, n_rows):
-            for j in range(left, n_cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
+        _, bi, bj = best
+        m[0], m[bi] = m[bi], m[0]
         for row in m:
-            row[left], row[bj] = row[bj], row[left]
-        pivot = m[top][left]
-        dirty = False
-        for i in range(top + 1, n_rows):
-            if m[i][left]:
-                qt = m[i][left] // pivot
-                for j in range(left, n_cols):
-                    m[i][j] -= qt * m[top][j]
-                if m[i][left]:
-                    dirty = True
-        for j in range(left + 1, n_cols):
-            if m[top][j]:
-                qt = m[top][j] // pivot
-                for i in range(top, n_rows):
-                    m[i][j] -= qt * m[i][left]
-                if m[top][j]:
-                    dirty = True
-        if dirty:
+            row[0], row[bj] = row[bj], row[0]
+        top = m[0]
+        pivot = top[0]
+        # row operations clear the pivot column down to remainders; a
+        # nonzero remainder is smaller than |pivot|, so the loop chooses again
+        for row in m[1:]:
+            if row[0]:
+                qt = row[0] // pivot
+                row[:] = [x - qt * y for x, y in zip(row, top)]
+        if any(row[0] for row in m[1:]):
+            continue
+        # column operations now change the top row alone
+        top[1:] = [x % pivot for x in top[1:]]
+        if any(top[1:]):
             continue
         # pivot must divide the rest of the block for true SNF
-        offender = None
-        for i in range(top + 1, n_rows):
-            for j in range(left + 1, n_cols):
-                if m[i][j] % pivot:
-                    offender = i
-                    break
+        if abs(pivot) > 1:
+            offender = next((r for r in m[1:] if any(x % pivot for x in r)), None)
             if offender is not None:
-                break
-        if offender is not None:
-            for j in range(left, n_cols):
-                m[top][j] += m[offender][j]
-            continue
+                top[:] = [x + y for x, y in zip(top, offender)]
+                continue
         divisors.append(abs(pivot))
-        top += 1
-        left += 1
+        m = [row[1:] for row in m[1:]]
     return divisors
 
 
@@ -687,10 +705,12 @@ def abelianization(p: Presentation) -> Abelianization:
     """Smith normal form of the relator exponent-sum matrix."""
     if not p.relators:
         return Abelianization(free_rank=p.n_generators, torsion=())
-    rows = [
-        [exponent_sum(word, j + 1) for j in range(p.n_generators)]
-        for word in p.relators
-    ]
+    rows = []
+    for word in p.relators:
+        row = [0] * p.n_generators
+        for letter in word:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        rows.append(row)
     divisors = smith_normal_form(rows)
     rank = len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
@@ -711,25 +731,25 @@ def fox_matrix(p: Presentation) -> list[list[LaurentPoly]]:
     """
     rows = []
     for word in p.relators:
-        row = [LaurentPoly.zero() for _ in range(p.n_generators)]
+        span = len(word)  # exponents stay within [-span, span]
+        dense: dict[int, list[int]] = {}  # column -> coefficients from t^-span
         e = 0
         for letter in word:
-            j = abs(letter) - 1
-            if letter > 0:
-                row[j] = row[j] + LaurentPoly.monomial(1, e)
-                e += 1
-            else:
+            if letter < 0:
                 e -= 1
-                row[j] = row[j] - LaurentPoly.monomial(1, e)
-        if exponent_sum(word) != 0:
+            col = dense.setdefault(abs(letter) - 1, [0] * (2 * span + 1))
+            col[span + e] += 1 if letter > 0 else -1
+            if letter > 0:
+                e += 1
+        if e:
             raise PresentationError(
                 "Fox rows are only defined here for zero-exponent-sum relators"
             )
-        total = LaurentPoly.zero()
-        for entry in row:
-            total = total + entry
-        if not total.is_zero():
+        if any(map(sum, zip(*dense.values()))):
             raise PresentationError("Fox row-sum identity failed")
+        row = [_ZERO] * p.n_generators
+        for j, col in dense.items():
+            row[j] = _poly(*_trim(-span, col))
         rows.append(row)
     return rows
 
@@ -749,9 +769,7 @@ def _alexander_rows(p: Presentation) -> Optional[list[int]]:
         return None
     drop = {block[-1] for block in blocks if block}
     rows = [i for i in range(len(p.relators)) if i not in drop]
-    if len(rows) != p.n_generators - 1:
-        return None
-    return rows
+    return rows if len(rows) == p.n_generators - 1 else None
 
 
 def alexander_poly_fox(p: Presentation) -> LaurentPoly:
@@ -769,24 +787,17 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
             f"Alexander polynomial needs abelianization Z, got rank "
             f"{ab.free_rank}, torsion {ab.torsion}"
         )
-    if not p.relators:
-        return LaurentPoly.one()
     matrix = fox_matrix(p)
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     rows = _alexander_rows(p)
-    if rows is not None:
-        square = [[matrix[i][j] for j in cols] for i in rows]
-        return _bareiss_det(square).normalized()
-    # generic fallback: gcd over all maximal minors
-    k = len(cols)
-    acc = LaurentPoly.zero()
-    for subset in combinations(range(len(p.relators)), k):
-        square = [[matrix[i][j] for j in cols] for i in subset]
-        minor = _bareiss_det(square)
-        acc = _poly_gcd(acc, minor)
-        if acc == LaurentPoly.one():
+    # without known redundancy: the gcd over all maximal minors
+    subsets = [rows] if rows is not None else combinations(range(len(p.relators)), len(cols))
+    acc = _ZERO
+    for subset in subsets:
+        acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset]))
+        if acc == _ONE:
             break
-    return acc.normalized()
+    return acc
 
 
 def alexander_from_seifert(
@@ -803,12 +814,8 @@ def alexander_from_seifert(
         return LaurentPoly.one()
     if any(len(row) != n for row in v):
         raise PresentationError("Seifert matrix must be square")
-    t = LaurentPoly.monomial(1, 1)
     matrix = [
-        [
-            LaurentPoly.monomial(int(v[i][j])) - t * LaurentPoly.monomial(int(v[j][i]))
-            for j in range(n)
-        ]
+        [LaurentPoly((int(v[i][j]), -int(v[j][i]))) for j in range(n)]
         for i in range(n)
     ]
     return _bareiss_det(matrix).normalized()
@@ -844,13 +851,18 @@ class DeRhamRep:
         )
 
     def word_matrix(self, word: Sequence[int]) -> np.ndarray:
-        import numpy as np
+        return _word_matrix(self.matrix, word, 2)
 
-        out = np.eye(2, dtype=complex)
-        for letter in word:
-            m = self.matrix(abs(letter) - 1)
-            out = out @ (m if letter > 0 else np.linalg.inv(m))
-        return out
+
+def _word_matrix(matrix, word: Sequence[int], dim: int) -> np.ndarray:
+    """Product of the generator matrices along a word (inverses for < 0)."""
+    import numpy as np
+
+    out = np.eye(dim, dtype=complex)
+    for letter in word:
+        m = matrix(abs(letter) - 1)
+        out = out @ (m if letter > 0 else np.linalg.inv(m))
+    return out
 
 
 def _max_relator_residual(
@@ -914,11 +926,10 @@ def derham_solve(
     xs = [0j] * p.n_generators
     for idx, j in enumerate(cols):
         xs[j] = complex(vec[idx])
-    s = cmath.sqrt(r) * branch
     rep = DeRhamRep(
         presentation=p,
         root=complex(r),
-        sqrt_root=s,
+        sqrt_root=cmath.sqrt(r) * branch,
         x_values=tuple(xs),
         residual=0.0,
         kernel_dim=kernel_dim,
@@ -928,14 +939,7 @@ def derham_solve(
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
         )
-    return DeRhamRep(
-        presentation=p,
-        root=complex(r),
-        sqrt_root=s,
-        x_values=tuple(xs),
-        residual=residual,
-        kernel_dim=kernel_dim,
-    )
+    return replace(rep, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -971,13 +975,7 @@ class DirectSumRep:
         return out
 
     def word_matrix(self, word: Sequence[int]) -> np.ndarray:
-        import numpy as np
-
-        out = np.eye(4, dtype=complex)
-        for letter in word:
-            m = self.matrix(abs(letter) - 1)
-            out = out @ (m if letter > 0 else np.linalg.inv(m))
-        return out
+        return _word_matrix(self.matrix, word, 4)
 
 
 def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
@@ -999,7 +997,7 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
         raise PresentationError(
             f"amalgamated relator verification failed: residual {residual:.3e}"
         )
-    return DirectSumRep(presentation=amal, rep1=r1, rep2=r2, residual=residual)
+    return replace(rep, residual=residual)
 
 
 # ---------------------------------------------------------------------------

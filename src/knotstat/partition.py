@@ -158,11 +158,17 @@ def bound_gap_F(q: float) -> float:
     beta_minus < beta_plus.
     """
     bp = threshold_beta_plus()
-    lam = lambda_beta(bp, q)
-    # Below the normal range q^(-beta_plus) loses precision or underflows,
-    # and ln lambda = -beta_plus ln q to double precision.
-    log_lam = math.log(lam) if lam >= sys.float_info.min else -bp * math.log(q)
-    return bp - 6.0 * log_lam - beta_minus_rhs_constant()
+    return bp - 6.0 * _log_lambda_beta(bp, q) - beta_minus_rhs_constant()
+
+
+def _log_lambda_beta(beta: float, q: float) -> float:
+    """ln lambda_beta(q), also where lambda_beta leaves the float range.
+
+    Below the normal range q^(-beta) loses precision or underflows, and
+    ln lambda = -beta ln q to double precision.
+    """
+    lam = lambda_beta(beta, q)
+    return math.log(lam) if lam >= sys.float_info.min else -beta * math.log(q)
 
 
 def _bisect(fn, lo: float, hi: float, name: str) -> float:
@@ -263,8 +269,8 @@ def threshold_report(q: int) -> ThresholdReport:
 
 def figure_f_value(beta: float, q: float) -> float:
     """f(beta, q) = beta - 6 ln lambda_beta + 6 ln beta, monotone increasing
-    on beta > ln2/lnq."""
-    return beta - 6.0 * math.log(lambda_beta(beta, q)) + 6.0 * math.log(beta)
+    on beta > ln2/lnq; inf once it passes the float range (beta near 10^308)."""
+    return beta - 6.0 * _log_lambda_beta(beta, q) + 6.0 * math.log(beta)
 
 
 def figure_f_grid(

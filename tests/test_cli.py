@@ -81,6 +81,14 @@ class TestExitCodes:
         assert code == 1
         assert "tolerance" in payload["error"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_zero_tolerance_is_one(self, capsys, value):
+        code, payload = invoke_json(
+            capsys, "z-alt", "--beta", "2", f"--tolerance={value}"
+        )
+        assert code == 1
+        assert "tolerance" in payload["error"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -348,6 +356,26 @@ class TestFigures:
         assert float(rows[0][0]) == 1.0
         assert float(rows[-1][0]) == 5.0
 
+    def test_huge_beta_max_refused_or_finite(self, capsys):
+        """f(beta, q) passes the float range near beta = 10^308: below that the
+        values print finite, beyond it --beta-max is refused by name."""
+        code, payload = invoke_json(
+            capsys, "figures", "--which", "f", "--beta-max", "1e308",
+        )
+        assert code == 1
+        assert "--beta-max" in payload["error"]
+        assert "math domain error" not in payload["error"]
+        for fmt in ("json", "csv"):
+            code, out = invoke(
+                capsys, "figures", "--which", "f", "--beta-max", "1e300",
+                "--n-points", "20", "--output", fmt,
+            )
+            assert code == 0
+            assert "inf" not in out and "nan" not in out
+        values = [float(v) for _, v in read_csv(out)[1]]
+        assert all(math.isfinite(v) for v in values)
+        assert all(a < b for a, b in zip(values, values[1:]))
+
     def test_h_grid_positive(self, capsys):
         code, out = invoke(
             capsys, "figures", "--which", "H", "--q-min", "2",
@@ -397,6 +425,16 @@ class TestKmsCommands:
         assert payload["lambda1"] == 1.0 - 2.0**-40
         assert len(payload["entries"]) == 5
         assert payload["partial_sum"] + payload["tail"] == 1.0
+
+    def test_toeplitz_huge_q_refused(self, capsys):
+        """q past the float range: q^(-beta w) underflows in log form and
+        the state is refused, with no OverflowError from float(q)."""
+        code, payload = invoke_json(
+            capsys, "kms-toeplitz", "--knot", "3_1", "--beta", "10",
+            "--q", str(10**400),
+        )
+        assert code == 1
+        assert "(0,1)" in payload["error"]
 
     def test_toeplitz_unknot_rejected(self, capsys):
         code, payload = invoke_json(

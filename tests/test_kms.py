@@ -682,6 +682,28 @@ class TestNonFiniteBeta:
             gibbs_monomial(Knot.prime("3_1"), 2, math.nan, 2, cat, b=3)
         assert gibbs_monomial(Knot.prime("3_1"), 1, math.inf, 2, cat) == 0.0
 
+    def test_gibbs_monomial_unknot_and_minus_inf(self, cat):
+        # a * w = 0 gives the normalization before the power: no inf * 0
+        for beta in (math.inf, 2.0, 0.0, -3.0):
+            assert gibbs_monomial(Knot.unknot(), 1, beta, 2, cat) == 1.0
+        with pytest.raises(DomainError, match="-inf"):
+            gibbs_monomial(Knot.prime("3_1"), 1, -math.inf, 2, cat)
+        with pytest.raises(DomainError, match="-inf"):
+            gibbs_monomial(Knot.unknot(), 1, -math.inf, 2, cat)
+
+    def test_huge_q_in_log_form(self, cat):
+        k = Knot.prime("3_1")
+        w = weight_of(k, cat)
+        # across the float range of q the value follows q^(-beta w)
+        for q in (10**300, 10**308, 10**309, 10**320):
+            expected = math.exp(-1e-3 * w * math.log(q))
+            assert gibbs_monomial(k, 1, 1e-3, q, cat) == pytest.approx(expected, rel=1e-12)
+            ev = toeplitz_eigenlist(k, 1e-3, q, cat)
+            assert ev.generator_ratio == pytest.approx(expected, rel=1e-12)
+        assert gibbs_monomial(k, 1, 10.0, 10**400, cat) == 0.0
+        with pytest.raises(DomainError, match="not in"):
+            toeplitz_eigenlist(k, 10.0, 10**400, cat)
+
     def test_low_temperature_refuses_nan_only(self):
         with pytest.raises(DomainError, match="nan"):
             bc_low_temperature(QmodZ.of(1, 2), math.nan)

@@ -10,9 +10,11 @@ Seifert determinants against Fox calculus.
 import cmath
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 from sympy import Matrix
@@ -265,6 +267,69 @@ class TestAlexanderFox:
         amal = amalgamate(builtin_presentation("3_1"), builtin_presentation("4_1"))
         stripped = dataclasses.replace(amal, blocks=None)
         assert alexander_poly_fox(stripped) == alexander_poly_fox(amal)
+
+
+def _burau_knot_braids():
+    """The builtin braids and seeded random knotted braids on 2-4 strands."""
+    braids = [(braid, max(abs(s) for s in braid) + 1) for braid in builtin_braids().values()]
+    rng = random.Random(20160)
+    while len(braids) < len(builtin_braids()) + 32:
+        strands, length = rng.choice([2, 3, 3, 4, 4]), rng.randint(5, 10)
+        word = ()
+        while len(word) < length:
+            s = rng.choice([1, -1]) * rng.randint(1, strands - 1)
+            if not word or s != -word[-1]:  # no free cancellation
+                word += (s,)
+        perm = list(range(strands))
+        for s in word:
+            perm[abs(s) - 1], perm[abs(s)] = perm[abs(s)], perm[abs(s) - 1]
+        cycle, cur = 1, perm[0]
+        while cur != 0:
+            cycle, cur = cycle + 1, perm[cur]
+        if cycle == strands and (word, strands) not in braids:
+            braids.append((word, strands))
+    return braids
+
+
+def _unit_normal(coefficients):
+    """Coefficients with zero ends dropped and a positive leading one."""
+    c = list(coefficients)
+    while c and c[-1] == 0:
+        c.pop()
+    while c and c[0] == 0:
+        c.pop(0)
+    return c if not c or c[-1] > 0 else [-x for x in c]
+
+
+class TestBurauOracle:
+    """Delta(t) (1 + t + ... + t^(n-1)) = det(I - reduced Burau(beta)) up to
+    +-t^k for a braid on n strands closing to a knot: a determinant of size
+    n - 1, computed by sympy, against the Fox route on the Wirtinger
+    presentation of the same braid."""
+
+    @pytest.mark.parametrize("braid, strands", _burau_knot_braids())
+    def test_fox_alexander_matches_burau(self, braid, strands):
+        t = sympy.Symbol("t")
+        m = strands - 1
+        product = sympy.eye(m)
+        for s in braid:
+            # sigma_i: row i - 1 of the identity becomes (.., t, -t, 1, ..)
+            g = sympy.eye(m)
+            r = abs(s) - 1
+            g[r, r] = -t
+            if r > 0:
+                g[r, r - 1] = t
+            if r + 1 < m:
+                g[r, r + 1] = 1
+            product = product * (g if s > 0 else g.inv())
+        det = sympy.cancel(sympy.together((sympy.eye(m) - product).det()))
+        numerator, denominator = sympy.fraction(det)
+        assert sympy.Poly(denominator, t).is_monomial
+        burau = _unit_normal(reversed(sympy.Poly(numerator, t).all_coeffs()))
+
+        delta = alexander_poly_fox(braid_to_wirtinger(braid, strands))
+        fox = delta * LaurentPoly.from_list([1] * strands)
+        assert _unit_normal(fox.as_list()) == [int(c) for c in burau], braid
 
 
 class TestAlexanderSeifert:

@@ -8,6 +8,7 @@ programs.
 """
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -190,6 +191,20 @@ class TestFigures:
         beta = threshold_beta_tilde(q)
         rhs = math.log(400.0) - 6 * math.log(math.log(q))
         assert figure_f_value(beta, q) == pytest.approx(rhs, abs=1e-9)
+
+    def test_f_past_the_float_range_of_lambda(self):
+        """Once lambda_beta underflows, ln lambda_beta = -beta ln q, as in
+        bound_gap_F; this used to raise 'math domain error'."""
+        for beta, q in ((2000.0, 2), (1e6, 2), (1e300, 11)):
+            expected = beta + 6 * beta * math.log(q) + 6 * math.log(beta)
+            assert figure_f_value(beta, q) == pytest.approx(expected, rel=1e-15)
+        # continuous across the cut where lambda leaves the normal range
+        cut = -math.log(sys.float_info.min) / math.log(2)
+        below, above = figure_f_value(cut - 1e-6, 2), figure_f_value(cut + 1e-6, 2)
+        slope = 1 + 6 * math.log(2) + 6 / cut
+        assert above - below == pytest.approx(2e-6 * slope, rel=1e-4)
+        # beyond about 10^308 / (1 + 6 ln q) f passes the float range
+        assert figure_f_value(1e308, 2) == math.inf
 
     def test_H_positive_at_two(self):
         assert figure_H_value(2) > 0
