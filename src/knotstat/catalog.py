@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
 from typing import Literal, Optional, Union
 
+from ._record import Record
 from .errors import CatalogError
 
 __all__ = [
@@ -46,17 +46,24 @@ LOWER_C = 400.0
 _FIELDS = ("name", "crossings", "genus", "alternating", "torus", "alexander")
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(Record):
     """One prime knot: its classical invariants and Alexander coefficients."""
 
-    name: str
-    crossing_number: int
-    genus: int
-    alternating: bool
-    torus: bool
-    alexander_coeffs: tuple[int, ...]
-    wirtinger: Optional[str] = None
+    __slots__ = ("name", "crossing_number", "genus", "alternating", "torus",
+                 "alexander_coeffs", "wirtinger")
+
+    def __init__(
+        self,
+        name: str,
+        crossing_number: int,
+        genus: int,
+        alternating: bool,
+        torus: bool,
+        alexander_coeffs: tuple[int, ...],
+        wirtinger: Optional[str] = None,
+    ) -> None:
+        self._set(name, crossing_number, genus, alternating, torus,
+                  alexander_coeffs, wirtinger)
 
     def validate(self) -> None:
         if self.crossing_number < 3:
@@ -93,20 +100,27 @@ class KnotRecord:
         return abs(self.alexander_coeffs[-1])
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """An immutable ordered table of prime knots with a name index."""
+class Catalog(Record):
+    """An immutable ordered table of prime knots with a name index.
 
-    records: tuple[KnotRecord, ...]
-    index: dict[str, KnotRecord] = field(default_factory=dict, compare=False)
+    ``index`` is rebuilt from ``records`` (any value passed is ignored) and
+    takes no part in ``==`` or ``hash``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("records", "index")
+    _compare = ("records",)
+
+    def __init__(
+        self,
+        records: tuple[KnotRecord, ...],
+        index: Optional[dict[str, KnotRecord]] = None,
+    ) -> None:
         idx = {}
-        for rec in self.records:
+        for rec in records:
             if rec.name in idx:
                 raise CatalogError(f"duplicate record name {rec.name}")
             idx[rec.name] = rec
-        object.__setattr__(self, "index", idx)
+        self._set(records, idx)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -135,21 +149,24 @@ class Catalog:
         return Catalog(records=keep)
 
 
-@dataclass(frozen=True)
-class MultiplicityModel:
+class MultiplicityModel(Record):
     """Asymptotic multiplicity model N_{n,g} ~ (C^g/(6g)!) n^{6g-4}."""
 
-    mode: Literal["exact", "asymptotic"] = "asymptotic"
-    C: float = DEFAULT_C
-    g_max: int = 64
-    n_max: int = 10_000
+    __slots__ = ("mode", "C", "g_max", "n_max")
 
-    def __post_init__(self):
-        if self.mode == "asymptotic" and not LOWER_C <= self.C <= DEFAULT_C:
+    def __init__(
+        self,
+        mode: Literal["exact", "asymptotic"] = "asymptotic",
+        C: float = DEFAULT_C,
+        g_max: int = 64,
+        n_max: int = 10_000,
+    ) -> None:
+        if mode == "asymptotic" and not LOWER_C <= C <= DEFAULT_C:
             raise CatalogError(
                 f"asymptotic constant C must lie in [{LOWER_C}, {DEFAULT_C}], "
-                f"got {self.C}"
+                f"got {C}"
             )
+        self._set(mode, C, g_max, n_max)
 
 
 def _parse_bool(text: str, line_no: int, col: str) -> bool:

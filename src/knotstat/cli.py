@@ -4,8 +4,9 @@ thresholds, figure data, equilibrium states, and presentation tools.
 Scalar results are printed as one deterministic JSON object (keys
 sorted, complex numbers as {"re": .., "im": ..}); grid-producing
 subcommands (``figures``, and ``ingest`` in table mode) emit CSV with a
-header row.  Every flag has an environment-variable override with the
-``KNOTSTAT_`` prefix (``KNOTSTAT_Q``, ``KNOTSTAT_BETA``, ...).  Exit
+header row.  The seven flags common to every subcommand have
+environment-variable overrides with the ``KNOTSTAT_`` prefix
+(``KNOTSTAT_Q``, ``KNOTSTAT_N_RHO``, ...).  Exit
 codes: 0 on success, 1 on domain or divergence errors (reported with a
 machine-readable ``error`` field), 2 on usage errors.
 """
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import catalog as _catalog
@@ -35,83 +35,28 @@ if TYPE_CHECKING:
 
 ENV_PREFIX = "KNOTSTAT_"
 
-
-def _env(name: str, fallback: Optional[str] = None) -> Optional[str]:
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-@dataclass
-class Config:
-    """Resolved common options shared by the subcommands."""
-
-    q: int
-    catalog_path: Optional[str]
-    filter: str
-    multiplicity_c: float
-    n_rho: int
-    tolerance: float
-    output: str
-
-    def load_catalog(self) -> _catalog.Catalog:
-        if self.catalog_path:
-            return _catalog.load_catalog(self.catalog_path, self.filter)
-        return _catalog.load_catalog(
-            _catalog.builtin_catalog_path(), self.filter
-        )
-
-    def model(self) -> _catalog.MultiplicityModel:
-        return _catalog.MultiplicityModel(C=self.multiplicity_c)
+# Longest grid or eigenvalue list a command prints: 10^5 values take about
+# a second to compute and format, and larger requests are refused up front.
+_MAX_VALUES = 100_000
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--q", type=int, default=int(_env("Q", "2")),
-        help="weight base q >= 2 (default 2)",
-    )
-    parser.add_argument(
-        "--catalog", default=_env("CATALOG"),
-        help="knot catalog CSV path (default: bundled table)",
-    )
-    parser.add_argument(
-        "--filter", default=_env("FILTER", "all"),
-        choices=["all", "alternating", "torus-free"],
-        help="catalog row filter",
-    )
-    parser.add_argument(
-        "--multiplicity-c", type=float,
-        default=float(_env("MULTIPLICITY_C", repr(_catalog.DEFAULT_C))),
-        help="growth constant C of the multiplicity model",
-    )
-    parser.add_argument(
-        "--n-rho", type=int, default=int(_env("N_RHO", "1")),
-        help="order of the restricting root of unity (default 1)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=float(_env("TOLERANCE", "1e-12")),
-        help="series tolerance (default 1e-12)",
-    )
-    parser.add_argument(
-        "--output", default=_env("OUTPUT", "json"), choices=["json", "csv"],
-        help="output format for commands that support both",
-    )
-
-
-def _config(args: argparse.Namespace) -> Config:
+def _check_common(args: argparse.Namespace) -> None:
     if args.q < 2:
         raise KnotstatError(f"q must be >= 2, got {args.q}")
     if not 0 < args.tolerance < math.inf:  # NaN fails both comparisons
         raise KnotstatError(
             f"tolerance must be positive and finite, got {args.tolerance}"
         )
-    return Config(
-        q=args.q,
-        catalog_path=args.catalog,
-        filter=args.filter,
-        multiplicity_c=args.multiplicity_c,
-        n_rho=args.n_rho,
-        tolerance=args.tolerance,
-        output=args.output,
+
+
+def _load_catalog(args) -> _catalog.Catalog:
+    return _catalog.load_catalog(
+        args.catalog or _catalog.builtin_catalog_path(), args.filter
     )
+
+
+def _model(args) -> _catalog.MultiplicityModel:
+    return _catalog.MultiplicityModel(C=args.multiplicity_c)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +114,9 @@ def _series_payload(result: _pt.SeriesResult, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ingest(args, cfg: Config) -> None:
-    cat = cfg.load_catalog()
-    if cfg.output == "csv":
+def _cmd_ingest(args) -> None:
+    cat = _load_catalog(args)
+    if args.output == "csv":
         rows = [
             [
                 rec.name,
@@ -193,7 +138,7 @@ def _cmd_ingest(args, cfg: Config) -> None:
     _emit_json(
         {
             "rows": len(cat),
-            "filter": cfg.filter,
+            "filter": args.filter,
             "alternating": sum(1 for r in cat if r.alternating),
             "torus": sum(1 for r in cat if r.torus),
             "weights": [list(pair) for pair in _catalog.weights_with_counts(cat)],
@@ -201,56 +146,56 @@ def _cmd_ingest(args, cfg: Config) -> None:
     )
 
 
-def _source(args, cfg: Config):
+def _source(args):
     if args.source == "model":
-        return cfg.model()
-    return cfg.load_catalog()
+        return _model(args)
+    return _load_catalog(args)
 
 
-def _cmd_z_alt(args, cfg: Config) -> None:
+def _cmd_z_alt(args) -> None:
     from . import partition as _pt
 
     result = _pt.z_alternating(
-        args.beta, cfg.q, _source(args, cfg), tol=cfg.tolerance,
+        args.beta, args.q, _source(args), tol=args.tolerance,
         mode=args.mode, max_weight=args.max_weight,
     )
     _emit_json(_series_payload(
-        result, beta=args.beta, q=cfg.q, source=args.source, mode=args.mode,
+        result, beta=args.beta, q=args.q, source=args.source, mode=args.mode,
     ))
 
 
-def _cmd_z_groth(args, cfg: Config) -> None:
+def _cmd_z_groth(args) -> None:
     from . import partition as _pt
 
     result = _pt.z_grothendieck(
-        args.beta, cfg.q, _source(args, cfg), tol=cfg.tolerance,
+        args.beta, args.q, _source(args), tol=args.tolerance,
         max_weight=args.max_weight,
     )
     _emit_json(_series_payload(
-        result, beta=args.beta, q=cfg.q, source=args.source,
+        result, beta=args.beta, q=args.q, source=args.source,
     ))
 
 
-def _cmd_z_qstar(args, cfg: Config) -> None:
+def _cmd_z_qstar(args) -> None:
     from . import partition as _pt
 
     result = _pt.qstar_partition(
-        args.beta, n_max=args.n_max, mode=args.mode, tol=cfg.tolerance
+        args.beta, n_max=args.n_max, mode=args.mode, tol=args.tolerance
     )
     _emit_json(_series_payload(
         result, beta=args.beta, mode=args.mode, n_max=args.n_max,
     ))
 
 
-def _cmd_z_tau(args, cfg: Config) -> None:
+def _cmd_z_tau(args) -> None:
     from . import partition as _pt
     from . import semigroup as _sg
     from .specfun import _huge_weight_cut
 
     # f(g) = q^(scale * v) depends on g only through its weight v, so the
     # product runs over the G(v) group elements of each weight at once.
-    cat = cfg.load_catalog()
-    scale = _sg.WeightFunction(q=cfg.q).exponent_scale
+    cat = _load_catalog(args)
+    scale = _sg.WeightFunction(q=args.q).exponent_scale
     counts = _pt.groth_weight_counts(
         [rec.weight for rec in cat if rec.alternating], args.max_weight
     )
@@ -262,22 +207,22 @@ def _cmd_z_tau(args, cfg: Config) -> None:
     f_counts = {}
     for v, g_v in enumerate(counts):
         if g_v:
-            f = cfg.q ** (scale * v)
+            f = args.q ** (scale * v)
             if f > cut:
                 f_counts[f] = sum(counts[v:])
                 break
             f_counts[f] = g_v
-    result = _pt.z_tau(args.beta, f_counts, n_rho=cfg.n_rho, tol=cfg.tolerance)
+    result = _pt.z_tau(args.beta, f_counts, n_rho=args.n_rho, tol=args.tolerance)
     _emit_json(_series_payload(
-        result, beta=args.beta, q=cfg.q, n_rho=cfg.n_rho,
+        result, beta=args.beta, q=args.q, n_rho=args.n_rho,
         max_weight=args.max_weight, group_elements=sum(counts),
     ))
 
 
-def _cmd_thresholds(args, cfg: Config) -> None:
+def _cmd_thresholds(args) -> None:
     from . import partition as _pt
 
-    report = _pt.threshold_report(cfg.q)
+    report = _pt.threshold_report(args.q)
     _emit_json(
         {
             "q": report.q,
@@ -285,22 +230,26 @@ def _cmd_thresholds(args, cfg: Config) -> None:
             "beta_minus": report.beta_minus,
             "beta_tilde_minus": report.beta_tilde_minus,
             "rhs_constant": _pt.beta_minus_rhs_constant(),
-            "F": _pt.bound_gap_F(cfg.q),
+            "F": _pt.bound_gap_F(args.q),
             "crossover_x": _pt.crossover_x(),
         }
     )
 
 
-def _cmd_figures(args, cfg: Config) -> None:
+def _cmd_figures(args) -> None:
     from . import partition as _pt
 
+    if args.n_points > _MAX_VALUES:
+        raise KnotstatError(
+            f"--n-points {args.n_points} exceeds the cap of {_MAX_VALUES} grid points"
+        )
     if args.which == "f":
         beta_min = None if args.beta_min == "auto" else float(args.beta_min)
         for flag, value in (("--beta-min", beta_min), ("--beta-max", args.beta_max)):
             if value is not None and not math.isfinite(value):
                 raise KnotstatError(f"{flag} must be finite, got {value}")
         rows = _pt.figure_f_grid(
-            cfg.q, beta_min=beta_min, beta_max=args.beta_max,
+            args.q, beta_min=beta_min, beta_max=args.beta_max,
             n_points=args.n_points,
         )
         if not math.isfinite(rows[-1][1]):  # f increases with beta
@@ -317,25 +266,27 @@ def _cmd_figures(args, cfg: Config) -> None:
             grid = [args.q_min]
         rows = _pt.figure_H_grid(grid, C=args.figure_c)
         header = ["q", "H"]
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json({"columns": header, "rows": [list(r) for r in rows]})
         return
     _emit_csv(header, [[f"{a!r}", f"{b!r}"] for a, b in rows])
 
 
-def _cmd_kms_toeplitz(args, cfg: Config) -> None:
+def _cmd_kms_toeplitz(args) -> None:
     from . import kms as _kms
     from . import semigroup as _sg
 
-    cat = cfg.load_catalog()
-    knot = _sg.parse_knot(args.knot)
-    ev = _kms.toeplitz_eigenlist(knot, args.beta, cfg.q, cat)
     n = args.entries
+    if not 0 <= n <= _MAX_VALUES:
+        raise KnotstatError(f"--entries must lie in 0..{_MAX_VALUES}, got {n}")
+    cat = _load_catalog(args)
+    knot = _sg.parse_knot(args.knot)
+    ev = _kms.toeplitz_eigenlist(knot, args.beta, args.q, cat)
     _emit_json(
         {
             "knot": args.knot,
             "beta": args.beta,
-            "q": cfg.q,
+            "q": args.q,
             "lambda1": ev.lambda1,
             "generator_ratio": ev.generator_ratio,
             "entries": [ev.entries(k) for k in range(n)],
@@ -361,7 +312,7 @@ def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
     return _kms.AdelicUnit.of(mapping)
 
 
-def _cmd_kms_bc(args, cfg: Config) -> None:
+def _cmd_kms_bc(args) -> None:
     from . import kms as _kms
     from .crossed import QmodZ
 
@@ -408,24 +359,24 @@ def _parse_entry(text: str) -> tuple[_sg.GroupElement, _kms.Monomial]:
     )
 
 
-def _cmd_kms_psi(args, cfg: Config) -> None:
+def _cmd_kms_psi(args) -> None:
     from . import kms as _kms
     from . import semigroup as _sg
 
-    cat = cfg.load_catalog()
-    w = _sg.WeightFunction(q=cfg.q)
+    cat = _load_catalog(args)
+    w = _sg.WeightFunction(q=args.q)
     u = _parse_unit(args.u)
     entries = tuple(_parse_entry(e) for e in args.entry or ())
     f = _kms.SupportedFunction(entries)
     if args.translate:
         h = _sg.parse_group_element(args.translate)
         lhs, rhs, diff = _kms.psi_pushforward(
-            h, f, args.beta, u, w, cat, n_rho=cfg.n_rho
+            h, f, args.beta, u, w, cat, n_rho=args.n_rho
         )
         _emit_json(
             {
                 "beta": args.beta,
-                "n_rho": cfg.n_rho,
+                "n_rho": args.n_rho,
                 "translate": args.translate,
                 "lhs": lhs,
                 "rhs": rhs,
@@ -433,29 +384,29 @@ def _cmd_kms_psi(args, cfg: Config) -> None:
             }
         )
         return
-    value = _kms.psi_product_state(f, args.beta, u, w, cat, n_rho=cfg.n_rho)
+    value = _kms.psi_product_state(f, args.beta, u, w, cat, n_rho=args.n_rho)
     _emit_json(
         {
             "beta": args.beta,
-            "n_rho": cfg.n_rho,
+            "n_rho": args.n_rho,
             "entries": len(entries),
             "value": value,
         }
     )
 
 
-def _cmd_ratio_witness(args, cfg: Config) -> None:
+def _cmd_ratio_witness(args) -> None:
     from . import kms as _kms
 
-    ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, cfg.q, cfg.model())
+    ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, args.q, _model(args))
     _emit_json(
         {
             "n": args.n,
             "big_n": args.big_n,
             "beta": args.beta,
-            "q": cfg.q,
+            "q": args.q,
             "ratio": ratio,
-            "expected": float(cfg.q) ** (-args.beta),
+            "expected": float(args.q) ** (-args.beta),
         }
     )
 
@@ -491,7 +442,7 @@ def _presentation_text(p: _kg.Presentation) -> str:
         os.unlink(path)
 
 
-def _cmd_wirtinger(args, cfg: Config) -> None:
+def _cmd_wirtinger(args) -> None:
     from . import knotgroups as _kg
 
     p = _presentation_from_args(args)
@@ -516,7 +467,7 @@ def _cmd_wirtinger(args, cfg: Config) -> None:
     )
 
 
-def _cmd_alexander(args, cfg: Config) -> None:
+def _cmd_alexander(args) -> None:
     from . import knotgroups as _kg
 
     if args.seifert:
@@ -566,7 +517,7 @@ def _alexander_roots(poly: _kg.LaurentPoly) -> list[complex]:
     return ordered
 
 
-def _cmd_derham(args, cfg: Config) -> None:
+def _cmd_derham(args) -> None:
     from . import knotgroups as _kg
 
     p = _presentation_from_args(args)
@@ -597,7 +548,7 @@ def _cmd_derham(args, cfg: Config) -> None:
     )
 
 
-def _cmd_bc_normalize(args, cfg: Config) -> None:
+def _cmd_bc_normalize(args) -> None:
     from .crossed import bc_normalize, parse_bc_word
 
     word = parse_bc_word(args.word.split())
@@ -611,11 +562,122 @@ def _cmd_bc_normalize(args, cfg: Config) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# command table and parser assembly
 # ---------------------------------------------------------------------------
 
+# The flags every subcommand takes.  Each default is the string in the
+# KNOTSTAT_<FLAG> environment variable when set; argparse converts a string
+# default with ``type`` at parse time, so a malformed override is a usage
+# error naming its flag.
+_COMMON = (
+    ("--q", dict(type=int, default="2", help="weight base q >= 2 (default 2)")),
+    ("--catalog", dict(help="knot catalog CSV path (default: bundled table)")),
+    ("--filter", dict(default="all", choices=["all", "alternating", "torus-free"],
+                      help="catalog row filter")),
+    ("--multiplicity-c", dict(type=float, default=repr(_catalog.DEFAULT_C),
+                              help="growth constant C of the multiplicity model")),
+    ("--n-rho", dict(type=int, default="1",
+                     help="order of the restricting root of unity (default 1)")),
+    ("--tolerance", dict(type=float, default="1e-12",
+                         help="series tolerance (default 1e-12)")),
+    ("--output", dict(default="json", choices=["json", "csv"],
+                      help="output format for commands that support both")),
+)
 
-def build_parser() -> argparse.ArgumentParser:
+_BETA = ("--beta", dict(type=float, required=True))
+_SOURCE = ("--source", dict(choices=["catalog", "model"], default="catalog"))
+_MAX_WEIGHT = ("--max-weight", dict(type=int, default=40))
+_PRESENTATION = (("--knot", dict(default=None)), ("--braid", dict(default=None)),
+                 ("--file", dict(default=None)))
+
+# name -> (help, handler, the subcommand's own flags as (flag, keywords))
+_COMMANDS = {
+    "ingest": ("load and summarize a knot catalog CSV", _cmd_ingest, ()),
+    "z-alt": ("partition function over alternating composites", _cmd_z_alt, (
+        _BETA, _SOURCE,
+        ("--mode", dict(choices=["product", "direct", "both"], default="product")),
+        _MAX_WEIGHT,
+    )),
+    "z-groth": ("partition function of the Grothendieck group", _cmd_z_groth,
+                (_BETA, _SOURCE, _MAX_WEIGHT)),
+    "z-qstar": ("multiplicative-integers partition function", _cmd_z_qstar, (
+        _BETA,
+        ("--mode", dict(choices=["closed", "direct", "both"], default="closed")),
+        ("--n-max", dict(type=int, default=1_000_000)),
+    )),
+    "z-tau": ("weighted product partition function over group elements", _cmd_z_tau,
+              (_BETA, ("--max-weight", dict(type=int, default=12)))),
+    "thresholds": ("convergence thresholds and derived constants", _cmd_thresholds, ()),
+    "figures": ("emit figure data grids", _cmd_figures, (
+        ("--which", dict(choices=["f", "H"], required=True)),
+        ("--beta-min", dict(default="auto", help="'auto' or a float (f-figure)")),
+        ("--beta-max", dict(type=float, default=20.0)),
+        ("--n-points", dict(type=int, default=200)),
+        ("--q-min", dict(type=float, default=2.0)),
+        ("--q-max", dict(type=float, default=100.0)),
+        ("--figure-c", dict(type=float, default=400.0,
+                            help="growth constant used by the H-figure")),
+    )),
+    "kms-toeplitz": ("eigenvalue list of a prime-knot Gibbs state", _cmd_kms_toeplitz, (
+        ("--knot", dict(required=True)), _BETA,
+        ("--entries", dict(type=int, default=5)),
+    )),
+    "kms-bc": ("arithmetic state value on e(r)", _cmd_kms_bc, (
+        ("--r", dict(required=True, help="rational label a/b")),
+        ("--beta", dict(required=True,
+                        help="inverse temperature; 'inf' for the ground state")),
+        ("--u", dict(default=None,
+                     help="adelic unit as modulus:residue[,modulus:residue...]")),
+    )),
+    "kms-psi": ("weighted product state on a supported function", _cmd_kms_psi, (
+        _BETA,
+        ("--entry", dict(action="append",
+                         help="support entry GROUP::MONOMIAL, repeatable "
+                              "(e.g. '3_1 -- unknot::e:1/2' or 'unknot::mu:2')")),
+        ("--u", dict(default=None)),
+        ("--translate", dict(default=None,
+                             help="group element h: report both sides of the "
+                                  "transformation law")),
+    )),
+    "ratio-witness": ("eigenvalue-ratio witness for q^(-beta)", _cmd_ratio_witness, (
+        ("--n", dict(type=int, required=True)),
+        ("--big-n", dict(type=int, required=True)),
+        _BETA,
+    )),
+    "wirtinger": ("Wirtinger presentation of a knot or braid closure", _cmd_wirtinger, (
+        ("--knot", dict(default=None, help="builtin knot name")),
+        ("--braid", dict(default=None,
+                         help="braid word, e.g. '1,1,1' or '1 -2 1 -2'")),
+        ("--file", dict(default=None, help="presentation text file")),
+        ("--out", dict(default=None, help="write the presentation here")),
+    )),
+    "alexander": ("Alexander polynomial via Fox calculus or Seifert", _cmd_alexander, (
+        *_PRESENTATION,
+        ("--sum", dict(default=None, help="amalgamate with this builtin knot first")),
+        ("--seifert", dict(default=None, help="Seifert matrix rows 'a b; c d'")),
+    )),
+    "derham": ("triangular representation at an Alexander root", _cmd_derham, (
+        *_PRESENTATION,
+        ("--root", dict(default=None, help="complex root, e.g. '0.5+0.8660254i'")),
+        ("--root-index", dict(type=int, default=0,
+                              help="pick the k-th Alexander root (deterministic order)")),
+        ("--branch", dict(type=int, choices=[1, -1], default=1)),
+    )),
+    "bc-normalize": ("normal form of a word over mu_n, mu_n*, e(r)", _cmd_bc_normalize, (
+        ("--word", dict(required=True,
+                        help="whitespace-separated tokens, e.g. 'mu:2 e:1/3 mu*:2'")),
+    )),
+}
+
+
+def _parser(names: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in ``names``.
+
+    Built for a subset, a metavar keeps every command in the usage line, so
+    an error the top-level parser reports (an unrecognized argument) reads
+    as with the full build.  The full build sets none: its missing-command
+    error names ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="knotstat",
         description=(
@@ -624,146 +686,47 @@ def build_parser() -> argparse.ArgumentParser:
             "knot-group tools."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    every = len(names) == len(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name in names:
+        help_text, _, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        return p
-
-    add("ingest", "load and summarize a knot catalog CSV")
-
-    p = add("z-alt", "partition function over alternating composites")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--source", choices=["catalog", "model"], default="catalog")
-    p.add_argument("--mode", choices=["product", "direct", "both"],
-                   default="product")
-    p.add_argument("--max-weight", type=int, default=40)
-
-    p = add("z-groth", "partition function of the Grothendieck group")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--source", choices=["catalog", "model"], default="catalog")
-    p.add_argument("--max-weight", type=int, default=40)
-
-    p = add("z-qstar", "multiplicative-integers partition function")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--mode", choices=["closed", "direct", "both"],
-                   default="closed")
-    p.add_argument("--n-max", type=int, default=1_000_000)
-
-    p = add("z-tau", "weighted product partition function over group elements")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--max-weight", type=int, default=12)
-
-    add("thresholds", "convergence thresholds and derived constants")
-
-    p = add("figures", "emit figure data grids")
-    p.add_argument("--which", choices=["f", "H"], required=True)
-    p.add_argument("--beta-min", default="auto",
-                   help="'auto' or a float (f-figure)")
-    p.add_argument("--beta-max", type=float, default=20.0)
-    p.add_argument("--n-points", type=int, default=200)
-    p.add_argument("--q-min", type=float, default=2.0)
-    p.add_argument("--q-max", type=float, default=100.0)
-    p.add_argument("--figure-c", type=float, default=400.0,
-                   help="growth constant used by the H-figure")
-
-    p = add("kms-toeplitz", "eigenvalue list of a prime-knot Gibbs state")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--entries", type=int, default=5)
-
-    p = add("kms-bc", "arithmetic state value on e(r)")
-    p.add_argument("--r", required=True, help="rational label a/b")
-    p.add_argument("--beta", required=True,
-                   help="inverse temperature; 'inf' for the ground state")
-    p.add_argument("--u", default=None,
-                   help="adelic unit as modulus:residue[,modulus:residue...]")
-
-    p = add("kms-psi", "weighted product state on a supported function")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--entry", action="append",
-                   help="support entry GROUP::MONOMIAL, repeatable "
-                        "(e.g. '3_1 -- unknot::e:1/2' or 'unknot::mu:2')")
-    p.add_argument("--u", default=None)
-    p.add_argument("--translate", default=None,
-                   help="group element h: report both sides of the "
-                        "transformation law")
-
-    p = add("ratio-witness", "eigenvalue-ratio witness for q^(-beta)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--big-n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-
-    p = add("wirtinger", "Wirtinger presentation of a knot or braid closure")
-    p.add_argument("--knot", default=None, help="builtin knot name")
-    p.add_argument("--braid", default=None,
-                   help="braid word, e.g. '1,1,1' or '1 -2 1 -2'")
-    p.add_argument("--file", default=None, help="presentation text file")
-    p.add_argument("--out", default=None, help="write the presentation here")
-
-    p = add("alexander", "Alexander polynomial via Fox calculus or Seifert")
-    p.add_argument("--knot", default=None)
-    p.add_argument("--braid", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--sum", default=None,
-                   help="amalgamate with this builtin knot first")
-    p.add_argument("--seifert", default=None,
-                   help="Seifert matrix rows 'a b; c d'")
-
-    p = add("derham", "triangular representation at an Alexander root")
-    p.add_argument("--knot", default=None)
-    p.add_argument("--braid", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--root", default=None,
-                   help="complex root, e.g. '0.5+0.8660254i'")
-    p.add_argument("--root-index", type=int, default=0,
-                   help="pick the k-th Alexander root (deterministic order)")
-    p.add_argument("--branch", type=int, choices=[1, -1], default=1)
-
-    p = add("bc-normalize", "normal form of a word over mu_n, mu_n*, e(r)")
-    p.add_argument("--word", required=True,
-                   help="whitespace-separated tokens, e.g. 'mu:2 e:1/3 mu*:2'")
-
+        for flag, kwargs in _COMMON:
+            env = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+            default = os.environ.get(env, kwargs.get("default"))
+            p.add_argument(flag, **{**kwargs, "default": default})
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "z-alt": _cmd_z_alt,
-    "z-groth": _cmd_z_groth,
-    "z-qstar": _cmd_z_qstar,
-    "z-tau": _cmd_z_tau,
-    "thresholds": _cmd_thresholds,
-    "figures": _cmd_figures,
-    "kms-toeplitz": _cmd_kms_toeplitz,
-    "kms-bc": _cmd_kms_bc,
-    "kms-psi": _cmd_kms_psi,
-    "ratio-witness": _cmd_ratio_witness,
-    "wirtinger": _cmd_wirtinger,
-    "alexander": _cmd_alexander,
-    "derham": _cmd_derham,
-    "bc-normalize": _cmd_bc_normalize,
-}
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand (``run`` builds only the one it needs)."""
+    return _parser(tuple(_COMMANDS))
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse arguments, dispatch, and return the process exit code."""
-    parser = build_parser()
+    """Parse arguments, dispatch, and return the process exit code.
+
+    A known command as the first argument gets only its own subparser; any
+    other first argument, or none, gets the full parser, whose usage and
+    error text list every command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(names).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    output = getattr(args, "output", "json")
     try:
-        cfg = _config(args)
-        _HANDLERS[args.command](args, cfg)
+        _check_common(args)
+        _COMMANDS[args.command][1](args)
         return 0
-    except KnotstatError as exc:
-        _emit_error(str(exc), output)
-        return 1
-    except (ValueError, OSError) as exc:
-        _emit_error(str(exc), output)
+    except (KnotstatError, ValueError, OSError) as exc:
+        _emit_error(str(exc), args.output)
         return 1
 
 

@@ -44,10 +44,10 @@ Everything here is exact: no floating point enters this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from ._record import Record
 from .errors import DomainError
 
 __all__ = [
@@ -71,19 +71,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class QmodZ:
+class QmodZ(Record):
     """An element of Q/Z stored as an exact rational in [0, 1).
 
     ``Fraction`` keeps the value in lowest terms with a positive
-    denominator, so both invariants hold by construction.
+    denominator, so both invariants hold by construction.  Labels are
+    ordered by that representative.
     """
 
-    frac: Fraction
+    __slots__ = ("frac",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, frac: Fraction) -> None:
         # reduce mod 1 on construction; callers may pass any rational
-        object.__setattr__(self, "frac", self.frac % 1)
+        object.__setattr__(self, "frac", frac % 1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.frac == other.frac
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.frac,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.frac < other.frac
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.frac <= other.frac
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.frac > other.frac
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.frac >= other.frac
+        return NotImplemented
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "QmodZ":
@@ -277,8 +305,7 @@ class GroupRingElement:
         return " + ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class RhoContext:
+class RhoContext(Record):
     """Order data of the cyclic target: n_rho >= 1 and the coprimality test.
 
     ``n_rho`` is the order of the root of unity hit by the surjection to the
@@ -286,11 +313,12 @@ class RhoContext:
     to it.
     """
 
-    n_rho: int
+    __slots__ = ("n_rho",)
 
-    def __post_init__(self) -> None:
-        if self.n_rho < 1:
-            raise DomainError(f"n_rho must be >= 1, got {self.n_rho}")
+    def __init__(self, n_rho: int) -> None:
+        if n_rho < 1:
+            raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+        self._set(n_rho)
 
     def admits(self, n: int) -> bool:
         """Whether n lies in the semigroup N_rho."""
@@ -401,17 +429,15 @@ def congruence_inverse(n: int, n_rho: int) -> int:
 Token = tuple
 
 
-@dataclass(frozen=True)
-class BCNormalForm:
+class BCNormalForm(Record):
     """A word reduced to mu_a . x . mu_b* with x in Q[Q/Z] and gcd(a, b) = 1."""
 
-    a: int
-    x: GroupRingElement
-    b: int
+    __slots__ = ("a", "x", "b")
 
-    def __post_init__(self) -> None:
-        if math.gcd(self.a, self.b) != 1:
+    def __init__(self, a: int, x: GroupRingElement, b: int) -> None:
+        if math.gcd(a, b) != 1:
             raise ValueError("normal form requires gcd(a, b) = 1")
+        self._set(a, x, b)
 
     def is_identity(self) -> bool:
         return self.a == 1 and self.b == 1 and self.x == GroupRingElement.one()

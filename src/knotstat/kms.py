@@ -18,10 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Optional
 
+from ._record import Record
 from .catalog import Catalog, MultiplicityModel, count_weight
 from .crossed import QmodZ
 from .errors import DomainError
@@ -65,24 +65,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenvalueList:
+class EigenvalueList(Record):
     """The spectrum (1 - rho) rho^n, n >= 0, of a normalized geometric state.
 
     ``lambda1`` is the top eigenvalue 1 - rho and ``generator_ratio`` the
     common ratio rho = q^(-beta w); the full list sums to one exactly.
     """
 
-    lambda1: float
-    generator_ratio: float
+    __slots__ = ("lambda1", "generator_ratio")
 
-    def __post_init__(self):
-        if not 0.0 < self.generator_ratio < 1.0:
-            raise DomainError(
-                f"generator ratio must lie in (0,1), got {self.generator_ratio}"
-            )
-        if abs(self.lambda1 - (1.0 - self.generator_ratio)) > 1e-15:
+    def __init__(self, lambda1: float, generator_ratio: float) -> None:
+        if not 0.0 < generator_ratio < 1.0:
+            raise DomainError(f"generator ratio must lie in (0,1), got {generator_ratio}")
+        if abs(lambda1 - (1.0 - generator_ratio)) > 1e-15:
             raise DomainError("lambda1 must equal 1 - generator_ratio")
+        self._set(lambda1, generator_ratio)
 
     def entries(self, n: int) -> float:
         """The n-th eigenvalue, n >= 0."""
@@ -133,6 +130,7 @@ def gibbs_monomial(
 
     Diagonal monomials (b = a, the default) evaluate to q^(-beta a w);
     off-diagonal ones vanish.  a = 0 returns 1, the state normalization.
+    A negative beta whose value passes the float range is refused.
     """
     if a < 0 or (b is not None and b < 0):
         raise DomainError("monomial powers must be >= 0")
@@ -145,7 +143,15 @@ def gibbs_monomial(
     aw = a * weight_of(k, cat)
     if aw == 0:  # before the power: inf * 0 would be NaN
         return 1.0
-    return _q_power(q, -beta * aw)
+    try:
+        value = _q_power(q, -beta * aw)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(
+            f"q^(-beta a w) overflows a float at beta = {beta} (a w = {aw})"
+        )
+    return value
 
 
 def _q_power(q: int, exponent: float) -> float:
@@ -178,8 +184,7 @@ def bc_high_temperature(r: QmodZ, beta: float) -> float:
     return float(num) / float(den)
 
 
-@dataclass(frozen=True)
-class AdelicUnit:
+class AdelicUnit(Record):
     """A compatible family of unit residues u_n in (Z/n)*, default 1.
 
     Residues are stored for finitely many moduli; unstored moduli reduce
@@ -188,11 +193,11 @@ class AdelicUnit:
     makes the reduction rule well defined.
     """
 
-    residues: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("residues",)
 
-    def __post_init__(self):
+    def __init__(self, residues: tuple[tuple[int, int], ...] = ()) -> None:
         seen: dict[int, int] = {}
-        for modulus, unit in self.residues:
+        for modulus, unit in residues:
             if modulus < 1:
                 raise DomainError(f"modulus must be >= 1, got {modulus}")
             if modulus in seen:
@@ -211,9 +216,7 @@ class AdelicUnit:
                         f"incompatible residues: u_{n}={un}, u_{m}={um} "
                         f"differ modulo {g}"
                     )
-        object.__setattr__(
-            self, "residues", tuple(sorted(seen.items()))
-        )
+        self._set(tuple(sorted(seen.items())))
 
     @classmethod
     def one(cls) -> "AdelicUnit":
@@ -266,22 +269,21 @@ def bc_low_temperature(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """One algebra factor: a group-ring element e(r) or a power mu_n^a mu_n*^a."""
 
-    kind: str
-    r: Optional[QmodZ] = None
-    n: int = 1
-    a: int = 1
+    __slots__ = ("kind", "r", "n", "a")
 
-    def __post_init__(self):
-        if self.kind not in ("e", "mu"):
-            raise DomainError(f"monomial kind must be 'e' or 'mu', got {self.kind!r}")
-        if self.kind == "e" and self.r is None:
+    def __init__(
+        self, kind: str, r: Optional[QmodZ] = None, n: int = 1, a: int = 1
+    ) -> None:
+        if kind not in ("e", "mu"):
+            raise DomainError(f"monomial kind must be 'e' or 'mu', got {kind!r}")
+        if kind == "e" and r is None:
             raise DomainError("e-monomials need a label r")
-        if self.kind == "mu" and (self.n < 1 or self.a < 0):
+        if kind == "mu" and (n < 1 or a < 0):
             raise DomainError("mu-monomials need n >= 1 and a >= 0")
+        self._set(kind, r, n, a)
 
     @classmethod
     def e(cls, r: QmodZ) -> "Monomial":
@@ -296,8 +298,7 @@ class Monomial:
         return cls(kind="mu", n=1, a=1)
 
 
-@dataclass(frozen=True)
-class SupportedFunction:
+class SupportedFunction(Record):
     """A finitely supported assignment of monomials to group elements.
 
     Off-support group elements carry the identity; their state factors
@@ -305,14 +306,15 @@ class SupportedFunction:
     contribute to product-state values.
     """
 
-    entries: tuple[tuple[GroupElement, Monomial], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[GroupElement, Monomial], ...]) -> None:
         seen = set()
-        for g, _ in self.entries:
+        for g, _ in entries:
             if g in seen:
                 raise DomainError("duplicate group element in support")
             seen.add(g)
+        self._set(entries)
 
     @classmethod
     def of(cls, mapping: Mapping[GroupElement, Monomial]) -> "SupportedFunction":

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import Record
 from .catalog import Catalog, MultiplicityModel, weights_with_counts
 from .errors import DivergenceError, DomainError
 from .specfun import (
@@ -68,6 +68,11 @@ Source = Union[Catalog, MultiplicityModel]
 # terms (about 0.5 s per 10^6); larger truncations are refused
 _MAX_QSTAR_TERMS = 10_000_000
 
+# groth_weight_counts updates every slot of its weight grid once per prime
+# weight, in big integers: about 0.5 s at this many updates (max_weight
+# 57142 with the bundled table's 35 weights); larger grids are refused
+_MAX_GROTH_UPDATES = 2_000_000
+
 
 def _require_finite_beta(name: str, beta: float) -> None:
     """Refuse NaN and +-inf, which slip past order tests such as ``beta <= 0``."""
@@ -75,45 +80,49 @@ def _require_finite_beta(name: str, beta: float) -> None:
         raise DomainError(f"{name} requires a finite beta, got {beta}")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Value of a (possibly truncated) series with its convergence bookkeeping.
 
     ``converged`` is True only when the tail bound is below the requested
     tolerance; ``status`` distinguishes the guaranteed-convergent regime
     from the divergent one and from the band where the bounding method is
     silent.  ``details`` carries cross-check values (alternate evaluation
-    routes, stabilization gaps) keyed by name.
+    routes, stabilization gaps) keyed by name; it takes no part in ``==``
+    or ``hash``, and defaults to a new empty dict.
     """
 
-    value: float
-    terms_used: int
-    tail_bound: float
-    converged: bool
-    status: str = "converged"
-    details: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("value", "terms_used", "tail_bound", "converged", "status", "details")
+    _compare = ("value", "terms_used", "tail_bound", "converged", "status")
 
-    def __post_init__(self):
-        if self.tail_bound < 0:
+    def __init__(
+        self,
+        value: float,
+        terms_used: int,
+        tail_bound: float,
+        converged: bool,
+        status: str = "converged",
+        details: Optional[dict] = None,
+    ) -> None:
+        if tail_bound < 0:
             raise DomainError("tail_bound must be nonnegative")
+        self._set(value, terms_used, tail_bound, converged, status,
+                  {} if details is None else details)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Record):
     """The three convergence thresholds at a given weight base q."""
 
-    beta_plus: float
-    beta_minus: float
-    beta_tilde_minus: float
-    q: int
+    __slots__ = ("beta_plus", "beta_minus", "beta_tilde_minus", "q")
 
-    def __post_init__(self):
-        if not self.beta_tilde_minus < self.beta_minus < self.beta_plus:
+    def __init__(
+        self, beta_plus: float, beta_minus: float, beta_tilde_minus: float, q: int
+    ) -> None:
+        if not beta_tilde_minus < beta_minus < beta_plus:
             raise DomainError(
                 "threshold ordering beta_tilde_minus < beta_minus < beta_plus "
-                f"violated: {self.beta_tilde_minus}, {self.beta_minus}, "
-                f"{self.beta_plus}"
+                f"violated: {beta_tilde_minus}, {beta_minus}, {beta_plus}"
             )
+        self._set(beta_plus, beta_minus, beta_tilde_minus, q)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +545,15 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
     = (1 + x^w)/(1 - x^w): multiplicity zero counts once, any positive
     multiplicity twice (once for each sign).  The division is one ascending
     pass over the weight grid, the multiplication one descending pass.
+    Refused when max_weight times the number of weights up to it exceeds
+    ``_MAX_GROTH_UPDATES``.
     """
+    weights = [w for w in weights if w <= max_weight]  # larger ones add nothing
+    if max_weight * max(1, len(weights)) > _MAX_GROTH_UPDATES:
+        raise DomainError(
+            f"max_weight {max_weight} with {len(weights)} prime weights needs "
+            f"more than {_MAX_GROTH_UPDATES} weight-grid updates"
+        )
     counts = [1] + [0] * max_weight
     for w in weights:
         for v in range(w, max_weight + 1):

@@ -12,9 +12,9 @@ integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ._record import Record
 from .catalog import Catalog
 from .errors import DomainError
 from .partition import threshold_beta_plus
@@ -41,21 +41,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(Record):
     """A knot as the multiset of its prime factors; empty = unknot."""
 
-    factors: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[str, int], ...] = ()) -> None:
         seen = set()
-        for name, mult in self.factors:
+        for name, mult in factors:
             if mult < 1:
                 raise DomainError(f"factor multiplicity must be >= 1, got {name}:{mult}")
             if name in seen:
                 raise DomainError(f"repeated factor name {name!r}")
             seen.add(name)
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        object.__setattr__(self, "factors", tuple(sorted(factors)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @classmethod
     def unknot(cls) -> "Knot":
@@ -85,15 +92,13 @@ class Knot:
         return format_knot(self)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A reduced formal difference positive (-) negative of knots."""
 
-    positive: Knot
-    negative: Knot
+    __slots__ = ("positive", "negative")
 
-    def __post_init__(self):
-        pos, neg = self.positive.as_map(), self.negative.as_map()
+    def __init__(self, positive: Knot, negative: Knot) -> None:
+        pos, neg = positive.as_map(), negative.as_map()
         common = set(pos) & set(neg)
         if common:
             # reduce eagerly: cancel shared prime factors
@@ -101,8 +106,17 @@ class GroupElement:
                 c = min(pos[name], neg[name])
                 pos[name] -= c
                 neg[name] -= c
-            object.__setattr__(self, "positive", Knot.from_map(pos))
-            object.__setattr__(self, "negative", Knot.from_map(neg))
+            positive, negative = Knot.from_map(pos), Knot.from_map(neg)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.positive, self.negative) == (other.positive, other.negative)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.positive, self.negative))
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -128,28 +142,23 @@ class GroupElement:
         return format_group_element(self)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Record):
     """The grading f(g) = q^(scale * total invariant weight of g).
 
     The exponent scale defaults to the smallest integer at or above the
     convergence threshold beta_plus, which evaluates to 10.
     """
 
-    q: int = 2
-    exponent_scale: Optional[int] = None
+    __slots__ = ("q", "exponent_scale")
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise DomainError(f"weight base q must be >= 2, got {self.q}")
-        if self.exponent_scale is None:
-            object.__setattr__(
-                self, "exponent_scale", math.ceil(threshold_beta_plus())
-            )
-        if self.exponent_scale < 1:
-            raise DomainError(
-                f"exponent scale must be >= 1, got {self.exponent_scale}"
-            )
+    def __init__(self, q: int = 2, exponent_scale: Optional[int] = None) -> None:
+        if q < 2:
+            raise DomainError(f"weight base q must be >= 2, got {q}")
+        if exponent_scale is None:
+            exponent_scale = math.ceil(threshold_beta_plus())
+        if exponent_scale < 1:
+            raise DomainError(f"exponent scale must be >= 1, got {exponent_scale}")
+        self._set(q, exponent_scale)
 
 
 def connected_sum(k1: Knot, k2: Knot) -> Knot:

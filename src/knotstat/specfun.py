@@ -27,10 +27,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .crossed import QmodZ
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .crossed import QmodZ
 
 __all__ = [
     "riemann_zeta",
@@ -290,6 +292,8 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
     direct series converges to full precision in a few dozen terms and
     avoids the overflow of zeta(s, j/b) ~ (b/j)^s.
     """
+    from .crossed import QmodZ  # loaded here: the other entry points need no crossed
+
     if s <= 1:
         raise DomainError(f"polylog_roots_of_unity requires s > 1, got {s}")
     if not isinstance(r, QmodZ):

@@ -724,8 +724,155 @@ class TestLazyImports:
         ).stdout
         assert out.split() == ["0", "True", "False", "False"]
 
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--q", "2"],
+        ["z-alt", "--beta", "1.5", "--mode", "both"],
+        ["ingest", "--output", "csv"],
+        ["kms-bc", "--r", "1/2", "--beta", "2"],
+        ["bc-normalize", "--word", "mu:2 e:1/3 mu*:2"],
+    ])
+    def test_cold_path_skips_dataclasses(self, argv):
+        out = _fresh(
+            "import io, sys, contextlib\n"
+            "from knotstat import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.run({argv!r})\n"
+            "print(code, 'dataclasses' in sys.modules, 'knotstat.crossed' in sys.modules)"
+        ).stdout
+        code, dataclasses_loaded, crossed_loaded = out.split()
+        assert (code, dataclasses_loaded) == ("0", "False")
+        if argv[0] == "thresholds":
+            assert crossed_loaded == "False"
+
     def test_derham_matches_reference_in_fresh_process(self):
         argv = ["derham", "--knot", "3_1", "--root-index", "0"]
         expected = json.loads(REFERENCE.read_text())[" ".join(argv)]
         proc = _fresh(f"from knotstat.cli import run; raise SystemExit(run({argv!r}))")
         assert proc.stdout == expected["stdout"]
+
+
+# One valid argv per subcommand, for the one-subparser parse checks.
+VALID_ARGV = {
+    "ingest": ["--filter", "alternating", "--output", "csv"],
+    "z-alt": ["--beta", "1.5", "--mode", "both", "--max-weight", "30"],
+    "z-groth": ["--beta", "2", "--source", "model"],
+    "z-qstar": ["--beta", "2", "--mode", "direct", "--n-max", "100"],
+    "z-tau": ["--beta", "1.5", "--max-weight", "12", "--n-rho", "3"],
+    "thresholds": ["--q", "7"],
+    "figures": ["--which", "f", "--beta-min", "1", "--n-points", "5"],
+    "kms-toeplitz": ["--knot", "3_1", "--beta", "10", "--entries", "3"],
+    "kms-bc": ["--r", "1/2", "--beta", "inf", "--u", "4:3"],
+    "kms-psi": ["--beta", "2", "--entry", "unknot::e:1/2", "--entry", "3_1::mu:2"],
+    "ratio-witness": ["--n", "3", "--big-n", "12", "--beta", "1"],
+    "wirtinger": ["--braid", "1,1,1", "--out", "t.txt"],
+    "alexander": ["--knot", "3_1", "--sum", "4_1"],
+    "derham": ["--knot", "4_1", "--root-index", "1", "--branch", "-1"],
+    "bc-normalize": ["--word", "mu:2 e:1/3 mu*:2"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """(Namespace or None, exit code or None, stdout, stderr) of one parse."""
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+class TestCommandTable:
+    """``run`` builds only the subparser its command needs; every parse must
+    come out as with ``build_parser()``: Namespace, exit code and text."""
+
+    def test_table_covers_every_command(self):
+        assert list(VALID_ARGV) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(VALID_ARGV))
+    @pytest.mark.parametrize("case", [
+        "valid", "bad-choice", "bad-int", "missing-required", "unknown-flag",
+        "help",
+    ])
+    def test_one_subparser_parses_as_full(self, capsys, name, case):
+        argv = [name] + {
+            "valid": VALID_ARGV[name],
+            "bad-choice": VALID_ARGV[name] + ["--filter", "bogus"],
+            "bad-int": VALID_ARGV[name] + ["--q", "two"],
+            "missing-required": [],
+            "unknown-flag": VALID_ARGV[name] + ["--bogus", "1"],
+            "help": ["--help"],
+        }[case]
+        full = _parse(cli.build_parser(), argv, capsys)
+        single = _parse(cli._parser([name]), argv, capsys)
+        assert single == full
+        if case == "valid":
+            assert full[0] is not None and full[0].command == name
+        elif case != "missing-required":
+            assert full[1] == (0 if case == "help" else 2)
+        if case == "unknown-flag":  # reported by the top-level parser
+            assert "{" + ",".join(VALID_ARGV) + "}" in full[3]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["-h"], ["--q", "2", "thresholds"]])
+    def test_top_level_lists_every_command(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert code == (0 if argv == ["-h"] else 2)
+        assert "{" + ",".join(VALID_ARGV) + "}" in text
+        if argv == ["-h"]:
+            words = " ".join(text.split())
+            for name, (help_text, _, _) in cli._COMMANDS.items():
+                assert f"{name} {help_text}" in words
+
+    @pytest.mark.parametrize("variable, value, flag", [
+        ("Q", "abc", "--q"),
+        ("N_RHO", "1.5", "--n-rho"),
+        ("TOLERANCE", "tiny", "--tolerance"),
+        ("MULTIPLICITY_C", "big", "--multiplicity-c"),
+    ])
+    def test_malformed_env_override_is_usage_error(self, capsys, monkeypatch, variable, value, flag):
+        monkeypatch.setenv("KNOTSTAT_" + variable, value)
+        assert run(["thresholds"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and repr(value) in err
+        assert "Traceback" not in err
+        # the flag itself, or a full-parser help, does not read the override
+        assert run(["thresholds", flag, "3"]) in (0, 1)
+        assert run(["-h"]) == 0
+
+    def test_env_override_in_fresh_process(self):
+        env = dict(os.environ, KNOTSTAT_Q="abc",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotstat.cli", "thresholds"], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "argument --q: invalid int value: 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestCostCaps:
+    """Input-sized loops are refused before they start, naming their bound."""
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["z-tau", "--beta", "1.5", "--max-weight", "10000000"], "weight-grid updates"),
+        (["z-groth", "--beta", "2", "--max-weight", "10000000"], "weight-grid updates"),
+        (["figures", "--which", "H", "--n-points", "1000000"], "100000 grid points"),
+        (["figures", "--which", "f", "--n-points", "1000000"], "100000 grid points"),
+        (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "100000000"], "0..100000"),
+        (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "-3"], "0..100000"),
+    ])
+    def test_refused_in_time(self, capsys, argv, bound):
+        start = time.perf_counter()
+        code, payload = invoke_json(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert bound in payload["error"]
+
+    def test_largest_accepted_grid(self, capsys):
+        code, payload = invoke_json(capsys, "kms-toeplitz", "--knot", "3_1",
+                                    "--beta", "10", "--entries", "100000")
+        assert code == 0 and len(payload["entries"]) == 100_000
+        code, out = invoke(capsys, "z-tau", "--beta", "1.5", "--max-weight", "50000")
+        assert code == 0

@@ -691,6 +691,14 @@ class TestNonFiniteBeta:
         with pytest.raises(DomainError, match="-inf"):
             gibbs_monomial(Knot.unknot(), 1, -math.inf, 2, cat)
 
+    def test_gibbs_monomial_negative_beta_overflow_refused(self, cat):
+        k = Knot.prime("3_1")  # weight 4: q^(-beta w) = 2^(-4 beta)
+        assert gibbs_monomial(k, 1, -255.0, 2, cat) == 2.0**1020
+        for q, beta in ((2, -256.0), (2, -1000.0), (2, -1e308), (10**400, -1.0)):
+            with pytest.raises(DomainError, match="overflows a float"):
+                gibbs_monomial(k, 1, beta, q, cat)
+        assert gibbs_monomial(Knot.unknot(), 1, -1000.0, 2, cat) == 1.0
+
     def test_huge_q_in_log_form(self, cat):
         k = Knot.prime("3_1")
         w = weight_of(k, cat)

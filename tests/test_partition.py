@@ -473,6 +473,13 @@ class TestGrothWeightCounts:
     def test_negative_truncation_keeps_identity(self):
         assert groth_weight_counts([4, 5], -1) == [1]
 
+    def test_cost_cap_counts_weights_up_to_max(self):
+        # max_weight times the number of weights <= max_weight is capped
+        assert groth_weight_counts([4] * 400 + [10**9] * 10**4, 5000)[4] == 800
+        for weights, max_weight in (([4] * 401, 5000), ([], 10**7), ([4, 5], 10**12)):
+            with pytest.raises(DomainError, match="2000000 weight-grid updates"):
+                groth_weight_counts(weights, max_weight)
+
 
 class TestSpectralCommutator:
     def test_closed_form(self):
