@@ -236,6 +236,13 @@ def _cmd_thresholds(args) -> None:
     )
 
 
+def _require_finite(*flags: tuple[str, Optional[float]]) -> None:
+    """Refuse a flag whose value is NaN or +-inf (None means unset)."""
+    for flag, value in flags:
+        if value is not None and not math.isfinite(value):
+            raise KnotstatError(f"{flag} must be finite, got {value}")
+
+
 def _cmd_figures(args) -> None:
     from . import partition as _pt
 
@@ -245,9 +252,7 @@ def _cmd_figures(args) -> None:
         )
     if args.which == "f":
         beta_min = None if args.beta_min == "auto" else float(args.beta_min)
-        for flag, value in (("--beta-min", beta_min), ("--beta-max", args.beta_max)):
-            if value is not None and not math.isfinite(value):
-                raise KnotstatError(f"{flag} must be finite, got {value}")
+        _require_finite(("--beta-min", beta_min), ("--beta-max", args.beta_max))
         rows = _pt.figure_f_grid(
             args.q, beta_min=beta_min, beta_max=args.beta_max,
             n_points=args.n_points,
@@ -259,11 +264,11 @@ def _cmd_figures(args) -> None:
             )
         header = ["beta", "f"]
     else:
-        if args.n_points > 1:
-            step = (args.q_max - args.q_min) / (args.n_points - 1)
-            grid = [args.q_min + i * step for i in range(args.n_points)]
-        else:
-            grid = [args.q_min]
+        _require_finite(("--q-min", args.q_min), ("--q-max", args.q_max))
+        if args.n_points < 2:
+            raise KnotstatError(f"need n_points >= 2, got {args.n_points}")
+        step = (args.q_max - args.q_min) / (args.n_points - 1)
+        grid = [args.q_min + i * step for i in range(args.n_points)]
         rows = _pt.figure_H_grid(grid, C=args.figure_c)
         header = ["q", "H"]
     if args.output == "json":

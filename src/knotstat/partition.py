@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
@@ -68,9 +69,10 @@ Source = Union[Catalog, MultiplicityModel]
 # terms (about 0.5 s per 10^6); larger truncations are refused
 _MAX_QSTAR_TERMS = 10_000_000
 
-# groth_weight_counts updates every slot of its weight grid once per prime
-# weight, in big integers: about 0.5 s at this many updates (max_weight
-# 57142 with the bundled table's 35 weights); larger grids are refused
+# the weight-grid DPs (_multiset_weight_counts, groth_weight_counts) update
+# every slot of their grid once or twice per prime weight, in big integers:
+# about 0.5 s at this many updates (max_weight 57142 with the bundled
+# table's 35 weights); larger grids are refused
 _MAX_GROTH_UPDATES = 2_000_000
 
 
@@ -348,16 +350,29 @@ def _pow_q(q: float, exponent: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _grid_weights(weights: Iterable[int], max_weight: int) -> list[int]:
+    """The weights <= max_weight, the only ones a DP over the weight grid
+    0..max_weight uses; refused when max_weight times their number exceeds
+    ``_MAX_GROTH_UPDATES``."""
+    weights = [w for w in weights if w <= max_weight]
+    if max_weight * max(1, len(weights)) > _MAX_GROTH_UPDATES:
+        raise DomainError(
+            f"max_weight {max_weight} with {len(weights)} prime weights needs "
+            f"more than {_MAX_GROTH_UPDATES} weight-grid updates"
+        )
+    return weights
+
+
 def _multiset_weight_counts(cat: Catalog, max_weight: int) -> list[int]:
-    """M[v] = number of prime multisets from the catalog with total weight v.
+    """M[v] = number of prime multisets from the catalog with total weight v,
+    for 0 <= v <= max_weight (just M[0] = 1 when max_weight < 0).
 
     Exact integer dynamic programming over the weight grid, one unbounded
-    pass per prime record.
+    pass per prime record; capped as ``_grid_weights`` says.
     """
-    counts = [0] * (max_weight + 1)
-    counts[0] = 1
-    for rec in cat:
-        w = rec.weight
+    weights = _grid_weights((rec.weight for rec in cat), max_weight)
+    counts = [1] + [0] * max_weight
+    for w in weights:
         for v in range(w, max_weight + 1):
             counts[v] += counts[v - w]
     return counts
@@ -548,12 +563,7 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
     Refused when max_weight times the number of weights up to it exceeds
     ``_MAX_GROTH_UPDATES``.
     """
-    weights = [w for w in weights if w <= max_weight]  # larger ones add nothing
-    if max_weight * max(1, len(weights)) > _MAX_GROTH_UPDATES:
-        raise DomainError(
-            f"max_weight {max_weight} with {len(weights)} prime weights needs "
-            f"more than {_MAX_GROTH_UPDATES} weight-grid updates"
-        )
+    weights = _grid_weights(weights, max_weight)
     counts = [1] + [0] * max_weight
     for w in weights:
         for v in range(w, max_weight + 1):
@@ -682,9 +692,15 @@ def qstar_partition(
             f"qstar_partition needs 1 <= n_max <= {_MAX_QSTAR_TERMS}, got {n_max}"
         )
     omega, squarefree = _omega_squarefree_sieve(n_max)
-    direct = math.fsum(
-        float(1 << omega[n]) * math.exp(-beta * math.log(n)) for n in range(1, n_max + 1)
-    )
+    # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
+    # built by map pipelines with no Python frame per term; scaling by a
+    # power of two is exact, so a term has the bits of
+    # float(1 << omega(n)) * exp(-beta * log(n))
+    direct = math.fsum(map(
+        math.ldexp,
+        map(math.exp, map(mul, repeat(-beta), map(math.log, range(1, n_max + 1)))),
+        omega[1:],
+    ))
 
     # tail: sum_{n>N} 2^omega(n) n^-beta
     #     = sum_d mu^2(d) d^-beta sum_{m > N/d} m^-beta
@@ -694,7 +710,7 @@ def qstar_partition(
     # so the d-sum is N^(1-beta)/(beta-1) * sum 1/d + Q(N) N^-beta over the
     # Q(N) squarefree d <= N.
     reciprocals = math.fsum(
-        map((1.0).__truediv__, compress(range(1, n_max + 1), squarefree[1:]))
+        map(truediv, repeat(1.0), compress(range(1, n_max + 1), squarefree[1:]))
     )
     head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
     last = float(n_max) ** -beta
@@ -844,10 +860,12 @@ def z_tau(
         )
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
-    counts: Counter = Counter()
-    pairs = f_values.items() if isinstance(f_values, Mapping) else ((f, 1) for f in f_values)
-    for f, c in pairs:
-        counts[int(f)] += int(c)
+    if isinstance(f_values, Mapping):
+        counts: Counter = Counter()
+        for f, c in f_values.items():
+            counts[int(f)] += int(c)
+    else:
+        counts = Counter(map(int, f_values))
     if any(c < 0 for c in counts.values()):
         raise DomainError("weight multiplicities must be >= 0")
     classes = sorted((f, c) for f, c in counts.items() if c)

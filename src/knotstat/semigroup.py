@@ -307,30 +307,62 @@ def format_group_element(g: GroupElement) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the slot setters of the enumeration's records, which skip the checks of
+# Knot.__init__ and the reduction of GroupElement.__init__
+_set_factors = Knot.factors.__set__
+_set_positive = GroupElement.positive.__set__
+_set_negative = GroupElement.negative.__set__
+
+
 def _knot(factors: tuple[tuple[str, int], ...]) -> Knot:
     """A Knot from factors already sorted by name, with distinct names and
     multiplicities >= 1, built without re-validating them."""
     k = object.__new__(Knot)
-    object.__setattr__(k, "factors", factors)
+    _set_factors(k, factors)
     return k
 
 
 def _group_element(positive: Knot, negative: Knot) -> GroupElement:
     """A GroupElement from halves with disjoint supports (already reduced)."""
     g = object.__new__(GroupElement)
-    object.__setattr__(g, "positive", positive)
-    object.__setattr__(g, "negative", negative)
+    _set_positive(g, positive)
+    _set_negative(g, negative)
     return g
 
 
-def _enumeration_records(
-    cat: Catalog, assume_cr_additive: bool
-) -> list[tuple[str, int]]:
-    """(name, weight) of the usable primes, sorted by name: factor tuples
-    built by walking them in this order come out sorted."""
-    return sorted(
+def _knot_tree(
+    cat: Catalog, max_weight: int, assume_cr_additive: bool
+) -> tuple[list[tuple[Knot, int, int]], list[list[tuple[Knot, int]]]]:
+    """Every knot of weight <= max_weight, built once by a depth-first walk
+    over the usable primes in name order.
+
+    Returns the walk's preorder as (knot, weight, mask) triples, which is
+    the lexicographic order of the factor tuples, and the same knots split
+    into buckets by weight as (knot, mask) pairs, each bucket in preorder.
+    The mask has bit j set when the j-th prime divides the knot.  The
+    unknot is the first knot and sits in bucket 0 (the only bucket when
+    max_weight < 0).
+    """
+    usable = sorted(
         (rec.name, rec.weight) for rec in cat if rec.alternating or assume_cr_additive
     )
+    recs = [(name, wgt, 1 << j) for j, (name, wgt) in enumerate(usable)]
+    preorder: list[tuple[Knot, int, int]] = []
+    buckets: list[list[tuple[Knot, int]]] = [[] for _ in range(max(max_weight, 0) + 1)]
+
+    def extend(idx: int, acc: tuple, used: int, mask: int) -> None:
+        knot = _knot(acc)
+        preorder.append((knot, used, mask))
+        buckets[used].append((knot, mask))
+        for j in range(idx, len(recs)):
+            name, wgt, bit = recs[j]
+            mult, total = 1, used + wgt
+            while total <= max_weight:
+                extend(j + 1, acc + ((name, mult),), total, mask | bit)
+                mult, total = mult + 1, total + wgt
+
+    extend(0, (), 0, 0)
+    return preorder, buckets
 
 
 def enumerate_knots(
@@ -341,23 +373,10 @@ def enumerate_knots(
     """All composite knots of invariant weight <= max_weight, with weights.
 
     Deterministic order: ascending weight, then factor tuple.  Includes
-    the unknot at weight 0.
+    the unknot at weight 0 (alone when max_weight < 0).
     """
-    recs = _enumeration_records(cat, assume_cr_additive)
-    found: list[tuple[int, tuple]] = []
-
-    def extend(idx: int, acc: tuple, used: int) -> None:
-        found.append((used, acc))
-        for j in range(idx, len(recs)):
-            name, wgt = recs[j]
-            mult, total = 1, used + wgt
-            while total <= max_weight:
-                extend(j + 1, acc + ((name, mult),), total)
-                mult, total = mult + 1, total + wgt
-
-    extend(0, (), 0)
-    found.sort()
-    return [(_knot(factors), used) for used, factors in found]
+    _, buckets = _knot_tree(cat, max_weight, assume_cr_additive)
+    return [(knot, v) for v, bucket in enumerate(buckets) for knot, _ in bucket]
 
 
 def enumerate_group_elements(
@@ -369,27 +388,24 @@ def enumerate_group_elements(
 
     Total weight is weight(positive) + weight(negative); supports are
     disjoint by reducedness.  Deterministic order: ascending weight, then
-    the factor tuples.  Includes the identity at weight 0.  Each prime
-    goes to one half only, so supports are disjoint by construction and
-    every distinct half is built once and shared between elements.
+    the factor tuples.  Includes the identity at weight 0 (alone when
+    max_weight < 0).  Every distinct half is built once and shared
+    between elements.
+
+    The positive halves are walked in factor-tuple order; each is paired
+    with every knot of each weight it leaves room for whose primes it does
+    not use, into the bucket of the total weight.  Each bucket so comes
+    out ordered by (positive, negative) without a sort.
     """
-    recs = _enumeration_records(cat, assume_cr_additive)
-    found: list[tuple[int, tuple, tuple]] = []
-
-    def extend(idx: int, pos: tuple, neg: tuple, used: int) -> None:
-        found.append((used, pos, neg))
-        for j in range(idx, len(recs)):
-            name, wgt = recs[j]
-            mult, total = 1, used + wgt
-            while total <= max_weight:
-                factor = ((name, mult),)
-                extend(j + 1, pos + factor, neg, total)
-                extend(j + 1, pos, neg + factor, total)
-                mult, total = mult + 1, total + wgt
-
-    extend(0, (), (), 0)
-    found.sort()
-    knots = {f: _knot(f) for f in {f for _, pos, neg in found for f in (pos, neg)}}
-    return [
-        (_group_element(knots[pos], knots[neg]), used) for used, pos, neg in found
-    ]
+    preorder, buckets = _knot_tree(cat, max_weight, assume_cr_additive)
+    found: list[list[tuple[GroupElement, int]]] = [[] for _ in buckets]
+    top = len(buckets) - 1
+    for pos, a, pmask in preorder:
+        for v in range(top - a + 1):
+            u = a + v
+            found[u] += [
+                (_group_element(pos, neg), u)
+                for neg, nmask in buckets[v]
+                if not nmask & pmask
+            ]
+    return [pair for bucket in found for pair in bucket]

@@ -111,16 +111,22 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve of Eratosthenes."""
+def _prime_flags(n: int) -> bytearray:
+    """flags[m] = 1 if m is prime else 0, for 0 <= m <= n, by the sieve of
+    Eratosthenes (empty when n < 0)."""
     if n < 2:
-        return []
+        return bytearray(max(n + 1, 0))
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
+    return flags
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n by sieve of Eratosthenes."""
+    return list(compress(range(n + 1), _prime_flags(n)))
 
 
 # bytes.translate table for +1; omega(n) <= 8 for n <= 10^7 (the product of
@@ -130,14 +136,19 @@ _INCREMENT = bytes(range(1, 256)) + b"\xff"
 
 def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
     """omega(n) (number of distinct prime factors) and the squarefree flag
-    of n, for 0 <= n <= n_max, from one pass over the primes: each prime
-    bumps its multiples by one slice-wide table lookup."""
-    omega = bytearray(n_max + 1)
+    of n, for 0 <= n <= n_max.
+
+    omega starts as the primality flags, which count each prime once; then
+    each prime p <= n_max/2 bumps its proper multiples 2p, 3p, ... by one
+    slice-wide table lookup (a larger prime has no proper multiple in
+    range)."""
+    flags = _prime_flags(n_max)
+    omega = flags[:]
     squarefree = bytearray([1]) * (n_max + 1)
-    for p in primes_up_to(n_max):
-        omega[p::p] = omega[p::p].translate(_INCREMENT)
-        if p * p <= n_max:
-            squarefree[p * p :: p * p] = bytes(len(range(p * p, n_max + 1, p * p)))
+    for p in compress(range(n_max // 2 + 1), flags):
+        omega[2 * p :: p] = omega[2 * p :: p].translate(_INCREMENT)
+    for p in compress(range(math.isqrt(max(n_max, 0)) + 1), flags):
+        squarefree[p * p :: p * p] = bytes(len(range(p * p, n_max + 1, p * p)))
     return omega, squarefree
 
 

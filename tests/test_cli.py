@@ -408,6 +408,28 @@ class TestFigures:
         assert code == 1
         assert flag in payload["error"]
 
+    @pytest.mark.parametrize("which, n_points", [("H", "0"), ("H", "1"), ("H", "-3"),
+                                                 ("f", "1")])
+    def test_fewer_than_two_points_refused(self, capsys, which, n_points):
+        code, payload = invoke_json(
+            capsys, "figures", "--which", which, "--n-points", n_points,
+        )
+        assert code == 1
+        assert "n_points >= 2" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--q-max", "1e400"), ("--q-max", "nan"), ("--q-min", "-inf"),
+         ("--q-min", "nan")],
+    )
+    def test_non_finite_q_bound_refused(self, capsys, flag, value):
+        code, payload = invoke_json(
+            capsys, "figures", "--which", "H", f"{flag}={value}", "--n-points", "3",
+        )
+        assert code == 1
+        assert flag in payload["error"] and "finite" in payload["error"]
+        assert "lambda_beta" not in payload["error"]
+
     def test_bit_identical_runs(self, capsys):
         args = ("figures", "--which", "f", "--q", "3", "--output", "csv")
         _, first = invoke(capsys, *args)
@@ -862,6 +884,10 @@ class TestCostCaps:
         (["figures", "--which", "f", "--n-points", "1000000"], "100000 grid points"),
         (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "100000000"], "0..100000"),
         (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "-3"], "0..100000"),
+        (["z-alt", "--beta", "2", "--max-weight", "100000000", "--mode", "direct"],
+         "weight-grid updates"),
+        (["z-alt", "--beta", "2", "--max-weight", "10000000", "--mode", "both"],
+         "weight-grid updates"),
     ])
     def test_refused_in_time(self, capsys, argv, bound):
         start = time.perf_counter()

@@ -19,6 +19,7 @@ from knotstat.errors import DivergenceError, DomainError
 from knotstat.partition import (
     SeriesResult,
     ThresholdReport,
+    _multiset_weight_counts,
     beta_minus_rhs_constant,
     bound_gap_F,
     crossover_x,
@@ -472,6 +473,21 @@ class TestGrothWeightCounts:
 
     def test_negative_truncation_keeps_identity(self):
         assert groth_weight_counts([4, 5], -1) == [1]
+
+    def test_multiset_counts_share_the_cap(self, cat):
+        """The direct Z_a sum's multiset counts take the same grid rule."""
+        assert _multiset_weight_counts(cat, -1) == [1]
+        assert len(_multiset_weight_counts(cat, 57142)) == 57143
+        for max_weight in (57143, 10**8):
+            with pytest.raises(DomainError, match="2000000 weight-grid updates"):
+                _multiset_weight_counts(cat, max_weight)
+        with pytest.raises(DomainError, match="weight-grid updates"):
+            z_alternating(2.0, 2, cat, mode="direct", max_weight=10**8)
+
+    def test_direct_mode_below_weight_zero(self, cat):
+        res = z_alternating(2.0, 2, cat, mode="direct", max_weight=-1)
+        assert res.value == 1.0 and res.terms_used == 1
+        assert res.value <= res.details["product"] <= res.value + res.tail_bound
 
     def test_cost_cap_counts_weights_up_to_max(self):
         # max_weight times the number of weights <= max_weight is capped

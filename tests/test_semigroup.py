@@ -467,6 +467,16 @@ class TestEnumerationConstruction:
             _multiset_weight_counts(source, max_w)
         )
 
+    @pytest.mark.parametrize("max_w", [-1, -4, -1000])
+    @pytest.mark.parametrize("assume", [False, True])
+    def test_negative_truncation_keeps_identity(self, cat, max_w, assume):
+        """Below weight 0 only the unknot and the identity remain, at weight 0,
+        as the weight-grid counts keep M[0] = G[0] = 1."""
+        assert enumerate_knots(cat, max_w, assume) == [(Knot.unknot(), 0)]
+        elements = enumerate_group_elements(cat, max_w, assume)
+        assert elements == [(GroupElement.identity(), 0)]
+        assert elements[0][0].is_identity()
+
     def test_f_weight_names_the_non_alternating_factor(self, cat, wq2):
         name = next(rec.name for rec in cat if not rec.alternating)
         g = GroupElement(Knot.prime("3_1"), Knot.prime(name))
