@@ -52,7 +52,7 @@ _EXPORTS = {
         "builtin_presentation", "unknot_presentation", "amalgamate",
         "abelianization", "alexander_poly_fox", "alexander_from_seifert",
         "derham_solve", "derham_direct_sum", "DeRhamRep", "DirectSumRep",
-        "load_presentation", "save_presentation",
+        "load_presentation", "save_presentation", "format_presentation",
     ),
     "kms": (
         "EigenvalueList", "toeplitz_eigenlist", "gibbs_monomial", "AdelicUnit",

@@ -1,10 +1,11 @@
 """Command-line interface: catalog ingestion, partition functions,
 thresholds, figure data, equilibrium states, and presentation tools.
 
-Scalar results are printed as one deterministic JSON object (keys
-sorted, complex numbers as {"re": .., "im": ..}); grid-producing
-subcommands (``figures``, and ``ingest`` in table mode) emit CSV with a
-header row.  The seven flags common to every subcommand have
+Each handler returns its result and ``run`` alone writes stdout: a dict
+as one deterministic, strict JSON object (keys sorted, complex numbers as
+{"re": .., "im": ..}, +-inf as strings, a NaN refused), a (header, rows)
+pair, from ``figures`` and ``ingest`` in CSV mode, as CSV with a header
+row.  The seven flags common to every subcommand have
 environment-variable overrides with the ``KNOTSTAT_`` prefix
 (``KNOTSTAT_Q``, ``KNOTSTAT_N_RHO``, ...).  Exit
 codes: 0 on success, 1 on domain or divergence errors (reported with a
@@ -76,37 +77,29 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(obj), sort_keys=True) + "\n")
-
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _render(result) -> str:
+    """A handler's result as stdout text: a dict as one strict JSON object
+    (a NaN anywhere is a ValueError), a (header, rows) pair as CSV."""
+    if isinstance(result, dict):
+        return json.dumps(_jsonable(result), sort_keys=True, allow_nan=False) + "\n"
+    header, rows = result
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit_error(message: str, output: str) -> None:
-    if output == "csv":
-        _emit_csv(["error"], [[message]])
-    else:
-        _emit_json({"error": message})
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _series_payload(result: _pt.SeriesResult, **extra) -> dict:
-    payload = {
+    return {
         "value": result.value,
         "terms_used": result.terms_used,
         "tail_bound": result.tail_bound,
         "converged": result.converged,
         "status": result.status,
-        "details": dict(result.details),
+        "details": result.details,
+        **extra,
     }
-    payload.update(extra)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +107,7 @@ def _series_payload(result: _pt.SeriesResult, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ingest(args) -> None:
+def _cmd_ingest(args) -> dict | tuple:
     cat = _load_catalog(args)
     if args.output == "csv":
         rows = [
@@ -129,21 +122,18 @@ def _cmd_ingest(args) -> None:
             ]
             for rec in cat
         ]
-        _emit_csv(
+        return (
             ["name", "crossings", "genus", "alternating", "torus", "weight",
              "alexander"],
             rows,
         )
-        return
-    _emit_json(
-        {
-            "rows": len(cat),
-            "filter": args.filter,
-            "alternating": sum(1 for r in cat if r.alternating),
-            "torus": sum(1 for r in cat if r.torus),
-            "weights": [list(pair) for pair in _catalog.weights_with_counts(cat)],
-        }
-    )
+    return {
+        "rows": len(cat),
+        "filter": args.filter,
+        "alternating": sum(1 for r in cat if r.alternating),
+        "torus": sum(1 for r in cat if r.torus),
+        "weights": [list(pair) for pair in _catalog.weights_with_counts(cat)],
+    }
 
 
 def _source(args):
@@ -152,42 +142,42 @@ def _source(args):
     return _load_catalog(args)
 
 
-def _cmd_z_alt(args) -> None:
+def _cmd_z_alt(args) -> dict:
     from . import partition as _pt
 
     result = _pt.z_alternating(
         args.beta, args.q, _source(args), tol=args.tolerance,
         mode=args.mode, max_weight=args.max_weight,
     )
-    _emit_json(_series_payload(
+    return _series_payload(
         result, beta=args.beta, q=args.q, source=args.source, mode=args.mode,
-    ))
+    )
 
 
-def _cmd_z_groth(args) -> None:
+def _cmd_z_groth(args) -> dict:
     from . import partition as _pt
 
     result = _pt.z_grothendieck(
         args.beta, args.q, _source(args), tol=args.tolerance,
         max_weight=args.max_weight,
     )
-    _emit_json(_series_payload(
+    return _series_payload(
         result, beta=args.beta, q=args.q, source=args.source,
-    ))
+    )
 
 
-def _cmd_z_qstar(args) -> None:
+def _cmd_z_qstar(args) -> dict:
     from . import partition as _pt
 
     result = _pt.qstar_partition(
         args.beta, n_max=args.n_max, mode=args.mode, tol=args.tolerance
     )
-    _emit_json(_series_payload(
+    return _series_payload(
         result, beta=args.beta, mode=args.mode, n_max=args.n_max,
-    ))
+    )
 
 
-def _cmd_z_tau(args) -> None:
+def _cmd_z_tau(args) -> dict:
     from . import partition as _pt
     from . import semigroup as _sg
     from .specfun import _huge_weight_cut
@@ -213,27 +203,25 @@ def _cmd_z_tau(args) -> None:
                 break
             f_counts[f] = g_v
     result = _pt.z_tau(args.beta, f_counts, n_rho=args.n_rho, tol=args.tolerance)
-    _emit_json(_series_payload(
+    return _series_payload(
         result, beta=args.beta, q=args.q, n_rho=args.n_rho,
         max_weight=args.max_weight, group_elements=sum(counts),
-    ))
+    )
 
 
-def _cmd_thresholds(args) -> None:
+def _cmd_thresholds(args) -> dict:
     from . import partition as _pt
 
     report = _pt.threshold_report(args.q)
-    _emit_json(
-        {
-            "q": report.q,
-            "beta_plus": report.beta_plus,
-            "beta_minus": report.beta_minus,
-            "beta_tilde_minus": report.beta_tilde_minus,
-            "rhs_constant": _pt.beta_minus_rhs_constant(),
-            "F": _pt.bound_gap_F(args.q),
-            "crossover_x": _pt.crossover_x(),
-        }
-    )
+    return {
+        "q": report.q,
+        "beta_plus": report.beta_plus,
+        "beta_minus": report.beta_minus,
+        "beta_tilde_minus": report.beta_tilde_minus,
+        "rhs_constant": _pt.beta_minus_rhs_constant(),
+        "F": _pt.bound_gap_F(args.q),
+        "crossover_x": _pt.crossover_x(),
+    }
 
 
 def _require_finite(*flags: tuple[str, Optional[float]]) -> None:
@@ -243,7 +231,7 @@ def _require_finite(*flags: tuple[str, Optional[float]]) -> None:
             raise KnotstatError(f"{flag} must be finite, got {value}")
 
 
-def _cmd_figures(args) -> None:
+def _cmd_figures(args) -> dict | tuple:
     from . import partition as _pt
 
     if args.n_points > _MAX_VALUES:
@@ -264,7 +252,8 @@ def _cmd_figures(args) -> None:
             )
         header = ["beta", "f"]
     else:
-        _require_finite(("--q-min", args.q_min), ("--q-max", args.q_max))
+        _require_finite(("--q-min", args.q_min), ("--q-max", args.q_max),
+                        ("--figure-c", args.figure_c))
         if args.n_points < 2:
             raise KnotstatError(f"need n_points >= 2, got {args.n_points}")
         step = (args.q_max - args.q_min) / (args.n_points - 1)
@@ -272,12 +261,11 @@ def _cmd_figures(args) -> None:
         rows = _pt.figure_H_grid(grid, C=args.figure_c)
         header = ["q", "H"]
     if args.output == "json":
-        _emit_json({"columns": header, "rows": [list(r) for r in rows]})
-        return
-    _emit_csv(header, [[f"{a!r}", f"{b!r}"] for a, b in rows])
+        return {"columns": header, "rows": [list(r) for r in rows]}
+    return header, [[f"{a!r}", f"{b!r}"] for a, b in rows]
 
 
-def _cmd_kms_toeplitz(args) -> None:
+def _cmd_kms_toeplitz(args) -> dict:
     from . import kms as _kms
     from . import semigroup as _sg
 
@@ -287,18 +275,16 @@ def _cmd_kms_toeplitz(args) -> None:
     cat = _load_catalog(args)
     knot = _sg.parse_knot(args.knot)
     ev = _kms.toeplitz_eigenlist(knot, args.beta, args.q, cat)
-    _emit_json(
-        {
-            "knot": args.knot,
-            "beta": args.beta,
-            "q": args.q,
-            "lambda1": ev.lambda1,
-            "generator_ratio": ev.generator_ratio,
-            "entries": [ev.entries(k) for k in range(n)],
-            "partial_sum": ev.partial_sum(n),
-            "tail": ev.tail(n),
-        }
-    )
+    return {
+        "knot": args.knot,
+        "beta": args.beta,
+        "q": args.q,
+        "lambda1": ev.lambda1,
+        "generator_ratio": ev.generator_ratio,
+        "entries": [ev.entries(k) for k in range(n)],
+        "partial_sum": ev.partial_sum(n),
+        "tail": ev.tail(n),
+    }
 
 
 def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
@@ -317,7 +303,7 @@ def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
     return _kms.AdelicUnit.of(mapping)
 
 
-def _cmd_kms_bc(args) -> None:
+def _cmd_kms_bc(args) -> dict:
     from . import kms as _kms
     from .crossed import QmodZ
 
@@ -330,8 +316,7 @@ def _cmd_kms_bc(args) -> None:
     else:
         value = _kms.bc_low_temperature(r, beta, u)
         regime = "ground" if beta == math.inf else "low"
-    _emit_json({"r": args.r, "beta": _jsonable(beta), "regime": regime,
-                "value": value})
+    return {"r": args.r, "beta": beta, "regime": regime, "value": value}
 
 
 def _parse_monomial(text: str) -> _kms.Monomial:
@@ -364,7 +349,7 @@ def _parse_entry(text: str) -> tuple[_sg.GroupElement, _kms.Monomial]:
     )
 
 
-def _cmd_kms_psi(args) -> None:
+def _cmd_kms_psi(args) -> dict:
     from . import kms as _kms
     from . import semigroup as _sg
 
@@ -378,42 +363,35 @@ def _cmd_kms_psi(args) -> None:
         lhs, rhs, diff = _kms.psi_pushforward(
             h, f, args.beta, u, w, cat, n_rho=args.n_rho
         )
-        _emit_json(
-            {
-                "beta": args.beta,
-                "n_rho": args.n_rho,
-                "translate": args.translate,
-                "lhs": lhs,
-                "rhs": rhs,
-                "difference": diff,
-            }
-        )
-        return
-    value = _kms.psi_product_state(f, args.beta, u, w, cat, n_rho=args.n_rho)
-    _emit_json(
-        {
+        return {
             "beta": args.beta,
             "n_rho": args.n_rho,
-            "entries": len(entries),
-            "value": value,
+            "translate": args.translate,
+            "lhs": lhs,
+            "rhs": rhs,
+            "difference": diff,
         }
-    )
+    value = _kms.psi_product_state(f, args.beta, u, w, cat, n_rho=args.n_rho)
+    return {
+        "beta": args.beta,
+        "n_rho": args.n_rho,
+        "entries": len(entries),
+        "value": value,
+    }
 
 
-def _cmd_ratio_witness(args) -> None:
+def _cmd_ratio_witness(args) -> dict:
     from . import kms as _kms
 
     ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, args.q, _model(args))
-    _emit_json(
-        {
-            "n": args.n,
-            "big_n": args.big_n,
-            "beta": args.beta,
-            "q": args.q,
-            "ratio": ratio,
-            "expected": float(args.q) ** (-args.beta),
-        }
-    )
+    return {
+        "n": args.n,
+        "big_n": args.big_n,
+        "beta": args.beta,
+        "q": args.q,
+        "ratio": ratio,
+        "expected": float(args.q) ** (-args.beta),
+    }
 
 
 def _presentation_from_args(args) -> _kg.Presentation:
@@ -432,47 +410,30 @@ def _presentation_from_args(args) -> _kg.Presentation:
     return _kg.load_presentation(args.file)
 
 
-def _presentation_text(p: _kg.Presentation) -> str:
-    import tempfile
-
-    from . import knotgroups as _kg
-
-    with tempfile.NamedTemporaryFile("r", suffix=".txt", delete=False) as handle:
-        path = handle.name
-    try:
-        _kg.save_presentation(p, path)
-        with open(path) as f:
-            return f.read()
-    finally:
-        os.unlink(path)
-
-
-def _cmd_wirtinger(args) -> None:
+def _cmd_wirtinger(args) -> dict:
     from . import knotgroups as _kg
 
     p = _presentation_from_args(args)
     if args.out:
         _kg.save_presentation(p, args.out)
     ab = _kg.abelianization(p)
-    _emit_json(
-        {
-            "generators": list(p.generators),
-            "relators": [list(w) for w in p.relators],
-            "n_generators": p.n_generators,
-            "n_relators": len(p.relators),
-            "basepoint": p.basepoint,
-            "wirtinger": p.is_wirtinger(),
-            "abelianization": {
-                "free_rank": ab.free_rank,
-                "torsion": list(ab.torsion),
-            },
-            "text": _presentation_text(p),
-            "saved_to": args.out,
-        }
-    )
+    return {
+        "generators": list(p.generators),
+        "relators": [list(w) for w in p.relators],
+        "n_generators": p.n_generators,
+        "n_relators": len(p.relators),
+        "basepoint": p.basepoint,
+        "wirtinger": p.is_wirtinger(),
+        "abelianization": {
+            "free_rank": ab.free_rank,
+            "torsion": list(ab.torsion),
+        },
+        "text": _kg.format_presentation(p),
+        "saved_to": args.out,
+    }
 
 
-def _cmd_alexander(args) -> None:
+def _cmd_alexander(args) -> dict:
     from . import knotgroups as _kg
 
     if args.seifert:
@@ -482,28 +443,23 @@ def _cmd_alexander(args) -> None:
             if row.strip()
         ]
         poly = _kg.alexander_from_seifert(rows)
-        _emit_json(
-            {
-                "method": "seifert",
-                "coefficients": poly.as_list(),
-                "string": str(poly),
-            }
-        )
-        return
+        return {
+            "method": "seifert",
+            "coefficients": poly.as_list(),
+            "string": str(poly),
+        }
     p = _presentation_from_args(args)
     method = "fox"
     if args.sum:
         p = _kg.amalgamate(p, _kg.builtin_presentation(args.sum))
         method = "fox-amalgamated"
     poly = _kg.alexander_poly_fox(p)
-    _emit_json(
-        {
-            "method": method,
-            "coefficients": poly.as_list(),
-            "string": str(poly),
-            "determinant_at_minus_1": abs(poly.evaluate(-1.0)),
-        }
-    )
+    return {
+        "method": method,
+        "coefficients": poly.as_list(),
+        "string": str(poly),
+        "determinant_at_minus_1": abs(poly.evaluate(-1.0)),
+    }
 
 
 def _parse_complex(text: str) -> complex:
@@ -515,14 +471,13 @@ def _alexander_roots(poly: _kg.LaurentPoly) -> list[complex]:
 
     dense = poly.as_list()
     roots = np.roots(list(reversed(dense)))
-    ordered = sorted(
+    return sorted(
         (complex(z) for z in roots),
         key=lambda z: (round(z.real, 12), round(z.imag, 12)),
     )
-    return ordered
 
 
-def _cmd_derham(args) -> None:
+def _cmd_derham(args) -> dict:
     from . import knotgroups as _kg
 
     p = _presentation_from_args(args)
@@ -540,30 +495,25 @@ def _cmd_derham(args) -> None:
             )
         root = roots[args.root_index]
     rep = _kg.derham_solve(p, root, branch=args.branch, alexander=poly)
-    _emit_json(
-        {
-            "root": rep.root,
-            "sqrt_root": rep.sqrt_root,
-            "branch": args.branch,
-            "x_values": list(rep.x_values),
-            "residual": rep.residual,
-            "kernel_dim": rep.kernel_dim,
-            "alexander": poly.as_list(),
-        }
-    )
+    return {
+        "root": rep.root,
+        "sqrt_root": rep.sqrt_root,
+        "branch": args.branch,
+        "x_values": list(rep.x_values),
+        "residual": rep.residual,
+        "kernel_dim": rep.kernel_dim,
+        "alexander": poly.as_list(),
+    }
 
 
-def _cmd_bc_normalize(args) -> None:
+def _cmd_bc_normalize(args) -> dict:
     from .crossed import bc_normalize, parse_bc_word
 
     word = parse_bc_word(args.word.split())
     nf = bc_normalize(word)
-    terms = {
-        str(label): str(coeff) for label, coeff in sorted(
-            nf.x.terms.items(), key=lambda kv: str(kv[0])
-        )
-    }
-    _emit_json({"a": nf.a, "b": nf.b, "x": terms, "string": str(nf)})
+    # the renderer sorts the keys
+    terms = {str(label): str(coeff) for label, coeff in nf.x.terms.items()}
+    return {"a": nf.a, "b": nf.b, "x": terms, "string": str(nf)}
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +678,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         _check_common(args)
-        _COMMANDS[args.command][1](args)
-        return 0
+        code, text = 0, _render(_COMMANDS[args.command][1](args))
     except (KnotstatError, ValueError, OSError) as exc:
-        _emit_error(str(exc), args.output)
-        return 1
+        msg = str(exc)
+        error = (["error"], [[msg]]) if args.output == "csv" else {"error": msg}
+        code, text = 1, _render(error)
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

@@ -501,6 +501,12 @@ def ratio_witness(
         raise DomainError(f"n must be >= 1, got {n}")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
+    for name, value in (("q", q), ("big_n", big_n)):
+        if abs(value) > sys.float_info.max:  # int-float comparison is exact
+            raise DomainError(
+                f"{name} must lie within the float range, got a "
+                f"{value.bit_length()}-bit integer"
+            )
     if beta * big_n <= threshold_beta_plus():
         raise DomainError(
             f"need beta N > beta_plus = {threshold_beta_plus():.6f}, "

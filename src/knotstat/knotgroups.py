@@ -51,6 +51,7 @@ __all__ = [
     "DirectSumRep",
     "derham_direct_sum",
     "load_presentation",
+    "format_presentation",
     "save_presentation",
 ]
 
@@ -1050,8 +1051,8 @@ def load_presentation(path: Union[str, Path]) -> Presentation:
     )
 
 
-def save_presentation(p: Presentation, path: Union[str, Path]) -> None:
-    """Write the text form read by load_presentation.
+def format_presentation(p: Presentation) -> str:
+    """The text form read by load_presentation.
 
     Generators are re-lettered a, b, c, ... in order (at most 26); the
     basepoint is moved to the front so the format's basepoint convention
@@ -1068,4 +1069,9 @@ def save_presentation(p: Presentation, path: Union[str, Path]) -> None:
             lo = letter_of[abs(letter)]
             tokens.append(lo if letter > 0 else lo.upper())
         lines.append(" ".join(tokens))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_presentation(p: Presentation, path: Union[str, Path]) -> None:
+    """Write format_presentation(p) to path."""
+    Path(path).write_text(format_presentation(p))

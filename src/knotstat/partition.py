@@ -319,6 +319,8 @@ def figure_H_value(q: float, C: float = 400.0) -> float:
     """H(q): f(beta, q) at beta = pi/ln q minus (ln C - 6 ln ln q)."""
     if q < 2:
         raise DomainError(f"figure_H_value requires q >= 2, got {q}")
+    if not 0 < C < math.inf:  # NaN fails it too
+        raise DomainError(f"figure_H_value requires a finite C > 0, got {C}")
     beta = math.pi / math.log(q)
     return figure_f_value(beta, q) - (math.log(C) - 6.0 * math.log(math.log(q)))
 

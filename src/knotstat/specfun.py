@@ -213,10 +213,10 @@ def _hurwitz_em(s: float, a: float, bernoulli_terms: int = 8) -> float:
 
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1, to at least 12 significant digits."""
-    if s <= 1:
+    """zeta(s) for s > 1, to at least 12 significant digits; zeta(+inf) = 1."""
+    if not s > 1:  # NaN fails it too
         raise DomainError(f"riemann_zeta requires s > 1, got {s}")
-    return _hurwitz_em(s, 1.0)
+    return 1.0 if s == math.inf else _hurwitz_em(s, 1.0)
 
 
 def hurwitz_zeta(s: float, a: float) -> float:

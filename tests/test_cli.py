@@ -297,11 +297,10 @@ class TestPartitionCommands:
         )
         every_class = {q ** (10 * v): g_v for v, g_v in enumerate(counts) if g_v}
         result = pt.z_tau(float(beta), every_class, n_rho=1, tol=1e-12)
-        cli._emit_json(cli._series_payload(
+        assert out == cli._render(cli._series_payload(
             result, beta=float(beta), q=q, n_rho=1, max_weight=max_weight,
             group_elements=sum(counts),
         ))
-        assert out == capsys.readouterr().out
 
     def test_z_tau_huge_truncation_in_time(self, capsys):
         start = time.perf_counter()
@@ -902,3 +901,114 @@ class TestCostCaps:
         assert code == 0 and len(payload["entries"]) == 100_000
         code, out = invoke(capsys, "z-tau", "--beta", "1.5", "--max-weight", "50000")
         assert code == 0
+
+
+def _no_constant(name):
+    raise ValueError(f"bare {name} in stdout")
+
+
+class TestSingleEmitPath:
+    """``run`` alone writes stdout, through one renderer, for results and
+    errors alike; a NaN anywhere in a payload is refused, not printed."""
+
+    @pytest.mark.parametrize("argv, code, needle", [
+        (["ratio-witness", "--n", "3", "--big-n", "12", "--beta", "1",
+          "--q", str(10**400)], 1, "q must lie within the float range"),
+        (["ratio-witness", "--n", "3", "--big-n", str(10**400), "--beta", "1"],
+         1, "big_n must lie within the float range"),
+        (["figures", "--which", "H", "--figure-c", "0", "--n-points", "3"],
+         1, "finite C > 0"),
+        (["figures", "--which", "H", "--figure-c", "nan", "--n-points", "3"],
+         1, "--figure-c must be finite"),
+        (["bc-normalize", "--word", "mu:1000000 e:1/3 mu*:1000000"],
+         1, "preimage terms"),
+        (["z-qstar", "--beta", "1e308"], 0, None),
+        (["z-qstar", "--beta", "1e308", "--mode", "direct", "--n-max", "10"], 0, None),
+    ])
+    def test_defect_inputs(self, capsys, argv, code, needle):
+        start = time.perf_counter()
+        got = run(argv)
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 2.0
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out, parse_constant=_no_constant)
+        assert got == code
+        if code == 1:
+            assert set(payload) == {"error"} and needle in payload["error"]
+        else:
+            assert payload["value"] == 1.0 and payload["converged"] is True
+            assert payload["details"] in ({}, {"closed": 1.0})
+
+    def test_nan_payload_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "thresholds",
+                            (None, lambda args: {"value": math.nan}, ()))
+        code, out = invoke(capsys, "thresholds")
+        assert code == 1
+        payload = json.loads(out, parse_constant=_no_constant)
+        assert set(payload) == {"error"}
+
+    # One refused argv per subcommand: (argv, stdout with --output json,
+    # stdout with --output csv), all exit 1, recorded before the handlers
+    # returned their payloads and pinned byte for byte.
+    PINNED_ERRORS = [
+        (["ingest", "--catalog", "no_such_catalog.csv"],
+         '{"error": "catalog file not found: no_such_catalog.csv"}\n',
+         'error\ncatalog file not found: no_such_catalog.csv\n'),
+        (["z-alt", "--beta", "1.5", "--source", "model"],
+         '{"error": "partition series diverges: beta=1.5 is below beta_minus(2) '
+         '= 1.939085 (regime: divergent)"}\n',
+         'error\npartition series diverges: beta=1.5 is below beta_minus(2) '
+         '= 1.939085 (regime: divergent)\n'),
+        (["z-groth", "--beta", "nan"],
+         '{"error": "z_grothendieck requires a finite beta, got nan"}\n',
+         'error\n"z_grothendieck requires a finite beta, got nan"\n'),
+        (["z-qstar", "--beta", "1"],
+         '{"error": "qstar partition function diverges for beta <= 1, got 1.0"}\n',
+         'error\n"qstar partition function diverges for beta <= 1, got 1.0"\n'),
+        (["z-tau", "--beta", "1.0"],
+         '{"error": "Z_tau is trace-class only for beta > 1, got beta = 1.0"}\n',
+         'error\n"Z_tau is trace-class only for beta > 1, got beta = 1.0"\n'),
+        (["thresholds", "--q", "1"],
+         '{"error": "q must be >= 2, got 1"}\n',
+         'error\n"q must be >= 2, got 1"\n'),
+        (["figures", "--which", "H", "--n-points", "1"],
+         '{"error": "need n_points >= 2, got 1"}\n',
+         'error\n"need n_points >= 2, got 1"\n'),
+        (["kms-toeplitz", "--knot", "unknot", "--beta", "10"],
+         '{"error": "the unknot has weight 0 and no normalizable state"}\n',
+         'error\nthe unknot has weight 0 and no normalizable state\n'),
+        (["kms-bc", "--r", "1/0", "--beta", "2"],
+         '{"error": "zero denominator in \'1/0\'"}\n',
+         "error\nzero denominator in '1/0'\n"),
+        (["kms-psi", "--beta", "2", "--entry", "bogus"],
+         '{"error": "bad entry \'bogus\'; expected GROUP::MONOMIAL"}\n',
+         "error\nbad entry 'bogus'; expected GROUP::MONOMIAL\n"),
+        (["ratio-witness", "--n", "0", "--big-n", "12", "--beta", "1"],
+         '{"error": "n must be >= 1, got 0"}\n',
+         'error\n"n must be >= 1, got 0"\n'),
+        (["wirtinger", "--knot", "3_1", "--braid", "1,1,1"],
+         '{"error": "exactly one of --knot, --braid, --file must be given"}\n',
+         'error\n"exactly one of --knot, --braid, --file must be given"\n'),
+        (["alexander", "--seifert", "1 2; 3"],
+         '{"error": "Seifert matrix must be square"}\n',
+         'error\nSeifert matrix must be square\n'),
+        (["derham", "--knot", "3_1", "--root", "2"],
+         '{"error": "r=(2+0j) is not a root of the Alexander polynomial '
+         '(|Delta(r)| = 3.000e+00)"}\n',
+         'error\nr=(2+0j) is not a root of the Alexander polynomial '
+         '(|Delta(r)| = 3.000e+00)\n'),
+        (["bc-normalize", "--word", 'mu:2 "e":1/3'],
+         '{"error": "unknown token kind \'\\"e\\"\'"}\n',
+         'error\n"unknown token kind \'""e""\'"\n'),
+    ]
+
+    def test_pinned_errors_cover_every_command(self):
+        assert [argv[0] for argv, _, _ in self.PINNED_ERRORS] == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("case", PINNED_ERRORS, ids=lambda case: case[0][0])
+    def test_pinned_error_bytes(self, capsys, monkeypatch, tmp_path, case, output):
+        monkeypatch.chdir(tmp_path)
+        argv, json_out, csv_out = case
+        code, out = invoke(capsys, *argv, "--output", output)
+        assert (code, out) == (1, json_out if output == "json" else csv_out)

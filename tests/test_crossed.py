@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotstat import crossed
 from knotstat.crossed import (
     BCNormalForm,
     GroupRingElement,
@@ -170,6 +171,20 @@ class TestSigmaAlpha:
             sigma_n(GroupRingElement.one(), 0)
         with pytest.raises(DomainError):
             alpha_n(GroupRingElement.one(), -2)
+
+    def test_alpha_preimage_cap(self):
+        """n times the number of terms is capped before any term is built."""
+        x = E(Fraction(1, 3)) + E(Fraction(1, 5))
+        cap = crossed._MAX_PREIMAGES
+        assert len(alpha_n(x, cap // 2).terms) == cap
+        assert len(idempotent_e(cap).terms) == cap
+        with pytest.raises(DomainError, match=f"{cap + 2} preimage terms"):
+            alpha_n(x, cap // 2 + 1)
+        with pytest.raises(DomainError, match="preimage terms"):
+            idempotent_e(cap + 1)
+        word = parse_bc_word([f"mu:{cap + 1}", "e:1/3", f"mu*:{cap + 1}"])
+        with pytest.raises(DomainError, match="preimage terms"):
+            bc_normalize(word)
 
 
 class TestHatPi:

@@ -657,6 +657,15 @@ class TestRatioWitness:
         with pytest.raises(DomainError, match="underflow"):
             ratio_witness(600, 12, 1.0, 2, model)
 
+    def test_past_float_range_refused(self, model):
+        """float(q) and beta * big_n raised OverflowError past the float range."""
+        with pytest.raises(DomainError, match="^q must lie within the float range"):
+            ratio_witness(3, 12, 1.0, 10**400, model)
+        with pytest.raises(DomainError, match="^big_n must lie within the float range"):
+            ratio_witness(3, 10**400, 1.0, 2, model)
+        with pytest.raises(DomainError, match="^big_n"):
+            ratio_witness(3, -(10**400), 1.0, 2, model)
+
 
 class TestNonFiniteBeta:
     """NaN and +-inf slip past order tests such as ``beta <= 0``; each state refuses them."""

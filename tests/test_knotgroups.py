@@ -36,6 +36,7 @@ from knotstat.knotgroups import (
     derham_direct_sum,
     derham_solve,
     exponent_sum,
+    format_presentation,
     fox_matrix,
     free_reduce,
     invert_word,
@@ -494,6 +495,13 @@ class TestPresentationIO:
         loaded = load_presentation(path)
         assert loaded.n_generators == p.n_generators
         assert alexander_poly_fox(loaded) == alexander_poly_fox(p)
+
+    def test_format_is_the_saved_text(self, tmp_path):
+        p = braid_to_wirtinger([1, -2, 1, -2])
+        path = tmp_path / "p.txt"
+        save_presentation(p, path)
+        assert format_presentation(p) == path.read_text()
+        assert format_presentation(p).splitlines()[0] == "a b c d"
 
     def test_comments_and_inverse_case(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -210,6 +210,15 @@ class TestFigures:
     def test_H_positive_at_two(self):
         assert figure_H_value(2) > 0
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf])
+    def test_H_refuses_bad_growth_constant(self, C):
+        """ln C needs a finite C > 0: C = 0 raised a bare 'math domain error',
+        C = NaN a misleading positivity failure."""
+        with pytest.raises(DomainError, match="finite C > 0"):
+            figure_H_value(2.0, C)
+        with pytest.raises(DomainError, match="finite C > 0"):
+            figure_H_grid([2.0, 3.0], C=C)
+
     def test_H_grid_positive(self):
         grid = figure_H_grid([2 + 0.5 * i for i in range(197)])
         assert len(grid) == 197

@@ -56,6 +56,14 @@ class TestZeta:
         with pytest.raises(DomainError):
             riemann_zeta(0.5)
 
+    def test_riemann_limit_at_infinity_and_nan_refused(self):
+        """zeta(s) -> 1 as s -> +inf; the Euler-Maclaurin route gave NaN there
+        (-inf * log(1.0)), so zeta(beta)^2 / zeta(2 beta) was NaN at beta = 1e308."""
+        assert riemann_zeta(math.inf) == 1.0
+        assert riemann_zeta(1e308) == 1.0
+        with pytest.raises(DomainError, match="s > 1"):
+            riemann_zeta(math.nan)
+
     def test_hurwitz_against_oracle(self):
         for s in (1.5, 2.0, 3.25, 10.0):
             for a in (0.25, 0.5, 1.0, 2.0, 7.5, 100.0):
