@@ -1,4 +1,4 @@
-"""The base class of the package's frozen value records.
+"""The base class of every frozen value record of the package.
 
 Records are plain ``__slots__`` classes rather than frozen dataclasses:
 importing ``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and

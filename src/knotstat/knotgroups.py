@@ -21,11 +21,11 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .errors import PresentationError
 
 __all__ = [
@@ -400,31 +400,33 @@ def _is_identification_relator(word: Word) -> bool:
     return len(word) == 2 and word[0] > 0 and word[1] < 0 and word[0] != -word[1]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite group presentation with a distinguished basepoint generator.
 
     ``blocks`` records which relators form complete Wirtinger relator sets
     of single diagrams (each such block carries one redundant relator);
     constructors in this module populate it, hand-built presentations may
-    leave it None.
+    leave it None.  Relators are stored free-reduced.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    basepoint: int = 0
-    blocks: Optional[tuple[tuple[int, ...], ...]] = None
+    __slots__ = ("generators", "relators", "basepoint", "blocks")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        relators: tuple[Word, ...],
+        basepoint: int = 0,
+        blocks: Optional[tuple[tuple[int, ...], ...]] = None,
+    ) -> None:
+        if not generators:
             raise PresentationError("a presentation needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
-        if not 0 <= self.basepoint < len(self.generators):
-            raise PresentationError(f"basepoint index {self.basepoint} out of range")
-        n = len(self.generators)
+        if not 0 <= basepoint < len(generators):
+            raise PresentationError(f"basepoint index {basepoint} out of range")
+        n = len(generators)
         reduced = []
-        for word in self.relators:
+        for word in relators:
             w = free_reduce(word)
             for letter in w:
                 if not 1 <= abs(letter) <= n:
@@ -432,13 +434,13 @@ class Presentation:
                         f"letter {letter} out of range for {n} generators"
                     )
             reduced.append(w)
-        object.__setattr__(self, "relators", tuple(reduced))
-        if self.blocks is not None:
-            flat = [i for block in self.blocks for i in block]
+        if blocks is not None:
+            flat = [i for block in blocks for i in block]
             if len(flat) != len(set(flat)) or any(
-                not 0 <= i < len(self.relators) for i in flat
+                not 0 <= i < len(reduced) for i in flat
             ):
                 raise PresentationError("invalid block structure")
+        self._set(generators, tuple(reduced), basepoint, blocks)
 
     @property
     def n_generators(self) -> int:
@@ -690,12 +692,13 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     return divisors
 
 
-@dataclass(frozen=True)
-class Abelianization:
+class Abelianization(Record):
     """H_1 data of a presentation: free rank and torsion divisors."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        self._set(free_rank, torsion)
 
     @property
     def is_infinite_cyclic(self) -> bool:
@@ -827,8 +830,7 @@ def alexander_from_seifert(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeRhamRep:
+class DeRhamRep(Record):
     """A 2x2 upper-triangular representation attached to an Alexander root.
 
     Generator i maps to [[s, x_i], [0, 1/s]] with s^2 = root; the x-vector
@@ -836,12 +838,18 @@ class DeRhamRep:
     coordinate pinned to zero (the based convention).
     """
 
-    presentation: Presentation
-    root: complex
-    sqrt_root: complex
-    x_values: tuple[complex, ...]
-    residual: float
-    kernel_dim: int
+    __slots__ = ("presentation", "root", "sqrt_root", "x_values", "residual", "kernel_dim")
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        root: complex,
+        sqrt_root: complex,
+        x_values: tuple[complex, ...],
+        residual: float,
+        kernel_dim: int,
+    ) -> None:
+        self._set(presentation, root, sqrt_root, x_values, residual, kernel_dim)
 
     def matrix(self, index: int) -> np.ndarray:
         import numpy as np
@@ -898,6 +906,8 @@ def derham_solve(
 
     if branch not in (1, -1):
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
+    if not cmath.isfinite(r):  # inf overflows Delta(r); NaN stalls the SVD
+        raise PresentationError(f"root r must be finite, got {r}")
     delta = alexander if alexander is not None else alexander_poly_fox(p)
     scale = sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0
     if abs(delta.evaluate(r)) > 1e-10 * scale:
@@ -927,24 +937,17 @@ def derham_solve(
     xs = [0j] * p.n_generators
     for idx, j in enumerate(cols):
         xs[j] = complex(vec[idx])
-    rep = DeRhamRep(
-        presentation=p,
-        root=complex(r),
-        sqrt_root=cmath.sqrt(r) * branch,
-        x_values=tuple(xs),
-        residual=0.0,
-        kernel_dim=kernel_dim,
-    )
+    root, sqrt_root, xs = complex(r), cmath.sqrt(r) * branch, tuple(xs)
+    rep = DeRhamRep(p, root, sqrt_root, xs, 0.0, kernel_dim)
     residual = _max_relator_residual(p, rep.word_matrix, 2)
     if residual > 1e-9:
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
         )
-    return replace(rep, residual=residual)
+    return DeRhamRep(p, root, sqrt_root, xs, residual, kernel_dim)
 
 
-@dataclass(frozen=True)
-class DirectSumRep:
+class DirectSumRep(Record):
     """Block-diagonal 4x4 representation of an amalgamated presentation.
 
     Generators of the first summand act by their 2x2 matrix in the top
@@ -953,10 +956,12 @@ class DirectSumRep:
     act identically because their x-coordinates vanish.
     """
 
-    presentation: Presentation
-    rep1: DeRhamRep
-    rep2: DeRhamRep
-    residual: float
+    __slots__ = ("presentation", "rep1", "rep2", "residual")
+
+    def __init__(
+        self, presentation: Presentation, rep1: DeRhamRep, rep2: DeRhamRep, residual: float
+    ) -> None:
+        self._set(presentation, rep1, rep2, residual)
 
     def matrix(self, index: int) -> np.ndarray:
         import numpy as np
@@ -992,13 +997,12 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     if abs(r2.x_values[p2.basepoint]) > 1e-12:
         raise PresentationError("second representation is not based")
     amal = amalgamate(p1, p2)
-    rep = DirectSumRep(presentation=amal, rep1=r1, rep2=r2, residual=0.0)
-    residual = _max_relator_residual(amal, rep.word_matrix, 4)
+    residual = _max_relator_residual(amal, DirectSumRep(amal, r1, r2, 0.0).word_matrix, 4)
     if residual > 1e-9:
         raise PresentationError(
             f"amalgamated relator verification failed: residual {residual:.3e}"
         )
-    return replace(rep, residual=residual)
+    return DirectSumRep(amal, r1, r2, residual)
 
 
 # ---------------------------------------------------------------------------

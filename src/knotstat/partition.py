@@ -235,7 +235,7 @@ def threshold_beta_minus(q: int) -> float:
     rhs = beta_minus_rhs_constant()
 
     def fn(beta: float) -> float:
-        return beta - 6.0 * math.log(lambda_beta(beta, q)) - rhs
+        return beta - 6.0 * _log_lambda_beta(beta, q) - rhs
 
     return _bisect(fn, *_threshold_bracket(q), "threshold_beta_minus")
 
@@ -252,7 +252,7 @@ def threshold_beta_tilde(q: int, C: float = 400.0) -> float:
     rhs = math.log(C) - 6.0 * math.log(math.log(q))
 
     def fn(beta: float) -> float:
-        return beta - 6.0 * math.log(lambda_beta(beta, q)) + 6.0 * math.log(beta) - rhs
+        return figure_f_value(beta, q) - rhs
 
     root = _bisect(fn, *_threshold_bracket(q), "threshold_beta_tilde")
     upper = threshold_beta_minus(q)
@@ -330,6 +330,10 @@ def figure_H_grid(q_grid: Iterable[float], C: float = 400.0) -> list[tuple[float
     rows = []
     for q in q_grid:
         h = figure_H_value(q, C)
+        if q > sys.float_info.max:  # int-float comparison is exact
+            raise DomainError(
+                f"q must lie within the float range, got a {q.bit_length()}-bit integer"
+            )
         if not h > 0:
             raise DomainError(f"H(q) positivity failed at q={q}: H={h}")
         rows.append((float(q), h))
@@ -365,14 +369,14 @@ def _grid_weights(weights: Iterable[int], max_weight: int) -> list[int]:
     return weights
 
 
-def _multiset_weight_counts(cat: Catalog, max_weight: int) -> list[int]:
-    """M[v] = number of prime multisets from the catalog with total weight v,
-    for 0 <= v <= max_weight (just M[0] = 1 when max_weight < 0).
+def _multiset_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
+    """M[v] = number of multisets of primes of the given weights with total
+    weight v, for 0 <= v <= max_weight (just M[0] = 1 when max_weight < 0).
 
     Exact integer dynamic programming over the weight grid, one unbounded
-    pass per prime record; capped as ``_grid_weights`` says.
+    pass per prime; capped as ``_grid_weights`` says.
     """
-    weights = _grid_weights((rec.weight for rec in cat), max_weight)
+    weights = _grid_weights(weights, max_weight)
     counts = [1] + [0] * max_weight
     for w in weights:
         for v in range(w, max_weight + 1):
@@ -523,7 +527,7 @@ def z_alternating(
         )
     if mode not in ("direct", "both"):
         raise DomainError(f"unknown mode {mode!r}")
-    counts = _multiset_weight_counts(cat, max_weight)
+    counts = _multiset_weight_counts([rec.weight for rec in cat], max_weight)
     direct = math.fsum(m_v * _pow_q(q, -beta * v) for v, m_v in enumerate(counts) if m_v)
     used = sum(1 for m_v in counts if m_v)
     tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * _catalog_product(
@@ -560,16 +564,13 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
     G[v] is the number of reduced formal differences of total weight v.
     Each prime of weight w contributes the factor 1 + 2(x^w + x^{2w} + ...)
     = (1 + x^w)/(1 - x^w): multiplicity zero counts once, any positive
-    multiplicity twice (once for each sign).  The division is one ascending
-    pass over the weight grid, the multiplication one descending pass.
-    Refused when max_weight times the number of weights up to it exceeds
-    ``_MAX_GROTH_UPDATES``.
+    multiplicity twice (once for each sign).  The divisions are the
+    ascending passes of ``_multiset_weight_counts`` (and its cost cap), each
+    multiplication one descending pass over the weight grid.
     """
-    weights = _grid_weights(weights, max_weight)
-    counts = [1] + [0] * max_weight
-    for w in weights:
-        for v in range(w, max_weight + 1):
-            counts[v] += counts[v - w]
+    weights = list(weights)
+    counts = _multiset_weight_counts(weights, max_weight)
+    for w in weights:  # a weight above max_weight leaves an empty range
         for v in range(max_weight, w - 1, -1):
             counts[v] += counts[v - w]
     return counts
@@ -621,7 +622,7 @@ def z_grothendieck(
     direct = math.fsum(g_v * _pow_q(q, -beta * v) for v, g_v in enumerate(counts) if g_v)
     used = sum(1 for g_v in counts if g_v)
     # two-temperature trick: G(v) x^v <= x^((W+1)/2) G(v) x^(v/2)
-    half = z_grothendieck_closed(beta / 2.0, q, cat)
+    half = _catalog_product(beta / 2.0, q, cat) ** 2 / za
     tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
     return SeriesResult(
         value=value,
@@ -636,11 +637,6 @@ def z_grothendieck(
             "z_a_2beta": za2,
         },
     )
-
-
-def z_grothendieck_closed(beta: float, q: int, cat: Catalog) -> float:
-    """Z_a(beta)^2/Z_a(2 beta) for a finite catalog, as a bare float."""
-    return _catalog_product(beta, q, cat) ** 2 / _catalog_product(2 * beta, q, cat)
 
 
 # ---------------------------------------------------------------------------

@@ -751,6 +751,16 @@ class TestLazyImports:
         ["ingest", "--output", "csv"],
         ["kms-bc", "--r", "1/2", "--beta", "2"],
         ["bc-normalize", "--word", "mu:2 e:1/3 mu*:2"],
+        ["z-groth", "--beta", "2"],
+        ["z-qstar", "--beta", "2", "--mode", "direct", "--n-max", "100"],
+        ["z-tau", "--beta", "1.5", "--max-weight", "12", "--n-rho", "3"],
+        ["figures", "--which", "f", "--n-points", "5"],
+        ["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "3"],
+        ["kms-psi", "--beta", "2", "--entry", "unknot::e:1/2", "--entry", "3_1::mu:2"],
+        ["ratio-witness", "--n", "3", "--big-n", "12", "--beta", "1"],
+        ["wirtinger", "--knot", "3_1"],
+        ["alexander", "--knot", "3_1", "--sum", "4_1"],
+        ["derham", "--knot", "3_1", "--root-index", "0"],
     ])
     def test_cold_path_skips_dataclasses(self, argv):
         out = _fresh(
@@ -924,6 +934,8 @@ class TestSingleEmitPath:
          1, "preimage terms"),
         (["z-qstar", "--beta", "1e308"], 0, None),
         (["z-qstar", "--beta", "1e308", "--mode", "direct", "--n-max", "10"], 0, None),
+        (["derham", "--knot", "3_1", "--root", "1e400"], 1, "root r must be finite"),
+        (["derham", "--knot", "3_1", "--root", "nan"], 1, "root r must be finite"),
     ])
     def test_defect_inputs(self, capsys, argv, code, needle):
         start = time.perf_counter()

@@ -8,7 +8,6 @@ Seifert determinants against Fox calculus.
 """
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -263,10 +262,10 @@ class TestAlexanderFox:
         route, which must agree with the square-determinant path."""
         for name in ("3_1", "4_1"):
             p = builtin_presentation(name)
-            stripped = dataclasses.replace(p, blocks=None)
+            stripped = Presentation(p.generators, p.relators, p.basepoint, blocks=None)
             assert alexander_poly_fox(stripped) == alexander_poly_fox(p)
         amal = amalgamate(builtin_presentation("3_1"), builtin_presentation("4_1"))
-        stripped = dataclasses.replace(amal, blocks=None)
+        stripped = Presentation(amal.generators, amal.relators, amal.basepoint, blocks=None)
         assert alexander_poly_fox(stripped) == alexander_poly_fox(amal)
 
 

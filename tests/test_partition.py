@@ -224,6 +224,15 @@ class TestFigures:
         assert len(grid) == 197
         assert all(h > 0 for _, h in grid)
 
+    def test_H_grid_refuses_q_past_float_range(self):
+        """An int q past the float range reached float(q) in its row and
+        raised a bare OverflowError; the largest one inside it is kept."""
+        top = int(sys.float_info.max)
+        assert figure_H_grid([2, top])[1] == (sys.float_info.max, figure_H_value(top))
+        for q in (top + 1, 10**400):
+            with pytest.raises(DomainError, match="q must lie within the float range"):
+                figure_H_grid([2, q])
+
     def test_H_definition(self):
         q = 7.0
         beta = math.pi / math.log(q)
@@ -485,11 +494,12 @@ class TestGrothWeightCounts:
 
     def test_multiset_counts_share_the_cap(self, cat):
         """The direct Z_a sum's multiset counts take the same grid rule."""
-        assert _multiset_weight_counts(cat, -1) == [1]
-        assert len(_multiset_weight_counts(cat, 57142)) == 57143
+        weights = [rec.weight for rec in cat]
+        assert _multiset_weight_counts(weights, -1) == [1]
+        assert len(_multiset_weight_counts(weights, 57142)) == 57143
         for max_weight in (57143, 10**8):
             with pytest.raises(DomainError, match="2000000 weight-grid updates"):
-                _multiset_weight_counts(cat, max_weight)
+                _multiset_weight_counts(weights, max_weight)
         with pytest.raises(DomainError, match="weight-grid updates"):
             z_alternating(2.0, 2, cat, mode="direct", max_weight=10**8)
 

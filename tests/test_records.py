@@ -15,6 +15,13 @@ import pytest
 
 from knotstat.catalog import Catalog, KnotRecord, MultiplicityModel
 from knotstat.crossed import BCNormalForm, GroupRingElement, QmodZ, RhoContext
+from knotstat.knotgroups import (
+    Abelianization,
+    DeRhamRep,
+    DirectSumRep,
+    Presentation,
+    unknot_presentation,
+)
 from knotstat.kms import AdelicUnit, EigenvalueList, Monomial, SupportedFunction
 from knotstat.partition import SeriesResult, ThresholdReport
 from knotstat.semigroup import (
@@ -29,6 +36,14 @@ REC = KnotRecord("3_1", 3, 1, True, True, (1, -1, 1))
 REC_TEXT = (
     "KnotRecord(name='3_1', crossing_number=3, genus=1, alternating=True, "
     "torus=True, alexander_coeffs=(1, -1, 1), wirtinger=None)"
+)
+
+UNKNOT = unknot_presentation()
+UNKNOT_TEXT = "Presentation(generators=('a',), relators=(), basepoint=0, blocks=())"
+REP = DeRhamRep(UNKNOT, 1j, 0.5 + 0.5j, (0j,), 0.0, 1)
+REP_TEXT = (
+    f"DeRhamRep(presentation={UNKNOT_TEXT}, root=1j, sqrt_root=(0.5+0.5j), "
+    "x_values=(0j,), residual=0.0, kernel_dim=1)"
 )
 
 # (record, an equal one built separately, an unequal one, compared fields, repr)
@@ -77,6 +92,21 @@ CASES = [
      SupportedFunction(()), (((GroupElement.identity(), Monomial.mu(2)),),),
      "SupportedFunction(entries=((GroupElement(positive=Knot(factors=()), "
      "negative=Knot(factors=())), Monomial(kind='mu', r=None, n=2, a=1)),))"),
+    (Presentation(("a", "b"), ((1, 2, -2, -1, 2),), 1, ((0,),)),
+     Presentation(generators=("a", "b"), relators=((2,),), basepoint=1, blocks=((0,),)),
+     Presentation(("a", "b"), ((2,),), 1), (("a", "b"), ((2,),), 1, ((0,),)),
+     "Presentation(generators=('a', 'b'), relators=((2,),), basepoint=1, blocks=((0,),))"),
+    (Abelianization(1, (2, 3)), Abelianization(free_rank=1, torsion=(2, 3)),
+     Abelianization(1, ()), (1, (2, 3)), "Abelianization(free_rank=1, torsion=(2, 3))"),
+    (REP, DeRhamRep(presentation=unknot_presentation(), root=1j, sqrt_root=0.5 + 0.5j,
+                    x_values=(0j,), residual=0.0, kernel_dim=1),
+     DeRhamRep(UNKNOT, 1j, -0.5 - 0.5j, (0j,), 0.0, 1),
+     (UNKNOT, 1j, 0.5 + 0.5j, (0j,), 0.0, 1), REP_TEXT),
+    (DirectSumRep(UNKNOT, REP, REP, 1e-12),
+     DirectSumRep(presentation=UNKNOT, rep1=REP, rep2=REP, residual=1e-12),
+     DirectSumRep(UNKNOT, REP, REP, 0.0), (UNKNOT, REP, REP, 1e-12),
+     f"DirectSumRep(presentation={UNKNOT_TEXT}, rep1={REP_TEXT}, rep2={REP_TEXT}, "
+     "residual=1e-12)"),
 ]
 IDS = [type(case[0]).__name__ for case in CASES]
 
@@ -144,3 +174,7 @@ def test_constructor_validation_kept():
         ThresholdReport(1.0, 2.0, 3.0, 2)
     with pytest.raises(ValueError, match="n_rho"):
         RhoContext(0)
+    with pytest.raises(ValueError, match="out of range for 1 generators"):
+        Presentation(("a",), ((1, 2),))
+    with pytest.raises(ValueError, match="invalid block structure"):
+        Presentation(("a",), ((1, -1),), blocks=((1,),))

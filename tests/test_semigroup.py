@@ -464,7 +464,7 @@ class TestEnumerationConstruction:
             assert v == weight_of(k, cat, assume)
         source = cat if assume else cat.filtered("alternating")
         assert Counter(v for _, v in knots) == self._count_map(
-            _multiset_weight_counts(source, max_w)
+            _multiset_weight_counts([rec.weight for rec in source], max_w)
         )
 
     @pytest.mark.parametrize("max_w", [-1, -4, -1000])
