@@ -103,24 +103,28 @@ class KnotRecord(Record):
 class Catalog(Record):
     """An immutable ordered table of prime knots with a name index.
 
-    ``index`` is rebuilt from ``records`` (any value passed is ignored) and
-    takes no part in ``==`` or ``hash``.
+    ``index`` maps each name to its record and ``weights`` maps the name of
+    each alternating prime to its weight Cr + g.  Both are rebuilt from
+    ``records`` (any value passed is ignored) and take no part in ``==``
+    or ``hash``.
     """
 
-    __slots__ = ("records", "index")
+    __slots__ = ("records", "index", "weights")
     _compare = ("records",)
 
     def __init__(
         self,
         records: tuple[KnotRecord, ...],
         index: Optional[dict[str, KnotRecord]] = None,
+        weights: Optional[dict[str, int]] = None,
     ) -> None:
         idx = {}
         for rec in records:
             if rec.name in idx:
                 raise CatalogError(f"duplicate record name {rec.name}")
             idx[rec.name] = rec
-        self._set(records, idx)
+        alternating = {rec.name: rec.weight for rec in records if rec.alternating}
+        self._set(records, idx, alternating)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -467,9 +467,21 @@ def _parse_complex(text: str) -> complex:
 
 
 def _alexander_roots(poly: _kg.LaurentPoly) -> list[complex]:
+    """The distinct roots of the Alexander polynomial, each listed once.
+
+    ``np.roots`` loses about half the digits at a repeated root, so the
+    roots are those of the squarefree part Delta / gcd(Delta, Delta').
+    """
     import numpy as np
 
+    from . import knotgroups as _kg
+
     dense = poly.as_list()
+    if len(dense) > 1:
+        derivative = _kg.LaurentPoly([i * c for i, c in enumerate(dense)][1:])
+        common = _kg._poly_gcd(poly, derivative)
+        if len(common.as_list()) > 1:
+            dense = _kg._poly_divexact(poly, common).as_list()
     roots = np.roots(list(reversed(dense)))
     return sorted(
         (complex(z) for z in roots),

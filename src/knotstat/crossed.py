@@ -488,10 +488,35 @@ def _fold_token(state: BCNormalForm, token: Token) -> BCNormalForm:
     raise DomainError(f"unknown token kind {kind!r}")
 
 
+# Most terms the steps of one bc_normalize word may build in all; a word
+# that spends it takes about 0.1 s (2-vCPU x86_64).
+_MAX_WORD_TERMS = 2 * _MAX_PREIMAGES
+
+
+def _step_terms(state: BCNormalForm, token: Token) -> int:
+    """Terms one token's step builds: alpha_g at a mu*:n step (g = gcd(a, n))
+    builds g preimage terms per term of x; an e or mu step one per term."""
+    terms = len(state.x._num)
+    if token[0] == "mu*":
+        return math.gcd(state.a, int(token[1])) * terms
+    return terms
+
+
 def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
-    """Rewrite a word over {mu_n, mu_n*, e(r)} to the normal form mu_a . x . mu_b*."""
+    """Rewrite a word over {mu_n, mu_n*, e(r)} to the normal form mu_a . x . mu_b*.
+
+    The word's steps may build at most ``_MAX_WORD_TERMS`` terms in all; a
+    word that would build more is refused before the step that passes it.
+    """
     state = BCNormalForm(1, GroupRingElement.one(), 1)
+    spent = 0
     for token in word:
+        spent += _step_terms(state, token)
+        if spent > _MAX_WORD_TERMS:
+            raise DomainError(
+                f"bc word would build {spent} terms, more than {_MAX_WORD_TERMS} "
+                f"(a mu*:n step builds n preimage terms per term)"
+            )
         state = _fold_token(state, token)
     return state
 

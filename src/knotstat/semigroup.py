@@ -152,6 +152,8 @@ class WeightFunction(Record):
     __slots__ = ("q", "exponent_scale")
 
     def __init__(self, q: int = 2, exponent_scale: Optional[int] = None) -> None:
+        if not isinstance(q, int):  # a float or fixed-width q has no exact powers
+            raise DomainError(f"weight base q must be an integer, got {q!r}")
         if q < 2:
             raise DomainError(f"weight base q must be >= 2, got {q}")
         if exponent_scale is None:
@@ -228,6 +230,29 @@ def lambda_multiplicative(k: Knot, cat: Catalog) -> int:
     return out
 
 
+# Memo of q^e for f_weight: equal weights share one int object, and a
+# truncated enumeration has few distinct exponents (26 at W = 28).  It holds
+# at most _POWERS_MAX entries and is emptied when full; it keeps a power only
+# when q.bit_length() * max(e, 1) <= _POWERS_MAX_BITS, which bounds both the
+# stored q and the stored power by that many bits.
+_POWERS: dict[tuple[int, int], int] = {}
+_POWERS_MAX = 64
+_POWERS_MAX_BITS = 1 << 16
+
+
+def _power(q: int, e: int) -> int:
+    """q ** e, shared through the bounded memo when it is small enough."""
+    key = (q, e)
+    value = _POWERS.get(key)
+    if value is None:
+        value = q**e
+        if q.bit_length() * max(e, 1) <= _POWERS_MAX_BITS:
+            if len(_POWERS) >= _POWERS_MAX:
+                _POWERS.clear()
+            _POWERS[key] = value
+    return value
+
+
 def f_weight(
     g: GroupElement,
     w: WeightFunction,
@@ -238,15 +263,22 @@ def f_weight(
 
     Both halves of the formal difference contribute positively to the
     exponent, so f is 1 exactly at the identity and at least q^(4*scale)
-    everywhere else.
+    everywhere else.  Prime weights come from ``cat.weights``; a name
+    outside it is unknown (``CatalogError``) or not alternating
+    (``DomainError`` unless ``assume_cr_additive``).
     """
+    weights = cat.weights
     total = 0
     for name, mult in g.positive.factors + g.negative.factors:
-        rec = cat.get(name)
-        if not rec.alternating and not assume_cr_additive:
-            raise _cr_additivity_error(name)
-        total += mult * (rec.crossing_number + rec.genus)
-    return w.q ** (w.exponent_scale * total)
+        try:
+            weight = weights[name]
+        except KeyError:  # not an alternating prime of the catalog
+            rec = cat.get(name)
+            if not assume_cr_additive:
+                raise _cr_additivity_error(name) from None
+            weight = rec.weight
+        total += mult * weight
+    return _power(w.q, w.exponent_scale * total)
 
 
 def act_on_weight(h: GroupElement, g: GroupElement) -> GroupElement:
@@ -343,9 +375,10 @@ def _knot_tree(
     unknot is the first knot and sits in bucket 0 (the only bucket when
     max_weight < 0).
     """
-    usable = sorted(
-        (rec.name, rec.weight) for rec in cat if rec.alternating or assume_cr_additive
-    )
+    if assume_cr_additive:
+        usable = sorted((rec.name, rec.weight) for rec in cat)
+    else:
+        usable = sorted(cat.weights.items())
     recs = [(name, wgt, 1 << j) for j, (name, wgt) in enumerate(usable)]
     preorder: list[tuple[Knot, int, int]] = []
     buckets: list[list[tuple[Knot, int]]] = [[] for _ in range(max(max_weight, 0) + 1)]

@@ -153,24 +153,21 @@ def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact, cached)
+# Euler-Maclaurin coefficients
 # ---------------------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention) via the defining recurrence."""
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * _bernoulli(j)
-    return -total / (n + 1)
+# float(B_2k) / (2k)! for k = 1..8, the Euler-Maclaurin correction
+# coefficients of the Hurwitz zeta (Johansson, Numer. Algorithms 2015)
+_EM_COEFFS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.3068783068783064e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.338253653068468e-11,
+    -3.3896802963225827e-13,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def _bernoulli(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _hurwitz_em(s: float, a: float, bernoulli_terms: int = 8) -> float:
+def _hurwitz_em(s: float, a: float) -> float:
     """Euler-Maclaurin evaluation of zeta(s, a) for s > 1, a > 0.
 
     Split point max(10, ceil(a) + 10); the stated 8 correction terms put
@@ -202,11 +199,10 @@ def _hurwitz_em(s: float, a: float, bernoulli_terms: int = 8) -> float:
     if -s * lx >= _TINY_LOG:
         total += math.exp(-s * lx) / 2.0
     rising = s  # s(s+1)...(s+2k-2) for k = 1 is just s
-    for k in range(1, bernoulli_terms + 1):
+    for k, coeff in enumerate(_EM_COEFFS, 1):
         expo = (-s - 2 * k + 1) * lx
         if expo < _TINY_LOG:
             break
-        coeff = float(_bernoulli(2 * k)) / math.factorial(2 * k)
         total += coeff * rising * math.exp(expo)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return total

@@ -15,14 +15,24 @@ bytes and the same float bits.
 * ``qstar_direct`` / ``qstar_reciprocals``: the direct sum
   sum_{n <= N} 2^omega(n) n^-beta and the squarefree reciprocal sum of
   the tail bound, one generator term per n.
+* ``f_weight``: the weight q^(scale * (Cr + g)) with one catalog lookup per
+  prime factor and a fresh power per call.
+* ``bernoulli`` / ``hurwitz_em``: Bernoulli numbers by their defining
+  recurrence, and the Euler-Maclaurin Hurwitz zeta that converts each
+  correction coefficient B_2k / (2k)! to a float on every call.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 
+from knotstat.errors import DomainError
 from knotstat.semigroup import GroupElement, Knot
+
+_TINY_LOG = -745.0
 
 _INCREMENT = bytes(range(1, 256)) + b"\xff"
 
@@ -107,3 +117,60 @@ def qstar_reciprocals(n_max):
     return math.fsum(
         map((1.0).__truediv__, compress(range(1, n_max + 1), squarefree[1:]))
     )
+
+
+def f_weight(g, w, cat, assume_cr_additive=False):
+    total = 0
+    for name, mult in g.positive.factors + g.negative.factors:
+        rec = cat.get(name)
+        if not rec.alternating and not assume_cr_additive:
+            raise DomainError(
+                f"crossing-number additivity needs alternating factors; "
+                f"{name} is not alternating (pass assume_cr_additive=True "
+                f"to use the conjectural extension)"
+            )
+        total += mult * (rec.crossing_number + rec.genus)
+    return w.q ** (w.exponent_scale * total)
+
+
+@lru_cache(maxsize=None)
+def bernoulli(n):
+    """B_n (B_1 = -1/2) from sum_{j=0}^{n} C(n+1, j) B_j = 0."""
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    total = Fraction(0)
+    for j in range(n):
+        total += math.comb(n + 1, j) * bernoulli(j)
+    return -total / (n + 1)
+
+
+def hurwitz_em(s, a, bernoulli_terms=8):
+    split = max(10, math.ceil(a) + 10)
+    total = 0.0
+    for ell in range(split):
+        base = a + ell
+        expo = -s * math.log(base)
+        if expo < _TINY_LOG:
+            if base > 1.0:
+                break
+            continue
+        total += math.exp(expo)
+    x = a + split
+    lx = math.log(x)
+    if (1.0 - s) * lx >= _TINY_LOG:
+        total += math.exp((1.0 - s) * lx) / (s - 1.0)
+    if -s * lx >= _TINY_LOG:
+        total += math.exp(-s * lx) / 2.0
+    rising = s
+    for k in range(1, bernoulli_terms + 1):
+        expo = (-s - 2 * k + 1) * lx
+        if expo < _TINY_LOG:
+            break
+        coeff = float(bernoulli(2 * k)) / math.factorial(2 * k)
+        total += coeff * rising * math.exp(expo)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return total

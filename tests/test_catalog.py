@@ -267,3 +267,12 @@ class TestCatalogContainer:
         assert names[0] == "3_1"
         assert names == sorted(names, key=lambda s: (int(s.split("_")[0]),
                                                      int(s.split("_")[1])))
+
+    def test_weights_table_is_derived(self, cat):
+        assert cat.weights == {r.name: r.weight for r in cat if r.alternating}
+        assert list(cat.weights) == [r.name for r in cat if r.alternating]
+        rebuilt = Catalog(cat.records, index={}, weights={"3_1": 0})
+        assert rebuilt.weights == cat.weights and rebuilt == cat
+        assert hash(rebuilt) == hash(cat)
+        assert cat.filtered("torus-free").weights == {
+            r.name: r.weight for r in cat if r.alternating and not r.torus}

@@ -667,6 +667,31 @@ class TestPresentationCommands:
             (3.0 - math.sqrt(5.0)) / 2.0, rel=1e-9
         )
 
+    @pytest.mark.parametrize("summands, dims", [
+        (("3_1", "3_1"), [2, 2]),
+        (("3_1", "4_1"), [1, 1, 1, 1]),
+        (("3_1", "3_1", "4_1"), [1, 2, 2, 1]),
+    ])
+    def test_derham_connected_sum_roots(self, capsys, tmp_path, summands, dims):
+        """A repeated Alexander factor lists its root once, and the Fox
+        matrix there has a kernel of dimension 2 (one per summand)."""
+        from knotstat import knotgroups as kg
+
+        p = kg.builtin_presentation(summands[0])
+        for name in summands[1:]:
+            p = kg.amalgamate(p, kg.builtin_presentation(name))
+        path = tmp_path / "sum.txt"
+        path.write_text(kg.format_presentation(p))
+        for index, dim in enumerate(dims):
+            code, payload = invoke_json(
+                capsys, "derham", "--file", str(path), "--root-index", str(index))
+            assert code == 0, payload
+            assert payload["residual"] < 1e-9
+            assert payload["kernel_dim"] == dim
+        code, payload = invoke_json(
+            capsys, "derham", "--file", str(path), "--root-index", str(len(dims)))
+        assert code == 1 and f"{len(dims)} roots available" in payload["error"]
+
     def test_derham_non_root_rejected(self, capsys):
         code, payload = invoke_json(
             capsys, "derham", "--knot", "3_1", "--root", "0.5",
@@ -936,6 +961,8 @@ class TestSingleEmitPath:
         (["z-qstar", "--beta", "1e308", "--mode", "direct", "--n-max", "10"], 0, None),
         (["derham", "--knot", "3_1", "--root", "1e400"], 1, "root r must be finite"),
         (["derham", "--knot", "3_1", "--root", "nan"], 1, "root r must be finite"),
+        (["bc-normalize", "--word", " ".join(["mu:40000 e:1/3 mu*:40000"] * 40)],
+         1, "bc word would build 80002 terms, more than 80000"),
     ])
     def test_defect_inputs(self, capsys, argv, code, needle):
         start = time.perf_counter()

@@ -7,6 +7,7 @@ same word along two different rewrite routes.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,22 @@ class TestSigmaAlpha:
         word = parse_bc_word([f"mu:{cap + 1}", "e:1/3", f"mu*:{cap + 1}"])
         with pytest.raises(DomainError, match="preimage terms"):
             bc_normalize(word)
+
+    def test_word_term_budget(self):
+        """A word's steps share one budget, refused before the step past it."""
+        budget = crossed._MAX_WORD_TERMS
+        n = (budget - 2) // 2
+        assert 2 + 2 * n == budget
+        # mu:n and e:1/3 build one term each, mu*:n builds n, then e:1/7 n
+        word = parse_bc_word([f"mu:{n}", "e:1/3", f"mu*:{n}", "e:1/7"])
+        assert len(bc_normalize(word).x.terms) == n
+        for extra in ["e:1/11", "mu:3", "mu*:1"]:
+            with pytest.raises(DomainError, match=f"{budget + n} terms, more than {budget}"):
+                bc_normalize(word + parse_bc_word([extra]))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="more than"):
+            bc_normalize(parse_bc_word("mu:40000 e:1/3 mu*:40000".split() * 40))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestHatPi:

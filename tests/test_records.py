@@ -52,7 +52,7 @@ CASES = [
      KnotRecord("3_1", 3, 1, True, False, (1, -1, 1)),
      ("3_1", 3, 1, True, True, (1, -1, 1), None), REC_TEXT),
     (Catalog((REC,)), Catalog(records=(REC,)), Catalog(()), ((REC,),),
-     f"Catalog(records=({REC_TEXT},), index={{'3_1': {REC_TEXT}}})"),
+     f"Catalog(records=({REC_TEXT},), index={{'3_1': {REC_TEXT}}}, weights={{'3_1': 4}})"),
     (MultiplicityModel(C=400.0), MultiplicityModel("asymptotic", 400.0, 64, 10_000),
      MultiplicityModel(), ("asymptotic", 400.0, 64, 10_000),
      "MultiplicityModel(mode='asymptotic', C=400.0, g_max=64, n_max=10000)"),

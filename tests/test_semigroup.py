@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,12 @@ class TestWeightFunction:
     def test_scale_floor(self):
         with pytest.raises(DomainError):
             WeightFunction(q=2, exponent_scale=0)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, "3", Fraction(5, 1), np.int64(3)])
+    def test_integer_base(self, q):
+        # a fixed-width integer would wrap: np.int64(3) ** 40 is negative
+        with pytest.raises(DomainError, match="must be an integer"):
+            WeightFunction(q=q)
 
 
 class TestFWeight:
