@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 # Public names by home module.  Submodules load on first attribute access
 # (PEP 562), so ``import knotstat`` stays cheap and numpy is imported only
-# by the de Rham representations.
+# by ``knotgroups``: its Alexander roots and de Rham representations.
 _EXPORTS = {
     "errors": (
         "KnotstatError", "DomainError", "DivergenceError", "CatalogError",

@@ -6,11 +6,11 @@ from CSV (``name,crossings,genus,alternating,torus,alexander`` with the
 Alexander coefficients space-separated, lowest degree first).  The unknot
 is never a catalog row; it is the semigroup identity.
 
-Multiplicity counts come in two modes.  Exact counts N_{n,g} enumerate
-catalog rows with given crossing number and genus.  The asymptotic model
-is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and 2^20/3^6; the
-upper value is the default since the convergence threshold beta_plus is
-derived from it.
+Multiplicity counts come from a catalog or a model.  A catalog gives exact
+counts N_{n,g} of its rows with given crossing number and genus.  The
+model is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and 2^20/3^6;
+the upper value is the default since the convergence threshold beta_plus
+is derived from it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import math
 from math import factorial
 from pathlib import Path
-from typing import Literal, Optional, Union
+from typing import Literal, Union
 
 from ._record import Record
 from .errors import CatalogError
@@ -30,6 +30,7 @@ __all__ = [
     "MultiplicityModel",
     "DEFAULT_C",
     "LOWER_C",
+    "GENUS_CAP",
     "load_catalog",
     "builtin_catalog",
     "builtin_catalog_path",
@@ -43,14 +44,18 @@ __all__ = [
 DEFAULT_C = 2**20 / 3**6
 LOWER_C = 400.0
 
+#: Highest genus the model's weight counts sum over.
+GENUS_CAP = 64
+
 _FIELDS = ("name", "crossings", "genus", "alternating", "torus", "alexander")
 
 
 class KnotRecord(Record):
-    """One prime knot: its classical invariants and Alexander coefficients."""
+    """One prime knot: its classical invariants and Alexander coefficients,
+    checked on construction (a violated invariant names the record)."""
 
     __slots__ = ("name", "crossing_number", "genus", "alternating", "torus",
-                 "alexander_coeffs", "wirtinger")
+                 "alexander_coeffs")
 
     def __init__(
         self,
@@ -60,34 +65,27 @@ class KnotRecord(Record):
         alternating: bool,
         torus: bool,
         alexander_coeffs: tuple[int, ...],
-        wirtinger: Optional[str] = None,
     ) -> None:
-        self._set(name, crossing_number, genus, alternating, torus,
-                  alexander_coeffs, wirtinger)
-
-    def validate(self) -> None:
-        if self.crossing_number < 3:
+        if crossing_number < 3:
             raise CatalogError(
-                f"record {self.name}: prime knots need crossing number >= 3, "
-                f"got {self.crossing_number}"
+                f"record {name}: prime knots need crossing number >= 3, "
+                f"got {crossing_number}"
             )
-        if self.genus < 1:
+        if genus < 1:
+            raise CatalogError(f"record {name}: prime knots need genus >= 1, got {genus}")
+        if not alexander_coeffs:
+            raise CatalogError(f"record {name}: empty Alexander coefficients")
+        if abs(sum(alexander_coeffs)) != 1:
             raise CatalogError(
-                f"record {self.name}: prime knots need genus >= 1, got {self.genus}"
+                f"record {name}: Alexander polynomial must evaluate to +-1 "
+                f"at t=1, got {sum(alexander_coeffs)}"
             )
-        coeffs = self.alexander_coeffs
-        if not coeffs:
-            raise CatalogError(f"record {self.name}: empty Alexander coefficients")
-        if abs(sum(coeffs)) != 1:
+        if list(alexander_coeffs) != list(reversed(alexander_coeffs)):
             raise CatalogError(
-                f"record {self.name}: Alexander polynomial must evaluate to +-1 "
-                f"at t=1, got {sum(coeffs)}"
+                f"record {name}: Alexander coefficients must be palindromic, "
+                f"got {list(alexander_coeffs)}"
             )
-        if list(coeffs) != list(reversed(coeffs)):
-            raise CatalogError(
-                f"record {self.name}: Alexander coefficients must be palindromic, "
-                f"got {list(coeffs)}"
-            )
+        self._set(name, crossing_number, genus, alternating, torus, alexander_coeffs)
 
     @property
     def weight(self) -> int:
@@ -104,20 +102,14 @@ class Catalog(Record):
     """An immutable ordered table of prime knots with a name index.
 
     ``index`` maps each name to its record and ``weights`` maps the name of
-    each alternating prime to its weight Cr + g.  Both are rebuilt from
-    ``records`` (any value passed is ignored) and take no part in ``==``
-    or ``hash``.
+    each alternating prime to its weight Cr + g.  Both are derived from
+    ``records`` and take no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("records", "index", "weights")
     _compare = ("records",)
 
-    def __init__(
-        self,
-        records: tuple[KnotRecord, ...],
-        index: Optional[dict[str, KnotRecord]] = None,
-        weights: Optional[dict[str, int]] = None,
-    ) -> None:
+    def __init__(self, records: tuple[KnotRecord, ...]) -> None:
         idx = {}
         for rec in records:
             if rec.name in idx:
@@ -156,21 +148,15 @@ class Catalog(Record):
 class MultiplicityModel(Record):
     """Asymptotic multiplicity model N_{n,g} ~ (C^g/(6g)!) n^{6g-4}."""
 
-    __slots__ = ("mode", "C", "g_max", "n_max")
+    __slots__ = ("C",)
 
-    def __init__(
-        self,
-        mode: Literal["exact", "asymptotic"] = "asymptotic",
-        C: float = DEFAULT_C,
-        g_max: int = 64,
-        n_max: int = 10_000,
-    ) -> None:
-        if mode == "asymptotic" and not LOWER_C <= C <= DEFAULT_C:
+    def __init__(self, C: float = DEFAULT_C) -> None:
+        if not LOWER_C <= C <= DEFAULT_C:  # NaN fails it too
             raise CatalogError(
                 f"asymptotic constant C must lie in [{LOWER_C}, {DEFAULT_C}], "
                 f"got {C}"
             )
-        self._set(mode, C, g_max, n_max)
+        self._set(C)
 
 
 def _parse_bool(text: str, line_no: int, col: str) -> bool:
@@ -234,7 +220,6 @@ def load_catalog(
                 torus=torus,
                 alexander_coeffs=coeffs,
             )
-            rec.validate()
             records.append(rec)
     return Catalog(records=tuple(records)).filtered(filter)
 
@@ -256,10 +241,13 @@ def count_exact(cat: Catalog, n: int, g: int) -> int:
     return sum(1 for r in cat if r.crossing_number == n and r.genus == g)
 
 
+def _log_term(log_c: float, n: int, g: int) -> float:
+    """ln of the model term (C^g/(6g)!) n^{6g-4}, given ln C."""
+    return g * log_c - math.lgamma(6 * g + 1) + (6 * g - 4) * math.log(n)
+
+
 def count_asymptotic(model: MultiplicityModel, n: int, g: int) -> float:
     """The model value (C^g/(6g)!) n^{6g-4}; zero for g <= 0 (no unknot row)."""
-    if model.mode != "asymptotic":
-        raise CatalogError("count_asymptotic needs a model with mode='asymptotic'")
     if g <= 0 or n <= 0:
         return 0.0
     try:
@@ -267,29 +255,39 @@ def count_asymptotic(model: MultiplicityModel, n: int, g: int) -> float:
     except OverflowError:
         # n^(6g-4) alone can exceed float range even when the (6g)! in
         # the denominator would pull the value back; settle it in logs
-        log_value = (
-            g * math.log(model.C)
-            - math.lgamma(6 * g + 1)
-            + (6 * g - 4) * math.log(n)
-        )
+        log_value = _log_term(math.log(model.C), n, g)
         return math.exp(log_value) if log_value <= 700.0 else math.inf
 
 
 def count_weight(cat_or_model: Union[Catalog, MultiplicityModel], n: int) -> float:
     """Number (exact) or model count of prime knots with Cr + g = n.
 
-    Exact mode counts catalog rows; asymptotic mode evaluates the
-    truncated sum over genus of (C^g/(6g)!) (n-g+1)^{6g-4}, the model's
-    count of weight-n knots with the crossing number n-g shifted by one
-    to keep the power-law argument positive through g = n.
+    A catalog gives the exact count of its rows; a model evaluates the
+    sum over genus g <= min(n, GENUS_CAP) of (C^g/(6g)!) (n-g+1)^{6g-4},
+    the model's count of weight-n knots with the crossing number n-g
+    shifted by one to keep the power-law argument positive through g = n.
     """
     if isinstance(cat_or_model, Catalog):
         return float(sum(1 for r in cat_or_model if r.weight == n))
     model = cat_or_model
     total = 0.0
-    for g in range(1, min(n, model.g_max) + 1):
+    for g in range(1, min(n, GENUS_CAP) + 1):
         total += count_asymptotic(model, n - g + 1, g)
     return total
+
+
+def _log_count_weight(model: MultiplicityModel, n: int) -> float:
+    """ln count_weight(model, n), stable far beyond float range.
+
+    log-sum-exp of the genus terms; the counts themselves overflow double
+    precision past weight ~300.
+    """
+    if n < 2:
+        return -math.inf
+    log_c = math.log(model.C)
+    logs = [_log_term(log_c, n - g + 1, g) for g in range(1, min(n, GENUS_CAP) + 1)]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def weights_with_counts(

@@ -466,29 +466,6 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", "").replace("i", "j"))
 
 
-def _alexander_roots(poly: _kg.LaurentPoly) -> list[complex]:
-    """The distinct roots of the Alexander polynomial, each listed once.
-
-    ``np.roots`` loses about half the digits at a repeated root, so the
-    roots are those of the squarefree part Delta / gcd(Delta, Delta').
-    """
-    import numpy as np
-
-    from . import knotgroups as _kg
-
-    dense = poly.as_list()
-    if len(dense) > 1:
-        derivative = _kg.LaurentPoly([i * c for i, c in enumerate(dense)][1:])
-        common = _kg._poly_gcd(poly, derivative)
-        if len(common.as_list()) > 1:
-            dense = _kg._poly_divexact(poly, common).as_list()
-    roots = np.roots(list(reversed(dense)))
-    return sorted(
-        (complex(z) for z in roots),
-        key=lambda z: (round(z.real, 12), round(z.imag, 12)),
-    )
-
-
 def _cmd_derham(args) -> dict:
     from . import knotgroups as _kg
 
@@ -497,7 +474,7 @@ def _cmd_derham(args) -> dict:
     if args.root is not None:
         root = _parse_complex(args.root)
     else:
-        roots = _alexander_roots(poly)
+        roots = _kg.alexander_roots(poly)
         if not roots:
             raise KnotstatError("the Alexander polynomial has no roots")
         if not 0 <= args.root_index < len(roots):

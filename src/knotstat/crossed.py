@@ -76,13 +76,17 @@ class QmodZ(Record):
 
     ``Fraction`` keeps the value in lowest terms with a positive
     denominator, so both invariants hold by construction.  Labels are
-    ordered by that representative.
+    ordered by that representative.  Any ``int`` or ``Fraction`` is
+    accepted and reduced mod 1; anything else is refused.
     """
 
     __slots__ = ("frac",)
 
-    def __init__(self, frac: Fraction) -> None:
-        # reduce mod 1 on construction; callers may pass any rational
+    def __init__(self, frac: Fraction | int) -> None:
+        if not isinstance(frac, (int, Fraction)):
+            raise DomainError(
+                f"QmodZ frac must be an int or a Fraction, got {type(frac).__name__} {frac!r}"
+            )
         object.__setattr__(self, "frac", frac % 1)
 
     def __eq__(self, other):
@@ -216,11 +220,19 @@ class GroupRingElement:
     __slots__ = ("_level", "_den", "_num")
 
     def __init__(self, terms: Mapping[Label, Fraction] | Iterable[tuple[Label, Fraction]] = ()):
-        x = _element(1, 1, {})
-        for label, c in terms.items() if isinstance(terms, Mapping) else terms:
-            g, zeta = label if isinstance(label, HatPiLabel) else (None, label)
-            key = zeta.numerator if g is None else (g, zeta.numerator)
-            x += _element(zeta.denominator, 1, {key: 1}).scale(c)
+        # one common level and denominator for all terms, then one merge
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        rows = [(label if isinstance(label, HatPiLabel) else (None, label), Fraction(c))
+                for label, c in items]
+        if len({g is None for (g, _), _ in rows}) > 1:
+            raise TypeError("cannot combine group-ring elements over different groups")
+        level = math.lcm(*(zeta.denominator for (_, zeta), _ in rows))
+        den = math.lcm(*(c.denominator for _, c in rows))
+        x = _element(level, den, _merge(
+            (r if g is None else (g, r), c.numerator * (den // c.denominator))
+            for (g, zeta), c in rows
+            for r in [zeta.numerator * (level // zeta.denominator) % level]
+        ))
         self._level, self._den, self._num = x._level, x._den, x._num
 
     @staticmethod

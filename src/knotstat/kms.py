@@ -68,18 +68,22 @@ __all__ = [
 class EigenvalueList(Record):
     """The spectrum (1 - rho) rho^n, n >= 0, of a normalized geometric state.
 
-    ``lambda1`` is the top eigenvalue 1 - rho and ``generator_ratio`` the
-    common ratio rho = q^(-beta w); the full list sums to one exactly.
+    ``generator_ratio`` is the common ratio rho = q^(-beta w) and
+    ``lambda1`` the top eigenvalue 1 - rho; the full list sums to one
+    exactly.
     """
 
-    __slots__ = ("lambda1", "generator_ratio")
+    __slots__ = ("generator_ratio",)
 
-    def __init__(self, lambda1: float, generator_ratio: float) -> None:
+    def __init__(self, generator_ratio: float) -> None:
         if not 0.0 < generator_ratio < 1.0:
             raise DomainError(f"generator ratio must lie in (0,1), got {generator_ratio}")
-        if abs(lambda1 - (1.0 - generator_ratio)) > 1e-15:
-            raise DomainError("lambda1 must equal 1 - generator_ratio")
-        self._set(lambda1, generator_ratio)
+        self._set(generator_ratio)
+
+    @property
+    def lambda1(self) -> float:
+        """The top eigenvalue 1 - rho."""
+        return 1.0 - self.generator_ratio
 
     def entries(self, n: int) -> float:
         """The n-th eigenvalue, n >= 0."""
@@ -115,7 +119,7 @@ def toeplitz_eigenlist(
     ratio = _q_power(q, -beta * w)
     if not 0.0 < ratio < 1.0:
         raise DomainError(f"q^(-beta w) = {ratio} is not in (0,1)")
-    return EigenvalueList(lambda1=1.0 - ratio, generator_ratio=ratio)
+    return EigenvalueList(ratio)
 
 
 def gibbs_monomial(

@@ -46,6 +46,7 @@ __all__ = [
     "fox_matrix",
     "alexander_poly_fox",
     "alexander_from_seifert",
+    "alexander_roots",
     "DeRhamRep",
     "derham_solve",
     "DirectSumRep",
@@ -828,6 +829,27 @@ def alexander_from_seifert(
 # ---------------------------------------------------------------------------
 # triangular representations at Alexander roots
 # ---------------------------------------------------------------------------
+
+
+def alexander_roots(poly: LaurentPoly) -> list[complex]:
+    """The distinct roots of an Alexander polynomial, each listed once.
+
+    ``np.roots`` loses about half the digits at a repeated root, so the
+    roots are those of the squarefree part Delta / gcd(Delta, Delta').
+    """
+    import numpy as np
+
+    dense = poly.as_list()
+    if len(dense) > 1:
+        derivative = LaurentPoly([i * c for i, c in enumerate(dense)][1:])
+        common = _poly_gcd(poly, derivative)
+        if len(common.as_list()) > 1:
+            dense = _poly_divexact(poly, common).as_list()
+    roots = np.roots(list(reversed(dense)))
+    return sorted(
+        (complex(z) for z in roots),
+        key=lambda z: (round(z.real, 12), round(z.imag, 12)),
+    )
 
 
 class DeRhamRep(Record):

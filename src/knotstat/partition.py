@@ -24,7 +24,7 @@ from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
-from .catalog import Catalog, MultiplicityModel, weights_with_counts
+from .catalog import Catalog, MultiplicityModel, _log_count_weight, weights_with_counts
 from .errors import DivergenceError, DomainError
 from .specfun import (
     _TINY_LOG,
@@ -57,13 +57,15 @@ __all__ = [
     "qstar_euler_factor",
     "qstar_partition",
     "spectral_commutator_norm",
-    "spectral_commutator_matrix",
     "z_knots_times_n",
     "z_tau",
     "primes_up_to",
 ]
 
 Source = Union[Catalog, MultiplicityModel]
+
+# Highest prime weight the model product sums before its geometric tail
+_MODEL_WEIGHT_CAP = 4000
 
 # qstar_partition's direct sum sieves two n_max-byte arrays and sums n_max
 # terms (about 0.5 s per 10^6); larger truncations are refused
@@ -405,23 +407,6 @@ def _model_regime(beta: float, q: int) -> str:
     return "unknown-band"
 
 
-def _log_count_weight(model: MultiplicityModel, n: int) -> float:
-    """ln of the model count of weight-n primes, stable far beyond float range.
-
-    log-sum-exp over genus of g ln C - ln (6g)! + (6g-4) ln(n-g+1); the
-    counts themselves overflow double precision past weight ~300.
-    """
-    if n < 2:
-        return -math.inf
-    logs = []
-    log_c = math.log(model.C)
-    for g in range(1, min(n, model.g_max) + 1):
-        arg = n - g + 1
-        logs.append(g * log_c - math.lgamma(6 * g + 1) + (6 * g - 4) * math.log(arg))
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
-
-
 def _model_log_product(
     beta: float, q: int, model: MultiplicityModel, tol: float
 ) -> tuple[float, int, float]:
@@ -439,8 +424,7 @@ def _model_log_product(
     terms: list[float] = []
     w = 4  # minimal prime weight: crossing number 3, genus 1
     used = 0
-    w_cap = max(64, min(model.n_max, 4000))
-    while w <= w_cap:
+    while w <= _MODEL_WEIGHT_CAP:
         log_n = _log_count_weight(model, w)
         xw = math.exp(log_x * w) if log_x * w >= _TINY_LOG else 0.0
         # N(w) * (-log1p(-x^w)) = exp(log N + w log x) * correction
@@ -461,7 +445,7 @@ def _model_log_product(
         w += 1
     if log_rho >= 0.0:
         return math.fsum(terms), used, math.inf
-    log_tail = math.exp((w_cap + 1) * log_rho) / (-math.expm1(log_rho))
+    log_tail = math.exp((_MODEL_WEIGHT_CAP + 1) * log_rho) / (-math.expm1(log_rho))
     log_tail /= max(1e-300, -math.expm1(log_x))
     return math.fsum(terms), used, log_tail
 
@@ -742,26 +726,6 @@ def spectral_commutator_norm(p: int, m: int) -> float:
     if _factorize(p) != ((p, 1),):
         raise DomainError(f"spectral_commutator_norm requires a prime, got {p}")
     return abs(m) * math.log(p)
-
-
-def spectral_commutator_matrix(p: int, m: int, size: int):
-    """Dense truncation of the commutator on the basis indexed by p powers.
-
-    The scaling generator acts diagonally by n ln p and the shift moves
-    basis vector n to n + m (annihilating when n + m is out of range), so
-    the commutator has entries m ln p on the m-th diagonal.  Requires
-    numpy; used to verify the closed-form norm.
-    """
-    import numpy as np
-
-    if size < 1 or size <= abs(m):
-        raise DomainError(f"size must exceed |m|, got size={size}, m={m}")
-    d = np.diag([n * math.log(p) for n in range(size)])
-    shift = np.zeros((size, size))
-    for n in range(size):
-        if 0 <= n + m < size:
-            shift[n + m, n] = 1.0
-    return d @ shift - shift @ d
 
 
 # ---------------------------------------------------------------------------

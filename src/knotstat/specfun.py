@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _TINY_LOG = -745.0  # exp() underflows to 0.0 below this
+_HUGE_LOG = math.log(sys.float_info.max)  # and overflows above this
 
 # Below s = 30, Li_s at a b-th root of unity costs b Hurwitz zetas (about
 # 12 us each); larger denominators are refused rather than left to run.
@@ -180,8 +182,11 @@ def _hurwitz_em(s: float, a: float) -> float:
 
     Split point max(10, ceil(a) + 10); the stated 8 correction terms put
     the first omitted term far below 1e-12 of the value for every (s, a)
-    this library evaluates.
+    this library evaluates.  When the first term a^-s alone passes the
+    float range the value is refused; every later term is at most 1.
     """
+    if -s * math.log(a) > _HUGE_LOG:
+        raise DomainError(f"zeta(s, a) overflows a float: a^-s > 1.8e308 at s={s}, a={a}")
     split = max(10, math.ceil(a) + 10)
     total = 0.0
     for ell in range(split):

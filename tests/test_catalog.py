@@ -10,10 +10,12 @@ import pytest
 
 from knotstat.catalog import (
     DEFAULT_C,
+    GENUS_CAP,
     LOWER_C,
     Catalog,
     KnotRecord,
     MultiplicityModel,
+    _log_count_weight,
     builtin_catalog,
     builtin_catalog_path,
     count_asymptotic,
@@ -114,14 +116,12 @@ class TestLoadCatalog:
 
 class TestKnotRecord:
     def test_crossing_number_floor(self):
-        rec = KnotRecord("bad", 2, 1, True, False, (1, -1, 1))
         with pytest.raises(CatalogError, match="crossing number"):
-            rec.validate()
+            KnotRecord("bad", 2, 1, True, False, (1, -1, 1))
 
     def test_genus_floor(self):
-        rec = KnotRecord("bad", 3, 0, True, False, (1, -1, 1))
         with pytest.raises(CatalogError, match="genus"):
-            rec.validate()
+            KnotRecord("bad", 3, 0, True, False, (1, -1, 1))
 
     def test_weight_is_crossings_plus_genus(self):
         rec = KnotRecord("3_1", 3, 1, True, True, (1, -1, 1))
@@ -139,7 +139,7 @@ class TestBuiltinCatalog:
 
     def test_every_record_valid(self, cat):
         for rec in cat:
-            rec.validate()
+            assert rec.crossing_number >= 3 and rec.genus >= 1
             assert abs(sum(rec.alexander_coeffs)) == 1
             assert list(rec.alexander_coeffs) == list(
                 reversed(rec.alexander_coeffs)
@@ -213,11 +213,6 @@ class TestCountAsymptotic:
             values = [count_asymptotic(model, n, g) for n in range(1, 40)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_requires_asymptotic_mode(self):
-        exact = MultiplicityModel(mode="exact")
-        with pytest.raises(CatalogError):
-            count_asymptotic(exact, 5, 1)
-
     def test_constant_bounds_enforced(self):
         with pytest.raises(CatalogError):
             MultiplicityModel(C=399.0)
@@ -225,6 +220,25 @@ class TestCountAsymptotic:
             MultiplicityModel(C=DEFAULT_C * 1.01)
         MultiplicityModel(C=LOWER_C)
         MultiplicityModel(C=DEFAULT_C)
+
+    def test_log_routes_keep_their_bits(self, model):
+        # the overflow fallback of count_asymptotic (60^176 passes the float
+        # range) and the log-sum-exp weight count share one log term
+        assert count_asymptotic(MultiplicityModel(C=400.0), 60, 30).hex() == (
+            "0x1.015be29f67d60p+205")
+        assert count_asymptotic(model, 61, 30).hex() == "0x1.82e0594c9101bp+264"
+        assert [_log_count_weight(model, n).hex() for n in (2, 4, 50, 300, 4000)] == [
+            "0x1.0a17de3db44d0p+1", "0x1.065e32a6f4e52p+2", "0x1.918ceb88ffabap+6",
+            "0x1.3f2bd91f7ee9dp+9", "0x1.aa88151114687p+10"]
+        assert _log_count_weight(model, 1) == -math.inf
+        for n in (4, 12, 40):
+            assert _log_count_weight(model, n) == pytest.approx(
+                math.log(count_weight(model, n)), rel=1e-14)
+
+    def test_genus_cap(self, model):
+        n = GENUS_CAP + 20
+        capped = sum(count_asymptotic(model, n - g + 1, g) for g in range(1, GENUS_CAP + 1))
+        assert count_weight(model, n) == capped
 
 
 class TestCountWeight:
@@ -271,7 +285,8 @@ class TestCatalogContainer:
     def test_weights_table_is_derived(self, cat):
         assert cat.weights == {r.name: r.weight for r in cat if r.alternating}
         assert list(cat.weights) == [r.name for r in cat if r.alternating]
-        rebuilt = Catalog(cat.records, index={}, weights={"3_1": 0})
+        rebuilt = Catalog(cat.records)
+        assert rebuilt.index == {r.name: r for r in cat}
         assert rebuilt.weights == cat.weights and rebuilt == cat
         assert hash(rebuilt) == hash(cat)
         assert cat.filtered("torus-free").weights == {

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotstat import crossed
 from knotstat.crossed import (
@@ -34,6 +35,7 @@ from knotstat.crossed import (
     sigma_n_hatpi,
 )
 from knotstat.errors import DomainError
+from knotstat.specfun import primes_up_to
 
 E = GroupRingElement.e
 
@@ -73,6 +75,12 @@ class TestQmodZ:
         assert QmodZ.parse("0") == QmodZ.of(0)
         assert str(QmodZ.of(1, 3)) == "1/3"
 
+    def test_int_or_fraction_only(self):
+        assert QmodZ(3) == QmodZ(Fraction(0)) and QmodZ(-1).is_zero()
+        for bad in (0.5, "1/2", None, complex(1, 0)):
+            with pytest.raises(DomainError, match="QmodZ frac must be an int or a Fraction"):
+                QmodZ(bad)
+
 
 class TestGroupRingElement:
     def test_zero_coefficients_dropped(self):
@@ -102,6 +110,52 @@ class TestGroupRingElement:
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hatpi=st.booleans(),
+        terms=st.lists(st.tuples(
+            st.integers(-3, 3),  # n_gamma (pullback labels only)
+            st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(-d, 2 * d), st.just(d))),
+            st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=9)),
+        ), max_size=12),
+    )
+    def test_constructor_equals_sum_fold(self, hatpi, terms):
+        pairs = []
+        for g, (num, den), c in terms:
+            zeta = QmodZ.of(num, den)
+            pairs.append((HatPiLabel(g, zeta) if hatpi else zeta, c))
+        folded = GroupRingElement()
+        for label, c in pairs:
+            folded += GroupRingElement.basis(label).scale(c)
+        x = GroupRingElement(pairs)
+        assert x == folded and x.terms == folded.terms
+        assert GroupRingElement(dict(x.terms)) == x
+
+    def test_constructor_reduces_labels_mod_one(self):
+        # a bare Fraction label used to keep residue 3 at level 2: printed
+        # as e(1/2) but unequal to it
+        assert GroupRingElement([(Fraction(3, 2), 1)]) == E(Fraction(1, 2))
+        assert GroupRingElement([(HatPiLabel(1, Fraction(-1, 3)), 2)]) == (
+            GroupRingElement.basis(HatPiLabel(1, QmodZ.of(2, 3))).scale(2))
+
+    def test_constructor_mixed_families_rejected(self):
+        terms = [(QmodZ.of(1, 2), 1), (HatPiLabel(1, QmodZ.of(1, 2)), Fraction(1, 3))]
+        with pytest.raises(TypeError, match="different groups"):
+            GroupRingElement(terms)
+
+    def test_constructor_one_pass_over_wide_levels(self):
+        # 1000 distinct primes above 10^6: the level is their 17,000-bit product
+        primes = [p for p in primes_up_to(1_020_000) if p > 10**6][:1000]
+        assert len(primes) == 1000
+        terms = [(QmodZ.of(i + 1, p), Fraction(i % 7 - 3, 1 + i % 5))
+                 for i, p in enumerate(primes)]
+        start = time.perf_counter()
+        x = GroupRingElement(terms)
+        assert time.perf_counter() - start < 1.0
+        assert len(x.terms) == sum(1 for _, c in terms if c)
+        assert x.coefficient(QmodZ.of(2, primes[1])) == Fraction(-2, 2)
 
     def test_mixed_label_product_rejected(self):
         x = E(Fraction(1, 2))

@@ -85,28 +85,25 @@ def random_supported(rng, n_rho: int, size: int = 3) -> SupportedFunction:
 
 class TestEigenvalueList:
     def test_entries_partial_tail(self):
-        lst = EigenvalueList(lambda1=0.75, generator_ratio=0.25)
+        lst = EigenvalueList(generator_ratio=0.25)
+        assert lst.lambda1 == 0.75
         assert lst.entries(0) == 0.75
         assert lst.entries(1) == 0.75 * 0.25
         assert lst.partial_sum(3) == 1.0 - 0.25**3
         assert lst.tail(3) == 0.25**3
 
     def test_sums_to_one_exactly(self):
-        lst = EigenvalueList(lambda1=1.0 - 2.0**-40, generator_ratio=2.0**-40)
+        lst = EigenvalueList(generator_ratio=2.0**-40)
         assert lst.partial_sum(200) + lst.tail(200) == 1.0
 
     def test_ratio_out_of_range(self):
         with pytest.raises(DomainError, match="ratio"):
-            EigenvalueList(lambda1=1.0, generator_ratio=0.0)
+            EigenvalueList(generator_ratio=0.0)
         with pytest.raises(DomainError, match="ratio"):
-            EigenvalueList(lambda1=0.0, generator_ratio=1.0)
-
-    def test_lambda1_must_match(self):
-        with pytest.raises(DomainError, match="lambda1"):
-            EigenvalueList(lambda1=0.3, generator_ratio=0.25)
+            EigenvalueList(generator_ratio=1.0)
 
     def test_negative_index(self):
-        lst = EigenvalueList(lambda1=0.5, generator_ratio=0.5)
+        lst = EigenvalueList(generator_ratio=0.5)
         with pytest.raises(DomainError):
             lst.entries(-1)
 

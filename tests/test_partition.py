@@ -32,7 +32,6 @@ from knotstat.partition import (
     primes_up_to,
     qstar_euler_factor,
     qstar_partition,
-    spectral_commutator_matrix,
     spectral_commutator_norm,
     threshold_beta_minus,
     threshold_beta_plus,
@@ -514,6 +513,24 @@ class TestGrothWeightCounts:
         for weights, max_weight in (([4] * 401, 5000), ([], 10**7), ([4, 5], 10**12)):
             with pytest.raises(DomainError, match="2000000 weight-grid updates"):
                 groth_weight_counts(weights, max_weight)
+
+
+def spectral_commutator_matrix(p: int, m: int, size: int):
+    """Dense truncation of the commutator on the basis indexed by p powers.
+
+    The scaling generator acts diagonally by n ln p and the shift moves
+    basis vector n to n + m (annihilating when n + m is out of range), so
+    the commutator has entries m ln p on the m-th diagonal.  The oracle
+    for the closed-form ``spectral_commutator_norm``.
+    """
+    if size < 1 or size <= abs(m):
+        raise DomainError(f"size must exceed |m|, got size={size}, m={m}")
+    d = np.diag([n * math.log(p) for n in range(size)])
+    shift = np.zeros((size, size))
+    for n in range(size):
+        if 0 <= n + m < size:
+            shift[n + m, n] = 1.0
+    return d @ shift - shift @ d
 
 
 class TestSpectralCommutator:

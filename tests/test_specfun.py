@@ -7,6 +7,7 @@ closed forms evaluated in exact rational arithmetic.
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -73,6 +74,28 @@ class TestZeta:
 
     def test_hurwitz_huge_s_underflows_cleanly(self):
         assert hurwitz_zeta(1e12, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_hurwitz_past_float_range_refused(self):
+        # a^-s = 10^480: math.exp raised a raw OverflowError
+        with pytest.raises(DomainError, match=r"a\^-s > 1.8e308 at s=80, a=1e-06"):
+            hurwitz_zeta(80, 1e-6)
+        with pytest.raises(DomainError, match=r"a\^-s > 1.8e308 at s=80.5, a=1e-06"):
+            lerch_taylor(0.5, 80.5, 1e-6, 3)
+        # the largest first term that fits is still evaluated
+        a = 2.0**-8
+        assert hurwitz_zeta(127.0, a) == pytest.approx(2.0**1016, rel=1e-12)
+
+    @given(st.floats(min_value=1.0, max_value=400.0, exclude_min=True),
+           st.floats(min_value=1e-9, max_value=50.0))
+    @settings(max_examples=300, deadline=None)
+    def test_hurwitz_finite_or_refused(self, s, a):
+        try:
+            value = hurwitz_zeta(s, a)
+        except DomainError as exc:
+            assert "a^-s > 1.8e308" in str(exc)
+            assert -s * math.log(a) > math.log(sys.float_info.max)
+        else:
+            assert math.isfinite(value) and value >= 0.0  # 50^-191 underflows
 
     def test_restricted_zeta(self):
         # zeta restricted to integers coprime to n_rho: Euler factor removal
