@@ -50,6 +50,14 @@ GENUS_CAP = 64
 _FIELDS = ("name", "crossings", "genus", "alternating", "torus", "alexander")
 
 
+def _require_int(record: str, field: str, value) -> None:
+    """Refuse a record field that is not an int (a bool is refused too)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CatalogError(
+            f"record {record}: {field} must be an int, got {type(value).__name__} {value!r}"
+        )
+
+
 class KnotRecord(Record):
     """One prime knot: its classical invariants and Alexander coefficients,
     checked on construction (a violated invariant names the record)."""
@@ -66,6 +74,8 @@ class KnotRecord(Record):
         torus: bool,
         alexander_coeffs: tuple[int, ...],
     ) -> None:
+        _require_int(name, "crossing number", crossing_number)
+        _require_int(name, "genus", genus)
         if crossing_number < 3:
             raise CatalogError(
                 f"record {name}: prime knots need crossing number >= 3, "
@@ -75,6 +85,8 @@ class KnotRecord(Record):
             raise CatalogError(f"record {name}: prime knots need genus >= 1, got {genus}")
         if not alexander_coeffs:
             raise CatalogError(f"record {name}: empty Alexander coefficients")
+        for coeff in alexander_coeffs:
+            _require_int(name, "Alexander coefficient", coeff)
         if abs(sum(alexander_coeffs)) != 1:
             raise CatalogError(
                 f"record {name}: Alexander polynomial must evaluate to +-1 "
@@ -151,6 +163,10 @@ class MultiplicityModel(Record):
     __slots__ = ("C",)
 
     def __init__(self, C: float = DEFAULT_C) -> None:
+        if not isinstance(C, (int, float)) or isinstance(C, bool):
+            raise CatalogError(
+                f"asymptotic constant C must be a real number, got {type(C).__name__} {C!r}"
+            )
         if not LOWER_C <= C <= DEFAULT_C:  # NaN fails it too
             raise CatalogError(
                 f"asymptotic constant C must lie in [{LOWER_C}, {DEFAULT_C}], "

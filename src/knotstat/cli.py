@@ -5,11 +5,12 @@ Each handler returns its result and ``run`` alone writes stdout: a dict
 as one deterministic, strict JSON object (keys sorted, complex numbers as
 {"re": .., "im": ..}, +-inf as strings, a NaN refused), a (header, rows)
 pair, from ``figures`` and ``ingest`` in CSV mode, as CSV with a header
-row.  The seven flags common to every subcommand have
-environment-variable overrides with the ``KNOTSTAT_`` prefix
-(``KNOTSTAT_Q``, ``KNOTSTAT_N_RHO``, ...).  Exit
-codes: 0 on success, 1 on domain or divergence errors (reported with a
-machine-readable ``error`` field), 2 on usage errors.
+row.  A subcommand takes only the flags it reads; the seven shared ones
+(``--q``, ``--catalog``, ``--filter``, ``--multiplicity-c``, ``--n-rho``,
+``--tolerance``, ``--output``) have ``KNOTSTAT_<FLAG>`` environment
+overrides (``KNOTSTAT_Q``, ``KNOTSTAT_N_RHO``, ...).  Exit codes: 0 on
+success, 1 on domain or divergence errors (reported with a
+machine-readable ``error`` field), 2 on usage errors, an unread flag too.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ _MAX_VALUES = 100_000
 
 
 def _check_common(args: argparse.Namespace) -> None:
-    if args.q < 2:
+    if "q" in args and args.q < 2:
         raise KnotstatError(f"q must be >= 2, got {args.q}")
-    if not 0 < args.tolerance < math.inf:  # NaN fails both comparisons
+    if "tolerance" in args and not 0 < args.tolerance < math.inf:  # NaN fails both
         raise KnotstatError(
             f"tolerance must be positive and finite, got {args.tolerance}"
         )
@@ -307,8 +308,7 @@ def _cmd_kms_bc(args) -> dict:
     from . import kms as _kms
     from .crossed import QmodZ
 
-    r = QmodZ.parse(args.r)
-    beta = math.inf if args.beta.lower() in ("inf", "infinity") else float(args.beta)
+    r, beta = QmodZ.parse(args.r), args.beta
     u = _parse_unit(args.u)
     if beta <= 1.0:
         value: complex = complex(_kms.bc_high_temperature(r, beta))
@@ -397,7 +397,7 @@ def _cmd_ratio_witness(args) -> dict:
 def _presentation_from_args(args) -> _kg.Presentation:
     from . import knotgroups as _kg
 
-    sources = [bool(args.knot), bool(args.braid), bool(getattr(args, "file", None))]
+    sources = [bool(args.knot), bool(args.braid), bool(args.file)]
     if sum(sources) != 1:
         raise KnotstatError(
             "exactly one of --knot, --braid, --file must be given"
@@ -509,50 +509,54 @@ def _cmd_bc_normalize(args) -> dict:
 # command table and parser assembly
 # ---------------------------------------------------------------------------
 
-# The flags every subcommand takes.  Each default is the string in the
-# KNOTSTAT_<FLAG> environment variable when set; argparse converts a string
-# default with ``type`` at parse time, so a malformed override is a usage
-# error naming its flag.
-_COMMON = (
-    ("--q", dict(type=int, default="2", help="weight base q >= 2 (default 2)")),
-    ("--catalog", dict(help="knot catalog CSV path (default: bundled table)")),
-    ("--filter", dict(default="all", choices=["all", "alternating", "torus-free"],
-                      help="catalog row filter")),
-    ("--multiplicity-c", dict(type=float, default=repr(_catalog.DEFAULT_C),
-                              help="growth constant C of the multiplicity model")),
-    ("--n-rho", dict(type=int, default="1",
-                     help="order of the restricting root of unity (default 1)")),
-    ("--tolerance", dict(type=float, default="1e-12",
-                         help="series tolerance (default 1e-12)")),
-    ("--output", dict(default="json", choices=["json", "csv"],
-                      help="output format for commands that support both")),
-)
+# The shared flags, each in the table row of every command that reads it.
+# Each default is the string in the KNOTSTAT_<FLAG> environment variable
+# when set; argparse converts a string default with ``type`` at parse time,
+# so a malformed override is a usage error naming its flag.
+_Q = ("--q", dict(type=int, default="2", help="weight base q >= 2 (default 2)"))
+_CATALOG = ("--catalog", dict(help="knot catalog CSV path (default: bundled table)"))
+_FILTER = ("--filter", dict(default="all", choices=["all", "alternating", "torus-free"],
+                            help="catalog row filter"))
+_MULTIPLICITY_C = ("--multiplicity-c", dict(type=float, default=repr(_catalog.DEFAULT_C),
+                                            help="growth constant C of the multiplicity model"))
+_N_RHO = ("--n-rho", dict(type=int, default="1",
+                          help="order of the restricting root of unity (default 1)"))
+_TOLERANCE = ("--tolerance", dict(type=float, default="1e-12",
+                                  help="series tolerance (default 1e-12)"))
+_OUTPUT = ("--output", dict(default="json", choices=["json", "csv"],
+                            help="output format (default json)"))
+_SHARED = (_Q, _CATALOG, _FILTER, _MULTIPLICITY_C, _N_RHO, _TOLERANCE, _OUTPUT)
 
 _BETA = ("--beta", dict(type=float, required=True))
 _SOURCE = ("--source", dict(choices=["catalog", "model"], default="catalog"))
 _MAX_WEIGHT = ("--max-weight", dict(type=int, default=40))
-_PRESENTATION = (("--knot", dict(default=None)), ("--braid", dict(default=None)),
-                 ("--file", dict(default=None)))
+_PRESENTATION = (("--knot", dict(help="builtin knot name")),
+                 ("--braid", dict(help="braid word, e.g. '1,1,1' or '1 -2 1 -2'")),
+                 ("--file", dict(help="presentation text file")))
 
-# name -> (help, handler, the subcommand's own flags as (flag, keywords))
+# name -> (help, handler, the subcommand's flags as (flag, keywords))
 _COMMANDS = {
-    "ingest": ("load and summarize a knot catalog CSV", _cmd_ingest, ()),
+    "ingest": ("load and summarize a knot catalog CSV", _cmd_ingest, (_CATALOG, _FILTER, _OUTPUT)),
     "z-alt": ("partition function over alternating composites", _cmd_z_alt, (
-        _BETA, _SOURCE,
+        _Q, _CATALOG, _FILTER, _MULTIPLICITY_C, _TOLERANCE, _BETA, _SOURCE,
         ("--mode", dict(choices=["product", "direct", "both"], default="product")),
         _MAX_WEIGHT,
     )),
-    "z-groth": ("partition function of the Grothendieck group", _cmd_z_groth,
-                (_BETA, _SOURCE, _MAX_WEIGHT)),
+    "z-groth": ("partition function of the Grothendieck group", _cmd_z_groth, (
+        _Q, _CATALOG, _FILTER, _MULTIPLICITY_C, _TOLERANCE, _BETA, _SOURCE, _MAX_WEIGHT,
+    )),
     "z-qstar": ("multiplicative-integers partition function", _cmd_z_qstar, (
-        _BETA,
+        _TOLERANCE, _BETA,
         ("--mode", dict(choices=["closed", "direct", "both"], default="closed")),
         ("--n-max", dict(type=int, default=1_000_000)),
     )),
-    "z-tau": ("weighted product partition function over group elements", _cmd_z_tau,
-              (_BETA, ("--max-weight", dict(type=int, default=12)))),
-    "thresholds": ("convergence thresholds and derived constants", _cmd_thresholds, ()),
+    "z-tau": ("weighted product partition function over group elements", _cmd_z_tau, (
+        _Q, _CATALOG, _FILTER, _N_RHO, _TOLERANCE, _BETA,
+        ("--max-weight", dict(type=int, default=12)),
+    )),
+    "thresholds": ("convergence thresholds and derived constants", _cmd_thresholds, (_Q,)),
     "figures": ("emit figure data grids", _cmd_figures, (
+        _Q, _OUTPUT,
         ("--which", dict(choices=["f", "H"], required=True)),
         ("--beta-min", dict(default="auto", help="'auto' or a float (f-figure)")),
         ("--beta-max", dict(type=float, default=20.0)),
@@ -563,46 +567,40 @@ _COMMANDS = {
                             help="growth constant used by the H-figure")),
     )),
     "kms-toeplitz": ("eigenvalue list of a prime-knot Gibbs state", _cmd_kms_toeplitz, (
-        ("--knot", dict(required=True)), _BETA,
+        _Q, _CATALOG, _FILTER, ("--knot", dict(required=True)), _BETA,
         ("--entries", dict(type=int, default=5)),
     )),
     "kms-bc": ("arithmetic state value on e(r)", _cmd_kms_bc, (
         ("--r", dict(required=True, help="rational label a/b")),
-        ("--beta", dict(required=True,
+        ("--beta", dict(type=float, required=True,
                         help="inverse temperature; 'inf' for the ground state")),
-        ("--u", dict(default=None,
-                     help="adelic unit as modulus:residue[,modulus:residue...]")),
+        ("--u", dict(help="adelic unit as modulus:residue[,modulus:residue...]")),
     )),
     "kms-psi": ("weighted product state on a supported function", _cmd_kms_psi, (
-        _BETA,
+        _Q, _CATALOG, _FILTER, _N_RHO, _BETA,
         ("--entry", dict(action="append",
                          help="support entry GROUP::MONOMIAL, repeatable "
                               "(e.g. '3_1 -- unknot::e:1/2' or 'unknot::mu:2')")),
-        ("--u", dict(default=None)),
-        ("--translate", dict(default=None,
-                             help="group element h: report both sides of the "
+        ("--u", dict()),
+        ("--translate", dict(help="group element h: report both sides of the "
                                   "transformation law")),
     )),
     "ratio-witness": ("eigenvalue-ratio witness for q^(-beta)", _cmd_ratio_witness, (
+        _Q, _MULTIPLICITY_C,
         ("--n", dict(type=int, required=True)),
         ("--big-n", dict(type=int, required=True)),
         _BETA,
     )),
-    "wirtinger": ("Wirtinger presentation of a knot or braid closure", _cmd_wirtinger, (
-        ("--knot", dict(default=None, help="builtin knot name")),
-        ("--braid", dict(default=None,
-                         help="braid word, e.g. '1,1,1' or '1 -2 1 -2'")),
-        ("--file", dict(default=None, help="presentation text file")),
-        ("--out", dict(default=None, help="write the presentation here")),
-    )),
+    "wirtinger": ("Wirtinger presentation of a knot or braid closure", _cmd_wirtinger,
+                  (*_PRESENTATION, ("--out", dict(help="write the presentation here")))),
     "alexander": ("Alexander polynomial via Fox calculus or Seifert", _cmd_alexander, (
         *_PRESENTATION,
-        ("--sum", dict(default=None, help="amalgamate with this builtin knot first")),
-        ("--seifert", dict(default=None, help="Seifert matrix rows 'a b; c d'")),
+        ("--sum", dict(help="amalgamate with this builtin knot first")),
+        ("--seifert", dict(help="Seifert matrix rows 'a b; c d'")),
     )),
     "derham": ("triangular representation at an Alexander root", _cmd_derham, (
         *_PRESENTATION,
-        ("--root", dict(default=None, help="complex root, e.g. '0.5+0.8660254i'")),
+        ("--root", dict(help="complex root, e.g. '0.5+0.8660254i'")),
         ("--root-index", dict(type=int, default=0,
                               help="pick the k-th Alexander root (deterministic order)")),
         ("--branch", dict(type=int, choices=[1, -1], default=1)),
@@ -638,11 +636,11 @@ def _parser(names: Sequence[str]) -> argparse.ArgumentParser:
     for name in names:
         help_text, _, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in _COMMON:
-            env = ENV_PREFIX + flag[2:].upper().replace("-", "_")
-            default = os.environ.get(env, kwargs.get("default"))
-            p.add_argument(flag, **{**kwargs, "default": default})
-        for flag, kwargs in flags:
+        for spec in flags:
+            flag, kwargs = spec
+            if spec in _SHARED:
+                env = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+                kwargs = {**kwargs, "default": os.environ.get(env, kwargs.get("default"))}
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -670,7 +668,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, text = 0, _render(_COMMANDS[args.command][1](args))
     except (KnotstatError, ValueError, OSError) as exc:
         msg = str(exc)
-        error = (["error"], [[msg]]) if args.output == "csv" else {"error": msg}
+        csv_mode = getattr(args, "output", "json") == "csv"  # only where --output exists
+        error = (["error"], [[msg]]) if csv_mode else {"error": msg}
         code, text = 1, _render(error)
     sys.stdout.write(text)
     return code

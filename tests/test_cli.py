@@ -6,6 +6,7 @@ codes against the documented 0/1/2 contract, and repeated runs against
 the bit-identical determinism guarantee.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -23,6 +24,7 @@ from knotstat import cli
 from knotstat import partition as pt
 from knotstat.catalog import builtin_catalog_path
 from knotstat.cli import run
+from knotstat.errors import KnotstatError
 
 CSV_HEADER = "name,crossings,genus,alternating,torus,alexander\n"
 
@@ -76,7 +78,7 @@ class TestExitCodes:
 
     def test_bad_tolerance_is_one(self, capsys):
         code, payload = invoke_json(
-            capsys, "thresholds", "--tolerance", "-1"
+            capsys, "z-qstar", "--beta", "2", "--tolerance", "-1"
         )
         assert code == 1
         assert "tolerance" in payload["error"]
@@ -113,7 +115,7 @@ class TestExitCodes:
 
     def test_csv_error_mode(self, capsys):
         code, out = invoke(
-            capsys, "z-alt", "--beta", "1.5", "--source", "model",
+            capsys, "figures", "--which", "H", "--n-points", "1",
             "--output", "csv",
         )
         assert code == 1
@@ -503,6 +505,12 @@ class TestKmsCommands:
         )
         assert with_unit["value"] == rotated["value"]
 
+    def test_bc_beta_is_a_float_flag(self, capsys):
+        assert run(["kms-bc", "--r", "1/2", "--beta", "abc"]) == 2
+        assert "argument --beta: invalid float value: 'abc'" in capsys.readouterr().err
+        code, payload = invoke_json(capsys, "kms-bc", "--r", "1/3", "--beta", "Infinity")
+        assert (code, payload["regime"], payload["beta"]) == (0, "ground", "inf")
+
     def test_bc_bad_unit(self, capsys):
         code, payload = invoke_json(
             capsys, "kms-bc", "--r", "1/3", "--beta", "2", "--u", "3-2",
@@ -880,6 +888,14 @@ class TestCommandTable:
             for name, (help_text, _, _) in cli._COMMANDS.items():
                 assert f"{name} {help_text}" in words
 
+    # a command that takes each flag, with its required flags
+    ENV_COMMAND = {
+        "--q": ["thresholds"],
+        "--n-rho": ["z-tau", "--beta", "1.5"],
+        "--tolerance": ["z-qstar", "--beta", "2"],
+        "--multiplicity-c": ["ratio-witness", "--n", "3", "--big-n", "12", "--beta", "1"],
+    }
+
     @pytest.mark.parametrize("variable, value, flag", [
         ("Q", "abc", "--q"),
         ("N_RHO", "1.5", "--n-rho"),
@@ -888,12 +904,13 @@ class TestCommandTable:
     ])
     def test_malformed_env_override_is_usage_error(self, capsys, monkeypatch, variable, value, flag):
         monkeypatch.setenv("KNOTSTAT_" + variable, value)
-        assert run(["thresholds"]) == 2
+        argv = self.ENV_COMMAND[flag]
+        assert run(argv) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err and repr(value) in err
         assert "Traceback" not in err
         # the flag itself, or a full-parser help, does not read the override
-        assert run(["thresholds", flag, "3"]) in (0, 1)
+        assert run([*argv, flag, "3"]) in (0, 1)
         assert run(["-h"]) == 0
 
     def test_env_override_in_fresh_process(self):
@@ -906,6 +923,114 @@ class TestCommandTable:
         assert proc.returncode == 2
         assert "argument --q: invalid int value: 'abc'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+SHARED_DESTS = {"q", "catalog", "filter", "multiplicity_c", "n_rho", "tolerance", "output"}
+
+# Each command's option strings in help order, -h/--help aside: the shared
+# flags its handler reads, then its own.
+OPTIONS = {
+    "ingest": "--catalog --filter --output",
+    "z-alt": "--q --catalog --filter --multiplicity-c --tolerance --beta --source --mode "
+             "--max-weight",
+    "z-groth": "--q --catalog --filter --multiplicity-c --tolerance --beta --source "
+               "--max-weight",
+    "z-qstar": "--tolerance --beta --mode --n-max",
+    "z-tau": "--q --catalog --filter --n-rho --tolerance --beta --max-weight",
+    "thresholds": "--q",
+    "figures": "--q --output --which --beta-min --beta-max --n-points --q-min --q-max "
+               "--figure-c",
+    "kms-toeplitz": "--q --catalog --filter --knot --beta --entries",
+    "kms-bc": "--r --beta --u",
+    "kms-psi": "--q --catalog --filter --n-rho --beta --entry --u --translate",
+    "ratio-witness": "--q --multiplicity-c --n --big-n --beta",
+    "wirtinger": "--knot --braid --file --out",
+    "alexander": "--knot --braid --file --sum --seifert",
+    "derham": "--knot --braid --file --root --root-index --branch",
+    "bc-normalize": "--word",
+}
+
+
+def _actions(name):
+    """The actions of one subcommand's parser, -h/--help aside."""
+    parser = cli._parser([name])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)]
+
+
+class _Recording(argparse.Namespace):
+    """A Namespace that notes the name of each public attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagScope:
+    """Each subcommand takes the shared flags its handler reads, and no other."""
+
+    def test_settable_values(self):
+        assert list(OPTIONS) == list(cli._COMMANDS)
+        assert sum(len(_actions(name)) for name in OPTIONS) == 79
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_option_strings(self, name):
+        assert [s for a in _actions(name) for s in a.option_strings] == OPTIONS[name].split()
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_declared_shared_flags_are_read(self, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        read = {"output"}  # run reads --output to render an error
+        runs = [VALID_ARGV[name]]
+        if name in ("z-alt", "z-groth"):  # each source, at a beta where both converge
+            runs = [VALID_ARGV[name] + ["--source", source, "--beta", "12"]
+                    for source in ("catalog", "model")]
+        for argv in runs:
+            args = _Recording(**vars(cli._parser([name]).parse_args([name, *argv])))
+            args._read = set()
+            try:
+                cli._COMMANDS[name][1](args)
+            except KnotstatError:  # figures refuses --beta-min 1 at q = 2, after its reads
+                pass
+            read |= args._read
+        declared = {a.dest for a in _actions(name)} & SHARED_DESTS
+        assert declared <= read
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_unread_shared_flag_is_usage_error(self, capsys, name):
+        values = {"--q": "3", "--catalog": "k.csv", "--filter": "all",
+                  "--multiplicity-c": "400", "--n-rho": "2", "--tolerance": "1e-9",
+                  "--output": "json"}
+        for flag, value in values.items():
+            if flag not in OPTIONS[name].split():
+                assert run([name, *VALID_ARGV[name], flag, value]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"error: unrecognized arguments: {flag} {value}\n" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["kms-bc", "--r", "1/2", "--beta", "2", "--q", "3"],
+        ["kms-bc", "--r", "1/0", "--beta", "2", "--output", "csv"],
+        ["derham", "--knot", "3_1", "--tolerance", "nan"],
+        ["thresholds", "--catalog", "/nonexistent", "--n-rho", "-5",
+         "--multiplicity-c", "1e9", "--output", "csv"],
+        ["bc-normalize", "--word", "mu:2 e:1/3 mu*:2", "--q", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_defect_inputs_are_usage_errors(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: unrecognized arguments: --" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        "bc-normalize --word mu:2 e:1/3 mu*:2",
+        "derham --knot 3_1 --root-index 0",
+    ])
+    def test_unread_env_overrides_leave_output(self, capsys, monkeypatch, command):
+        for variable, value in (("Q", "1"), ("TOLERANCE", "nan"), ("N_RHO", "abc")):
+            monkeypatch.setenv("KNOTSTAT_" + variable, value)
+        expected = json.loads(REFERENCE.read_text())[command]
+        assert invoke(capsys, *expected["argv"]) == (0, expected["stdout"])
 
 
 class TestCostCaps:
@@ -988,57 +1113,44 @@ class TestSingleEmitPath:
 
     # One refused argv per subcommand: (argv, stdout with --output json,
     # stdout with --output csv), all exit 1, recorded before the handlers
-    # returned their payloads and pinned byte for byte.
+    # returned their payloads and pinned byte for byte.  A command without
+    # --output has None in the CSV column: it prints the JSON error with no
+    # --output, and --output itself is a usage error.
     PINNED_ERRORS = [
         (["ingest", "--catalog", "no_such_catalog.csv"],
          '{"error": "catalog file not found: no_such_catalog.csv"}\n',
          'error\ncatalog file not found: no_such_catalog.csv\n'),
         (["z-alt", "--beta", "1.5", "--source", "model"],
          '{"error": "partition series diverges: beta=1.5 is below beta_minus(2) '
-         '= 1.939085 (regime: divergent)"}\n',
-         'error\npartition series diverges: beta=1.5 is below beta_minus(2) '
-         '= 1.939085 (regime: divergent)\n'),
+         '= 1.939085 (regime: divergent)"}\n', None),
         (["z-groth", "--beta", "nan"],
-         '{"error": "z_grothendieck requires a finite beta, got nan"}\n',
-         'error\n"z_grothendieck requires a finite beta, got nan"\n'),
+         '{"error": "z_grothendieck requires a finite beta, got nan"}\n', None),
         (["z-qstar", "--beta", "1"],
-         '{"error": "qstar partition function diverges for beta <= 1, got 1.0"}\n',
-         'error\n"qstar partition function diverges for beta <= 1, got 1.0"\n'),
+         '{"error": "qstar partition function diverges for beta <= 1, got 1.0"}\n', None),
         (["z-tau", "--beta", "1.0"],
-         '{"error": "Z_tau is trace-class only for beta > 1, got beta = 1.0"}\n',
-         'error\n"Z_tau is trace-class only for beta > 1, got beta = 1.0"\n'),
+         '{"error": "Z_tau is trace-class only for beta > 1, got beta = 1.0"}\n', None),
         (["thresholds", "--q", "1"],
-         '{"error": "q must be >= 2, got 1"}\n',
-         'error\n"q must be >= 2, got 1"\n'),
+         '{"error": "q must be >= 2, got 1"}\n', None),
         (["figures", "--which", "H", "--n-points", "1"],
          '{"error": "need n_points >= 2, got 1"}\n',
          'error\n"need n_points >= 2, got 1"\n'),
         (["kms-toeplitz", "--knot", "unknot", "--beta", "10"],
-         '{"error": "the unknot has weight 0 and no normalizable state"}\n',
-         'error\nthe unknot has weight 0 and no normalizable state\n'),
+         '{"error": "the unknot has weight 0 and no normalizable state"}\n', None),
         (["kms-bc", "--r", "1/0", "--beta", "2"],
-         '{"error": "zero denominator in \'1/0\'"}\n',
-         "error\nzero denominator in '1/0'\n"),
+         '{"error": "zero denominator in \'1/0\'"}\n', None),
         (["kms-psi", "--beta", "2", "--entry", "bogus"],
-         '{"error": "bad entry \'bogus\'; expected GROUP::MONOMIAL"}\n',
-         "error\nbad entry 'bogus'; expected GROUP::MONOMIAL\n"),
+         '{"error": "bad entry \'bogus\'; expected GROUP::MONOMIAL"}\n', None),
         (["ratio-witness", "--n", "0", "--big-n", "12", "--beta", "1"],
-         '{"error": "n must be >= 1, got 0"}\n',
-         'error\n"n must be >= 1, got 0"\n'),
+         '{"error": "n must be >= 1, got 0"}\n', None),
         (["wirtinger", "--knot", "3_1", "--braid", "1,1,1"],
-         '{"error": "exactly one of --knot, --braid, --file must be given"}\n',
-         'error\n"exactly one of --knot, --braid, --file must be given"\n'),
+         '{"error": "exactly one of --knot, --braid, --file must be given"}\n', None),
         (["alexander", "--seifert", "1 2; 3"],
-         '{"error": "Seifert matrix must be square"}\n',
-         'error\nSeifert matrix must be square\n'),
+         '{"error": "Seifert matrix must be square"}\n', None),
         (["derham", "--knot", "3_1", "--root", "2"],
          '{"error": "r=(2+0j) is not a root of the Alexander polynomial '
-         '(|Delta(r)| = 3.000e+00)"}\n',
-         'error\nr=(2+0j) is not a root of the Alexander polynomial '
-         '(|Delta(r)| = 3.000e+00)\n'),
+         '(|Delta(r)| = 3.000e+00)"}\n', None),
         (["bc-normalize", "--word", 'mu:2 "e":1/3'],
-         '{"error": "unknown token kind \'\\"e\\"\'"}\n',
-         'error\n"unknown token kind \'""e""\'"\n'),
+         '{"error": "unknown token kind \'\\"e\\"\'"}\n', None),
     ]
 
     def test_pinned_errors_cover_every_command(self):
@@ -1049,5 +1161,13 @@ class TestSingleEmitPath:
     def test_pinned_error_bytes(self, capsys, monkeypatch, tmp_path, case, output):
         monkeypatch.chdir(tmp_path)
         argv, json_out, csv_out = case
-        code, out = invoke(capsys, *argv, "--output", output)
-        assert (code, out) == (1, json_out if output == "json" else csv_out)
+        if csv_out is not None:
+            code, out = invoke(capsys, *argv, "--output", output)
+            assert (code, out) == (1, json_out if output == "json" else csv_out)
+        elif output == "json":
+            assert invoke(capsys, *argv) == (1, json_out)
+        else:
+            assert run([*argv, "--output", "csv"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("error: unrecognized arguments: --output csv\n")

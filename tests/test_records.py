@@ -204,6 +204,18 @@ REFUSALS = [
     ("weight-0-enumeration",
      lambda: enumerate_knots(Catalog((KnotRecord("x", 0, 0, True, False, (1,)),)), 5),
      CatalogError, "record x: prime knots need crossing number >= 3, got 0"),
+    # a NaN crossing number passed every value check and z_alternating then
+    # dropped the prime with converged=True; 3.5 was a raw TypeError later
+    ("record-crossings-nan",
+     lambda: z_alternating(2.0, 2, Catalog((KnotRecord("x", NAN, 1, True, False, (1, -1, 1)),))),
+     CatalogError, "record x: crossing number must be an int, got float nan"),
+    ("record-crossings-float",
+     lambda: enumerate_knots(Catalog((KnotRecord("x", 3.5, 1, True, False, (1, -1, 1)),)), 5),
+     CatalogError, "record x: crossing number must be an int, got float 3.5"),
+    ("record-genus-bool", lambda: KnotRecord("x", 3, True, True, False, (1, -1, 1)),
+     CatalogError, "record x: genus must be an int, got bool True"),
+    ("record-alexander-float", lambda: KnotRecord("x", 3, 1, True, False, (1.0, -1.0, 1.0)),
+     CatalogError, "record x: Alexander coefficient must be an int, got float 1.0"),
     ("catalog-duplicate", lambda: Catalog((REC, REC)),
      CatalogError, "duplicate record name 3_1"),
     ("model-C-huge", lambda: z_alternating(12.0, 2, MultiplicityModel(C=1e9)),
@@ -211,6 +223,15 @@ REFUSALS = [
     ("model-C-negative", lambda: z_alternating(12.0, 2, MultiplicityModel(C=-5.0)),
      CatalogError, BAD_C + "-5.0"),
     ("model-C-nan", lambda: MultiplicityModel(C=NAN), CatalogError, BAD_C + "nan"),
+    # the old positional form bound its mode string to C: a raw TypeError
+    ("model-C-str", lambda: MultiplicityModel("asymptotic"), CatalogError,
+     "asymptotic constant C must be a real number, got str 'asymptotic'"),
+    ("model-C-none", lambda: MultiplicityModel(None), CatalogError,
+     "asymptotic constant C must be a real number, got NoneType None"),
+    ("model-C-complex", lambda: MultiplicityModel(1j), CatalogError,
+     "asymptotic constant C must be a real number, got complex 1j"),
+    ("model-C-bool", lambda: MultiplicityModel(True), CatalogError,
+     "asymptotic constant C must be a real number, got bool True"),
     # the removed settings are no longer keywords at all
     ("model-mode-exact", lambda: MultiplicityModel(mode="exact", C=1e9),
      TypeError, "unexpected keyword argument 'mode'"),
