@@ -671,7 +671,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         csv_mode = getattr(args, "output", "json") == "csv"  # only where --output exists
         error = (["error"], [[msg]]) if csv_mode else {"error": msg}
         code, text = 1, _render(error)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at os.devnull, so that
+        # the flush at shutdown does not fail again (Python docs, "Note on
+        # SIGPIPE"), and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

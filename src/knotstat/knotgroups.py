@@ -12,8 +12,12 @@ built here record their block structure; unstructured input falls back to
 the gcd over all maximal minors.
 
 All polynomial arithmetic is exact, on dense integer coefficient tuples
-(gcds by primitive pseudo-remainders); the representation-theoretic
-checks are complex double precision with explicit residual tolerances.
+(gcds by primitive pseudo-remainders).  Determinants split a matrix into
+independent blocks and run fraction-free elimination over Python ints at
+t = 2^K (Kronecker substitution), K large enough that the coefficients
+come back as the digits of the result; Smith normal forms take their +-1
+pivots on sparse rows first.  The representation-theoretic checks are
+complex double precision with explicit residual tolerances.
 """
 
 from __future__ import annotations
@@ -320,64 +324,97 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant over ZZ[t, 1/t] by fraction-free elimination.
+    """Exact determinant over ZZ[t, 1/t] of a square matrix.
 
-    Step k maps every lower row to (row * p_k - m[i][k] * row_k) / p_(k-1),
-    p_k being its pivot.  A row whose m[i][k] is zero is only rescaled by
-    p_k / p_(k-1); those factors telescope, so such a row is left as it is
-    and rescaled once, by p_(k-1) / p_(s-1), at the next step k that needs
-    it, s - 1 being the last step that updated it.  Zero entries stay
-    zero, and a product with a zero factor is skipped.
+    Rows and columns first split into the connected components of the
+    graph that joins each row to the columns of its nonzero entries.  A
+    zero row, or a component with unequal row and column counts (a zero
+    column is one), makes the determinant zero.  Otherwise the determinant
+    is the sign of the permutations that make the matrix block diagonal
+    times the product of the blocks' determinants (``_kronecker_det``).
     """
-    n = len(matrix)
-    if n == 0:
-        return _ONE
-    m = [row[:] for row in matrix]
-    level = [0] * n  # row i holds its entries after step level[i] - 1
-    pivots = [_ONE]  # pivots[s] = p_(s-1)
-    sign = 1
-    for k in range(n - 1):
-        if not m[k][k]._c:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]._c), None)
-            if pivot_row is None:
+    parent = list(range(len(matrix)))  # union-find over the columns
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supports = [[j for j, e in enumerate(row) if e._c] for row in matrix]
+    for cols in supports:
+        if not cols:
+            return _ZERO
+        for j in cols[1:]:
+            parent[find(j)] = find(cols[0])
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for i, cols in enumerate(supports):
+        blocks.setdefault(find(cols[0]), ([], []))[0].append(i)
+    for j in range(len(parent)):
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    if any(len(rows) != len(cols) for rows, cols in blocks.values()):
+        return _ZERO
+    det = _ONE
+    for rows, cols in blocks.values():
+        det = det * _kronecker_det([[matrix[i][j] for j in cols] for i in rows])
+    rows = [i for block in blocks.values() for i in block[0]]
+    cols = [j for block in blocks.values() for j in block[1]]
+    swaps = sum(a > b for order in (rows, cols) for a, b in combinations(order, 2))
+    return -det if swaps % 2 else det
+
+
+def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a square matrix without zero rows, over the integers.
+
+    Each row is shifted by its lowest exponent, making its entries
+    polynomials in t.  The determinant's coefficients are then bounded in
+    absolute value by B, the product over the rows of their entries'
+    coefficient 1-norms, so evaluating at t = 2^K with 2^(K-1) > B maps it
+    to an integer whose balanced base-2^K digits are those coefficients.
+    That integer is the determinant of the evaluated matrix (evaluation is
+    a ring homomorphism), which fraction-free (Bareiss) elimination
+    computes with exact integer divisions: step k maps every lower row to
+    (row * p_k - m[i][k] * row_k) / p_(k-1), p_k being its pivot.
+    """
+    lows = [min(e._low for e in row if e._c) for row in matrix]
+    bound = 1
+    for row in matrix:
+        bound *= sum(abs(c) for e in row for c in e._c)
+    k = bound.bit_length() + 1
+    m = []
+    for row, low in zip(matrix, lows):
+        values = []
+        for e in row:
+            value = 0
+            for c in reversed(e._c):
+                value = (value << k) + c
+            values.append(value << k * (e._low - low) if value else 0)
+        m.append(values)
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if swap is None:
                 return _ZERO
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            level[k], level[pivot_row] = level[pivot_row], level[k]
+            m[i], m[swap] = m[swap], m[i]
             sign = -sign
-        prev = pivots[k]
-        _rescale(m[k], k, prev, pivots[level[k]])
-        row_k = m[k]
-        pivot = row_k[k]
-        pivots.append(pivot)
-        for i in range(k + 1, n):
-            row_i = m[i]
-            if not row_i[k]._c:
-                continue
-            _rescale(row_i, k, prev, pivots[level[i]])
-            level[i] = k + 1
-            minus_mik = -row_i[k]
-            for j in range(k + 1, n):
-                mij, mkj = row_i[j], row_k[j]
-                if mkj._c:
-                    cross = minus_mik * mkj
-                    num = mij * pivot + cross if mij._c else cross
-                elif mij._c:
-                    num = mij * pivot
-                else:
-                    continue
-                row_i[j] = _poly_divexact(num, prev)
-    last = m[n - 1]
-    _rescale(last, n - 1, pivots[n - 1], pivots[level[n - 1]])
-    return last[n - 1] if sign > 0 else -last[n - 1]
-
-
-def _rescale(row: list[LaurentPoly], start: int, num: LaurentPoly, den: LaurentPoly) -> None:
-    """row[j] * num / den in place for j >= start; zero entries stay zero."""
-    if num is den:
-        return
-    for j in range(start, len(row)):
-        if row[j]._c:
-            row[j] = _poly_divexact(row[j] * num, den)
+        row_i = m[i]
+        pivot, tail = row_i[i], row_i[i + 1 :]
+        for row in m[i + 1 :]:
+            x = row[i]
+            row[i + 1 :] = [(v * pivot - x * w) // prev for v, w in zip(row[i + 1 :], tail)]
+        prev = pivot
+    det = sign * m[-1][-1]
+    # balanced digits: each in [-2^(K-1), 2^(K-1)), lowest first
+    digits, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while det:
+        digit = det & mask
+        if digit >= half:
+            digit -= 1 << k
+        digits.append(digit)
+        det = (det - digit) >> k
+    return _poly(*_trim(sum(lows), digits))
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +687,37 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the nonzero invariant factors d_1 | d_2 | ... (positive).
+    A +-1 entry is taken as a pivot on sparse ``{column: value}`` rows
+    first: row operations clear its column, after which its row and column
+    split off with invariant factor 1.  Oriented incidence matrices, such
+    as the exponent-sum matrices of Wirtinger presentations, reduce that
+    way entirely; whatever is left goes through the dense loop.
     """
-    m = [list(map(int, row)) for row in rows]
+    sparse = [{j: v for j, v in enumerate(map(int, row)) if v} for row in rows]
     divisors: list[int] = []
+    found = True
+    while found:
+        found = False
+        for row in sparse:
+            col = next((j for j, v in row.items() if v == 1 or v == -1), None)
+            if col is None:
+                continue
+            unit = row.pop(col)
+            for other in sparse:
+                if col in other:
+                    factor = other.pop(col) * unit  # other[col] / unit, as unit = +-1
+                    for j, v in row.items():
+                        x = other.get(j, 0) - factor * v
+                        if x:
+                            other[j] = x
+                        else:
+                            del other[j]
+            row.clear()
+            divisors.append(1)
+            found = True
+    rest = [row for row in sparse if row]
+    cols = sorted({j for row in rest for j in row})
+    m = [[row.get(j, 0) for j in cols] for row in rest]
     while m and m[0]:
         # the nonzero entry of least absolute value, first in row-major order
         best = None

@@ -24,7 +24,6 @@ from knotstat import cli
 from knotstat import partition as pt
 from knotstat.catalog import builtin_catalog_path
 from knotstat.cli import run
-from knotstat.errors import KnotstatError
 
 CSV_HEADER = "name,crossings,genus,alternating,torus,alexander\n"
 
@@ -122,6 +121,49 @@ class TestExitCodes:
         header, rows = read_csv(out)
         assert header == ["error"]
         assert len(rows) == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestBrokenPipe:
+    """A reader that closes the pipe early gets exit 1 and no traceback."""
+
+    def test_in_process(self, capsys, monkeypatch, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert run(["thresholds", "--q", "2"]) == 1
+            # the descriptor behind stdout now points at os.devnull
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_fresh_process(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotstat.cli", "thresholds", "--q", "2"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestThresholds:
@@ -815,15 +857,15 @@ class TestLazyImports:
         assert proc.stdout == expected["stdout"]
 
 
-# One valid argv per subcommand, for the one-subparser parse checks.
+# One valid argv per subcommand: each parses, and runs to exit 0.
 VALID_ARGV = {
     "ingest": ["--filter", "alternating", "--output", "csv"],
     "z-alt": ["--beta", "1.5", "--mode", "both", "--max-weight", "30"],
-    "z-groth": ["--beta", "2", "--source", "model"],
+    "z-groth": ["--beta", "12", "--source", "model"],
     "z-qstar": ["--beta", "2", "--mode", "direct", "--n-max", "100"],
     "z-tau": ["--beta", "1.5", "--max-weight", "12", "--n-rho", "3"],
     "thresholds": ["--q", "7"],
-    "figures": ["--which", "f", "--beta-min", "1", "--n-points", "5"],
+    "figures": ["--which", "f", "--beta-min", "2", "--n-points", "5"],
     "kms-toeplitz": ["--knot", "3_1", "--beta", "10", "--entries", "3"],
     "kms-bc": ["--r", "1/2", "--beta", "inf", "--u", "4:3"],
     "kms-psi": ["--beta", "2", "--entry", "unknot::e:1/2", "--entry", "3_1::mu:2"],
@@ -851,6 +893,17 @@ class TestCommandTable:
 
     def test_table_covers_every_command(self):
         assert list(VALID_ARGV) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(VALID_ARGV))
+    def test_valid_argv_runs(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)  # wirtinger writes its --out file
+        code, out = invoke(capsys, name, *VALID_ARGV[name])
+        assert code == 0
+        if VALID_ARGV[name][-2:] == ["--output", "csv"]:
+            header, rows = read_csv(out)
+            assert rows and all(len(row) == len(header) for row in rows)
+        else:
+            assert isinstance(json.loads(out, parse_constant=_no_constant), dict)
 
     @pytest.mark.parametrize("name", list(VALID_ARGV))
     @pytest.mark.parametrize("case", [
@@ -989,10 +1042,7 @@ class TestFlagScope:
         for argv in runs:
             args = _Recording(**vars(cli._parser([name]).parse_args([name, *argv])))
             args._read = set()
-            try:
-                cli._COMMANDS[name][1](args)
-            except KnotstatError:  # figures refuses --beta-min 1 at q = 2, after its reads
-                pass
+            cli._COMMANDS[name][1](args)
             read |= args._read
         declared = {a.dest for a in _actions(name)} & SHARED_DESTS
         assert declared <= read

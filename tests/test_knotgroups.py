@@ -10,6 +10,7 @@ Seifert determinants against Fox calculus.
 import cmath
 import math
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ words = st.lists(
 
 def catalog_poly(cat, name):
     return LaurentPoly.from_list(cat.get(name).alexander_coeffs).normalized()
+
+
+def sympy_factors(m):
+    """The nonzero invariant factors by sympy, made positive."""
+    return [abs(v) for v in sympy_snf(Matrix(m)).diagonal() if v != 0]
 
 
 class TestWords:
@@ -136,12 +142,57 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-            expected = [
-                abs(v)
-                for v in sympy_snf(Matrix(m)).diagonal()
-                if v != 0
-            ]
-            assert smith_normal_form(m) == expected
+            assert smith_normal_form(m) == sympy_factors(m)
+
+    def test_oriented_incidence_matrices(self, rng):
+        """Rows e_a - e_b of a directed graph, which unit pivots reduce
+        entirely: one factor 1 per vertex beyond one per component."""
+        for _ in range(60):
+            vertices = rng.randint(1, 9)
+            edges = [tuple(rng.sample(range(vertices), 2)) if vertices > 1 else (0, 0)
+                     for _ in range(rng.randint(0, 10))]
+            rows = []
+            for a, b in edges:
+                row = [0] * vertices
+                row[a] += 1
+                row[b] -= 1  # a loop (vertices == 1) leaves a zero row
+                rows.append(row)
+                if rng.random() < 0.2:
+                    rows.append(list(row))  # a repeated row
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), [0] * vertices)
+            if not rows:
+                continue
+            parent = list(range(vertices))
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for a, b in edges:
+                parent[find(a)] = find(b)
+            components = len({find(v) for v in range(vertices)})
+            assert smith_normal_form(rows) == sympy_factors(rows)
+            assert smith_normal_form(rows) == [1] * (vertices - components)
+
+    def test_unit_and_non_unit_pivots(self, rng):
+        """Up to 8x8, with +-1 entries beside multiples of 2, 3 and 5."""
+        for _ in range(80):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 10, -15))
+                  for _ in range(cols)] for _ in range(rows)]
+            assert smith_normal_form(m) == sympy_factors(m)
+
+    def test_exponent_sum_matrices_of_sums(self):
+        for names in combinations_with_replacement(sorted(builtin_braids()), 3):
+            p = builtin_presentation(names[0])
+            for name in names[1:]:
+                p = amalgamate(p, builtin_presentation(name))
+            rows = [[exponent_sum(word, g) for g in range(1, p.n_generators + 1)]
+                    for word in p.relators]
+            assert smith_normal_form(rows) == sympy_factors(rows)
+            assert smith_normal_form(rows) == [1] * (p.n_generators - 1)
 
 
 class TestBraidClosure:

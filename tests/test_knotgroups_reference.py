@@ -1,16 +1,23 @@
 """The dense Laurent-polynomial layer against the sparse reference.
 
 ``knotgroups_reference`` keeps the term-by-term sparse ``LaurentPoly``,
-its Bareiss determinant, exact division and Fraction-Euclid gcd.  The
-property tests draw the same coefficients into both and require equal
-arithmetic, ``normalized``, ``str``, ``==``/``hash``, determinants
-(square matrices up to 6x6 with entries of span <= 3, zero pivots and
-singular matrices included), quotients or the same refusal, and gcds.
-The gcd-of-minors fallback, which presentation files without block
-structure take, is checked against the reference minor by minor.
+its Bareiss determinant over polynomials, exact division and
+Fraction-Euclid gcd.  The property tests draw the same coefficients into
+both and require equal arithmetic, ``normalized``, ``str``,
+``==``/``hash``, quotients or the same refusal, and gcds.  Determinants
+(block splitting, then Bareiss over the integers at t = 2^K) must equal
+the reference's exactly, sign included: square matrices up to 6x6 with
+zero pivots and singular ones; block-diagonal matrices up to 10x10 under
+row and column shuffles, with zero rows and columns and non-square
+blocks; coefficients up to 10^6 with spans up to 8, where the bound
+behind K is reached; and the Fox matrix of every 2- and 3-summand sum of
+the builtin knots.  The gcd-of-minors fallback, which presentation files
+without block structure take, is checked against the reference minor by
+minor.
 """
 
 import tempfile
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -20,11 +27,14 @@ import knotgroups_reference as ref
 from knotstat.errors import PresentationError
 from knotstat.knotgroups import (
     LaurentPoly,
+    _alexander_rows,
     _bareiss_det,
     _poly_divexact,
     _poly_gcd,
+    alexander_from_seifert,
     alexander_poly_fox,
     amalgamate,
+    builtin_braids,
     builtin_presentation,
     fox_matrix,
     load_presentation,
@@ -37,6 +47,16 @@ raw_polys = st.tuples(
 )
 # zero-heavy entries, so that Bareiss meets zero pivots and skipped updates
 raw_entries = st.one_of(st.just(([], 0)), st.just(([], 0)), raw_polys)
+
+
+def nonzero_polys(bound, span):
+    """(coefficients, lowest exponent): at most span + 1 coefficients, each
+    of absolute value <= bound, the top one nonzero."""
+    return st.tuples(
+        st.lists(st.integers(-bound, bound), max_size=span),
+        st.integers(1, bound).flatmap(lambda c: st.sampled_from((c, -c))),
+        st.integers(-4, 4),
+    ).map(lambda drawn: (drawn[0] + [drawn[1]], drawn[2]))
 
 
 def both(raw):
@@ -71,6 +91,46 @@ def square_matrices(draw):
         k = draw(st.integers(-1, 1))
         rows[-1] = [a.shift(k) + b for a, b in zip(rows[0], rows[1])]
     return rows
+
+
+def _composition(draw, n, parts, positive):
+    """``parts`` sizes that add up to n, zeros allowed unless ``positive``."""
+    cut = st.integers(1, max(n - 1, 1)) if positive else st.integers(0, n)
+    cuts = sorted(draw(st.lists(cut, min_size=parts - 1, max_size=parts - 1, unique=positive)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@st.composite
+def block_matrices(draw, max_n, bound, span):
+    """Reference matrices, block diagonal up to a shuffle of rows and columns.
+
+    Every block has rows.  Its column count is its row count (square
+    blocks, with a nonzero diagonal), the row count of the next block, or
+    drawn on its own.  The last two give blocks with more rows than
+    columns or fewer (determinant zero).  The last can also give a block
+    without columns, whose rows are zero, and columns outside every
+    block, which are zero.
+    """
+    diagonal = nonzero_polys(bound, span)
+    entries = st.one_of(st.just(([], 0)), diagonal)
+    n = draw(st.integers(1, max_n))
+    parts = draw(st.integers(1, n))
+    row_sizes = _composition(draw, n, parts, positive=True)
+    col_sizes = draw(st.sampled_from(
+        [row_sizes, row_sizes[1:] + row_sizes[:1], _composition(draw, n, parts, positive=False)]
+    ))
+    rows = [[ref.LaurentPoly.zero()] * n for _ in range(n)]
+    r0 = c0 = 0
+    for r, c in zip(row_sizes, col_sizes):
+        for i in range(r):
+            raws = [draw(entries) for _ in range(c)]
+            if r == c:  # a nonzero diagonal keeps most square blocks regular
+                raws[i] = draw(diagonal)
+            rows[r0 + i][c0 : c0 + c] = [both(raw)[1] for raw in raws]
+        r0, c0 = r0 + r, c0 + c
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(n)))
+    return [[rows[i][j] for j in col_order] for i in row_order]
 
 
 class TestArithmetic:
@@ -144,6 +204,70 @@ class TestBareiss:
         m = [[to_new(e) for e in row] for row in rows]
         assert_same(_bareiss_det(m), ref._bareiss_det(rows))
 
+    @given(block_matrices(10, 4, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_shuffled_blocks(self, rows):
+        m = [[to_new(e) for e in row] for row in rows]
+        assert_same(_bareiss_det(m), ref._bareiss_det(rows))
+
+    @given(block_matrices(5, 10**6, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_large_coefficients(self, rows):
+        m = [[to_new(e) for e in row] for row in rows]
+        assert_same(_bareiss_det(m), ref._bareiss_det(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("c", [1, -1, 10**6, -(10**6), 2**20 - 1, -(2**20)])
+    def test_coefficient_bound_reached(self, n, c):
+        """One monomial c t^k per row and column, along a cyclic permutation:
+        each 1x1 block's determinant reaches its bound B = |c|, and the
+        product is (-1)^(n-1) c^n."""
+        rows = [[ref.LaurentPoly.zero()] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = ref.LaurentPoly.monomial(c, 8 * i - 4)
+        m = [[to_new(e) for e in row] for row in rows]
+        got = _bareiss_det(m)
+        assert_same(got, ref._bareiss_det(rows))
+        assert got.coeffs == ((sum(8 * i - 4 for i in range(n)), (-1) ** (n - 1) * c**n),)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fox_matrices_of_sums(self, k):
+        """The square Fox system of every k-summand sum of the builtin
+        knots, which splits into one block per summand."""
+        for names in combinations_with_replacement(sorted(builtin_braids()), k):
+            p = builtin_presentation(names[0])
+            for name in names[1:]:
+                p = amalgamate(p, builtin_presentation(name))
+            fox = fox_matrix(p)
+            cols = [j for j in range(p.n_generators) if j != p.basepoint]
+            square = [[fox[i][j] for j in cols] for i in _alexander_rows(p)]
+            expected = ref._bareiss_det([[ref.LaurentPoly(e.coeffs) for e in row] for row in square])
+            assert_same(_bareiss_det(square), expected)
+
+    @given(st.lists(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n)),
+        min_size=1, max_size=3,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_block_diagonal_seifert_matrix(self, blocks):
+        """det(V - t V^T) of a block-diagonal V is the product over the blocks."""
+        n = sum(map(len, blocks))
+        v = [[0] * n for _ in range(n)]
+        at = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                v[at + i][at : at + len(row)] = row
+            at += len(block)
+        product = LaurentPoly.one()
+        for block in blocks:
+            product = product * alexander_from_seifert(block)
+        assert alexander_from_seifert(v) == product
+        seifert = [[ref.LaurentPoly.from_list([v[i][j], -v[j][i]]) for j in range(n)]
+                   for i in range(n)]
+        assert_same(alexander_from_seifert(v), ref._bareiss_det(seifert).normalized())
+
     def test_zero_pivot_and_singular_examples(self):
         t, one, zero = LaurentPoly.monomial(1, 1), LaurentPoly.one(), LaurentPoly.zero()
         # a zero leading pivot forces a row swap: det [[0, 1], [t, 0]] = -t
@@ -152,6 +276,11 @@ class TestBareiss:
         assert _bareiss_det([[one, t], [one, t]]).is_zero()
         # a zero column after the first step
         assert _bareiss_det([[one, t, one], [one, t, t], [t, t * t, one]]).is_zero()
+        # components of 2 rows by 1 column and 1 row by 2 columns
+        assert _bareiss_det([[one, zero, zero], [t, zero, zero], [zero, one, t]]).is_zero()
+        # two 1x1 blocks and a 2x2 one, rows and columns out of order
+        assert _bareiss_det([[zero, t, zero, zero], [zero, zero, one, t],
+                             [one, zero, zero, zero], [zero, zero, t, one]]) == t - t * t * t
         assert _bareiss_det([]) == one
 
 
