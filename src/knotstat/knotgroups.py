@@ -15,8 +15,8 @@ All polynomial arithmetic is exact, on dense integer coefficient tuples
 (gcds by primitive pseudo-remainders).  Determinants split a matrix into
 independent blocks and run fraction-free elimination over Python ints at
 t = 2^K (Kronecker substitution), K large enough that the coefficients
-come back as the digits of the result; Smith normal forms take their +-1
-pivots on sparse rows first.  The representation-theoretic checks are
+come back as the digits of the result; Smith normal forms run one pivot
+loop on sparse rows.  The representation-theoretic checks are
 complex double precision with explicit residual tolerances.
 """
 
@@ -323,6 +323,20 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _poly(0, tuple(math.gcd(a.content, b.content) * x for x in fa))
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+# Bareiss on an n x n block makes about n^3 products of up to n W bits, W its
+# widest entry at t = 2^K, so n^5 W^2 prices it at schoolbook cost: a dense
+# 30x30 Seifert matrix, entries up to 1000, is 5.1e12 and 0.7 s (x86_64), 40x40 6 s.
+_MAX_DET_WORK = 10**13
+
+
 def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant over ZZ[t, 1/t] of a square matrix.
 
@@ -334,53 +348,48 @@ def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     times the product of the blocks' determinants (``_kronecker_det``).
     """
     parent = list(range(len(matrix)))  # union-find over the columns
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
     supports = [[j for j, e in enumerate(row) if e._c] for row in matrix]
     for cols in supports:
         if not cols:
             return _ZERO
         for j in cols[1:]:
-            parent[find(j)] = find(cols[0])
+            parent[_find(parent, j)] = _find(parent, cols[0])
     blocks: dict[int, tuple[list[int], list[int]]] = {}
     for i, cols in enumerate(supports):
-        blocks.setdefault(find(cols[0]), ([], []))[0].append(i)
+        blocks.setdefault(_find(parent, cols[0]), ([], []))[0].append(i)
     for j in range(len(parent)):
-        blocks.setdefault(find(j), ([], []))[1].append(j)
+        blocks.setdefault(_find(parent, j), ([], []))[1].append(j)
     if any(len(rows) != len(cols) for rows, cols in blocks.values()):
         return _ZERO
-    det = _ONE
-    for rows, cols in blocks.values():
-        det = det * _kronecker_det([[matrix[i][j] for j in cols] for i in rows])
+    # every block is evaluated, and its size checked, before any is eliminated
+    evaluated = [_kronecker_values([[matrix[i][j] for j in cols] for i in rows])
+                 for rows, cols in blocks.values()]
+    for m, k, _ in evaluated:
+        n, w = len(m), max(max(map(int.bit_length, row)) for row in m)
+        if n**5 * w * w > _MAX_DET_WORK:
+            raise PresentationError(
+                f"a {n}x{n} determinant block with {w}-bit entries at t = 2^{k} is past "
+                f"the work cap n^5 W^2 <= {_MAX_DET_WORK:.0e}"
+            )
+    det = math.prod((_kronecker_det(*block) for block in evaluated), start=_ONE)
     rows = [i for block in blocks.values() for i in block[0]]
     cols = [j for block in blocks.values() for j in block[1]]
     swaps = sum(a > b for order in (rows, cols) for a, b in combinations(order, 2))
     return -det if swaps % 2 else det
 
 
-def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix without zero rows, over the integers.
+def _kronecker_values(matrix: list[list[LaurentPoly]]) -> tuple[list[list[int]], int, int]:
+    """A square matrix without zero rows at t = 2^K, with K and a shift.
 
-    Each row is shifted by its lowest exponent, making its entries
-    polynomials in t.  The determinant's coefficients are then bounded in
-    absolute value by B, the product over the rows of their entries'
-    coefficient 1-norms, so evaluating at t = 2^K with 2^(K-1) > B maps it
-    to an integer whose balanced base-2^K digits are those coefficients.
-    That integer is the determinant of the evaluated matrix (evaluation is
-    a ring homomorphism), which fraction-free (Bareiss) elimination
-    computes with exact integer divisions: step k maps every lower row to
-    (row * p_k - m[i][k] * row_k) / p_(k-1), p_k being its pivot.
+    Each row is divided by t to its lowest exponent (the shift is their
+    sum), making its entries polynomials in t.  The determinant's
+    coefficients are then bounded in absolute value by B, the product over
+    the rows of their entries' coefficient 1-norms, so with 2^(K-1) > B
+    they are the balanced base-2^K digits of the determinant of the integer
+    matrix returned (evaluation is a ring homomorphism).
     """
     lows = [min(e._low for e in row if e._c) for row in matrix]
-    bound = 1
-    for row in matrix:
-        bound *= sum(abs(c) for e in row for c in e._c)
-    k = bound.bit_length() + 1
+    k = math.prod(sum(abs(c) for e in row for c in e._c) for row in matrix).bit_length() + 1
     m = []
     for row, low in zip(matrix, lows):
         values = []
@@ -390,6 +399,13 @@ def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
                 value = (value << k) + c
             values.append(value << k * (e._low - low) if value else 0)
         m.append(values)
+    return m, k, sum(lows)
+
+
+def _kronecker_det(m: list[list[int]], k: int, low: int) -> LaurentPoly:
+    """The determinant from ``_kronecker_values``: fraction-free (Bareiss)
+    elimination with exact integer divisions, step k mapping every lower
+    row to (row * p_k - m[i][k] * row_k) / p_(k-1), p_k being its pivot."""
     n = len(m)
     sign, prev = 1, 1
     for i in range(n - 1):
@@ -414,7 +430,7 @@ def _kronecker_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
             digit -= 1 << k
         digits.append(digit)
         det = (det - digit) >> k
-    return _poly(*_trim(sum(lows), digits))
+    return _poly(*_trim(low, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +570,12 @@ def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> P
 
     # trace closure merges the final arc at each position with the initial one
     parent = list(range(next_id))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for position in range(k):
-        parent[find(arcs[position])] = find(position)
+        parent[_find(parent, arcs[position])] = _find(parent, position)
 
     classes: dict[int, int] = {}
     for arc in range(next_id):
-        root = find(arc)
+        root = _find(parent, arc)
         if root not in classes:
             classes[root] = len(classes)
     n_arcs = len(classes)
@@ -576,7 +585,7 @@ def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> P
         )
 
     def gen(arc: int) -> int:
-        return classes[find(arc)] + 1  # 1-based letter
+        return classes[_find(parent, arc)] + 1  # 1-based letter
 
     relators = []
     for sign, over, under, out in crossings:
@@ -686,76 +695,56 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns the nonzero invariant factors d_1 | d_2 | ... (positive).
-    A +-1 entry is taken as a pivot on sparse ``{column: value}`` rows
-    first: row operations clear its column, after which its row and column
-    split off with invariant factor 1.  Oriented incidence matrices, such
-    as the exponent-sum matrices of Wirtinger presentations, reduce that
-    way entirely; whatever is left goes through the dense loop.
+    Returns the nonzero invariant factors d_1 | d_2 | ... (positive).  One
+    loop on sparse ``{column: value}`` rows takes the entry of least
+    absolute value as pivot (its search stops at the row of the first +-1)
+    and clears its column by row operations and its row by column
+    operations, down to remainders below the pivot that the loop picks next.  A pivot above 1
+    must divide every other entry; a row with an entry it does not divide
+    is added to its row first.  Each pass splits off a pivot or lowers the
+    least absolute value, and each pivot divides all that is left.
     """
     sparse = [{j: v for j, v in enumerate(map(int, row)) if v} for row in rows]
     divisors: list[int] = []
-    found = True
-    while found:
-        found = False
-        for row in sparse:
-            col = next((j for j, v in row.items() if v == 1 or v == -1), None)
-            if col is None:
-                continue
-            unit = row.pop(col)
-            for other in sparse:
-                if col in other:
-                    factor = other.pop(col) * unit  # other[col] / unit, as unit = +-1
-                    for j, v in row.items():
-                        x = other.get(j, 0) - factor * v
-                        if x:
-                            other[j] = x
-                        else:
-                            del other[j]
-            row.clear()
-            divisors.append(1)
-            found = True
-    rest = [row for row in sparse if row]
-    cols = sorted({j for row in rest for j in row})
-    m = [[row.get(j, 0) for j in cols] for row in rest]
-    while m and m[0]:
-        # the nonzero entry of least absolute value, first in row-major order
-        best = None
-        for i, row in enumerate(m):
-            for j, v in enumerate(row):
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-            if best is not None and best[0] == 1:
+    while True:
+        least = 0
+        for i, row in enumerate(sparse):
+            for j, v in row.items():
+                if not least or abs(v) < least:
+                    least, at, col = abs(v), i, j
+            if least == 1:
                 break
-        if best is None:
-            break
-        _, bi, bj = best
-        m[0], m[bi] = m[bi], m[0]
-        for row in m:
-            row[0], row[bj] = row[bj], row[0]
-        top = m[0]
-        pivot = top[0]
-        # row operations clear the pivot column down to remainders; a
-        # nonzero remainder is smaller than |pivot|, so the loop chooses again
-        for row in m[1:]:
-            if row[0]:
-                qt = row[0] // pivot
-                row[:] = [x - qt * y for x, y in zip(row, top)]
-        if any(row[0] for row in m[1:]):
-            continue
-        # column operations now change the top row alone
-        top[1:] = [x % pivot for x in top[1:]]
-        if any(top[1:]):
-            continue
-        # pivot must divide the rest of the block for true SNF
-        if abs(pivot) > 1:
-            offender = next((r for r in m[1:] if any(x % pivot for x in r)), None)
-            if offender is not None:
-                top[:] = [x + y for x, y in zip(top, offender)]
+        if not least:
+            return divisors
+        top = sparse[at]
+        pivot = top.pop(col)
+        remainders = False
+        for other in sparse:
+            x = other.pop(col, 0)
+            if not x:
                 continue
-        divisors.append(abs(pivot))
-        m = [row[1:] for row in m[1:]]
-    return divisors
+            q, r = divmod(x, pivot)
+            if r:
+                other[col] = r
+                remainders = True
+            if q:
+                for j, v in top.items():
+                    y = other.get(j, 0) - q * v
+                    if y:
+                        other[j] = y
+                    else:
+                        del other[j]
+        if least > 1 and not remainders:
+            # with the pivot's column clear, column operations change its row alone
+            if not any(v % pivot for v in top.values()):
+                top = next((r for r in sparse if any(v % pivot for v in r.values())), {})
+            sparse[at] = top = {j: v % pivot for j, v in top.items() if v % pivot}
+            remainders = bool(top)
+        if remainders:
+            top[col] = pivot
+            continue
+        del sparse[at]
+        divisors.append(least)
 
 
 class Abelianization(Record):
@@ -825,21 +814,24 @@ def fox_matrix(p: Presentation) -> list[list[LaurentPoly]]:
 
 
 def _alexander_rows(p: Presentation) -> Optional[list[int]]:
-    """Row indices forming a square Fox system, if redundancy is known.
+    """Row indices forming a square Fox system, from recorded blocks only.
 
     Every full Wirtinger relator block carries exactly one redundant
     relator (the product of all crossing relations bounds the diagram's
-    outer region), so one row per block may be dropped.  Returns None when
-    the block structure is unknown.
+    outer region), so one row per block may be dropped.  Only ``p.blocks``
+    says which relators form such blocks: a presentation that merely has
+    the shape of one (a file, say, with a relator repeated in place of
+    another) need not, so without recorded blocks this returns None.
     """
-    blocks = p.blocks
-    if blocks is None and p.is_wirtinger():
-        blocks = (tuple(range(len(p.relators))),)
-    if blocks is None:
+    if p.blocks is None:
         return None
-    drop = {block[-1] for block in blocks if block}
+    drop = {block[-1] for block in p.blocks if block}
     rows = [i for i in range(len(p.relators)) if i not in drop]
     return rows if len(rows) == p.n_generators - 1 else None
+
+
+# Most maximal minors the gcd route takes; a saved sum of three builtin knots has <= 1771.
+_MAX_MINORS = 2000
 
 
 def alexander_poly_fox(p: Presentation) -> LaurentPoly:
@@ -847,9 +839,9 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
 
     The basepoint generator's column is removed; the polynomial is the
     gcd of the maximal minors, normalized to lowest exponent 0 with
-    positive leading coefficient.  When the presentation's redundant
-    relators are known (Wirtinger blocks), the gcd collapses to a single
-    square determinant.
+    positive leading coefficient.  When the presentation records its
+    Wirtinger blocks, the gcd collapses to a single square determinant;
+    otherwise more than ``_MAX_MINORS`` minors are refused up front.
     """
     ab = abelianization(p)
     if not ab.is_infinite_cyclic:
@@ -857,9 +849,15 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
             f"Alexander polynomial needs abelianization Z, got rank "
             f"{ab.free_rank}, torsion {ab.torsion}"
         )
-    matrix = fox_matrix(p)
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     rows = _alexander_rows(p)
+    minors = 1 if rows is not None else math.comb(len(p.relators), len(cols))
+    if minors > _MAX_MINORS:
+        raise PresentationError(
+            f"{len(p.relators)} relators on {p.n_generators} generators without recorded "
+            f"Wirtinger blocks have {minors} maximal minors, more than {_MAX_MINORS}"
+        )
+    matrix = fox_matrix(p)
     # without known redundancy: the gcd over all maximal minors
     subsets = [rows] if rows is not None else combinations(range(len(p.relators)), len(cols))
     acc = _ZERO

@@ -773,6 +773,7 @@ class TestPresentationCommands:
 
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cli.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_reference_outputs_byte_identical(capsys, tmp_path, monkeypatch):
@@ -1138,6 +1139,9 @@ class TestSingleEmitPath:
         (["derham", "--knot", "3_1", "--root", "nan"], 1, "root r must be finite"),
         (["bc-normalize", "--word", " ".join(["mu:40000 e:1/3 mu*:40000"] * 40)],
          1, "bc word would build 80002 terms, more than 80000"),
+        (["alexander", "--braid", " ".join(["1"] * 201)], 1, "a 200x200 determinant block"),
+        (["alexander", "--file", str(DATA / "7_1_relators_x3.txt")],
+         1, "54264 maximal minors, more than 2000"),
     ])
     def test_defect_inputs(self, capsys, argv, code, needle):
         start = time.perf_counter()

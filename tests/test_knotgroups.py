@@ -184,6 +184,19 @@ class TestSmithNormalForm:
                   for _ in range(cols)] for _ in range(rows)]
             assert smith_normal_form(m) == sympy_factors(m)
 
+    def test_without_unit_entries(self, rng):
+        """No +-1 entry, entries up to 10^6, a zero row and a zero column:
+        every pivot takes the remainder and divisibility steps."""
+        for _ in range(200):
+            rows, cols, scale = rng.randint(1, 6), rng.randint(1, 6), rng.choice((1, 2, 6))
+            m = [[rng.choice((0, 0, scale * rng.choice((2, -3, 4, -6, 10, -15)),
+                              rng.choice((1, -1)) * rng.randint(2, 10**6)))
+                  for _ in range(cols)] for _ in range(rows)]
+            m.insert(rng.randint(0, rows), [0] * cols)
+            at = rng.randint(0, cols)
+            m = [row[:at] + [0] + row[at:] for row in m]
+            assert smith_normal_form(m) == sympy_factors(m)
+
     def test_exponent_sum_matrices_of_sums(self):
         for names in combinations_with_replacement(sorted(builtin_braids()), 3):
             p = builtin_presentation(names[0])

@@ -330,6 +330,10 @@ class TestFoxAndFallback:
             "a b\na b a B A B\n",  # the trefoil as <a, b | aba = bab>
             "a b\na b a b a B A B A B\n",  # the (2,5) torus knot, sigma_1^5
             "a b c\na b A C\nb c B A\nc a C B\n",  # a full Wirtinger set, no blocks
+            # the trefoil with a relator repeated in place of the third, in
+            # the shape of a full Wirtinger set, and in another order
+            "a b c\na b A C\na b A C\nb c B A\n",
+            "a b c\na b A C\nb c B A\na b A C\n",
         ],
     )
     def test_hand_written_files(self, tmp_path, text):
