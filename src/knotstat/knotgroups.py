@@ -1,6 +1,7 @@
 """Knot groups at presentation level: Wirtinger presentations, connected-sum
-amalgamation, abelianization by Smith normal form, Fox-calculus Alexander
-polynomials, and triangular 2x2 representations attached to Alexander roots.
+amalgamation, abelianization (graph components, else Smith normal form),
+Fox-calculus Alexander polynomials, and triangular 2x2 representations
+attached to Alexander roots.
 
 Words are free-reduced tuples of signed 1-based generator indices
 (negative = inverse).  A Wirtinger presentation has one generator per arc
@@ -374,8 +375,21 @@ def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     det = math.prod((_kronecker_det(*block) for block in evaluated), start=_ONE)
     rows = [i for block in blocks.values() for i in block[0]]
     cols = [j for block in blocks.values() for j in block[1]]
-    swaps = sum(a > b for order in (rows, cols) for a, b in combinations(order, 2))
-    return -det if swaps % 2 else det
+    return -det if _is_odd(rows) != _is_odd(cols) else det
+
+
+def _is_odd(order: list[int]) -> bool:
+    """Parity of a permutation of range(n): n minus its cycle count, mod 2."""
+    seen = [False] * len(order)
+    cycles = 0
+    for start in range(len(order)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = order[i]
+    return (len(order) - cycles) % 2 == 1
 
 
 def _kronecker_values(matrix: list[list[LaurentPoly]]) -> tuple[list[list[int]], int, int]:
@@ -646,7 +660,11 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     Realizes the knot group of a connected sum: all generators and
     relators of both presentations plus one identification relator tying
     p1's basepoint generator to p2's.  The result's basepoint is that
-    shared meridian.
+    shared meridian.  Both inputs must be Wirtinger-like with
+    abelianization Z.  The result is built without re-validation, as
+    ``_poly`` builds a ``LaurentPoly``: the inputs' relators are already
+    reduced and in range, shifting p2's letters past p1's generators keeps
+    them so, and renaming keeps the generator names distinct.
     """
     for p in (p1, p2):
         if not p.is_wirtinger_like():
@@ -679,12 +697,10 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
         )
     else:
         blocks = None
-    return Presentation(
-        generators=p1.generators + tuple(renamed),
-        relators=p1.relators + shifted + (identification,),
-        basepoint=p1.basepoint,
-        blocks=blocks,
-    )
+    p = object.__new__(Presentation)
+    p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
+           p1.basepoint, blocks)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -761,19 +777,38 @@ class Abelianization(Record):
 
 
 def abelianization(p: Presentation) -> Abelianization:
-    """Smith normal form of the relator exponent-sum matrix."""
-    if not p.relators:
-        return Abelianization(free_rank=p.n_generators, torsion=())
+    """H_1 from the relator exponent-sum matrix.
+
+    When every row is zero or e_u - e_v, the matrix is the signed incidence
+    matrix of a graph on the generators.  Such a matrix is totally
+    unimodular of rank n - #components, so H_1 is free of rank the number
+    of components, which one union-find counts.  Wirtinger, braid and
+    amalgamated presentations are all of this kind; any other matrix takes
+    ``smith_normal_form``.
+    """
+    n = p.n_generators
     rows = []
     for word in p.relators:
-        row = [0] * p.n_generators
+        row: dict[int, int] = {}
         for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
-    divisors = smith_normal_form(rows)
-    rank = len(divisors)
+            j = abs(letter) - 1
+            row[j] = row.get(j, 0) + (1 if letter > 0 else -1)
+        rows.append({j: v for j, v in row.items() if v})
+    parent = list(range(n))
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != 2:
+            break
+        (u, a), (v, b) = row.items()
+        if a * b != -1:
+            break
+        parent[_find(parent, u)] = _find(parent, v)
+    else:
+        return Abelianization(free_rank=sum(parent[j] == j for j in range(n)), torsion=())
+    divisors = smith_normal_form([[row.get(j, 0) for j in range(n)] for row in rows])
     torsion = tuple(d for d in divisors if d > 1)
-    return Abelianization(free_rank=p.n_generators - rank, torsion=torsion)
+    return Abelianization(free_rank=n - len(divisors), torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -786,29 +821,49 @@ def fox_matrix(p: Presentation) -> list[list[LaurentPoly]]:
 
     Row r, column j holds (d relator_r / d generator_j) under the map
     sending each generator to t.  Every row sums to zero, which is
-    asserted (the relators have zero total exponent).
+    asserted (the relators have zero total exponent).  One pass per
+    relator adds each letter's monomial to an ``{exponent: coefficient}``
+    map of its column, so a row costs time linear in the relator's length.
     """
     rows = []
     for word in p.relators:
-        span = len(word)  # exponents stay within [-span, span]
-        dense: dict[int, list[int]] = {}  # column -> coefficients from t^-span
+        cols: dict[int, dict[int, int]] = {}  # generator -> {exponent: coefficient}
         e = 0
         for letter in word:
-            if letter < 0:
-                e -= 1
-            col = dense.setdefault(abs(letter) - 1, [0] * (2 * span + 1))
-            col[span + e] += 1 if letter > 0 else -1
             if letter > 0:
+                col = cols.get(letter)
+                if col is None:
+                    cols[letter] = {e: 1}
+                else:
+                    col[e] = col.get(e, 0) + 1
                 e += 1
+            else:
+                e -= 1
+                col = cols.get(-letter)
+                if col is None:
+                    cols[-letter] = {e: -1}
+                else:
+                    col[e] = col.get(e, 0) - 1
         if e:
             raise PresentationError(
                 "Fox rows are only defined here for zero-exponent-sum relators"
             )
-        if any(map(sum, zip(*dense.values()))):
+        total: dict[int, int] = {}
+        for col in cols.values():
+            for k, c in col.items():
+                total[k] = total.get(k, 0) + c
+        if any(total.values()):
             raise PresentationError("Fox row-sum identity failed")
         row = [_ZERO] * p.n_generators
-        for j, col in dense.items():
-            row[j] = _poly(*_trim(-span, col))
+        for g, col in cols.items():
+            low = min(col)
+            if len(col) == 1:  # one exponent: a monomial, or zero if its letters cancelled
+                row[g - 1] = _poly(low, (col[low],)) if col[low] else _ZERO
+                continue
+            dense = [0] * (max(col) - low + 1)
+            for k, c in col.items():
+                dense[k - low] = c
+            row[g - 1] = _poly(*_trim(low, dense))
         rows.append(row)
     return rows
 
@@ -843,6 +898,11 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     Wirtinger blocks, the gcd collapses to a single square determinant;
     otherwise more than ``_MAX_MINORS`` minors are refused up front.
     """
+    return _alexander_fox(p)[0]
+
+
+def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
+    """``alexander_poly_fox(p)`` and the Fox matrix it was computed from."""
     ab = abelianization(p)
     if not ab.is_infinite_cyclic:
         raise PresentationError(
@@ -865,7 +925,7 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
         acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset]))
         if acc == _ONE:
             break
-    return acc
+    return acc, matrix
 
 
 def alexander_from_seifert(
@@ -959,16 +1019,25 @@ def _word_matrix(matrix, word: Sequence[int], dim: int) -> np.ndarray:
     return out
 
 
-def _max_relator_residual(
-    p: Presentation, word_matrix, dim: int
-) -> float:
+def _max_relator_residual(p: Presentation, matrix, dim: int) -> float:
+    """max |w - I| over the relators w under the generator matrices
+    ``matrix(j)``: the products of ``_word_matrix``, with each signed
+    letter's matrix (its inverse for < 0) built once per call."""
     import numpy as np
 
+    steps = {}
+    for word in p.relators:
+        for letter in word:
+            if letter not in steps:
+                m = matrix(abs(letter) - 1)
+                steps[letter] = m if letter > 0 else np.linalg.inv(m)
     worst = 0.0
     eye = np.eye(dim, dtype=complex)
     for word in p.relators:
-        res = np.max(np.abs(word_matrix(word) - eye))
-        worst = max(worst, float(res))
+        out = eye
+        for letter in word:
+            out = out @ steps[letter]
+        worst = max(worst, float(np.max(np.abs(out - eye))))
     return worst
 
 
@@ -985,7 +1054,9 @@ def derham_solve(
     the kernel of the Fox matrix at t=r with the basepoint column
     removed, and checks every relator maps to the identity within 1e-9.
     The two square-root branches give the two representations attached to
-    the root; the x-vector is branch-independent.
+    the root; the x-vector is branch-independent.  Without ``alexander``,
+    the Fox matrix built for the Alexander polynomial is the one the SVD
+    uses, so it is built once per call.
     """
     import numpy as np
 
@@ -993,14 +1064,15 @@ def derham_solve(
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
     if not cmath.isfinite(r):  # inf overflows Delta(r); NaN stalls the SVD
         raise PresentationError(f"root r must be finite, got {r}")
-    delta = alexander if alexander is not None else alexander_poly_fox(p)
+    delta, matrix = (alexander, None) if alexander is not None else _alexander_fox(p)
     scale = sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0
     if abs(delta.evaluate(r)) > 1e-10 * scale:
         raise PresentationError(
             f"r={r} is not a root of the Alexander polynomial "
             f"(|Delta(r)| = {abs(delta.evaluate(r)):.3e})"
         )
-    matrix = fox_matrix(p)
+    if matrix is None:
+        matrix = fox_matrix(p)
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     a = np.array(
         [[matrix[i][j].evaluate(r) for j in cols] for i in range(len(p.relators))],
@@ -1024,7 +1096,7 @@ def derham_solve(
         xs[j] = complex(vec[idx])
     root, sqrt_root, xs = complex(r), cmath.sqrt(r) * branch, tuple(xs)
     rep = DeRhamRep(p, root, sqrt_root, xs, 0.0, kernel_dim)
-    residual = _max_relator_residual(p, rep.word_matrix, 2)
+    residual = _max_relator_residual(p, rep.matrix, 2)
     if residual > 1e-9:
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
@@ -1082,7 +1154,7 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     if abs(r2.x_values[p2.basepoint]) > 1e-12:
         raise PresentationError("second representation is not based")
     amal = amalgamate(p1, p2)
-    residual = _max_relator_residual(amal, DirectSumRep(amal, r1, r2, 0.0).word_matrix, 4)
+    residual = _max_relator_residual(amal, DirectSumRep(amal, r1, r2, 0.0).matrix, 4)
     if residual > 1e-9:
         raise PresentationError(
             f"amalgamated relator verification failed: residual {residual:.3e}"

@@ -241,7 +241,8 @@ def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 
 
 def fox_matrix(relators: Sequence[Sequence[int]], n_generators: int) -> list[list[LaurentPoly]]:
-    """Abelianized Fox derivatives, one monomial added per letter."""
+    """Abelianized Fox derivatives, one monomial added per letter; a
+    relator with nonzero exponent sum is refused."""
     rows = []
     for word in relators:
         row = [LaurentPoly.zero() for _ in range(n_generators)]
@@ -254,6 +255,10 @@ def fox_matrix(relators: Sequence[Sequence[int]], n_generators: int) -> list[lis
             else:
                 e -= 1
                 row[j] = row[j] - LaurentPoly.monomial(1, e)
+        if e:
+            raise PresentationError(
+                "Fox rows are only defined here for zero-exponent-sum relators"
+            )
         rows.append(row)
     return rows
 

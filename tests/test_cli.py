@@ -1157,6 +1157,21 @@ class TestSingleEmitPath:
             assert payload["value"] == 1.0 and payload["converged"] is True
             assert payload["details"] in ({}, {"closed": 1.0})
 
+    def test_long_relators_refused_in_time(self, capsys, tmp_path):
+        """7_1 with [a^6000, b] appended to each relator: Fox rows are
+        linear in relator length, so the determinant cap answers in time."""
+        from knotstat.knotgroups import builtin_presentation, format_presentation
+
+        head, *relators = format_presentation(builtin_presentation("7_1")).splitlines()
+        commutator = " ".join(["a"] * 6000 + ["b"] + ["A"] * 6000 + ["B"])
+        path = tmp_path / "7_1_long.txt"
+        path.write_text("\n".join([head, *(f"{r} {commutator}" for r in relators)]) + "\n")
+        start = time.perf_counter()
+        code, payload = invoke_json(capsys, "alexander", "--file", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert set(payload) == {"error"} and "past the work cap" in payload["error"]
+
     def test_nan_payload_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "thresholds",
                             (None, lambda args: {"value": math.nan}, ()))

@@ -1,10 +1,12 @@
 """Tests for presentations, Fox-calculus Alexander polynomials, and the
 triangular representations at Alexander roots.
 
-Dual routes everywhere: Smith normal form is checked against the sympy
-implementation, braid-derived Alexander polynomials against the catalog
-rows, the square-determinant path against the minor-gcd fallback, and
-Seifert determinants against Fox calculus.
+Dual routes everywhere: Smith normal form and abelianization (graph
+components or Smith form) are checked against the sympy implementation,
+braid-derived Alexander polynomials against the catalog rows, the
+square-determinant path against the minor-gcd fallback, Seifert
+determinants against Fox calculus, and relator residuals against the
+public per-letter word product.
 """
 
 import cmath
@@ -15,7 +17,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -29,6 +31,7 @@ from knotstat.knotgroups import (
     abelianization,
     alexander_from_seifert,
     alexander_poly_fox,
+    alexander_roots,
     amalgamate,
     braid_to_wirtinger,
     builtin_braids,
@@ -59,6 +62,38 @@ def catalog_poly(cat, name):
 def sympy_factors(m):
     """The nonzero invariant factors by sympy, made positive."""
     return [abs(v) for v in sympy_snf(Matrix(m)).diagonal() if v != 0]
+
+
+def sympy_abelianization(p):
+    """H_1 from sympy's Smith form of the exponent-sum matrix."""
+    if not p.relators:
+        return Abelianization(p.n_generators, ())
+    factors = sympy_factors([[exponent_sum(word, g) for g in range(1, p.n_generators + 1)]
+                             for word in p.relators])
+    return Abelianization(p.n_generators - len(factors), tuple(f for f in factors if f > 1))
+
+
+@st.composite
+def graph_or_not_presentations(draw):
+    """Presentations on up to 5 generators.  A conjugation relator
+    x y x^-1 z^-1 has the row e_y - e_z, zero when y = z, and a commutator
+    a zero row; so half the draws are graph-shaped.  The others may add
+    any word or a power relator x^k z^-k (k = 2, 3), whose rows are not."""
+    n = draw(st.integers(1, 5))
+    generator = st.integers(1, n)
+    letter = generator.flatmap(lambda g: st.sampled_from((g, -g)))
+    word = st.lists(letter, max_size=4).map(tuple)
+    conjugation = st.tuples(letter, generator, generator).map(
+        lambda t: (t[0], t[1], -t[0], -t[2]))
+    commutator = st.tuples(word, word).map(
+        lambda uv: uv[0] + uv[1] + invert_word(uv[0]) + invert_word(uv[1]))
+    power = st.tuples(generator, generator, st.integers(2, 3)).map(
+        lambda t: (t[0],) * t[2] + (-t[1],) * t[2])
+    kinds = [conjugation, conjugation, commutator]
+    if draw(st.booleans()):
+        kinds += [power, st.lists(letter, max_size=8).map(tuple)]
+    relators = draw(st.lists(st.one_of(kinds), max_size=7))
+    return Presentation(tuple("abcde"[:n]), tuple(relators))
 
 
 class TestWords:
@@ -254,6 +289,37 @@ class TestAbelianization:
 
     def test_unknot(self):
         assert abelianization(unknot_presentation()).is_infinite_cyclic
+
+    @given(graph_or_not_presentations())
+    @settings(max_examples=150, deadline=None)
+    def test_against_sympy(self, p):
+        assert abelianization(p) == sympy_abelianization(p)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a b\na a B B\n", Abelianization(1, (2,))),
+        ("a b\na a a B B B\n", Abelianization(1, (3,))),
+        ("a b c\na b A C\na a B B\n", Abelianization(1, (2,))),  # an edge, then torsion
+        ("a b\na b A B\n", Abelianization(2, ())),  # a commutator: a zero row
+        ("a b c\na b A B\nb c B A\n", Abelianization(2, ())),  # a zero row and one edge
+    ])
+    def test_smith_and_graph_examples(self, tmp_path, text, expected):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        p = load_presentation(path)
+        assert abelianization(p) == sympy_abelianization(p) == expected
+
+    def test_builtin_sums(self):
+        """The 156 sums of two or three builtin knots: graph-shaped rows,
+        and an unchecked ``amalgamate`` result equal to a validated one."""
+        names = sorted(builtin_braids())
+        sums = [*combinations_with_replacement(names, 2), *combinations_with_replacement(names, 3)]
+        assert len(sums) == 156
+        for summands in sums:
+            p = builtin_presentation(summands[0])
+            for name in summands[1:]:
+                p = amalgamate(p, builtin_presentation(name))
+            assert Presentation(p.generators, p.relators, p.basepoint, p.blocks) == p
+            assert abelianization(p) == sympy_abelianization(p) == Abelianization(1, ())
 
 
 class TestFoxMatrix:
@@ -503,6 +569,31 @@ class TestDeRham:
     def test_bad_branch(self):
         with pytest.raises(PresentationError):
             derham_solve(builtin_presentation("3_1"), 1j, branch=2)
+
+    @pytest.mark.parametrize("name", sorted(builtin_braids()))
+    def test_residual_and_shared_fox_matrix(self, name):
+        """At every root and branch: the residual is max |w - I| over the
+        relators by the public per-letter product, and passing the
+        Alexander polynomial in changes no bit of the result."""
+        p = builtin_presentation(name)
+        delta = alexander_poly_fox(p)
+        eye = np.eye(2, dtype=complex)
+        for root in alexander_roots(delta):
+            for branch in (1, -1):
+                rep = derham_solve(p, root, branch)
+                assert rep.residual == max(
+                    float(np.max(np.abs(rep.word_matrix(word) - eye))) for word in p.relators)
+                assert rep == derham_solve(p, root, branch, alexander=delta)
+
+    @pytest.mark.parametrize("n1, n2", [("3_1", "4_1"), ("5_2", "3_1"), ("6_3", "7_1")])
+    def test_direct_sum_residual(self, n1, n2):
+        p1, p2 = builtin_presentation(n1), builtin_presentation(n2)
+        r1 = derham_solve(p1, alexander_roots(alexander_poly_fox(p1))[0])
+        r2 = derham_solve(p2, alexander_roots(alexander_poly_fox(p2))[-1], branch=-1)
+        rep = derham_direct_sum(r1, r2)
+        eye = np.eye(4, dtype=complex)
+        assert rep.residual == max(
+            float(np.max(np.abs(rep.word_matrix(word) - eye))) for word in rep.presentation.relators)
 
     def test_direct_sum_verifies_amalgamated_relators(self):
         r1 = derham_solve(builtin_presentation("3_1"), cmath.exp(1j * math.pi / 3))

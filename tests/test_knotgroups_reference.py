@@ -11,9 +11,11 @@ zero pivots and singular ones; block-diagonal matrices up to 10x10 under
 row and column shuffles, with zero rows and columns and non-square
 blocks; coefficients up to 10^6 with spans up to 8, where the bound
 behind K is reached; and the Fox matrix of every 2- and 3-summand sum of
-the builtin knots.  The gcd-of-minors fallback, which presentation files
-without block structure take, is checked against the reference minor by
-minor.
+the builtin knots.  Fox rows are compared on drawn relators of up to 60
+letters with long runs of one letter, where a relator with nonzero
+exponent sum must be refused with the reference's error.  The
+gcd-of-minors fallback, which presentation files without block structure
+take, is checked against the reference minor by minor.
 """
 
 import tempfile
@@ -21,12 +23,13 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import knotgroups_reference as ref
 from knotstat.errors import PresentationError
 from knotstat.knotgroups import (
     LaurentPoly,
+    Presentation,
     _alexander_rows,
     _bareiss_det,
     _poly_divexact,
@@ -291,6 +294,17 @@ def _fox_rows_as_reference(p):
 SMALL = ("3_1", "4_1", "5_1", "5_2")
 
 
+@st.composite
+def long_relators(draw):
+    """Up to 30 letters on three generators, drawn as runs of one repeated
+    letter, then the inverse letters in a drawn order: every exponent sum
+    is zero, and exponents climb and fall by up to 30."""
+    runs = draw(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2, 3, -3)), st.integers(1, 8)),
+                         max_size=8))
+    half = [letter for letter, k in runs for _ in range(k)][:30]
+    return tuple(half) + tuple(draw(st.permutations([-letter for letter in half])))
+
+
 class TestFoxAndFallback:
     @pytest.mark.parametrize("names", [("3_1",), ("6_3",), ("3_1", "4_1"), ("5_2", "6_1", "7_1")])
     def test_fox_matrix(self, names):
@@ -302,6 +316,27 @@ class TestFoxAndFallback:
         assert [[e.coeffs for e in row] for row in got] == [
             [e.coeffs for e in row] for row in expected
         ]
+
+    @given(st.lists(long_relators(), min_size=1, max_size=4), st.sampled_from((None, 1, -2, 3)))
+    @example(words=[(1, 2, 3, -2, -3, -1)], extra=None)  # column a is t^0 - t^0 = 0
+    @settings(max_examples=100, deadline=None)
+    def test_fox_matrix_of_long_relators(self, words, extra):
+        """One letter more on the last relator makes its exponent sum
+        nonzero, which both refuse with the same error."""
+        if extra is not None:
+            words[-1] += (extra,)
+        p = Presentation(("a", "b", "c"), tuple(words))
+        try:
+            expected = ref.fox_matrix(p.relators, p.n_generators)
+        except PresentationError as refused:
+            with pytest.raises(PresentationError) as got:
+                fox_matrix(p)
+            assert str(got.value) == str(refused)
+            return
+        assert extra is None
+        for got_row, expected_row in zip(fox_matrix(p), expected, strict=True):
+            for x, r in zip(got_row, expected_row, strict=True):
+                assert_same(x, r)
 
     @given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.randoms(use_true_random=False))
     @settings(max_examples=12, deadline=None)
