@@ -13,7 +13,7 @@ Modules
 catalog      knot tables (CSV) and the asymptotic multiplicity model
 semigroup    knots under connected sum, formal differences, weights
 partition    partition functions, thresholds, figure data
-specfun      zeta/polylogarithm/Lerch evaluations and exact combinatorics
+specfun      zeta/polylogarithm/Lerch evaluations and Mobius sums
 crossed      exact Q[Q/Z] arithmetic and semigroup-action normal forms
 knotgroups   presentations, abelianization, Alexander polynomials, reps
 kms          eigenvalue lists, arithmetic states, product states, witness
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "semigroup": (
         "Knot", "GroupElement", "WeightFunction", "connected_sum", "weight_of",
-        "f_weight", "act_on_weight", "parse_knot", "parse_group_element",
+        "f_weight", "parse_knot", "parse_group_element",
         "enumerate_knots", "enumerate_group_elements",
     ),
     "partition": (

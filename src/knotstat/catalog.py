@@ -6,8 +6,8 @@ from CSV (``name,crossings,genus,alternating,torus,alexander`` with the
 Alexander coefficients space-separated, lowest degree first).  The unknot
 is never a catalog row; it is the semigroup identity.
 
-Multiplicity counts come from a catalog or a model.  A catalog gives exact
-counts N_{n,g} of its rows with given crossing number and genus.  The
+Multiplicity counts come from a catalog or a model.  A catalog gives the
+exact count of its rows of each weight Cr + g (``count_weight``).  The
 model is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and 2^20/3^6;
 the upper value is the default since the convergence threshold beta_plus
 is derived from it.
@@ -34,7 +34,6 @@ __all__ = [
     "load_catalog",
     "builtin_catalog",
     "builtin_catalog_path",
-    "count_exact",
     "count_asymptotic",
     "count_weight",
     "weights_with_counts",
@@ -60,7 +59,12 @@ def _require_int(record: str, field: str, value) -> None:
 
 class KnotRecord(Record):
     """One prime knot: its classical invariants and Alexander coefficients,
-    checked on construction (a violated invariant names the record)."""
+    checked on construction (a violated invariant names the record).
+
+    Every field but the flags is an ``int``; the crossing number is at
+    least 3, the genus at least 1, and the Alexander coefficients are
+    nonempty, palindromic and sum to +-1 (Delta(1) = +-1).
+    """
 
     __slots__ = ("name", "crossing_number", "genus", "alternating", "torus",
                  "alexander_coeffs")
@@ -103,11 +107,6 @@ class KnotRecord(Record):
     def weight(self) -> int:
         """Cr(K) + g(K), the exponent weight of this prime knot."""
         return self.crossing_number + self.genus
-
-    @property
-    def top_coefficient(self) -> int:
-        """|leading Alexander coefficient| (a multiplicative invariant)."""
-        return abs(self.alexander_coeffs[-1])
 
 
 class Catalog(Record):
@@ -250,11 +249,6 @@ def builtin_catalog(
 ) -> Catalog:
     """The bundled table of the 35 prime knots with at most 8 crossings."""
     return load_catalog(builtin_catalog_path(), filter=filter)
-
-
-def count_exact(cat: Catalog, n: int, g: int) -> int:
-    """N_{n,g}: number of catalog rows with crossing number n and genus g."""
-    return sum(1 for r in cat if r.crossing_number == n and r.genus == g)
 
 
 def _log_term(log_c: float, n: int, g: int) -> float:

@@ -10,7 +10,9 @@ entries, a power n^(-a s) for isometry monomials) at inverse temperature
 s = f(g) beta, where f is the exact semigroup weight.  Weights grow so
 fast that all but finitely many factors are numerically at their beta ->
 infinity limits; the cutover is handled exactly on the integer weights
-before any float conversion.
+before any float conversion.  Every state refuses a NaN or -inf beta;
+all but ``gibbs_monomial`` and ``bc_low_temperature`` refuse +inf too,
+where those two give the ground state.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .semigroup import (
     GroupElement,
     Knot,
     WeightFunction,
-    act_on_weight,
     f_weight,
     weight_of,
 )
@@ -132,9 +133,11 @@ def gibbs_monomial(
 ) -> float:
     """Gibbs state value on the isometry monomial mu_K^a (mu_K*)^b.
 
-    Diagonal monomials (b = a, the default) evaluate to q^(-beta a w);
-    off-diagonal ones vanish.  a = 0 returns 1, the state normalization.
-    A negative beta whose value passes the float range is refused.
+    Diagonal monomials (b = a, the default) evaluate to q^(-beta a w), in
+    log form once q is past the float range; off-diagonal ones vanish.
+    a w = 0 (a = 0, or the unknot) returns 1, the state normalization,
+    also at beta = +inf.  beta = -inf is refused, and so is a negative
+    beta whose value passes the float range.
     """
     if a < 0 or (b is not None and b < 0):
         raise DomainError("monomial powers must be >= 0")
@@ -463,15 +466,17 @@ def time_evolution_coefficient(
 
     On the rank-one test vector indexed by (g, m) the evolved operator
     acts with phase exp(i t (f(g) - f(h^-1 g)) ln m); always a unit
-    complex number.  The weight difference is an exact integer and the
+    complex number (a NaN or infinite t is refused).  The weight difference is an exact integer and the
     phase is computed as (e^(i t ln m))^delta by integer powering, so the
     cocycle identity holds to rounding error even for the enormous
     weight values the semigroup produces.
     """
     if m < 1:
         raise DomainError(f"semigroup index m must be >= 1, got {m}")
+    if not math.isfinite(t):
+        raise DomainError(f"time_evolution_coefficient requires a finite t, got {t}")
     delta = f_weight(g, w, cat, assume_cr_additive) - f_weight(
-        act_on_weight(h, g), w, cat, assume_cr_additive
+        h.inverse().compose(g), w, cat, assume_cr_additive
     )
     if delta == 0 or t == 0.0 or m == 1:
         return complex(1.0)

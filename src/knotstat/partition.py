@@ -28,7 +28,6 @@ from .catalog import Catalog, MultiplicityModel, _log_count_weight, weights_with
 from .errors import DivergenceError, DomainError
 from .specfun import (
     _TINY_LOG,
-    _factorize,
     _huge_weight_cut,
     _omega_squarefree_sieve,
     primes_up_to,
@@ -54,9 +53,7 @@ __all__ = [
     "z_alternating",
     "z_grothendieck",
     "groth_weight_counts",
-    "qstar_euler_factor",
     "qstar_partition",
-    "spectral_commutator_norm",
     "z_knots_times_n",
     "z_tau",
     "primes_up_to",
@@ -628,16 +625,6 @@ def z_grothendieck(
 # ---------------------------------------------------------------------------
 
 
-def qstar_euler_factor(p: int, beta: float) -> float:
-    """(1 - p^(-2 beta)) / (1 - p^(-beta))^2, the local factor at the prime p."""
-    if _factorize(p) != ((p, 1),):
-        raise DomainError(f"qstar_euler_factor requires a prime, got {p}")
-    if beta <= 0:
-        raise DomainError(f"qstar_euler_factor requires beta > 0, got {beta}")
-    x = _pow_q(p, -beta)
-    return (1.0 - x * x) / (1.0 - x) ** 2
-
-
 def qstar_partition(
     beta: float,
     n_max: int = 1_000_000,
@@ -650,7 +637,8 @@ def qstar_partition(
     computes sum_{n <= n_max} 2^omega(n) n^(-beta) with a sieve and an
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
-    Both sieve modes need 1 <= n_max <= 10^7.
+    Both sieve modes need 1 <= n_max <= 10^7; ``mode='both'`` at
+    n_max = 10^6 takes about 0.4-0.55 s.
     """
     _require_finite_beta("qstar_partition", beta)
     if beta <= 1:
@@ -720,14 +708,6 @@ def qstar_partition(
     )
 
 
-def spectral_commutator_norm(p: int, m: int) -> float:
-    """Operator norm |m| ln p of the commutator of the p-adic scaling
-    generator with the shift by p^m."""
-    if _factorize(p) != ((p, 1),):
-        raise DomainError(f"spectral_commutator_norm requires a prime, got {p}")
-    return abs(m) * math.log(p)
-
-
 # ---------------------------------------------------------------------------
 # knots-times-integers system
 # ---------------------------------------------------------------------------
@@ -741,6 +721,7 @@ def z_knots_times_n(
 ) -> SeriesResult:
     """zeta(beta) Z_a(beta): partition function of the product system whose
     configurations pair a knot with a positive integer."""
+    _require_finite_beta("z_knots_times_n", beta)
     if beta <= 1:
         raise DivergenceError(
             f"z_knots_times_n requires beta > 1 (zeta factor diverges), got {beta}"

@@ -1,23 +1,18 @@
 """Special functions for partition-function and KMS-state evaluation.
 
 Real evaluation is double precision with explicit tail bounds; the
-combinatorial families (Stirling, Eulerian, ordered Bell, Mobius sums) are
-exact arbitrary-precision integers or rationals.  All logarithms are
-natural logs.
+Mobius sums are exact arbitrary-precision integers or rationals.  All
+logarithms are natural logs.
 
 Conventions:
 
-* ``riemann_zeta`` / ``hurwitz_zeta`` / ``restricted_zeta`` require s > 1
-  and use Euler-Maclaurin summation (8 Bernoulli correction terms, split
-  point max(10, ceil(a) + 10)).
-* ``polylog_neg`` evaluates Li_{-m}(z) through the Eulerian-number closed
-  form, exactly when z is rational.
+* ``riemann_zeta`` / ``restricted_zeta`` require s > 1 and use
+  Euler-Maclaurin summation (8 Bernoulli correction terms, split point
+  max(10, ceil(a) + 10)).
 * ``polylog_roots_of_unity`` evaluates Li_s at e^{2 pi i r} for rational r
   through Hurwitz zetas (direct series for large s, where the Hurwitz
   route would overflow).
-* ``lerch`` is the direct series for Phi(z, s, a); ``lerch_taylor`` is the
-  expansion around z = 1, valid for |log z| < 2 pi and non-integer s, and
-  returns the last-term magnitude as an error estimate.
+* ``lerch`` is the direct series for Phi(z, s, a).
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
@@ -38,15 +33,8 @@ if TYPE_CHECKING:
 __all__ = [
     "riemann_zeta",
     "restricted_zeta",
-    "hurwitz_zeta",
-    "polylog_neg",
     "polylog_roots_of_unity",
     "lerch",
-    "lerch_taylor",
-    "stirling2",
-    "eulerian",
-    "ordered_bell",
-    "ordered_bell_asymptotic",
     "mobius_f",
     "mobius",
     "distinct_prime_factors",
@@ -143,7 +131,7 @@ def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
     omega starts as the primality flags, which count each prime once; then
     each prime p <= n_max/2 bumps its proper multiples 2p, 3p, ... by one
     slice-wide table lookup (a larger prime has no proper multiple in
-    range)."""
+    range).  About 45-57 ms at n_max = 10^6."""
     flags = _prime_flags(n_max)
     omega = flags[:]
     squarefree = bytearray([1]) * (n_max + 1)
@@ -220,15 +208,6 @@ def riemann_zeta(s: float) -> float:
     return 1.0 if s == math.inf else _hurwitz_em(s, 1.0)
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum over ell >= 0 of (a + ell)^(-s), for s > 1, a > 0."""
-    if s <= 1:
-        raise DomainError(f"hurwitz_zeta requires s > 1, got {s}")
-    if a <= 0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {a}")
-    return _hurwitz_em(s, a)
-
-
 def restricted_zeta(s: float, m: int) -> float:
     """zeta_m(s): the Riemann zeta with Euler factors of primes dividing m removed."""
     if s <= 1:
@@ -242,57 +221,9 @@ def restricted_zeta(s: float, m: int) -> float:
     return value
 
 
-def _hurwitz_continued(s: float, a: float) -> float:
-    """Analytically continued zeta(s, a) for s < 1 (s != 1), a > 0.
-
-    Only the Taylor expansion of the Lerch transcendent needs values below
-    s = 1.  Euler-Maclaurin in double precision loses all significance
-    there (the partial sum and the integral term cancel to ~(a+N)^{1-s}),
-    so this backend delegates to mpmath's arbitrary-precision zeta.
-    """
-    import mpmath
-
-    with mpmath.workdps(30):
-        return float(mpmath.zeta(s, a))
-
-
-def _hurwitz_any(s: float, a: float) -> float:
-    if a <= 0:
-        raise DomainError(f"hurwitz zeta requires a > 0, got {a}")
-    if s == 1:
-        raise DomainError("hurwitz zeta has a pole at s = 1")
-    if s > 1:
-        return _hurwitz_em(s, a)
-    return _hurwitz_continued(s, a)
-
-
 # ---------------------------------------------------------------------------
 # polylogarithms
 # ---------------------------------------------------------------------------
-
-Rational = Union[int, Fraction]
-
-
-def polylog_neg(m: int, z):
-    """Li_{-m}(z) for m >= 0 and |z| < 1, via the Eulerian closed form.
-
-    Exact when z is an int or Fraction (the result is then a Fraction);
-    floats evaluate in double precision.  Li_0(z) = z / (1 - z).
-    """
-    if m < 0:
-        raise DomainError(f"polylog_neg requires m >= 0, got {m}")
-    exact = isinstance(z, (int, Fraction))
-    zv = Fraction(z) if exact else float(z)
-    if abs(zv) >= 1:
-        raise DomainError(f"polylog_neg has a pole at |z| >= 1, got z={z}")
-    one = Fraction(1) if exact else 1.0
-    if m == 0:
-        return zv / (one - zv)
-    acc = zv * 0
-    for k in range(m):
-        coeff = eulerian(m, k)
-        acc += (Fraction(coeff) if exact else float(coeff)) * zv ** (m - k)
-    return acc / (one - zv) ** (m + 1)
 
 
 def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
@@ -375,79 +306,9 @@ def lerch(z: float, s: float, alpha: float) -> float:
     return acc
 
 
-def lerch_taylor(z: float, s: float, alpha: float, jmax: int) -> tuple[float, float]:
-    """Taylor-type expansion of Phi(z, s, alpha) around z = 1.
-
-    Evaluates z^(-alpha) * (Gamma(1-s) (-log z)^(s-1)
-    + sum_{j<=jmax} zeta(s-j, alpha) log^j(z) / j!), valid for
-    |log z| < 2 pi, non-integer s, and alpha > 0.  Returns (value,
-    error_estimate) where the estimate is the magnitude of the last
-    Taylor term.
-    """
-    if not 0 < z < 1:
-        raise DomainError(f"lerch_taylor requires z in (0, 1), got {z}")
-    lz = math.log(z)
-    if abs(lz) >= 2 * math.pi:
-        raise DomainError(f"lerch_taylor requires |log z| < 2*pi, got log z = {lz}")
-    if abs(s - round(s)) <= 1e-9:
-        raise DomainError(f"lerch_taylor requires non-integer s, got {s}")
-    if alpha <= 0:
-        raise DomainError(f"lerch_taylor requires alpha > 0, got {alpha}")
-    if jmax < 0:
-        raise DomainError(f"lerch_taylor requires jmax >= 0, got {jmax}")
-    gamma_term = math.gamma(1.0 - s) * (-lz) ** (s - 1.0)
-    acc = gamma_term
-    log_pow = 1.0
-    last = 0.0
-    for j in range(jmax + 1):
-        if j > 0:
-            log_pow *= lz / j
-        last = _hurwitz_any(s - j, alpha) * log_pow
-        acc += last
-    scale = z**-alpha
-    return scale * acc, abs(last) * scale
-
-
 # ---------------------------------------------------------------------------
 # combinatorial families
 # ---------------------------------------------------------------------------
-
-
-def stirling2(a: int, b: int) -> int:
-    """Stirling number of the second kind S(a, b), exact."""
-    if a < 0 or b < 0:
-        raise DomainError("stirling2 requires nonnegative arguments")
-    if b > a:
-        return 0
-    if b == 0:
-        return 1 if a == 0 else 0
-    total = 0
-    for j in range(b + 1):
-        total += (-1) ** (b - j) * math.comb(b, j) * j**a
-    assert total % math.factorial(b) == 0
-    return total // math.factorial(b)
-
-
-def eulerian(m: int, k: int) -> int:
-    """Eulerian number <m, k>, exact; requires m >= 1 and 0 <= k <= m - 1."""
-    if m < 1 or not 0 <= k <= m - 1:
-        raise DomainError(f"eulerian requires m >= 1 and 0 <= k <= m-1, got ({m}, {k})")
-    total = 0
-    for j in range(k + 2):
-        total += (-1) ** j * math.comb(m + 1, j) * (k - j + 1) ** m
-    return total
-
-
-def ordered_bell(a: int) -> int:
-    """Ordered Bell number: sum over b of b! * S(a, b), exact."""
-    if a < 0:
-        raise DomainError(f"ordered_bell requires a >= 0, got {a}")
-    return sum(math.factorial(b) * stirling2(a, b) for b in range(a + 1))
-
-
-def ordered_bell_asymptotic(a: int) -> float:
-    """The model a! / (2 (ln 2)^(a+1)); within 1% of the exact value for a >= 12."""
-    return math.factorial(a) / (2.0 * math.log(2.0) ** (a + 1))
 
 
 def mobius_f(k, b: int):

@@ -19,15 +19,20 @@ from knotstat.catalog import Catalog, MultiplicityModel, builtin_catalog
 from knotstat.cli import run
 from knotstat.crossed import (
     GroupRingElement,
+    HatPiLabel,
     QmodZ,
+    RhoContext,
     alpha_n,
+    alpha_n_hatpi,
     bc_normalize,
     congruence_inverse,
     idempotent_e,
+    idempotent_e_hatpi,
     parse_bc_word,
     sigma_n,
+    sigma_n_hatpi,
 )
-from knotstat.errors import DomainError
+from knotstat.errors import DivergenceError, DomainError
 from knotstat.kms import (
     AdelicUnit,
     Monomial,
@@ -36,6 +41,7 @@ from knotstat.kms import (
     gibbs_monomial,
     psi_pushforward,
     ratio_witness,
+    time_evolution_coefficient,
 )
 from knotstat.knotgroups import (
     abelianization,
@@ -44,12 +50,14 @@ from knotstat.knotgroups import (
     builtin_presentation,
     derham_direct_sum,
     derham_solve,
+    unknot_presentation,
 )
 from knotstat.partition import (
     figure_H_grid,
     figure_f_grid,
     z_alternating,
     z_grothendieck,
+    z_knots_times_n,
     z_tau,
 )
 from knotstat.semigroup import (
@@ -255,7 +263,9 @@ def test_criterion_08_knot_groups():
     """Fox calculus gives t^2 - t + 1 for the trefoil and t^2 - 3t + 1
     for the figure eight up to units; the Alexander polynomial is
     multiplicative under amalgamation on 20 catalog pairs with exact
-    coefficients; every amalgamated presentation abelianizes to Z."""
+    coefficients; every amalgamated presentation abelianizes to Z; and
+    amalgamating with the unknot, the identity of the semigroup, leaves
+    the Alexander polynomial unchanged."""
     trefoil = alexander_poly_fox(builtin_presentation("3_1"))
     assert trefoil.as_list() == [1, -1, 1]
     figure_eight = alexander_poly_fox(builtin_presentation("4_1"))
@@ -273,6 +283,9 @@ def test_criterion_08_knot_groups():
         assert alexander_poly_fox(joint).as_list() == product.as_list()
         ab = abelianization(joint)
         assert ab.free_rank == 1 and ab.torsion == ()
+        for p in (p1, p2):
+            alone = alexander_poly_fox(p).as_list()
+            assert alexander_poly_fox(amalgamate(p, unknot_presentation())).as_list() == alone
 
 
 def test_criterion_09_derham_representations():
@@ -320,3 +333,111 @@ def test_criterion_11_figure_grids():
     h_rows = figure_H_grid(q_grid)
     assert [q for q, _ in h_rows] == q_grid
     assert all(h > 0.0 for _, h in h_rows)
+
+
+def test_criterion_12_hatpi_actions():
+    """On the abelianized pullback group ring, for n_rho in {1, 6, 30},
+    200 random d-labelled x, y each and n in 1..40 coprime to n_rho:
+    sigma_n(alpha_n(x)) = x, alpha_n(sigma_n(x)) = e_n x and
+    sigma_n(x y) = sigma_n(x) sigma_n(y), exactly; an n not coprime to
+    n_rho is a DomainError for both actions."""
+    rng = random.Random(0x12A7)
+
+    def random_d():
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            den = rng.randint(1, 30)
+            label = HatPiLabel(rng.randint(-3, 3), QmodZ.of(rng.randrange(den), den))
+            terms.append((label, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+        return GroupRingElement(terms)
+
+    for n_rho in (1, 6, 30):
+        ctx = RhoContext(n_rho)
+        admissible = [n for n in range(1, 41) if math.gcd(n, n_rho) == 1]
+        for _ in range(200):
+            x, y, n = random_d(), random_d(), rng.choice(admissible)
+            assert sigma_n_hatpi(alpha_n_hatpi(x, n, ctx), n, ctx) == x
+            assert alpha_n_hatpi(sigma_n_hatpi(x, n, ctx), n, ctx) == idempotent_e_hatpi(n) * x
+            product = sigma_n_hatpi(x, n, ctx) * sigma_n_hatpi(y, n, ctx)
+            assert sigma_n_hatpi(x * y, n, ctx) == product
+        for n in set(range(1, 41)) - set(admissible):
+            with pytest.raises(DomainError):
+                sigma_n_hatpi(random_d(), n, ctx)
+            with pytest.raises(DomainError):
+                alpha_n_hatpi(random_d(), n, ctx)
+
+
+def test_criterion_13_cyclic_tower():
+    """The cyclic-cover tower is compatible: rho_n = sigma_m . rho_nm,
+    that is sigma_m(e(x/(nm))) = e(x/n) exactly, for all n, m <= 12 and
+    0 <= x <= nm."""
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for x in range(n * m + 1):
+                tower = sigma_n(GroupRingElement.e(Fraction(x, n * m)), m)
+                assert tower == GroupRingElement.e(Fraction(x, n))
+
+
+def test_criterion_14_time_evolution():
+    """The time-evolution phase exp(i t (f(g) - f(h^-1 g)) ln m) has unit
+    modulus to 1e-12 and satisfies the cocycle identity
+    U(h1 h2, g) = U(h1, g) U(h2, h1^-1 g) to 1e-12 on 200 random cases at
+    the default weights q^(10 (Cr+g)); it is exactly 1 at t = 0, at m = 1
+    and at h = identity; a NaN or infinite t is a DomainError naming t."""
+    rng = random.Random(0x14E7)
+    w = WeightFunction(q=2)
+    names = ("3_1", "4_1", "5_1", "5_2", "6_1")
+
+    def random_elem():
+        pos = {n: rng.randrange(3) for n in rng.sample(names, 2)}
+        neg = {n: rng.randrange(3) for n in rng.sample(names, 2)}
+        return GroupElement.of(Knot.from_map(pos), Knot.from_map(neg))
+
+    for _ in range(200):
+        h1, h2, g = random_elem(), random_elem(), random_elem()
+        m, t = rng.randint(2, 12), rng.uniform(-5.0, 5.0)
+        phase = time_evolution_coefficient(h1, g, m, t, w, CAT)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        moved = time_evolution_coefficient(h2, h1.inverse().compose(g), m, t, w, CAT)
+        joint = time_evolution_coefficient(h1.compose(h2), g, m, t, w, CAT)
+        assert abs(joint - phase * moved) <= 1e-12
+        assert time_evolution_coefficient(h1, g, m, 0.0, w, CAT) == 1
+        assert time_evolution_coefficient(h1, g, 1, t, w, CAT) == 1
+        assert time_evolution_coefficient(GroupElement.identity(), g, m, t, w, CAT) == 1
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite t"):
+            time_evolution_coefficient(h1, g, 3, t, w, CAT)
+
+
+def test_criterion_15_knots_times_integers():
+    """The product of the knot system with the multiplicative integers has
+    partition function zeta(beta) Z_a(beta): on 10 random 3-prime
+    sub-catalogs the direct double sum over pairs (K, n) with weight
+    w(K) <= 60 and n <= 2000 lies within the two truncation tails of
+    z_knots_times_n; on the multiplicity model below beta_plus the product
+    is refused as divergent."""
+    rng = random.Random(0x15C5)
+    alternating = [rec for rec in CAT if rec.alternating]
+    big_w, big_n = 60, 2000
+    for _ in range(10):
+        sub = Catalog(records=tuple(rng.sample(alternating, 3)))
+        beta, q = rng.uniform(2.0, 4.0), rng.choice((2, 3))
+        x = float(q) ** -beta
+        w1, w2, w3 = (rec.weight for rec in sub)
+        direct = 0.0
+        for a in range(big_w // w1 + 1):
+            for b in range((big_w - a * w1) // w2 + 1):
+                for c in range((big_w - a * w1 - b * w2) // w3 + 1):
+                    knot = x ** (a * w1 + b * w2 + c * w3)
+                    direct += math.fsum(knot * n**-beta for n in range(1, big_n + 1))
+        result = z_knots_times_n(beta, q, sub)
+        # sum_{n > N} n^-beta <= N^(1-beta)/(beta-1); at most (w+1)^2 knots
+        # of weight w, so sum_{w(K) > W} x^w(K) <= sum_{w > W} (w+1)^2 x^w
+        integer_tail = big_n ** (1.0 - beta) / (beta - 1.0)
+        ratio = ((big_w + 3) / (big_w + 2)) ** 2 * x
+        knot_tail = (big_w + 2) ** 2 * x ** (big_w + 1) / (1.0 - ratio)
+        tails = result.details["z_a"] * integer_tail + result.details["zeta"] * knot_tail
+        assert direct <= result.value + result.tail_bound + 1e-12
+        assert result.value <= direct + tails + 1e-12
+    with pytest.raises(DivergenceError, match="beta_plus"):
+        z_knots_times_n(5.0, 2, MultiplicityModel())

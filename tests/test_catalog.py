@@ -19,7 +19,6 @@ from knotstat.catalog import (
     builtin_catalog,
     builtin_catalog_path,
     count_asymptotic,
-    count_exact,
     count_weight,
     load_catalog,
     weights_with_counts,
@@ -127,10 +126,6 @@ class TestKnotRecord:
         rec = KnotRecord("3_1", 3, 1, True, True, (1, -1, 1))
         assert rec.weight == 4
 
-    def test_top_coefficient(self):
-        rec = KnotRecord("4_1", 4, 1, True, False, (-1, 3, -1))
-        assert rec.top_coefficient == 1
-
 
 class TestBuiltinCatalog:
     def test_size_through_eight_crossings(self, cat):
@@ -164,30 +159,6 @@ class TestBuiltinCatalog:
     def test_unknown_filter(self, cat):
         with pytest.raises(CatalogError):
             cat.filtered("mirror")
-
-
-class TestCountExact:
-    def test_trefoil_cell(self, cat):
-        assert count_exact(cat, 3, 1) == 1
-
-    def test_figure_eight_cell(self, cat):
-        assert count_exact(cat, 4, 1) == 1
-
-    def test_empty_cell(self, cat):
-        assert count_exact(cat, 3, 5) == 0
-
-    def test_marginals_sum_to_cardinality(self, cat):
-        total = sum(
-            count_exact(cat, n, g) for n in range(3, 9) for g in range(1, 4)
-        )
-        assert total == len(cat)
-
-    def test_filtered_marginals(self, cat):
-        alt = cat.filtered("alternating")
-        total = sum(
-            count_exact(alt, n, g) for n in range(3, 9) for g in range(1, 4)
-        )
-        assert total == len(alt)
 
 
 class TestCountAsymptotic:

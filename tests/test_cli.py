@@ -844,10 +844,11 @@ class TestLazyImports:
             "from knotstat import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.run({argv!r})\n"
-            "print(code, 'dataclasses' in sys.modules, 'knotstat.crossed' in sys.modules)"
+            "print(code, 'dataclasses' in sys.modules, 'mpmath' in sys.modules,"
+            " 'knotstat.crossed' in sys.modules)"
         ).stdout
-        code, dataclasses_loaded, crossed_loaded = out.split()
-        assert (code, dataclasses_loaded) == ("0", "False")
+        code, dataclasses_loaded, mpmath_loaded, crossed_loaded = out.split()
+        assert (code, dataclasses_loaded, mpmath_loaded) == ("0", "False", "False")
         if argv[0] == "thresholds":
             assert crossed_loaded == "False"
 

@@ -24,9 +24,7 @@ from knotstat.crossed import (
     alpha_n_hatpi,
     bc_combine,
     bc_normalize,
-    bc_relation_check,
     congruence_inverse,
-    cyclic_tower_check,
     hatpi_member,
     idempotent_e,
     idempotent_e_hatpi,
@@ -400,23 +398,16 @@ class TestNormalForm:
         assert nf.x == sigma_n(E(Fraction(1, 3)), 2)
 
     def test_isometry_multiplicativity(self):
-        nf1, nf2, equal = bc_relation_check(
-            [("mu", 2), ("mu", 3)], [("mu", 6)]
-        )
-        assert equal
-        assert nf1.a == 6 and nf1.b == 1
+        nf = bc_normalize([("mu", 2), ("mu", 3)])
+        assert nf == bc_normalize([("mu", 6)])
+        assert nf.a == 6 and nf.b == 1
 
     def test_adjoint_multiplicativity(self, rng):
         for _ in range(200):
             n, m = rng.randint(1, 30), rng.randint(1, 30)
-            _, _, equal = bc_relation_check(
-                [("mu", n), ("mu", m)], [("mu", n * m)]
-            )
-            assert equal
-            _, _, equal = bc_relation_check(
-                [("mu*", n), ("mu*", m)], [("mu*", n * m)]
-            )
-            assert equal
+            for kind in ("mu", "mu*"):
+                split = bc_normalize([(kind, n), (kind, m)])
+                assert split == bc_normalize([(kind, n * m)])
 
     def test_normal_form_coprimality(self, rng):
         for _ in range(300):
@@ -447,20 +438,3 @@ class TestNormalForm:
             parse_bc_word(["mu2"])
         with pytest.raises(DomainError):
             parse_bc_word(["nu:2"])
-
-
-class TestCyclicTower:
-    def test_exhaustive_small(self):
-        assert cyclic_tower_check(2, 3)
-
-    def test_trivial_m(self):
-        assert cyclic_tower_check(7, 1)
-
-    def test_random_pairs(self, rng):
-        for _ in range(50):
-            n, m = rng.randint(1, 50), rng.randint(1, 50)
-            assert cyclic_tower_check(n, m)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            cyclic_tower_check(0, 3)

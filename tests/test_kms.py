@@ -34,7 +34,6 @@ from knotstat.semigroup import (
     GroupElement,
     Knot,
     WeightFunction,
-    act_on_weight,
     f_weight,
     weight_of,
 )
@@ -591,6 +590,12 @@ class TestTimeEvolutionCoefficient:
         with pytest.raises(DomainError, match="m"):
             time_evolution_coefficient(elem("3_1"), elem("4_1"), 0, 0.7, wq2, cat)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused(self, cat, wq2, t):
+        """A NaN or infinite t gave (nan+nanj), which is no unit phase."""
+        with pytest.raises(DomainError, match="finite t"):
+            time_evolution_coefficient(elem("3_1"), elem("4_1"), 3, t, wq2, cat)
+
     def test_unit_modulus(self, cat, wq2, rng):
         for _ in range(50):
             h, g = random_element(rng), random_element(rng)
@@ -605,7 +610,7 @@ class TestTimeEvolutionCoefficient:
         w1 = WeightFunction(q=2, exponent_scale=1)
         h, g = elem("3_1"), elem("4_1")
         m, t = 3, 0.7
-        delta = f_weight(g, w1, cat) - f_weight(act_on_weight(h, g), w1, cat)
+        delta = f_weight(g, w1, cat) - f_weight(h.inverse().compose(g), w1, cat)
         want = cmath.exp(1j * t * delta * math.log(m))
         got = time_evolution_coefficient(h, g, m, t, w1, cat)
         assert abs(got - want) <= 1e-12
@@ -623,7 +628,9 @@ class TestTimeEvolutionCoefficient:
             lhs = time_evolution_coefficient(h1.compose(h2), g, m, t, wq2, cat)
             rhs = time_evolution_coefficient(
                 h1, g, m, t, wq2, cat
-            ) * time_evolution_coefficient(h2, act_on_weight(h1, g), m, t, wq2, cat)
+            ) * time_evolution_coefficient(
+                h2, h1.inverse().compose(g), m, t, wq2, cat
+            )
             assert abs(lhs - rhs) <= 1e-12
 
 

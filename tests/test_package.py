@@ -1,6 +1,8 @@
 """The package namespace: lazily loaded names resolve to their home modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,145 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         knotstat.no_such_name
     assert not hasattr(knotstat, "no_such_name")
+
+
+# -- every public name is reached ---------------------------------------------
+#
+# The entry points are the CLI, the benchmark, the demos and the acceptance
+# criteria.  A public name must be reached from them through the package's
+# own code, or build the inputs of a test oracle; anything else is dead code.
+
+REPO = Path(__file__).resolve().parent.parent
+ENTRY_POINTS = ("src/knotstat/cli.py", "bench/*.py", "demos/*.py", "tests/test_acceptance.py")
+
+# Public names no entry point reaches, kept because the named test file
+# builds an oracle's inputs with them.
+ORACLE_HELPERS = {
+    "exponent_sum": "tests/test_knotgroups.py",  # the sympy Smith-form oracle
+    "invert_word": "tests/test_knotgroups.py",
+    "omega": "tests/test_partition.py",  # the brute-force Z_G sum
+    "enumerate_knots": "tests/test_partition.py",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+MODULES = {path.stem: _parse(path) for path in (REPO / "src" / "knotstat").glob("*.py")}
+
+
+def _top_level(tree: ast.Module) -> dict:
+    """Name -> defining node for each top-level def, class and assignment."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return out
+
+
+DEFS = {module: _top_level(tree) for module, tree in MODULES.items()}
+
+
+def _imports(tree: ast.Module) -> dict:
+    """Local name -> a knotstat module name (str) or a (module, name) pair,
+    for every knotstat import anywhere in ``tree``, function bodies included."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "knotstat":
+                    # ``import knotstat.x`` binds knotstat, ``... as y`` binds x
+                    home = alias.name.partition(".")[2] if alias.asname else ""
+                    out[alias.asname or "knotstat"] = home or "__init__"
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                home = node.module or "__init__"
+            elif node.module and node.module.split(".")[0] == "knotstat":
+                home = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if home != "__init__":
+                    out[local] = (home, alias.name)
+                elif alias.name in MODULES:
+                    out[local] = alias.name
+                else:
+                    out[local] = (knotstat._HOME[alias.name], alias.name)
+    return out
+
+
+IMPORTS = {module: _imports(tree) for module, tree in MODULES.items()}
+
+
+def _resolve(module: str, name: str) -> tuple:
+    """The (module, name) that defines ``name`` as seen from ``module``."""
+    if name in DEFS.get(module, {}):
+        return module, name
+    if module == "__init__" and name in knotstat._HOME:
+        return _resolve(knotstat._HOME[name], name)
+    target = IMPORTS[module].get(name) if module in MODULES else None
+    return _resolve(*target) if isinstance(target, tuple) else (module, name)
+
+
+def _references(node: ast.AST, imports: dict, module: str = None) -> set:
+    """(module, name) pairs that ``node`` reads: imported names, attributes
+    of imported knotstat modules, and top-level names of its own module."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            target = imports.get(sub.id)
+            if isinstance(target, tuple):
+                out.add(target)
+            elif target is None and sub.id in DEFS.get(module, {}):
+                out.add((module, sub.id))
+        elif isinstance(sub, ast.Attribute):
+            base = sub.value
+            if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+                if imports.get(base.value.id) == "__init__" and base.attr in MODULES:
+                    out.add((base.attr, sub.attr))  # knotstat.<module>.<name>
+            elif isinstance(base, ast.Name) and isinstance(imports.get(base.id), str):
+                out.add((imports[base.id], sub.attr))
+    return {_resolve(*ref) for ref in out}
+
+
+def _reached() -> set:
+    todo = set()
+    for pattern in ENTRY_POINTS:
+        for path in sorted(REPO.glob(pattern)):
+            tree = _parse(path)
+            module = path.stem if path.parent.name == "knotstat" else None
+            todo |= _references(tree, _imports(tree), module)
+    reached = set()
+    while todo:
+        module, name = key = todo.pop()
+        reached.add(key)
+        node = DEFS.get(module, {}).get(name)
+        if node is not None:
+            todo |= _references(node, IMPORTS[module], module) - reached
+    return reached
+
+
+def test_every_public_name_is_reached():
+    public = {(m, name) for m, names in knotstat._EXPORTS.items() for name in names}
+    for module in MODULES.keys() - {"__init__"}:
+        names = getattr(importlib.import_module(f"knotstat.{module}"), "__all__", ())
+        public |= {(module, name) for name in names}
+    reached = _reached()
+    unreached = sorted(
+        f"{module}.{name}" for module, name in public
+        if _resolve(module, name) not in reached and name not in ORACLE_HELPERS
+    )
+    assert unreached == [], "no entry point, criterion or oracle reaches these public names"
+    for name, test_file in ORACLE_HELPERS.items():
+        imported = _imports(_parse(REPO / test_file)).values()
+        assert any(target[1:] == (name,) for target in imported if isinstance(target, tuple)), (
+            f"{test_file} no longer imports {name}"
+        )

@@ -11,7 +11,6 @@ import math
 import sys
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from knotstat.catalog import Catalog, MultiplicityModel
@@ -30,9 +29,7 @@ from knotstat.partition import (
     groth_weight_counts,
     lambda_beta,
     primes_up_to,
-    qstar_euler_factor,
     qstar_partition,
-    spectral_commutator_norm,
     threshold_beta_minus,
     threshold_beta_plus,
     threshold_beta_tilde,
@@ -367,24 +364,6 @@ class TestZGrothendieck:
 
 
 class TestQstarSystem:
-    def test_euler_factor_p2_beta1(self):
-        assert qstar_euler_factor(2, 1.0) == pytest.approx(3.0, rel=1e-15)
-
-    def test_euler_factor_limit(self):
-        assert qstar_euler_factor(2, 400.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_euler_factor_series(self):
-        for p, beta in ((2, 1.0), (3, 0.7), (5, 2.0)):
-            series = 1.0 + 2.0 * sum(p ** (-beta * n) for n in range(1, 60))
-            tail = 2.0 * p ** (-beta * 60) / (1 - p**-beta)
-            assert abs(qstar_euler_factor(p, beta) - series) <= tail + 1e-12
-
-    def test_euler_factor_domain(self):
-        with pytest.raises(DomainError):
-            qstar_euler_factor(4, 1.0)
-        with pytest.raises(DomainError):
-            qstar_euler_factor(2, 0.0)
-
     def test_closed_form_at_two(self):
         res = qstar_partition(2.0)
         assert res.value == pytest.approx(2.5, rel=1e-14)
@@ -416,7 +395,7 @@ class TestQstarSystem:
         for cutoff in (100, 1000):
             product = 1.0
             for p in primes_up_to(cutoff):
-                product *= qstar_euler_factor(p, beta)
+                product *= (1 - p ** (-2 * beta)) / (1 - p**-beta) ** 2
             bound = closed * math.expm1(2.0 / (cutoff - 1))
             assert abs(product - closed) <= bound
             errors.append(abs(product - closed))
@@ -474,11 +453,6 @@ class TestQstarSystem:
     def test_closed_mode_ignores_n_max(self):
         assert qstar_partition(2.0, n_max=-1).value == qstar_partition(2.0).value
 
-    def test_euler_factor_needs_a_prime(self):
-        for p in (-3, 0, 1, 4, 91):
-            with pytest.raises(DomainError):
-                qstar_euler_factor(p, 2.0)
-
 
 class TestGrothWeightCounts:
     @pytest.mark.parametrize("max_weight", [0, 4, 9, 12, 16])
@@ -515,47 +489,6 @@ class TestGrothWeightCounts:
                 groth_weight_counts(weights, max_weight)
 
 
-def spectral_commutator_matrix(p: int, m: int, size: int):
-    """Dense truncation of the commutator on the basis indexed by p powers.
-
-    The scaling generator acts diagonally by n ln p and the shift moves
-    basis vector n to n + m (annihilating when n + m is out of range), so
-    the commutator has entries m ln p on the m-th diagonal.  The oracle
-    for the closed-form ``spectral_commutator_norm``.
-    """
-    if size < 1 or size <= abs(m):
-        raise DomainError(f"size must exceed |m|, got size={size}, m={m}")
-    d = np.diag([n * math.log(p) for n in range(size)])
-    shift = np.zeros((size, size))
-    for n in range(size):
-        if 0 <= n + m < size:
-            shift[n + m, n] = 1.0
-    return d @ shift - shift @ d
-
-
-class TestSpectralCommutator:
-    def test_closed_form(self):
-        assert spectral_commutator_norm(2, 1) == pytest.approx(math.log(2))
-        assert spectral_commutator_norm(2, 0) == 0.0
-        assert spectral_commutator_norm(3, -2) == pytest.approx(
-            2 * math.log(3)
-        )
-
-    def test_matrix_truncation_oracle(self):
-        for p, m in ((2, 1), (3, 2), (5, -1)):
-            mat = spectral_commutator_matrix(p, m, 200)
-            top = np.linalg.svd(mat, compute_uv=False)[0]
-            assert top == pytest.approx(
-                spectral_commutator_norm(p, m), abs=1e-12
-            )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spectral_commutator_norm(6, 1)
-        with pytest.raises(DomainError):
-            spectral_commutator_matrix(2, 5, 4)
-
-
 class TestZKnotsTimesN:
     def test_factorization(self, cat):
         res = z_knots_times_n(3.0, 2, cat)
@@ -582,6 +515,11 @@ class TestZKnotsTimesN:
     def test_model_needs_convergent_beta(self, model):
         with pytest.raises(DivergenceError):
             z_knots_times_n(5.0, 2, model)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused_by_name(self, cat, beta):
+        with pytest.raises(DomainError, match="^z_knots_times_n requires a finite beta"):
+            z_knots_times_n(beta, 2, cat)
 
 
 class TestZTau:

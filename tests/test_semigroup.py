@@ -26,17 +26,13 @@ from knotstat.semigroup import (
     GroupElement,
     Knot,
     WeightFunction,
-    act_on_weight,
     connected_sum,
-    divides,
     enumerate_group_elements,
     enumerate_knots,
     f_weight,
     format_group_element,
     format_knot,
-    groth_reduce,
     invariants_additive,
-    lambda_multiplicative,
     omega,
     parse_group_element,
     parse_knot,
@@ -112,26 +108,9 @@ class TestConnectedSum:
         )
 
 
-class TestDivides:
-    def test_unknot_divides_all(self):
-        assert divides(Knot.unknot(), Knot.prime("3_1", 5))
-
-    def test_multiplicity_blocks(self):
-        assert not divides(Knot.prime("3_1", 2), Knot.prime("3_1", 1))
-
-    def test_summand(self):
-        assert divides(
-            Knot.prime("3_1"), Knot.from_map({"3_1": 1, "4_1": 1})
-        )
-
-    @given(knot_strategy, knot_strategy)
-    def test_divides_iff_sum_recovers(self, a, b):
-        assert divides(a, connected_sum(a, b))
-
-
 class TestGrothReduce:
     def test_cancel_one_factor(self):
-        g = groth_reduce(
+        g = GroupElement(
             Knot.from_map({"3_1": 1, "4_1": 1}), Knot.prime("3_1")
         )
         assert g.positive == Knot.prime("4_1")
@@ -139,10 +118,10 @@ class TestGrothReduce:
 
     def test_equal_pair_is_identity(self):
         k = Knot.from_map({"3_1": 2, "5_1": 1})
-        assert groth_reduce(k, k).is_identity()
+        assert GroupElement(k, k).is_identity()
 
     def test_partial_cancellation(self):
-        g = groth_reduce(
+        g = GroupElement(
             Knot.prime("3_1", 2), Knot.from_map({"3_1": 1, "5_2": 1})
         )
         assert g.positive == Knot.prime("3_1")
@@ -150,18 +129,18 @@ class TestGrothReduce:
 
     @given(knot_strategy, knot_strategy)
     def test_reduced_form_disjoint(self, a, b):
-        g = groth_reduce(a, b)
+        g = GroupElement(a, b)
         assert not (g.positive.support() & g.negative.support())
 
     @given(knot_strategy, knot_strategy, knot_strategy)
     def test_class_invariance(self, a, b, c):
-        assert groth_reduce(a, b) == groth_reduce(
+        assert GroupElement(a, b) == GroupElement(
             connected_sum(a, c), connected_sum(b, c)
         )
 
     @given(knot_strategy, knot_strategy)
     def test_group_laws(self, a, b):
-        g = groth_reduce(a, b)
+        g = GroupElement(a, b)
         assert g.compose(g.inverse()).is_identity()
         assert g.compose(GroupElement.identity()) == g
 
@@ -202,31 +181,11 @@ class TestAdditiveInvariants:
         assert weight_of(Knot.unknot(), cat) == 0
 
 
-class TestOmegaAndLambda:
+class TestOmega:
     def test_omega(self):
         assert omega(Knot.unknot()) == 0
         assert omega(Knot.prime("3_1", 5)) == 1
         assert omega(Knot.from_map({"3_1": 1, "4_1": 2})) == 2
-
-    def test_lambda_trefoil(self, cat):
-        assert lambda_multiplicative(Knot.prime("3_1"), cat) == 1
-
-    def test_lambda_unknot(self, cat):
-        assert lambda_multiplicative(Knot.unknot(), cat) == 1
-
-    def test_lambda_nontrivial_top_coefficient(self, cat):
-        # 5_2 has Alexander polynomial 2t^2 - 3t + 2
-        assert cat.get("5_2").alexander_coeffs == (2, -3, 2)
-        assert lambda_multiplicative(Knot.prime("5_2"), cat) == 2
-        assert lambda_multiplicative(Knot.prime("5_2", 3), cat) == 8
-
-    def test_lambda_multiplicative_law(self, cat, rng):
-        for _ in range(50):
-            a, b = random_knot(rng), random_knot(rng)
-            assert lambda_multiplicative(
-                connected_sum(a, b), cat
-            ) == lambda_multiplicative(a, cat) * lambda_multiplicative(b, cat)
-
 
 class TestWeightFunction:
     def test_default_scale_is_ceiling_of_threshold(self, wq2):
@@ -285,12 +244,12 @@ class TestFWeight:
 class TestActOnWeight:
     def test_identity_action(self, rng):
         g = random_element(rng)
-        assert act_on_weight(GroupElement.identity(), g) == g
+        assert GroupElement.identity().inverse().compose(g) == g
 
     def test_action_composes_to_identity(self, rng):
         for _ in range(50):
             h, g = random_element(rng), random_element(rng)
-            assert act_on_weight(h.inverse(), act_on_weight(h, g)) == g
+            assert h.compose(h.inverse().compose(g)) == g
 
     def test_pulled_back_weight_oracle(self, cat, wq2, rng):
         """f(h^-1 g) via the group operation equals an independent
@@ -298,7 +257,7 @@ class TestActOnWeight:
         weights = {name: cat.get(name).weight for name in NAMES}
         for _ in range(1000):
             h, g = random_element(rng), random_element(rng)
-            translated = act_on_weight(h, g)
+            translated = h.inverse().compose(g)
             via_group = f_weight(translated, wq2, cat)
             total = 0
             for name in NAMES:

@@ -1,8 +1,8 @@
 """Special-function evaluations against independent high-precision oracles.
 
-mpmath (50 working digits) is the oracle for all analytic values; exact
-combinatorial quantities are checked against brute-force recurrences and
-closed forms evaluated in exact rational arithmetic.
+mpmath (50 working digits) is the oracle for all analytic values; the
+Mobius sums are checked against brute-force divisor sums evaluated in
+exact rational arithmetic.
 """
 
 import cmath
@@ -20,22 +20,16 @@ from knotstat.errors import DomainError
 from knotstat.specfun import (
     _MAX_HURWITZ_DENOMINATOR,
     _factorize,
+    _hurwitz_em,
     _omega_squarefree_sieve,
     distinct_prime_factors,
     divisors,
-    eulerian,
-    hurwitz_zeta,
     lerch,
-    lerch_taylor,
     mobius,
     mobius_f,
-    ordered_bell,
-    ordered_bell_asymptotic,
-    polylog_neg,
     polylog_roots_of_unity,
     restricted_zeta,
     riemann_zeta,
-    stirling2,
 )
 
 mpmath.mp.dps = 50
@@ -68,29 +62,27 @@ class TestZeta:
     def test_hurwitz_against_oracle(self):
         for s in (1.5, 2.0, 3.25, 10.0):
             for a in (0.25, 0.5, 1.0, 2.0, 7.5, 100.0):
-                assert hurwitz_zeta(s, a) == pytest.approx(
+                assert _hurwitz_em(s, a) == pytest.approx(
                     mp_zeta(s, a), rel=1e-11
                 ), (s, a)
 
     def test_hurwitz_huge_s_underflows_cleanly(self):
-        assert hurwitz_zeta(1e12, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert _hurwitz_em(1e12, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_hurwitz_past_float_range_refused(self):
         # a^-s = 10^480: math.exp raised a raw OverflowError
         with pytest.raises(DomainError, match=r"a\^-s > 1.8e308 at s=80, a=1e-06"):
-            hurwitz_zeta(80, 1e-6)
-        with pytest.raises(DomainError, match=r"a\^-s > 1.8e308 at s=80.5, a=1e-06"):
-            lerch_taylor(0.5, 80.5, 1e-6, 3)
+            _hurwitz_em(80, 1e-6)
         # the largest first term that fits is still evaluated
         a = 2.0**-8
-        assert hurwitz_zeta(127.0, a) == pytest.approx(2.0**1016, rel=1e-12)
+        assert _hurwitz_em(127.0, a) == pytest.approx(2.0**1016, rel=1e-12)
 
     @given(st.floats(min_value=1.0, max_value=400.0, exclude_min=True),
            st.floats(min_value=1e-9, max_value=50.0))
     @settings(max_examples=300, deadline=None)
     def test_hurwitz_finite_or_refused(self, s, a):
         try:
-            value = hurwitz_zeta(s, a)
+            value = _hurwitz_em(s, a)
         except DomainError as exc:
             assert "a^-s > 1.8e308" in str(exc)
             assert -s * math.log(a) > math.log(sys.float_info.max)
@@ -118,16 +110,6 @@ class TestZeta:
 
 
 class TestPolylog:
-    def test_neg_integer_closed_forms(self):
-        # Li_{-m}(z) = sum_k eulerian(m,k) z^{k+1} / (1-z)^{m+1}
-        assert polylog_neg(1, Fraction(1, 2)) == Fraction(2)
-        assert polylog_neg(3, Fraction(1, 2)) == Fraction(26)
-        for m in range(1, 8):
-            for z in (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 9)):
-                got = polylog_neg(m, z)
-                oracle = mpmath.polylog(-m, mpmath.mpf(z.numerator) / z.denominator)
-                assert float(got) == pytest.approx(float(oracle), rel=1e-12)
-
     def test_roots_of_unity_against_mpmath(self):
         for s in (1.5, 2.0, 3.5, 8.0, 31.0):
             for num, den in [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 5), (5, 12)]:
@@ -195,76 +177,6 @@ class TestLerch:
             lerch(1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             lerch(-0.5, 2.0, 1.0)
-
-    def test_taylor_expansion_route(self):
-        z, s, alpha = 0.85, 2.5, 1.25
-        value, err = lerch_taylor(z, s, alpha, 40)
-        oracle = float(mpmath.lerchphi(z, s, alpha))
-        assert value == pytest.approx(oracle, rel=1e-9)
-        assert abs(value - oracle) <= max(err, 1e-9 * abs(oracle))
-
-    def test_taylor_agrees_with_direct_series(self):
-        value, _ = lerch_taylor(0.8, 2.5, 1.25, 30)
-        assert value == pytest.approx(lerch(0.8, 2.5, 1.25), rel=1e-8)
-
-    def test_taylor_rejects_integer_s(self):
-        with pytest.raises(DomainError):
-            lerch_taylor(0.5, 3.0, 1.0, 40)
-
-    def test_taylor_rejects_large_log(self):
-        with pytest.raises(DomainError):
-            lerch_taylor(1e-4, 2.5, 1.0, 40)  # |ln z| > 2 pi
-
-
-def brute_stirling2(n, k):
-    if n == k == 0:
-        return 1
-    if n == 0 or k == 0:
-        return 0
-    return k * brute_stirling2(n - 1, k) + brute_stirling2(n - 1, k - 1)
-
-
-def brute_eulerian(m, k):
-    if m == 1:
-        return 1 if k == 0 else 0
-    if k < 0 or k >= m:
-        return 0
-    return (k + 1) * brute_eulerian(m - 1, k) + (m - k) * brute_eulerian(m - 1, k - 1)
-
-
-class TestCombinatorics:
-    def test_stirling2_against_recurrence(self):
-        for n in range(9):
-            for k in range(n + 1):
-                assert stirling2(n, k) == brute_stirling2(n, k)
-
-    def test_eulerian_against_recurrence(self):
-        for m in range(1, 9):
-            for k in range(m):
-                assert eulerian(m, k) == brute_eulerian(m, k)
-        assert eulerian(12, 5) == sum(
-            (-1) ** j * math.comb(13, j) * (6 - j) ** 12 for j in range(7)
-        )
-
-    def test_eulerian_domain(self):
-        with pytest.raises(DomainError):
-            eulerian(0, 0)
-        with pytest.raises(DomainError):
-            eulerian(3, 3)
-
-    def test_ordered_bell(self):
-        known = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
-        for n, value in enumerate(known):
-            assert ordered_bell(n) == value
-
-    def test_ordered_bell_asymptotic(self):
-        for a in (10, 12, 14):
-            exact = ordered_bell(a)
-            approx = ordered_bell_asymptotic(a)
-            assert approx == pytest.approx(exact, rel=0.01)
-
-    def test_ordered_bell_twelve(self):
-        assert ordered_bell(12) == 28091567595
 
 
 class TestMobius:
