@@ -113,8 +113,9 @@ class Catalog(Record):
     """An immutable ordered table of prime knots with a name index.
 
     ``index`` maps each name to its record and ``weights`` maps the name of
-    each alternating prime to its weight Cr + g.  Both are derived from
-    ``records`` and take no part in ``==`` or ``hash``.
+    each alternating prime to its weight Cr + g; those are the only primes
+    the semigroup weighs.  Both are derived from ``records`` and take no
+    part in ``==`` or ``hash``.
     """
 
     __slots__ = ("records", "index", "weights")

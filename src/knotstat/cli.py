@@ -187,9 +187,7 @@ def _cmd_z_tau(args) -> dict:
     # product runs over the G(v) group elements of each weight at once.
     cat = _load_catalog(args)
     scale = _sg.WeightFunction(q=args.q).exponent_scale
-    counts = _pt.groth_weight_counts(
-        [rec.weight for rec in cat if rec.alternating], args.max_weight
-    )
+    counts = _pt.groth_weight_counts(cat.weights.values(), args.max_weight)
     # Every class with f above the huge-weight cut is a factor 1.0 that
     # z_tau only counts, so those classes go in as one entry, keyed by the
     # first such f.  z_tau refuses beta <= 1 whatever the weights are.

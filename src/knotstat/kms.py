@@ -7,7 +7,11 @@ q^(-beta) as an asymptotic ratio.
 Group elements index the factors of the product states; each factor is an
 arithmetic state value (a root-of-unity polylogarithm ratio for group-ring
 entries, a power n^(-a s) for isometry monomials) at inverse temperature
-s = f(g) beta, where f is the exact semigroup weight.  Weights grow so
+s = f(g) beta, where f is the exact semigroup weight.  As in ``semigroup``,
+only alternating primes carry a weight, since crossing-number additivity
+is a theorem for them alone: a state, eigenvalue list or phase at a knot
+with another factor is refused, ``CatalogError`` for an unknown name and
+``DomainError`` for a non-alternating prime.  Weights grow so
 fast that all but finitely many factors are numerically at their beta ->
 infinity limits; the cutover is handled exactly on the integer weights
 before any float conversion.  Every state refuses a NaN or -inf beta;
@@ -123,30 +127,20 @@ def toeplitz_eigenlist(
     return EigenvalueList(ratio)
 
 
-def gibbs_monomial(
-    k: Knot,
-    a: int,
-    beta: float,
-    q: int,
-    cat: Catalog,
-    b: Optional[int] = None,
-) -> float:
-    """Gibbs state value on the isometry monomial mu_K^a (mu_K*)^b.
+def gibbs_monomial(k: Knot, a: int, beta: float, q: int, cat: Catalog) -> float:
+    """Gibbs state value on the diagonal isometry monomial mu_K^a (mu_K*)^a.
 
-    Diagonal monomials (b = a, the default) evaluate to q^(-beta a w), in
-    log form once q is past the float range; off-diagonal ones vanish.
+    It is q^(-beta a w), in log form once q is past the float range.
     a w = 0 (a = 0, or the unknot) returns 1, the state normalization,
     also at beta = +inf.  beta = -inf is refused, and so is a negative
     beta whose value passes the float range.
     """
-    if a < 0 or (b is not None and b < 0):
+    if a < 0:
         raise DomainError("monomial powers must be >= 0")
     if math.isnan(beta) or beta == -math.inf:  # beta = inf stays: the ground state
         raise DomainError(
             f"gibbs_monomial requires beta to be a number or +inf, got {beta}"
         )
-    if b is not None and b != a:
-        return 0.0
     aw = a * weight_of(k, cat)
     if aw == 0:  # before the power: inf * 0 would be NaN
         return 1.0
@@ -376,7 +370,6 @@ def psi_product_state(
     cat: Catalog,
     n_rho: int = 1,
     precompose: Optional[GroupElement] = None,
-    assume_cr_additive: bool = False,
 ) -> complex:
     """The weighted product state on a finitely supported function.
 
@@ -394,7 +387,7 @@ def psi_product_state(
     total = complex(1.0)
     for g, mono in f.entries:
         g_eff = precompose.compose(g) if precompose is not None else g
-        s_weight = f_weight(g_eff, w, cat, assume_cr_additive)
+        s_weight = f_weight(g_eff, w, cat)
         if mono.kind == "e":
             total *= _e_factor(mono.r, s_weight, beta, u, n_rho)
         else:
@@ -410,7 +403,6 @@ def psi_pushforward(
     w: WeightFunction,
     cat: Catalog,
     n_rho: int = 1,
-    assume_cr_additive: bool = False,
 ) -> tuple[complex, complex, float]:
     """Both sides of the transformation law for the translated state.
 
@@ -420,14 +412,8 @@ def psi_pushforward(
     right by precomposing the weight argument with h.
     """
     _require_finite_beta("psi_pushforward", beta)
-    lhs = psi_product_state(
-        f.translate(h), beta, u, w, cat, n_rho,
-        assume_cr_additive=assume_cr_additive,
-    )
-    rhs = psi_product_state(
-        f, beta, u, w, cat, n_rho, precompose=h,
-        assume_cr_additive=assume_cr_additive,
-    )
+    lhs = psi_product_state(f.translate(h), beta, u, w, cat, n_rho)
+    rhs = psi_product_state(f, beta, u, w, cat, n_rho, precompose=h)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -460,7 +446,6 @@ def time_evolution_coefficient(
     t: float,
     w: WeightFunction,
     cat: Catalog,
-    assume_cr_additive: bool = False,
 ) -> complex:
     """Phase picked up by the h-translation operator under time evolution.
 
@@ -475,9 +460,7 @@ def time_evolution_coefficient(
         raise DomainError(f"semigroup index m must be >= 1, got {m}")
     if not math.isfinite(t):
         raise DomainError(f"time_evolution_coefficient requires a finite t, got {t}")
-    delta = f_weight(g, w, cat, assume_cr_additive) - f_weight(
-        h.inverse().compose(g), w, cat, assume_cr_additive
-    )
+    delta = f_weight(g, w, cat) - f_weight(h.inverse().compose(g), w, cat)
     if delta == 0 or t == 0.0 or m == 1:
         return complex(1.0)
     base = cmath.exp(1j * t * math.log(m))

@@ -532,9 +532,9 @@ class Presentation(Record):
         )
 
 
-def unknot_presentation(name: str = "a") -> Presentation:
+def unknot_presentation() -> Presentation:
     """The one-generator, no-relator presentation of the unknot group."""
-    return Presentation(generators=(name,), relators=(), basepoint=0, blocks=())
+    return Presentation(generators=("a",), relators=(), basepoint=0, blocks=())
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +542,21 @@ def unknot_presentation(name: str = "a") -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-def braid_to_wirtinger(braid: Sequence[int], strands: Optional[int] = None) -> Presentation:
+def braid_to_wirtinger(braid: Sequence[int]) -> Presentation:
     """Wirtinger presentation of the trace closure of a braid word.
 
     The word is a sequence of nonzero integers: +i crosses strand i over
-    strand i+1, -i crosses it under.  The closure must be a knot (its
-    permutation a single cycle).  Arcs get one generator each; every
-    crossing contributes the conjugation relator of its under-arc.
+    strand i+1, -i crosses it under.  The braid has max |i| + 1 strands,
+    as a strand no letter touches would close to a separate component.
+    The closure must be a knot (its permutation a single cycle).  Arcs get
+    one generator each; every crossing contributes the conjugation
+    relator of its under-arc.
     """
     if not braid:
         raise PresentationError("empty braid word")
     if any(s == 0 for s in braid):
         raise PresentationError("braid letters must be nonzero")
-    k = (strands if strands is not None else max(abs(s) for s in braid) + 1)
-    if k < 2 or any(abs(s) > k - 1 for s in braid):
-        raise PresentationError(f"braid letters out of range for {k} strands")
+    k = max(abs(s) for s in braid) + 1
 
     # check the closure is a knot: the braid permutation must be one cycle
     perm = list(range(k))
@@ -669,17 +669,15 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     ``_poly`` builds a ``LaurentPoly``: the inputs' relators are already
     reduced and in range, shifting p2's letters past p1's generators keeps
     them so, and renaming keeps the generator names distinct.
+
+    H_1 is checked once, on the result.  A Wirtinger-like presentation has
+    H_1 free of rank the number of components of its generator graph (see
+    ``abelianization``), and the identification relator is one edge
+    between the two graphs, so the result has rank c1 + c2 - 1: it is Z
+    exactly when both inputs are.
     """
-    for p in (p1, p2):
-        if not p.is_wirtinger_like():
-            raise PresentationError(
-                "amalgamate needs Wirtinger-form presentations"
-            )
-        if not abelianization(p).is_infinite_cyclic:
-            raise PresentationError(
-                "amalgamate needs knot presentations (abelianization Z); "
-                f"got {abelianization(p)}"
-            )
+    if not (p1.is_wirtinger_like() and p2.is_wirtinger_like()):
+        raise PresentationError("amalgamate needs Wirtinger-form presentations")
     taken = set(p1.generators)
     renamed = []
     for name in p2.generators:
@@ -704,6 +702,11 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p = object.__new__(Presentation)
     p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
            p1.basepoint, blocks)
+    ab = abelianization(p)
+    if not ab.is_infinite_cyclic:
+        raise PresentationError(
+            f"amalgamate needs knot presentations (abelianization Z); the sum has {ab}"
+        )
     return p
 
 

@@ -24,7 +24,7 @@ from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
-from .catalog import Catalog, MultiplicityModel, _log_count_weight, weights_with_counts
+from .catalog import LOWER_C, Catalog, MultiplicityModel, _log_count_weight, weights_with_counts
 from .errors import DivergenceError, DomainError
 from .specfun import (
     _TINY_LOG,
@@ -239,16 +239,16 @@ def threshold_beta_minus(q: int) -> float:
     return _bisect(fn, *_threshold_bracket(q), "threshold_beta_minus")
 
 
-def threshold_beta_tilde(q: int, C: float = 400.0) -> float:
+def threshold_beta_tilde(q: int) -> float:
     """The unique beta > ln2/lnq with
-    beta - 6 ln lambda_beta + 6 ln beta = ln C - 6 ln ln q.
+    beta - 6 ln lambda_beta + 6 ln beta = ln C - 6 ln ln q, C = LOWER_C = 400.
 
     Sits strictly below beta_minus(q); for beta below it the unique KMS
     state is of type III with ratio q^(-beta).
     """
     if q < 2:
         raise DomainError(f"threshold_beta_tilde requires q >= 2, got {q}")
-    rhs = math.log(C) - 6.0 * math.log(math.log(q))
+    rhs = math.log(LOWER_C) - 6.0 * math.log(math.log(q))
 
     def fn(beta: float) -> float:
         return figure_f_value(beta, q) - rhs

@@ -7,6 +7,14 @@ multiset); group elements are reduced formal differences K (+) minus
 K (-) with disjoint prime support.  All arithmetic is exact: weights
 f(g) = q^(scale * total invariant weight) are arbitrary-precision
 integers.
+
+Only alternating primes carry a weight.  The weight Cr + g is additive
+under connected sum only where the crossing number is: genus always adds,
+but crossing-number additivity is a theorem for alternating factors alone.
+``Catalog.weights`` holds the weight of each alternating prime and is the
+one place this rule lives; every weight, refusal and enumeration here reads
+it.  A factor outside it is refused, with ``CatalogError`` when the catalog
+has no such name and ``DomainError`` when the prime is not alternating.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ __all__ = [
     "GroupElement",
     "WeightFunction",
     "connected_sum",
-    "invariants_additive",
     "omega",
     "weight_of",
     "f_weight",
@@ -65,8 +72,8 @@ class Knot(Record):
         return cls(())
 
     @classmethod
-    def prime(cls, name: str, mult: int = 1) -> "Knot":
-        return cls(((name, mult),))
+    def prime(cls, name: str) -> "Knot":
+        return cls(((name, 1),))
 
     @classmethod
     def from_map(cls, mapping: Mapping[str, int]) -> "Knot":
@@ -167,39 +174,30 @@ def connected_sum(k1: Knot, k2: Knot) -> Knot:
     return Knot.from_map(out)
 
 
-def _cr_additivity_error(name: str) -> DomainError:
+def _unweighted(name: str, cat: Catalog) -> DomainError:
+    """The refusal of a factor outside ``cat.weights``: ``cat.get`` raises
+    ``CatalogError`` for an unknown name, else the prime is not alternating."""
+    cat.get(name)
     return DomainError(
         f"crossing-number additivity needs alternating factors; "
-        f"{name} is not alternating (pass assume_cr_additive=True "
-        f"to use the conjectural extension)"
+        f"{name} is not alternating"
     )
 
 
-def invariants_additive(
-    k: Knot, cat: Catalog, assume_cr_additive: bool = False
-) -> tuple[int, int]:
-    """(crossing number, genus) of a composite knot by additivity.
+def weight_of(k: Knot, cat: Catalog) -> int:
+    """Cr(K) + g(K), the additive invariant weight; 0 for the unknot.
 
-    Genus is additive on all connected sums.  Crossing-number additivity
-    is only a theorem for alternating factors, so non-alternating factors
-    are rejected unless ``assume_cr_additive`` accepts the conjectural
-    extension.
+    The first factor outside ``cat.weights`` is refused (see the module
+    docstring).
     """
-    cr = 0
-    genus = 0
+    weights = cat.weights
+    total = 0
     for name, mult in k.factors:
-        rec = cat.get(name)
-        if not rec.alternating and not assume_cr_additive:
-            raise _cr_additivity_error(name)
-        cr += mult * rec.crossing_number
-        genus += mult * rec.genus
-    return cr, genus
-
-
-def weight_of(k: Knot, cat: Catalog, assume_cr_additive: bool = False) -> int:
-    """Cr(K) + g(K), the additive invariant weight; 0 for the unknot."""
-    cr, genus = invariants_additive(k, cat, assume_cr_additive)
-    return cr + genus
+        try:
+            total += mult * weights[name]
+        except KeyError:
+            raise _unweighted(name, cat) from None
+    return total
 
 
 def omega(k: Knot) -> int:
@@ -231,31 +229,21 @@ def _power(q: int, e: int) -> int:
     return value
 
 
-def f_weight(
-    g: GroupElement,
-    w: WeightFunction,
-    cat: Catalog,
-    assume_cr_additive: bool = False,
-) -> int:
+def f_weight(g: GroupElement, w: WeightFunction, cat: Catalog) -> int:
     """Exact integer weight q^(scale * (weight(positive) + weight(negative))).
 
     Both halves of the formal difference contribute positively to the
     exponent, so f is 1 exactly at the identity and at least q^(4*scale)
-    everywhere else.  Prime weights come from ``cat.weights``; a name
-    outside it is unknown (``CatalogError``) or not alternating
-    (``DomainError`` unless ``assume_cr_additive``).
+    everywhere else.  Prime weights come from ``cat.weights``, and the
+    first factor outside it is refused as in ``weight_of``.
     """
     weights = cat.weights
     total = 0
     for name, mult in g.positive.factors + g.negative.factors:
         try:
-            weight = weights[name]
-        except KeyError:  # not an alternating prime of the catalog
-            rec = cat.get(name)
-            if not assume_cr_additive:
-                raise _cr_additivity_error(name) from None
-            weight = rec.weight
-        total += mult * weight
+            total += mult * weights[name]
+        except KeyError:
+            raise _unweighted(name, cat) from None
     return _power(w.q, w.exponent_scale * total)
 
 
@@ -335,10 +323,10 @@ def _group_element(positive: Knot, negative: Knot) -> GroupElement:
 
 
 def _knot_tree(
-    cat: Catalog, max_weight: int, assume_cr_additive: bool
+    cat: Catalog, max_weight: int
 ) -> tuple[list[tuple[Knot, int, int]], list[list[tuple[Knot, int]]]]:
     """Every knot of weight <= max_weight, built once by a depth-first walk
-    over the usable primes in name order.
+    over the primes of ``cat.weights`` in name order.
 
     Returns the walk's preorder as (knot, weight, mask) triples, which is
     the lexicographic order of the factor tuples, and the same knots split
@@ -347,10 +335,7 @@ def _knot_tree(
     unknot is the first knot and sits in bucket 0 (the only bucket when
     max_weight < 0).
     """
-    if assume_cr_additive:
-        usable = sorted((rec.name, rec.weight) for rec in cat)
-    else:
-        usable = sorted(cat.weights.items())
+    usable = sorted(cat.weights.items())
     recs = [(name, wgt, 1 << j) for j, (name, wgt) in enumerate(usable)]
     preorder: list[tuple[Knot, int, int]] = []
     buckets: list[list[tuple[Knot, int]]] = [[] for _ in range(max(max_weight, 0) + 1)]
@@ -370,26 +355,20 @@ def _knot_tree(
     return preorder, buckets
 
 
-def enumerate_knots(
-    cat: Catalog,
-    max_weight: int,
-    assume_cr_additive: bool = False,
-) -> list[tuple[Knot, int]]:
-    """All composite knots of invariant weight <= max_weight, with weights.
+def enumerate_knots(cat: Catalog, max_weight: int) -> list[tuple[Knot, int]]:
+    """All composite knots of alternating primes of invariant weight
+    <= max_weight, with weights.
 
     Deterministic order: ascending weight, then factor tuple.  Includes
     the unknot at weight 0 (alone when max_weight < 0).
     """
-    _, buckets = _knot_tree(cat, max_weight, assume_cr_additive)
+    _, buckets = _knot_tree(cat, max_weight)
     return [(knot, v) for v, bucket in enumerate(buckets) for knot, _ in bucket]
 
 
-def enumerate_group_elements(
-    cat: Catalog,
-    max_weight: int,
-    assume_cr_additive: bool = False,
-) -> list[tuple[GroupElement, int]]:
-    """All reduced formal differences of total invariant weight <= max_weight.
+def enumerate_group_elements(cat: Catalog, max_weight: int) -> list[tuple[GroupElement, int]]:
+    """All reduced formal differences of knots of alternating primes of
+    total invariant weight <= max_weight.
 
     Total weight is weight(positive) + weight(negative); supports are
     disjoint by reducedness.  Deterministic order: ascending weight, then
@@ -403,7 +382,7 @@ def enumerate_group_elements(
     out ordered by (positive, negative) without a sort.  At W = 28 this
     gives 44,985 elements from 51,689 mask tests in about 90-140 ms.
     """
-    preorder, buckets = _knot_tree(cat, max_weight, assume_cr_additive)
+    preorder, buckets = _knot_tree(cat, max_weight)
     found: list[list[tuple[GroupElement, int]]] = [[] for _ in buckets]
     top = len(buckets) - 1
     for pos, a, pmask in preorder:

@@ -37,14 +37,12 @@ _TINY_LOG = -745.0
 _INCREMENT = bytes(range(1, 256)) + b"\xff"
 
 
-def _records(cat, assume_cr_additive):
-    return sorted(
-        (rec.name, rec.weight) for rec in cat if rec.alternating or assume_cr_additive
-    )
+def _records(cat):
+    return sorted((rec.name, rec.weight) for rec in cat if rec.alternating)
 
 
-def enumerate_knots(cat, max_weight, assume_cr_additive=False):
-    recs = _records(cat, assume_cr_additive)
+def enumerate_knots(cat, max_weight):
+    recs = _records(cat)
     found = []
 
     def extend(idx, acc, used):
@@ -61,8 +59,8 @@ def enumerate_knots(cat, max_weight, assume_cr_additive=False):
     return [(Knot(factors), used) for used, factors in found]
 
 
-def enumerate_group_elements(cat, max_weight, assume_cr_additive=False):
-    recs = _records(cat, assume_cr_additive)
+def enumerate_group_elements(cat, max_weight):
+    recs = _records(cat)
     found = []
 
     def extend(idx, pos, neg, used):
@@ -119,15 +117,14 @@ def qstar_reciprocals(n_max):
     )
 
 
-def f_weight(g, w, cat, assume_cr_additive=False):
+def f_weight(g, w, cat):
     total = 0
     for name, mult in g.positive.factors + g.negative.factors:
         rec = cat.get(name)
-        if not rec.alternating and not assume_cr_additive:
+        if not rec.alternating:
             raise DomainError(
                 f"crossing-number additivity needs alternating factors; "
-                f"{name} is not alternating (pass assume_cr_additive=True "
-                f"to use the conjectural extension)"
+                f"{name} is not alternating"
             )
         total += mult * (rec.crossing_number + rec.genus)
     return w.q ** (w.exponent_scale * total)

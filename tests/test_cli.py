@@ -508,6 +508,23 @@ class TestKmsCommands:
         assert code == 1
         assert "unknot" in payload["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("kms-toeplitz", "--knot", "8_19", "--beta", "10"),
+        ("kms-psi", "--beta", "2", "--entry", "8_19::e:1/2"),
+    ], ids=["toeplitz", "psi"])
+    def test_non_alternating_factor_refused(self, capsys, argv):
+        """Only alternating primes carry a weight; the refusal names the
+        prime and offers no library keyword."""
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 1
+        assert "8_19 is not alternating" in payload["error"]
+        assert "assume" not in payload["error"]
+
+    def test_toeplitz_unknown_knot_refused(self, capsys):
+        code, payload = invoke_json(capsys, "kms-toeplitz", "--knot", "99_1", "--beta", "10")
+        assert code == 1
+        assert payload["error"] == "unknown prime knot '99_1'"
+
     def test_bc_low(self, capsys):
         code, payload = invoke_json(
             capsys, "kms-bc", "--r", "1/2", "--beta", "2",

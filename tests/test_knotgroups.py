@@ -257,13 +257,11 @@ class TestBraidClosure:
             assert p.is_wirtinger()
 
     def test_multi_component_closure_rejected(self):
-        # sigma_1^2 on two strands closes to a two-component link
-        with pytest.raises(PresentationError, match="knot"):
-            braid_to_wirtinger((1, 1))
-
-    def test_generator_out_of_range(self):
-        with pytest.raises(PresentationError):
-            braid_to_wirtinger((1, 3), strands=2)
+        # sigma_1^2 on two strands closes to a two-component link; a braid
+        # without sigma_2 (or sigma_1) splits between its strands
+        for braid in ((1, 1), (1, 3), (2, 2, 2)):
+            with pytest.raises(PresentationError, match="knot"):
+                braid_to_wirtinger(braid)
 
     def test_empty_braid_rejected(self):
         with pytest.raises(PresentationError):
@@ -457,7 +455,8 @@ class TestBurauOracle:
         assert sympy.Poly(denominator, t).is_monomial
         burau = _unit_normal(reversed(sympy.Poly(numerator, t).all_coeffs()))
 
-        delta = alexander_poly_fox(braid_to_wirtinger(braid, strands))
+        assert max(abs(s) for s in braid) == m  # every knotted braid uses each sigma_i
+        delta = alexander_poly_fox(braid_to_wirtinger(braid))
         fox = delta * LaurentPoly.from_list([1] * strands)
         assert _unit_normal(fox.as_list()) == [int(c) for c in burau], braid
 
@@ -527,9 +526,15 @@ class TestAmalgamate:
         assert alexander_poly_fox(p) == cube
 
     def test_rejects_non_wirtinger_input(self):
+        trefoil = builtin_presentation("3_1")
         free2 = Presentation(generators=("a", "b"), relators=())
-        with pytest.raises(PresentationError):
-            amalgamate(builtin_presentation("3_1"), free2)
+        for pair in ((trefoil, free2), (free2, trefoil), (free2, unknot_presentation())):
+            with pytest.raises(PresentationError, match="abelianization Z"):
+                amalgamate(*pair)
+        torsion = Presentation(generators=("a",), relators=((1, 1),))
+        for pair in ((trefoil, torsion), (torsion, trefoil)):
+            with pytest.raises(PresentationError, match="Wirtinger-form"):
+                amalgamate(*pair)
 
 
 class TestDeRham:

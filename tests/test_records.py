@@ -74,9 +74,9 @@ CASES = [
      BCNormalForm(2, GroupRingElement.e(QmodZ.of(4, 3)), 3),
      BCNormalForm(2, GroupRingElement.e(QmodZ.of(2, 3)), 3),
      (2, GroupRingElement.e(QmodZ.of(1, 3)), 3), "BCNormalForm(a=2, x=1*e(1/3), b=3)"),
-    (Knot((("4_1", 2), ("3_1", 1))), _knot((("3_1", 1), ("4_1", 2))), Knot.prime("4_1", 2),
+    (Knot((("4_1", 2), ("3_1", 1))), _knot((("3_1", 1), ("4_1", 2))), Knot((("4_1", 2),)),
      ((("3_1", 1), ("4_1", 2)),), "Knot(factors=(('3_1', 1), ('4_1', 2)))"),
-    (GroupElement(Knot.prime("3_1", 2), Knot.prime("3_1")),
+    (GroupElement(Knot((("3_1", 2),)), Knot.prime("3_1")),
      _group_element(Knot.prime("3_1"), Knot.unknot()),
      GroupElement(Knot.unknot(), Knot.prime("3_1")),
      (Knot.prime("3_1"), Knot.unknot()),

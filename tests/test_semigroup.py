@@ -32,7 +32,6 @@ from knotstat.semigroup import (
     f_weight,
     format_group_element,
     format_knot,
-    invariants_additive,
     omega,
     parse_group_element,
     parse_knot,
@@ -122,7 +121,7 @@ class TestGrothReduce:
 
     def test_partial_cancellation(self):
         g = GroupElement(
-            Knot.prime("3_1", 2), Knot.from_map({"3_1": 1, "5_2": 1})
+            Knot.from_map({"3_1": 2}), Knot.from_map({"3_1": 1, "5_2": 1})
         )
         assert g.positive == Knot.prime("3_1")
         assert g.negative == Knot.prime("5_2")
@@ -146,35 +145,33 @@ class TestGrothReduce:
 
 
 class TestAdditiveInvariants:
+    """weight_of adds Cr + g over the factors, read from ``cat.weights``."""
+
     def test_trefoil(self, cat):
-        assert invariants_additive(Knot.prime("3_1"), cat) == (3, 1)
+        assert weight_of(Knot.prime("3_1"), cat) == 3 + 1
 
     def test_trefoil_square(self, cat):
-        assert invariants_additive(Knot.prime("3_1", 2), cat) == (6, 2)
+        assert weight_of(Knot.from_map({"3_1": 2}), cat) == 6 + 2
 
     def test_unknot(self, cat):
-        assert invariants_additive(Knot.unknot(), cat) == (0, 0)
+        assert weight_of(Knot.unknot(), cat) == 0
 
     def test_additive_over_sum(self, cat, rng):
         for _ in range(50):
             a, b = random_knot(rng), random_knot(rng)
-            ca, ga = invariants_additive(a, cat)
-            cb, gb = invariants_additive(b, cat)
-            assert invariants_additive(connected_sum(a, b), cat) == (
-                ca + cb,
-                ga + gb,
-            )
+            assert weight_of(connected_sum(a, b), cat) == weight_of(a, cat) + weight_of(b, cat)
 
     def test_unknown_factor(self, cat):
         with pytest.raises(CatalogError, match="unknown"):
-            invariants_additive(Knot.prime("99_1"), cat)
+            weight_of(Knot.prime("99_1"), cat)
 
     def test_non_alternating_needs_flag(self, cat):
-        k = Knot.prime("8_19")
-        with pytest.raises(DomainError, match="alternating"):
-            invariants_additive(k, cat)
-        cr, genus = invariants_additive(k, cat, assume_cr_additive=True)
-        assert (cr, genus) == (8, 3)
+        """A prime whose record lacks the alternating flag has no weight,
+        alone or after a weighted factor, and the refusal names it."""
+        for k in (Knot.prime("8_19"), Knot.from_map({"3_1": 1, "8_19": 2})):
+            with pytest.raises(DomainError, match="8_19 is not alternating"):
+                weight_of(k, cat)
+        assert "8_19" not in cat.weights and "8_19" in cat
 
     def test_weight_of(self, cat):
         assert weight_of(Knot.prime("3_1"), cat) == 4
@@ -184,7 +181,7 @@ class TestAdditiveInvariants:
 class TestOmega:
     def test_omega(self):
         assert omega(Knot.unknot()) == 0
-        assert omega(Knot.prime("3_1", 5)) == 1
+        assert omega(Knot.from_map({"3_1": 5})) == 1
         assert omega(Knot.from_map({"3_1": 1, "4_1": 2})) == 2
 
 class TestWeightFunction:
@@ -393,7 +390,10 @@ class TestEnumeration:
 
 class TestEnumerationConstruction:
     """The enumerations build knots and group elements without the validating
-    constructors; each result must be the object those constructors give."""
+    constructors; each result must be the object those constructors give.
+
+    ``filtered`` runs the enumeration on the catalog's alternating rows
+    alone: only those carry a weight, so the result is the same."""
 
     CASES = [(w, False) for w in (0, 4, 9, 16, 20, 24)] + [(w, True) for w in (10, 14, 17)]
 
@@ -401,9 +401,13 @@ class TestEnumerationConstruction:
     def _count_map(counts):
         return Counter({v: c for v, c in enumerate(counts) if c})
 
-    @pytest.mark.parametrize("max_w, assume", CASES)
-    def test_group_elements_equal_validated_rebuild(self, cat, max_w, assume):
-        elements = enumerate_group_elements(cat, max_w, assume_cr_additive=assume)
+    @staticmethod
+    def _source(cat, filtered):
+        return cat.filtered("alternating") if filtered else cat
+
+    @pytest.mark.parametrize("max_w, filtered", CASES)
+    def test_group_elements_equal_validated_rebuild(self, cat, max_w, filtered):
+        elements = enumerate_group_elements(self._source(cat, filtered), max_w)
         keys = [(v, g.positive.factors, g.negative.factors) for g, v in elements]
         assert keys == sorted(set(keys))
         for g, v in elements:
@@ -413,33 +417,33 @@ class TestEnumerationConstruction:
                 assert list(half.factors) == sorted(half.factors)
                 assert all(mult >= 1 for _, mult in half.factors)
             assert not g.positive.support() & g.negative.support()
-            assert v == weight_of(g.positive, cat, assume) + weight_of(g.negative, cat, assume)
-        weights = [rec.weight for rec in cat if rec.alternating or assume]
+            assert v == weight_of(g.positive, cat) + weight_of(g.negative, cat)
+        weights = [rec.weight for rec in cat if rec.alternating]
         assert Counter(v for _, v in elements) == self._count_map(
             groth_weight_counts(weights, max_w)
         )
 
-    @pytest.mark.parametrize("max_w, assume", CASES)
-    def test_knots_equal_validated_rebuild(self, cat, max_w, assume):
-        knots = enumerate_knots(cat, max_w, assume_cr_additive=assume)
+    @pytest.mark.parametrize("max_w, filtered", CASES)
+    def test_knots_equal_validated_rebuild(self, cat, max_w, filtered):
+        knots = enumerate_knots(self._source(cat, filtered), max_w)
         keys = [(v, k.factors) for k, v in knots]
         assert keys == sorted(set(keys))
         for k, v in knots:
             rebuilt = Knot(k.factors)
             assert k == rebuilt and hash(k) == hash(rebuilt)
-            assert v == weight_of(k, cat, assume)
-        source = cat if assume else cat.filtered("alternating")
+            assert v == weight_of(k, cat)
         assert Counter(v for _, v in knots) == self._count_map(
-            _multiset_weight_counts([rec.weight for rec in source], max_w)
+            _multiset_weight_counts([rec.weight for rec in cat if rec.alternating], max_w)
         )
 
     @pytest.mark.parametrize("max_w", [-1, -4, -1000])
-    @pytest.mark.parametrize("assume", [False, True])
-    def test_negative_truncation_keeps_identity(self, cat, max_w, assume):
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_negative_truncation_keeps_identity(self, cat, max_w, filtered):
         """Below weight 0 only the unknot and the identity remain, at weight 0,
         as the weight-grid counts keep M[0] = G[0] = 1."""
-        assert enumerate_knots(cat, max_w, assume) == [(Knot.unknot(), 0)]
-        elements = enumerate_group_elements(cat, max_w, assume)
+        source = self._source(cat, filtered)
+        assert enumerate_knots(source, max_w) == [(Knot.unknot(), 0)]
+        elements = enumerate_group_elements(source, max_w)
         assert elements == [(GroupElement.identity(), 0)]
         assert elements[0][0].is_identity()
 
@@ -448,12 +452,10 @@ class TestEnumerationConstruction:
         g = GroupElement(Knot.prime("3_1"), Knot.prime(name))
         with pytest.raises(DomainError) as f_err:
             f_weight(g, wq2, cat)
-        with pytest.raises(DomainError) as inv_err:
-            invariants_additive(Knot.prime(name), cat)
-        assert str(f_err.value) == str(inv_err.value)
+        with pytest.raises(DomainError) as weight_err:
+            weight_of(Knot.prime(name), cat)
+        assert str(f_err.value) == str(weight_err.value)
         assert name in str(f_err.value)
-        total = weight_of(g.positive, cat, True) + weight_of(g.negative, cat, True)
-        assert f_weight(g, wq2, cat, assume_cr_additive=True) == 2 ** (10 * total)
 
     def test_f_weight_unknown_factor(self, cat, wq2):
         with pytest.raises(CatalogError):
