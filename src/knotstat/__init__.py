@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "catalog": (
         "Catalog", "KnotRecord", "MultiplicityModel", "builtin_catalog",
-        "load_catalog", "count_weight",
+        "load_catalog",
     ),
     "semigroup": (
         "Knot", "GroupElement", "WeightFunction", "connected_sum", "weight_of",

@@ -7,17 +7,17 @@ Alexander coefficients space-separated, lowest degree first).  The unknot
 is never a catalog row; it is the semigroup identity.
 
 Multiplicity counts come from a catalog or a model.  A catalog gives the
-exact count of its rows of each weight Cr + g (``count_weight``).  The
-model is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and 2^20/3^6;
-the upper value is the default since the convergence threshold beta_plus
-is derived from it.
+exact count of its rows of each weight Cr + g (``weights_with_counts``).
+The model is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and
+2^20/3^6; the upper value is the default since the convergence threshold
+beta_plus is derived from it.  Its count of each weight is summed in log
+form (``_log_count_weight``), which stays finite far past float range.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from math import factorial
 from pathlib import Path
 from typing import Literal, Union
 
@@ -34,8 +34,6 @@ __all__ = [
     "load_catalog",
     "builtin_catalog",
     "builtin_catalog_path",
-    "count_asymptotic",
-    "count_weight",
     "weights_with_counts",
 ]
 
@@ -257,41 +255,14 @@ def _log_term(log_c: float, n: int, g: int) -> float:
     return g * log_c - math.lgamma(6 * g + 1) + (6 * g - 4) * math.log(n)
 
 
-def count_asymptotic(model: MultiplicityModel, n: int, g: int) -> float:
-    """The model value (C^g/(6g)!) n^{6g-4}; zero for g <= 0 (no unknot row)."""
-    if g <= 0 or n <= 0:
-        return 0.0
-    try:
-        return model.C**g / factorial(6 * g) * float(n) ** (6 * g - 4)
-    except OverflowError:
-        # n^(6g-4) alone can exceed float range even when the (6g)! in
-        # the denominator would pull the value back; settle it in logs
-        log_value = _log_term(math.log(model.C), n, g)
-        return math.exp(log_value) if log_value <= 700.0 else math.inf
-
-
-def count_weight(cat_or_model: Union[Catalog, MultiplicityModel], n: int) -> float:
-    """Number (exact) or model count of prime knots with Cr + g = n.
-
-    A catalog gives the exact count of its rows; a model evaluates the
-    sum over genus g <= min(n, GENUS_CAP) of (C^g/(6g)!) (n-g+1)^{6g-4},
-    the model's count of weight-n knots with the crossing number n-g
-    shifted by one to keep the power-law argument positive through g = n.
-    """
-    if isinstance(cat_or_model, Catalog):
-        return float(sum(1 for r in cat_or_model if r.weight == n))
-    model = cat_or_model
-    total = 0.0
-    for g in range(1, min(n, GENUS_CAP) + 1):
-        total += count_asymptotic(model, n - g + 1, g)
-    return total
-
-
 def _log_count_weight(model: MultiplicityModel, n: int) -> float:
-    """ln count_weight(model, n), stable far beyond float range.
+    """ln of the model count of prime knots with Cr + g = n.
 
-    log-sum-exp of the genus terms; the counts themselves overflow double
-    precision past weight ~300.
+    The count is the sum over genus g <= min(n, GENUS_CAP) of
+    (C^g/(6g)!) (n-g+1)^{6g-4}: the weight-n knots of crossing number n-g,
+    the argument shifted by one to keep it positive through g = n.  It is
+    summed as a log-sum-exp of the genus terms, since the count itself
+    overflows double precision past weight ~300.
     """
     if n < 2:
         return -math.inf

@@ -37,7 +37,7 @@ elements of t and u terms:
     canonical form one gcd over the residues and one over the numerators
 
 ``QmodZ`` labels and ``Fraction`` coefficients appear only at the edge:
-the constructor, ``terms``, ``coefficient``, ``support`` and ``repr``.
+the constructor, ``terms`` and ``repr``.
 Everything here is exact: no floating point enters this module.
 """
 
@@ -235,10 +235,6 @@ class GroupRingElement:
         self._level, self._den, self._num = x._level, x._den, x._num
 
     @staticmethod
-    def basis(label: Label) -> "GroupRingElement":
-        return GroupRingElement([(label, Fraction(1))])
-
-    @staticmethod
     def e(r: QmodZ | Fraction | int) -> "GroupRingElement":
         """The basis element e(r) of Q[Q/Z]."""
         if not isinstance(r, QmodZ):
@@ -257,12 +253,6 @@ class GroupRingElement:
     @property
     def terms(self) -> dict[Label, Fraction]:
         return {self._label(k): Fraction(c, self._den) for k, c in self._num.items()}
-
-    def coefficient(self, label: Label) -> Fraction:
-        return self.terms.get(label, Fraction(0))
-
-    def support(self) -> list[Label]:
-        return [self._label(k) for k in sorted(self._num)]
 
     def is_zero(self) -> bool:
         return not self._num
@@ -462,9 +452,6 @@ class BCNormalForm(Record):
             raise ValueError("normal form requires gcd(a, b) = 1")
         self._set(a, x, b)
 
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 1 and self.x == GroupRingElement.one()
-
     def __str__(self) -> str:
         return f"mu_{self.a} . ({self.x}) . mu*_{self.b}"
 
@@ -530,14 +517,6 @@ def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
             )
         state = _fold_token(state, token)
     return state
-
-
-def bc_combine(left: BCNormalForm, right: BCNormalForm) -> BCNormalForm:
-    """Concatenate two normal forms (fold the right one token by token)."""
-    state = _fold_token(left, ("mu", right.a))
-    # a general middle element folds linearly: x contributes sigma_b(x)
-    state = BCNormalForm(state.a, state.x * sigma_n(right.x, state.b), state.b)
-    return _fold_token(state, ("mu*", right.b))
 
 
 def parse_bc_word(tokens: Iterable[str]) -> list[Token]:

@@ -103,8 +103,8 @@ class LaurentPoly:
     up, with no zero at either end; the zero polynomial is ``()`` at 0.
     Arithmetic builds its results canonical and skips the validation:
     ``+`` is one pass over the wider span, ``*`` one list comprehension
-    per nonzero coefficient of the shorter factor (O(mn)), ``shift`` O(1)
-    and ``==``/``hash`` one tuple comparison.
+    per nonzero coefficient of the shorter factor (O(mn)), and
+    ``==``/``hash`` one tuple comparison.
     """
 
     __slots__ = ("_low", "_c")
@@ -117,20 +117,8 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return _ONE
-
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int = 0) -> "LaurentPoly":
-        return cls((coefficient,), exponent)
-
-    @classmethod
-    def from_list(cls, coefficients: Sequence[int], lowest: int = 0) -> "LaurentPoly":
-        return cls(coefficients, lowest)
 
     # -- structure ---------------------------------------------------------
 
@@ -138,23 +126,9 @@ class LaurentPoly:
         return not self._c
 
     @property
-    def lowest(self) -> int:
-        if not self._c:
-            raise PresentationError("zero polynomial has no degree span")
-        return self._low
-
-    @property
-    def highest(self) -> int:
-        return self.lowest + len(self._c) - 1
-
-    @property
     def coeffs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (exponent, coefficient) pairs of the nonzero terms."""
         return tuple((e, c) for e, c in enumerate(self._c, self._low) if c)
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self._low
-        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def as_list(self) -> list[int]:
         """Dense coefficients from the lowest to the highest exponent."""
@@ -201,10 +175,6 @@ class LaurentPoly:
             if x:
                 out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
         return _poly(low, tuple(out))
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return _poly(self._low + k, self._c) if self._c else self
 
     def evaluate(self, z: complex) -> complex:
         total = 0j
@@ -1011,25 +981,12 @@ class DeRhamRep(Record):
             [[s, self.x_values[index]], [0.0, 1.0 / s]], dtype=complex
         )
 
-    def word_matrix(self, word: Sequence[int]) -> np.ndarray:
-        return _word_matrix(self.matrix, word, 2)
 
-
-def _word_matrix(matrix, word: Sequence[int], dim: int) -> np.ndarray:
-    """Product of the generator matrices along a word (inverses for < 0)."""
-    import numpy as np
-
-    out = np.eye(dim, dtype=complex)
-    for letter in word:
-        m = matrix(abs(letter) - 1)
-        out = out @ (m if letter > 0 else np.linalg.inv(m))
-    return out
-
-
-def _max_relator_residual(p: Presentation, matrix, dim: int) -> float:
-    """max |w - I| over the relators w under the generator matrices
-    ``matrix(j)``: the products of ``_word_matrix``, with each signed
-    letter's matrix (its inverse for < 0) built once per call."""
+def _max_relator_residual(p: Presentation, matrix) -> float:
+    """max |w - I| over the relators w under the 2x2 generator matrices
+    ``matrix(j)``: each relator's product of its letters' matrices (the
+    inverse for a letter < 0), with each signed letter's matrix built once
+    per call."""
     import numpy as np
 
     steps = {}
@@ -1039,7 +996,7 @@ def _max_relator_residual(p: Presentation, matrix, dim: int) -> float:
                 m = matrix(abs(letter) - 1)
                 steps[letter] = m if letter > 0 else np.linalg.inv(m)
     worst = 0.0
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(2, dtype=complex)
     for word in p.relators:
         out = eye
         for letter in word:
@@ -1103,7 +1060,7 @@ def derham_solve(
         xs[j] = complex(vec[idx])
     root, sqrt_root, xs = complex(r), cmath.sqrt(r) * branch, tuple(xs)
     rep = DeRhamRep(p, root, sqrt_root, xs, 0.0, kernel_dim)
-    residual = _max_relator_residual(p, rep.matrix, 2)
+    residual = _max_relator_residual(p, rep.matrix)
     if residual > 1e-9:
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
@@ -1127,26 +1084,6 @@ class DirectSumRep(Record):
     ) -> None:
         self._set(presentation, rep1, rep2, residual)
 
-    def matrix(self, index: int) -> np.ndarray:
-        import numpy as np
-
-        n1 = self.rep1.presentation.n_generators
-        out = np.zeros((4, 4), dtype=complex)
-        if index < n1:
-            out[:2, :2] = self.rep1.matrix(index)
-            s2 = self.rep2.sqrt_root
-            out[2, 2] = s2
-            out[3, 3] = 1.0 / s2
-        else:
-            s1 = self.rep1.sqrt_root
-            out[0, 0] = s1
-            out[1, 1] = 1.0 / s1
-            out[2:, 2:] = self.rep2.matrix(index - n1)
-        return out
-
-    def word_matrix(self, word: Sequence[int]) -> np.ndarray:
-        return _word_matrix(self.matrix, word, 4)
-
 
 def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     """Assemble the direct-sum representation on the amalgamated presentation.
@@ -1161,7 +1098,15 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     if abs(r2.x_values[p2.basepoint]) > 1e-12:
         raise PresentationError("second representation is not based")
     amal = amalgamate(p1, p2)
-    residual = _max_relator_residual(amal, DirectSumRep(amal, r1, r2, 0.0).matrix, 4)
+    # max |W - I| over the block-diagonal 4x4 matrices is the larger of its
+    # two blocks' values; each block is a triangular representation of the
+    # amalgamation whose x is 0 on the other summand (the carrier diag(s, 1/s))
+    top = r1.x_values + (0j,) * p2.n_generators
+    bottom = (0j,) * p1.n_generators + r2.x_values
+    residual = max(
+        _max_relator_residual(amal, DeRhamRep(amal, r.root, r.sqrt_root, xs, 0.0, 0).matrix)
+        for r, xs in ((r1, top), (r2, bottom))
+    )
     if residual > 1e-9:
         raise PresentationError(
             f"amalgamated relator verification failed: residual {residual:.3e}"

@@ -383,6 +383,31 @@ def _multiset_weight_counts(weights: Iterable[int], max_weight: int) -> list[int
     return counts
 
 
+def _checked_closed_form(
+    mode: str, closed_mode: str, closed: float, closed_terms: int, direct_sum, tol: float,
+    **extra_details: float,
+) -> SeriesResult:
+    """The result of a closed form checked against its truncated direct sum.
+
+    ``mode == closed_mode`` returns the closed value alone (tail 0, with
+    ``closed_terms`` terms); any other mode but ``'direct'`` and ``'both'``
+    is refused before ``direct_sum()`` runs.  That thunk returns (direct
+    value, terms used, tail bound).  ``'direct'`` returns the direct value,
+    with the closed one under ``details[closed_mode]``; ``'both'`` returns
+    the closed value with the direct one, their gap and ``extra_details``.
+    """
+    if mode == closed_mode:
+        return SeriesResult(closed, closed_terms, 0.0, True, "converged", {})
+    if mode not in ("direct", "both"):
+        raise DomainError(f"unknown mode {mode!r}")
+    direct, used, tail = direct_sum()
+    if mode == "direct":
+        return SeriesResult(direct, used, tail, tail < tol * max(1.0, direct),
+                            "converged", {closed_mode: closed})
+    details = {"direct": direct, "agreement": abs(closed - direct), **extra_details}
+    return SeriesResult(closed, used, tail, True, "converged", details)
+
+
 def _catalog_product(beta: float, q: int, cat: Catalog) -> float:
     """The finite Euler product over catalog primes at inverse temperature beta."""
     value = 1.0
@@ -496,40 +521,19 @@ def z_alternating(
         )
 
     cat = source
-    product = _catalog_product(beta, q, cat)
-    if mode == "product":
-        return SeriesResult(
-            value=product,
-            terms_used=len(weights_with_counts(cat)),
-            tail_bound=0.0,
-            converged=True,
-            status="converged",
-            details={},
+
+    def direct_sum() -> tuple[float, int, float]:
+        counts = _multiset_weight_counts([rec.weight for rec in cat], max_weight)
+        direct = math.fsum(m_v * _pow_q(q, -beta * v) for v, m_v in enumerate(counts) if m_v)
+        used = sum(1 for m_v in counts if m_v)
+        tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * _catalog_product(
+            beta / 2.0, q, cat
         )
-    if mode not in ("direct", "both"):
-        raise DomainError(f"unknown mode {mode!r}")
-    counts = _multiset_weight_counts([rec.weight for rec in cat], max_weight)
-    direct = math.fsum(m_v * _pow_q(q, -beta * v) for v, m_v in enumerate(counts) if m_v)
-    used = sum(1 for m_v in counts if m_v)
-    tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * _catalog_product(
-        beta / 2.0, q, cat
-    )
-    if mode == "direct":
-        return SeriesResult(
-            value=direct,
-            terms_used=used,
-            tail_bound=tail,
-            converged=tail < tol * max(1.0, direct),
-            status="converged",
-            details={"product": product},
-        )
-    return SeriesResult(
-        value=product,
-        terms_used=used,
-        tail_bound=tail,
-        converged=True,
-        status="converged",
-        details={"direct": direct, "agreement": abs(product - direct)},
+        return direct, used, tail
+
+    return _checked_closed_form(
+        mode, "product", _catalog_product(beta, q, cat),
+        len(weights_with_counts(cat)), direct_sum, tol,
     )
 
 
@@ -598,25 +602,17 @@ def z_grothendieck(
     cat = source
     za = _catalog_product(beta, q, cat)
     za2 = _catalog_product(2 * beta, q, cat)
-    value = za**2 / za2
-    counts = groth_weight_counts([rec.weight for rec in cat], max_weight)
-    direct = math.fsum(g_v * _pow_q(q, -beta * v) for v, g_v in enumerate(counts) if g_v)
-    used = sum(1 for g_v in counts if g_v)
-    # two-temperature trick: G(v) x^v <= x^((W+1)/2) G(v) x^(v/2)
-    half = _catalog_product(beta / 2.0, q, cat) ** 2 / za
-    tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
-    return SeriesResult(
-        value=value,
-        terms_used=used,
-        tail_bound=tail,
-        converged=True,
-        status="converged",
-        details={
-            "direct": direct,
-            "agreement": abs(value - direct),
-            "z_a_beta": za,
-            "z_a_2beta": za2,
-        },
+
+    def direct_sum() -> tuple[float, int, float]:
+        counts = groth_weight_counts([rec.weight for rec in cat], max_weight)
+        direct = math.fsum(g_v * _pow_q(q, -beta * v) for v, g_v in enumerate(counts) if g_v)
+        used = sum(1 for g_v in counts if g_v)
+        # two-temperature trick: G(v) x^v <= x^((W+1)/2) G(v) x^(v/2)
+        half = _catalog_product(beta / 2.0, q, cat) ** 2 / za
+        return direct, used, _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
+
+    return _checked_closed_form(
+        "both", "closed", za**2 / za2, 0, direct_sum, tol, z_a_beta=za, z_a_2beta=za2
     )
 
 
@@ -645,67 +641,43 @@ def qstar_partition(
         raise DivergenceError(
             f"qstar partition function diverges for beta <= 1, got {beta}"
         )
-    closed = riemann_zeta(beta) ** 2 / riemann_zeta(2 * beta)
-    if mode == "closed":
-        return SeriesResult(
-            value=closed,
-            terms_used=0,
-            tail_bound=0.0,
-            converged=True,
-            status="converged",
-            details={},
-        )
-    if mode not in ("direct", "both"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if not 1 <= n_max <= _MAX_QSTAR_TERMS:
-        raise DomainError(
-            f"qstar_partition needs 1 <= n_max <= {_MAX_QSTAR_TERMS}, got {n_max}"
-        )
-    omega, squarefree = _omega_squarefree_sieve(n_max)
-    # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
-    # built by map pipelines with no Python frame per term; scaling by a
-    # power of two is exact, so a term has the bits of
-    # float(1 << omega(n)) * exp(-beta * log(n))
-    direct = math.fsum(map(
-        math.ldexp,
-        map(math.exp, map(mul, repeat(-beta), map(math.log, range(1, n_max + 1)))),
-        omega[1:],
-    ))
+    def direct_sum() -> tuple[float, int, float]:
+        if not 1 <= n_max <= _MAX_QSTAR_TERMS:
+            raise DomainError(
+                f"qstar_partition needs 1 <= n_max <= {_MAX_QSTAR_TERMS}, got {n_max}"
+            )
+        omega, squarefree = _omega_squarefree_sieve(n_max)
+        # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
+        # built by map pipelines with no Python frame per term; scaling by a
+        # power of two is exact, so a term has the bits of
+        # float(1 << omega(n)) * exp(-beta * log(n))
+        direct = math.fsum(map(
+            math.ldexp,
+            map(math.exp, map(mul, repeat(-beta), map(math.log, range(1, n_max + 1)))),
+            omega[1:],
+        ))
 
-    # tail: sum_{n>N} 2^omega(n) n^-beta
-    #     = sum_d mu^2(d) d^-beta sum_{m > N/d} m^-beta
-    #    <= sum_{d<=N} mu^2(d) d^-beta T(N/d) + T(N) zeta(beta)
-    # with T(M) = sum_{m>M} m^-beta <= M^(1-beta)/(beta-1) + M^-beta.  For
-    # d <= N each term d^-beta T(N/d) is N^(1-beta)/((beta-1) d) + N^-beta,
-    # so the d-sum is N^(1-beta)/(beta-1) * sum 1/d + Q(N) N^-beta over the
-    # Q(N) squarefree d <= N.
-    reciprocals = math.fsum(
-        map(truediv, repeat(1.0), compress(range(1, n_max + 1), squarefree[1:]))
-    )
-    head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
-    last = float(n_max) ** -beta
-    tail = math.fsum([
-        head * reciprocals,
-        (squarefree.count(1) - 1) * last,
-        (head + last) * riemann_zeta(beta),
-    ])
-    if mode == "direct":
-        return SeriesResult(
-            value=direct,
-            terms_used=n_max,
-            tail_bound=tail,
-            converged=tail < tol * max(1.0, direct),
-            status="converged",
-            details={"closed": closed},
+        # tail: sum_{n>N} 2^omega(n) n^-beta
+        #     = sum_d mu^2(d) d^-beta sum_{m > N/d} m^-beta
+        #    <= sum_{d<=N} mu^2(d) d^-beta T(N/d) + T(N) zeta(beta)
+        # with T(M) = sum_{m>M} m^-beta <= M^(1-beta)/(beta-1) + M^-beta.  For
+        # d <= N each term d^-beta T(N/d) is N^(1-beta)/((beta-1) d) + N^-beta,
+        # so the d-sum is N^(1-beta)/(beta-1) * sum 1/d + Q(N) N^-beta over the
+        # Q(N) squarefree d <= N.
+        reciprocals = math.fsum(
+            map(truediv, repeat(1.0), compress(range(1, n_max + 1), squarefree[1:]))
         )
-    return SeriesResult(
-        value=closed,
-        terms_used=n_max,
-        tail_bound=tail,
-        converged=True,
-        status="converged",
-        details={"direct": direct, "agreement": abs(closed - direct)},
-    )
+        head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
+        last = float(n_max) ** -beta
+        tail = math.fsum([
+            head * reciprocals,
+            (squarefree.count(1) - 1) * last,
+            (head + last) * riemann_zeta(beta),
+        ])
+        return direct, n_max, tail
+
+    closed = riemann_zeta(beta) ** 2 / riemann_zeta(2 * beta)
+    return _checked_closed_form(mode, "closed", closed, 0, direct_sum, tol)
 
 
 # ---------------------------------------------------------------------------

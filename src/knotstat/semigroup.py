@@ -85,12 +85,6 @@ class Knot(Record):
     def is_unknot(self) -> bool:
         return not self.factors
 
-    def multiplicity(self, name: str) -> int:
-        return dict(self.factors).get(name, 0)
-
-    def support(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.factors)
-
     def __str__(self) -> str:
         return format_knot(self)
 
@@ -128,9 +122,6 @@ class GroupElement(Record):
     @classmethod
     def of(cls, positive: Knot, negative: Optional[Knot] = None) -> "GroupElement":
         return cls(positive, negative if negative is not None else Knot.unknot())
-
-    def is_identity(self) -> bool:
-        return self.positive.is_unknot() and self.negative.is_unknot()
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.negative, self.positive)

@@ -60,15 +60,25 @@ def _huge_weight_cut(beta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Trial division stops at this divisor, and a cofactor left above its square
+# is refused, so no factorization runs longer than a prime near 10^12 does
+# (about 0.1 s on a 2-vCPU x86_64); a prime near 10^18 would take minutes.
+_MAX_TRIAL_DIVISOR = 10**6
+
+
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, multiplicity), ...)."""
+    """Prime factorization of n >= 1 as ((p, multiplicity), ...).
+
+    Every n whose cofactor after trial division by 2..10^6 is at most
+    10^12 factors, every n <= 10^12 among them; any other n is refused.
+    """
     if n < 1:
         raise DomainError(f"factorization needs n >= 1, got {n}")
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= _MAX_TRIAL_DIVISOR:
         if m % p == 0:
             k = 0
             while m % p == 0:
@@ -76,6 +86,11 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
                 k += 1
             out.append((p, k))
         p += 1 if p == 2 else 2
+    if m > _MAX_TRIAL_DIVISOR**2:
+        raise DomainError(
+            f"cannot factor {n}: a cofactor above 10^12 has no prime factor "
+            f"up to {_MAX_TRIAL_DIVISOR}"
+        )
     if m > 1:
         out.append((m, 1))
     return tuple(out)

@@ -5,6 +5,7 @@ the asymptotic model is checked against its closed formula and power law.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +17,9 @@ from knotstat.catalog import (
     KnotRecord,
     MultiplicityModel,
     _log_count_weight,
+    _log_term,
     builtin_catalog,
     builtin_catalog_path,
-    count_asymptotic,
-    count_weight,
     load_catalog,
     weights_with_counts,
 )
@@ -161,27 +161,39 @@ class TestBuiltinCatalog:
             cat.filtered("mirror")
 
 
+def _brute_count(model, n, genus_cap):
+    """The model count of weight n, summed exactly over genus 1..genus_cap."""
+    c = Fraction(model.C)
+    return sum(
+        c**g / math.factorial(6 * g) * (n - g + 1) ** (6 * g - 4)
+        for g in range(1, min(n, genus_cap) + 1)
+    )
+
+
 class TestCountAsymptotic:
     def test_direct_formula(self):
-        model = MultiplicityModel(C=400.0)
-        assert count_asymptotic(model, 10, 1) == pytest.approx(
-            400.0 / math.factorial(6) * 10**2, rel=1e-15
+        assert _log_term(math.log(400.0), 10, 1) == pytest.approx(
+            math.log(400.0 / math.factorial(6) * 10**2), rel=1e-15
         )
 
     def test_genus_zero_excluded(self, model):
-        assert count_asymptotic(model, 7, 0) == 0.0
-        assert count_asymptotic(model, 7, -1) == 0.0
+        # the genus sum starts at g = 1 (no unknot row); a genus-0 term
+        # (n + 1)^-4 would move the count at n = 7 by 8^-4
+        count = math.exp(_log_count_weight(model, 7))
+        assert count == pytest.approx(float(_brute_count(model, 7, GENUS_CAP)), rel=1e-14)
+        assert count != pytest.approx(float(_brute_count(model, 7, GENUS_CAP) + Fraction(1, 8**4)),
+                                      rel=1e-12)
 
     def test_power_law_ratio(self, model):
+        log_c = math.log(model.C)
         for g in (1, 2, 3):
-            ratio = count_asymptotic(model, 20, g) / count_asymptotic(
-                model, 10, g
-            )
-            assert ratio == pytest.approx(2.0 ** (6 * g - 4), rel=1e-12)
+            ratio = _log_term(log_c, 20, g) - _log_term(log_c, 10, g)
+            assert ratio == pytest.approx((6 * g - 4) * math.log(2.0), rel=1e-12)
 
     def test_monotone_in_n(self, model):
+        log_c = math.log(model.C)
         for g in (1, 2):
-            values = [count_asymptotic(model, n, g) for n in range(1, 40)]
+            values = [_log_term(log_c, n, g) for n in range(1, 40)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_constant_bounds_enforced(self):
@@ -193,37 +205,33 @@ class TestCountAsymptotic:
         MultiplicityModel(C=DEFAULT_C)
 
     def test_log_routes_keep_their_bits(self, model):
-        # the overflow fallback of count_asymptotic (60^176 passes the float
-        # range) and the log-sum-exp weight count share one log term
-        assert count_asymptotic(MultiplicityModel(C=400.0), 60, 30).hex() == (
-            "0x1.015be29f67d60p+205")
-        assert count_asymptotic(model, 61, 30).hex() == "0x1.82e0594c9101bp+264"
         assert [_log_count_weight(model, n).hex() for n in (2, 4, 50, 300, 4000)] == [
             "0x1.0a17de3db44d0p+1", "0x1.065e32a6f4e52p+2", "0x1.918ceb88ffabap+6",
             "0x1.3f2bd91f7ee9dp+9", "0x1.aa88151114687p+10"]
         assert _log_count_weight(model, 1) == -math.inf
         for n in (4, 12, 40):
             assert _log_count_weight(model, n) == pytest.approx(
-                math.log(count_weight(model, n)), rel=1e-14)
+                math.log(_brute_count(model, n, GENUS_CAP)), rel=1e-14)
 
     def test_genus_cap(self, model):
         n = GENUS_CAP + 20
-        capped = sum(count_asymptotic(model, n - g + 1, g) for g in range(1, GENUS_CAP + 1))
-        assert count_weight(model, n) == capped
+        assert _log_count_weight(model, n) == pytest.approx(
+            math.log(_brute_count(model, n, GENUS_CAP)), rel=1e-14)
 
 
 class TestCountWeight:
     def test_exact_weight_four(self, cat):
         # only the trefoil has Cr + g = 4
-        assert count_weight(cat, 4) == 1.0
+        assert dict(weights_with_counts(cat))[4] == 1
 
     def test_exact_weight_two(self, cat):
-        assert count_weight(cat, 2) == 0.0
+        assert 2 not in dict(weights_with_counts(cat))
 
     def test_exact_matches_brute(self, cat):
+        counts = dict(weights_with_counts(cat))
         for n in range(3, 13):
             brute = sum(1 for r in cat if r.crossing_number + r.genus == n)
-            assert count_weight(cat, n) == float(brute)
+            assert counts.get(n, 0) == brute
 
     def test_asymptotic_matches_truncated_sum(self, model):
         for n in (4, 7, 12):
@@ -231,14 +239,14 @@ class TestCountWeight:
                 model.C**g / math.factorial(6 * g) * float(n - g + 1) ** (6 * g - 4)
                 for g in range(1, n + 1)
             )
-            assert count_weight(model, n) == pytest.approx(brute, rel=1e-14)
+            assert math.exp(_log_count_weight(model, n)) == pytest.approx(brute, rel=1e-14)
 
     def test_weights_with_counts_consistent(self, cat):
         pairs = weights_with_counts(cat)
         assert pairs == sorted(pairs)
         assert sum(c for _, c in pairs) == len(cat)
         for w, c in pairs:
-            assert count_weight(cat, w) == float(c)
+            assert sum(1 for r in cat if r.weight == w) == c
 
 
 class TestCatalogContainer:

@@ -82,6 +82,27 @@ class TestExitCodes:
         assert code == 1
         assert "tolerance" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kms-psi", "--beta", "2", "--n-rho", "1000000000000000003",
+             "--entry", "unknot::e:1/2"),
+            ("z-tau", "--beta", "2", "--n-rho", "1000000000000000003"),
+            ("kms-bc", "--r", "1/1000000000000000003", "--beta", "0.5"),
+        ],
+        ids=["kms-psi", "z-tau", "kms-bc"],
+    )
+    def test_unfactorable_integer_is_one_and_prompt(self, capsys, argv):
+        """A prime near 10^18 is refused after bounded trial division; each
+        of these ran for over 10 s before."""
+        start = time.perf_counter()
+        code, payload = invoke_json(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert payload == {"error": (
+            "cannot factor 1000000000000000003: a cofactor above 10^12 has no "
+            "prime factor up to 1000000")}
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_zero_tolerance_is_one(self, capsys, value):
         code, payload = invoke_json(

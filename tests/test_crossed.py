@@ -22,7 +22,6 @@ from knotstat.crossed import (
     RhoContext,
     alpha_n,
     alpha_n_hatpi,
-    bc_combine,
     bc_normalize,
     congruence_inverse,
     hatpi_member,
@@ -126,7 +125,7 @@ class TestGroupRingElement:
             pairs.append((HatPiLabel(g, zeta) if hatpi else zeta, c))
         folded = GroupRingElement()
         for label, c in pairs:
-            folded += GroupRingElement.basis(label).scale(c)
+            folded += GroupRingElement([(label, 1)]).scale(c)
         x = GroupRingElement(pairs)
         assert x == folded and x.terms == folded.terms
         assert GroupRingElement(dict(x.terms)) == x
@@ -136,7 +135,7 @@ class TestGroupRingElement:
         # as e(1/2) but unequal to it
         assert GroupRingElement([(Fraction(3, 2), 1)]) == E(Fraction(1, 2))
         assert GroupRingElement([(HatPiLabel(1, Fraction(-1, 3)), 2)]) == (
-            GroupRingElement.basis(HatPiLabel(1, QmodZ.of(2, 3))).scale(2))
+            GroupRingElement([(HatPiLabel(1, QmodZ.of(2, 3)), 1)]).scale(2))
 
     def test_constructor_mixed_families_rejected(self):
         terms = [(QmodZ.of(1, 2), 1), (HatPiLabel(1, QmodZ.of(1, 2)), Fraction(1, 3))]
@@ -153,11 +152,11 @@ class TestGroupRingElement:
         x = GroupRingElement(terms)
         assert time.perf_counter() - start < 1.0
         assert len(x.terms) == sum(1 for _, c in terms if c)
-        assert x.coefficient(QmodZ.of(2, primes[1])) == Fraction(-2, 2)
+        assert x.terms[QmodZ.of(2, primes[1])] == Fraction(-2, 2)
 
     def test_mixed_label_product_rejected(self):
         x = E(Fraction(1, 2))
-        y = GroupRingElement.basis(HatPiLabel(1, QmodZ.of(1, 2)))
+        y = GroupRingElement([(HatPiLabel(1, QmodZ.of(1, 2)), 1)])
         with pytest.raises(TypeError):
             x * y
 
@@ -279,9 +278,9 @@ class TestHatPi:
         checks = 0
         for n in (1, 3, 5, 7, 9, 11, 13):
             for ng, zeta in members:
-                x = GroupRingElement.basis(HatPiLabel(ng, zeta))
+                x = GroupRingElement([(HatPiLabel(ng, zeta), 1)])
                 out = sigma_n_hatpi(x, n, ctx)
-                for label in out.support():
+                for label in out.terms:
                     assert hatpi_member(label.n_gamma, label.zeta, ctx)
                     checks += 1
         assert checks >= 500
@@ -297,19 +296,19 @@ class TestHatPi:
         ]
         for n in (2, 4, 5):
             for ng, zeta in members:
-                x = GroupRingElement.basis(HatPiLabel(ng, zeta))
+                x = GroupRingElement([(HatPiLabel(ng, zeta), 1)])
                 out = alpha_n_hatpi(x, n, ctx)
-                for label in out.support():
+                for label in out.terms:
                     assert hatpi_member(label.n_gamma, label.zeta, ctx)
 
     def test_sigma_identity(self):
         ctx = RhoContext(6)
-        x = GroupRingElement.basis(HatPiLabel(2, QmodZ.of(1, 6)))
+        x = GroupRingElement([(HatPiLabel(2, QmodZ.of(1, 6)), 1)])
         assert sigma_n_hatpi(x, 1, ctx) == x
 
     def test_sigma_rejects_non_coprime(self):
         ctx = RhoContext(6)
-        x = GroupRingElement.basis(HatPiLabel(0, QmodZ.of(1, 6)))
+        x = GroupRingElement([(HatPiLabel(0, QmodZ.of(1, 6)), 1)])
         with pytest.raises(DomainError):
             sigma_n_hatpi(x, 2, ctx)
         with pytest.raises(DomainError):
@@ -319,7 +318,7 @@ class TestHatPi:
         ctx = RhoContext(5)
         for _ in range(200):
             label = HatPiLabel(rng.randint(-3, 3), random_qmodz(rng, 12))
-            x = GroupRingElement.basis(label)
+            x = GroupRingElement([(label, 1)])
             n = rng.choice([1, 2, 3, 4, 6, 7])
             assert sigma_n_hatpi(alpha_n_hatpi(x, n, ctx), n, ctx) == x
             assert (
@@ -380,7 +379,7 @@ def random_word(rng, max_len=12, max_n=5):
 class TestNormalForm:
     def test_isometry_relation(self):
         nf = bc_normalize([("mu*", 2), ("mu", 2)])
-        assert nf.is_identity()
+        assert nf == BCNormalForm(1, GroupRingElement.one(), 1)
 
     def test_range_projection(self):
         nf = bc_normalize([("mu", 2), ("mu*", 2)])
@@ -417,17 +416,6 @@ class TestNormalForm:
     def test_coprimality_enforced_on_construction(self):
         with pytest.raises(ValueError):
             BCNormalForm(2, GroupRingElement.one(), 4)
-
-    def test_confluence_split_and_combine(self, rng):
-        """Normalizing the whole word equals normalizing the halves and
-        multiplying the normal forms, at every split point."""
-        for _ in range(1000):
-            word = random_word(rng)
-            full = bc_normalize(word)
-            cut = rng.randint(0, len(word))
-            left = bc_normalize(word[:cut])
-            right = bc_normalize(word[cut:])
-            assert bc_combine(left, right) == full
 
     def test_parse_word(self):
         word = parse_bc_word("mu:2 e:1/3 mu*:2".split())

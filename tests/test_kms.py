@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from knotstat.catalog import count_weight
+from knotstat.catalog import LOWER_C, MultiplicityModel, _log_count_weight
 from knotstat.crossed import QmodZ
 from knotstat.errors import DomainError
 from knotstat.kms import (
@@ -648,6 +648,13 @@ class TestRatioWitness:
     def test_underflow_guard(self, model):
         with pytest.raises(DomainError, match="underflow"):
             ratio_witness(600, 12, 1.0, 2, model)
+
+    def test_every_model_supplies_both_weights(self):
+        """Every weight w >= 2 the witness may read holds more than two model
+        knots even at the least C: the genus-1 term alone is C w^2 / 720."""
+        model = MultiplicityModel(LOWER_C)
+        for w in range(2, 4001):
+            assert _log_count_weight(model, w) > math.log(2)
 
     def test_past_float_range_refused(self, model):
         """float(q) and beta * big_n raised OverflowError past the float range."""

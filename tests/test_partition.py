@@ -311,8 +311,17 @@ class TestZAlternating:
             z_alternating(0.0, 2, cat)
         with pytest.raises(DomainError):
             z_alternating(2.0, 1, cat)
-        with pytest.raises(DomainError):
-            z_alternating(2.0, 2, cat, mode="sideways")
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda cat: z_alternating(2.0, 2, cat, mode="sideways", max_weight=10**8),
+    lambda cat: qstar_partition(2.0, n_max=10**9, mode="sideways"),
+], ids=["z_alternating", "qstar_partition"])
+def test_unknown_mode_refused_first(cat, evaluate):
+    """A closed form's unknown mode is refused before the n_max and
+    weight-grid caps, which these truncations would trip, and any sum."""
+    with pytest.raises(DomainError, match="^unknown mode 'sideways'$"):
+        evaluate(cat)
 
 
 class TestZGrothendieck:

@@ -224,6 +224,26 @@ class TestDivisors:
         assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
+class TestFactorizationBound:
+    """Trial division stops at 10^6, and a cofactor left above 10^12 is
+    refused: unbounded, a CLI call on a prime near 10^18 ran past 6 s."""
+
+    @pytest.mark.parametrize("evaluate", [
+        mobius, divisors, lambda n: restricted_zeta(2.0, n),
+    ], ids=["mobius", "divisors", "restricted_zeta"])
+    def test_large_prime_refused(self, evaluate):
+        with pytest.raises(DomainError, match="^cannot factor 1000000000000000003: "):
+            evaluate(10**18 + 3)
+
+    def test_every_cofactor_up_to_the_bound_factors(self):
+        prime = 999_999_999_989  # the largest prime below 10^12
+        assert _factorize(prime) == ((prime, 1),)
+        assert _factorize(2 * 3 * prime) == ((2, 1), (3, 1), (prime, 1))
+        assert _factorize(2**64) == ((2, 64),)
+        assert divisors(2**64) == [2**j for j in range(65)]
+        assert mobius(2 * prime) == 1
+
+
 def test_omega_squarefree_sieve_matches_factorize():
     omega, squarefree = _omega_squarefree_sieve(2000)
     for n in range(1, 2001):
