@@ -100,11 +100,11 @@ def main() -> None:
     rep1 = derham_solve(p1, cmath.exp(1j * math.pi / 3.0))
     rep2 = derham_solve(p2, (3.0 - math.sqrt(5.0)) / 2.0)
     combined = derham_direct_sum(rep1, rep2)
+    # each call refuses a residual above 1e-9, so the checked bound is printed
+    # rather than the rounding noise below it, which varies with the BLAS build
     print(f"  triangular representation residuals: "
-          f"3_1 at e^(i pi/3): {rep1.residual:.1e}, "
-          f"4_1 at (3-sqrt5)/2: {rep2.residual:.1e}, "
-          f"direct sum on all {len(combined.presentation.relators)} relators: "
-          f"{combined.residual:.1e}")
+          f"3_1 at e^(i pi/3) < 1e-9, 4_1 at (3-sqrt5)/2 < 1e-9, "
+          f"direct sum on all {len(combined.presentation.relators)} relators < 1e-9")
 
 
 if __name__ == "__main__":

@@ -57,10 +57,6 @@ def _load_catalog(args) -> _catalog.Catalog:
     )
 
 
-def _model(args) -> _catalog.MultiplicityModel:
-    return _catalog.MultiplicityModel(C=args.multiplicity_c)
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def _cmd_ingest(args) -> dict | tuple:
 
 def _source(args):
     if args.source == "model":
-        return _model(args)
+        return _catalog.MultiplicityModel(C=args.multiplicity_c)
     return _load_catalog(args)
 
 
@@ -381,7 +377,7 @@ def _cmd_kms_psi(args) -> dict:
 def _cmd_ratio_witness(args) -> dict:
     from . import kms as _kms
 
-    ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, args.q, _model(args))
+    ratio = _kms.ratio_witness(args.n, args.big_n, args.beta, args.q)
     return {
         "n": args.n,
         "big_n": args.big_n,
@@ -584,7 +580,7 @@ _COMMANDS = {
                                   "transformation law")),
     )),
     "ratio-witness": ("eigenvalue-ratio witness for q^(-beta)", _cmd_ratio_witness, (
-        _Q, _MULTIPLICITY_C,
+        _Q,
         ("--n", dict(type=int, required=True)),
         ("--big-n", dict(type=int, required=True)),
         _BETA,

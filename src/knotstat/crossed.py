@@ -73,9 +73,8 @@ class QmodZ(Record):
     """An element of Q/Z stored as an exact rational in [0, 1).
 
     ``Fraction`` keeps the value in lowest terms with a positive
-    denominator, so both invariants hold by construction.  Labels are
-    ordered by that representative.  Any ``int`` or ``Fraction`` is
-    accepted and reduced mod 1; anything else is refused.
+    denominator, so both invariants hold by construction.  Any ``int`` or
+    ``Fraction`` is accepted and reduced mod 1; anything else is refused.
     """
 
     __slots__ = ("frac",)
@@ -86,34 +85,6 @@ class QmodZ(Record):
                 f"QmodZ frac must be an int or a Fraction, got {type(frac).__name__} {frac!r}"
             )
         object.__setattr__(self, "frac", frac % 1)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.frac == other.frac
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.frac,))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.frac < other.frac
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.frac <= other.frac
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.frac > other.frac
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.frac >= other.frac
-        return NotImplemented
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "QmodZ":
@@ -127,21 +98,9 @@ class QmodZ(Record):
     def denominator(self) -> int:
         return self.frac.denominator
 
-    def __add__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ(self.frac + other.frac)
-
-    def __neg__(self) -> "QmodZ":
-        return QmodZ(-self.frac)
-
-    def __sub__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ(self.frac - other.frac)
-
     def scale(self, n: int) -> "QmodZ":
         """n * r mod 1, the n-th power of the corresponding root of unity."""
         return QmodZ(n * self.frac)
-
-    def is_zero(self) -> bool:
-        return self.frac == 0
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -212,7 +171,8 @@ class GroupRingElement:
     """A finite Q-linear combination of basis labels of one of the two groups.
 
     Held in the canonical level/denominator/residue form of the module
-    docstring.  Immutable; supports +, -, rational scaling and the product *.
+    docstring.  Immutable; the constructor merges (label, coefficient)
+    pairs, and * is the product.
     """
 
     __slots__ = ("_level", "_den", "_num")
@@ -254,29 +214,10 @@ class GroupRingElement:
     def terms(self) -> dict[Label, Fraction]:
         return {self._label(k): Fraction(c, self._den) for k, c in self._num.items()}
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def _lifted(self, level: int, den: int) -> list[tuple[Key, int]]:
         """Keys and numerators over a multiple of the level and of the denominator."""
         s, t = level // self._level, den // self._den
         return [(_rekey(k, _residue(k) * s), c * t) for k, c in self._num.items()]
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _same_group(self, other)
-        level, den = math.lcm(self._level, other._level), math.lcm(self._den, other._den)
-        return _element(level, den, _merge(self._lifted(level, den) + other._lifted(level, den)))
-
-    def __neg__(self) -> "GroupRingElement":
-        return _element(self._level, self._den, {k: -c for k, c in self._num.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def scale(self, scalar: Fraction | int) -> "GroupRingElement":
-        s = Fraction(scalar)
-        num = {k: c * s.numerator for k, c in self._num.items()}
-        return _element(self._level, self._den * s.denominator, num)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """Convolution, e(r) e(s) = e(r + s), over the level lcm(N, M)."""

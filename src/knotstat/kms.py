@@ -28,7 +28,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from ._record import Record
-from .catalog import Catalog, MultiplicityModel
+from .catalog import Catalog
 from .crossed import QmodZ
 from .errors import DomainError
 from .partition import _pow_q, _require_finite_beta, threshold_beta_plus
@@ -294,10 +294,6 @@ class Monomial(Record):
     def mu(cls, n: int, a: int = 1) -> "Monomial":
         return cls(kind="mu", n=n, a=a)
 
-    @classmethod
-    def identity(cls) -> "Monomial":
-        return cls(kind="mu", n=1, a=1)
-
 
 class SupportedFunction(Record):
     """A finitely supported assignment of monomials to group elements.
@@ -472,17 +468,11 @@ def time_evolution_coefficient(
 # ---------------------------------------------------------------------------
 
 
-def ratio_witness(
-    n: int,
-    big_n: int,
-    beta: float,
-    q: int,
-    model: MultiplicityModel,
-) -> float:
+def ratio_witness(n: int, big_n: int, beta: float, q: int) -> float:
     """Exhibit q^(-beta) as a ratio of compressed Gibbs eigenvalues.
 
-    Takes one knot of weight 2n and one of weight 2n+1 (every model
-    supplies both: at a weight w >= 2 its genus-1 term alone counts
+    Takes one knot of weight 2n and one of weight 2n+1 (every multiplicity
+    model supplies both: at a weight w >= 2 its genus-1 term alone counts
     C w^2 / 720 > 2 knots), compresses their eigenvalue lists to big_n
     entries with beta big_n above the convergence threshold, and returns
     lambda_(K,0) lambda_(K',1) / (lambda_(K,1) lambda_(K',0)), which

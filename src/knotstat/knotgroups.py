@@ -102,9 +102,8 @@ class LaurentPoly:
     Stored as the lowest exponent and the dense coefficient tuple from it
     up, with no zero at either end; the zero polynomial is ``()`` at 0.
     Arithmetic builds its results canonical and skips the validation:
-    ``+`` is one pass over the wider span, ``*`` one list comprehension
-    per nonzero coefficient of the shorter factor (O(mn)), and
-    ``==``/``hash`` one tuple comparison.
+    ``*`` is one list comprehension per nonzero coefficient of the shorter
+    factor (O(mn)), and ``==``/``hash`` one tuple comparison.
     """
 
     __slots__ = ("_low", "_c")
@@ -140,21 +139,6 @@ class LaurentPoly:
         return math.gcd(*self._c)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        low = min(self._low, other._low)
-        out = [0] * (max(self._low + len(self._c), other._low + len(other._c)) - low)
-        for p in (self, other):
-            i, j = p._low - low, p._low - low + len(p._c)
-            out[i:j] = [x + y for x, y in zip(out[i:j], p._c)]
-        return _poly(*_trim(low, out))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return _poly(self._low, tuple(-c for c in self._c))

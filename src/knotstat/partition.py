@@ -357,8 +357,13 @@ def _pow_q(q: float, exponent: float) -> float:
 
 def _grid_weights(weights: Iterable[int], max_weight: int) -> list[int]:
     """The weights <= max_weight, the only ones a DP over the weight grid
-    0..max_weight uses; refused when max_weight times their number exceeds
-    ``_MAX_GROTH_UPDATES``."""
+    0..max_weight uses; refused when one is not an int >= 1 (a weight-0
+    prime has infinitely many multisets) or when max_weight times their
+    number exceeds ``_MAX_GROTH_UPDATES``."""
+    weights = list(weights)
+    for w in weights:
+        if type(w) is not int or w < 1:
+            raise DomainError(f"prime weights must be ints >= 1, got {w!r}")
     weights = [w for w in weights if w <= max_weight]
     if max_weight * max(1, len(weights)) > _MAX_GROTH_UPDATES:
         raise DomainError(
@@ -778,9 +783,14 @@ def z_tau(
     if isinstance(f_values, Mapping):
         counts: Counter = Counter()
         for f, c in f_values.items():
-            counts[int(f)] += int(c)
+            if type(c) is not int:
+                raise DomainError(f"f_values multiplicities must be ints, got {c!r}")
+            counts[f] += c
     else:
-        counts = Counter(map(int, f_values))
+        counts = Counter(f_values)
+    for f in counts:  # the distinct values only: W = 28 passes 44,985
+        if type(f) is not int:
+            raise DomainError(f"f_values weights must be ints, got {f!r}")
     if any(c < 0 for c in counts.values()):
         raise DomainError("weight multiplicities must be >= 0")
     classes = sorted((f, c) for f, c in counts.items() if c)
@@ -800,23 +810,28 @@ def z_tau(
     half_logs: list[float] = []
     tail_acc = 0.0
     seen = 0
-    for f, c in classes:
-        if f == 1:
-            log_f, tail_f = math.log(restricted_zeta(beta, n_rho)), 0.0
-        elif f > huge_cut:
-            # s = f*beta so large that even 2^-s underflows: this factor and
-            # every later one is 1.0
-            break
-        else:
-            log_f, tail_f = _log_restricted_zeta_prime_sum(float(f) * beta, n_rho)
-        logs.append(c * log_f)
-        tail_acc += c * tail_f
-        if seen < n_half:
-            half_logs.append(min(c, n_half - seen) * log_f)
-        seen += c
-
-    p_half = math.exp(math.fsum(half_logs))
-    p_full = math.exp(math.fsum(logs))
+    try:
+        for f, c in classes:
+            if f == 1:
+                log_f, tail_f = math.log(restricted_zeta(beta, n_rho)), 0.0
+            elif f > huge_cut:
+                # s = f*beta so large that even 2^-s underflows: this factor
+                # and every later one is 1.0
+                break
+            else:
+                log_f, tail_f = _log_restricted_zeta_prime_sum(float(f) * beta, n_rho)
+            logs.append(c * log_f)
+            tail_acc += c * tail_f
+            if seen < n_half:
+                half_logs.append(min(c, n_half - seen) * log_f)
+            seen += c
+        p_half = math.exp(math.fsum(half_logs))
+        p_full = math.exp(math.fsum(logs))
+    except OverflowError:
+        raise DomainError(
+            f"Z_tau overflows a float at beta = {beta}: the product of its "
+            f"zeta factors exceeds {sys.float_info.max:.4g}"
+        ) from None
     stabilization = abs(p_full - p_half)
     value = p_full
     tail = value * math.expm1(tail_acc) if tail_acc < 1.0 else math.inf

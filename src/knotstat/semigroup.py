@@ -59,14 +59,6 @@ class Knot(Record):
             seen.add(name)
         object.__setattr__(self, "factors", tuple(sorted(factors)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
     @classmethod
     def unknot(cls) -> "Knot":
         return cls(())
@@ -106,14 +98,6 @@ class GroupElement(Record):
             positive, negative = Knot.from_map(pos), Knot.from_map(neg)
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "negative", negative)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.positive, self.negative) == (other.positive, other.negative)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.positive, self.negative))
 
     @classmethod
     def identity(cls) -> "GroupElement":

@@ -66,13 +66,17 @@ def _huge_weight_cut(beta: float) -> int:
 _MAX_TRIAL_DIVISOR = 10**6
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True hash as 2 and 1, and must not hit their cached entries
+@lru_cache(maxsize=None, typed=True)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, multiplicity), ...).
 
     Every n whose cofactor after trial division by 2..10^6 is at most
-    10^12 factors, every n <= 10^12 among them; any other n is refused.
+    10^12 factors, every n <= 10^12 among them; any other n is refused,
+    and so is anything but an ``int`` (a bool too).
     """
+    if type(n) is not int:
+        raise DomainError(f"factorization needs an int, got {type(n).__name__} {n!r}")
     if n < 1:
         raise DomainError(f"factorization needs n >= 1, got {n}")
     out = []
@@ -116,9 +120,16 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+# Largest sieve, the qstar sieve's own cap: 10^7 + 1 flag bytes take about
+# 0.05 s, and primes_up_to lists their 664,579 primes in about 0.3 s (x86_64)
+_MAX_SIEVE = 10**7
+
+
 def _prime_flags(n: int) -> bytearray:
     """flags[m] = 1 if m is prime else 0, for 0 <= m <= n, by the sieve of
-    Eratosthenes (empty when n < 0)."""
+    Eratosthenes (empty when n < 0); refused above ``_MAX_SIEVE``."""
+    if n > _MAX_SIEVE:
+        raise DomainError(f"prime sieve up to {n} exceeds {_MAX_SIEVE}")
     if n < 2:
         return bytearray(max(n + 1, 0))
     flags = bytearray([1]) * (n + 1)
@@ -225,7 +236,7 @@ def riemann_zeta(s: float) -> float:
 
 def restricted_zeta(s: float, m: int) -> float:
     """zeta_m(s): the Riemann zeta with Euler factors of primes dividing m removed."""
-    if s <= 1:
+    if not s > 1:  # NaN fails it too
         raise DomainError(f"restricted_zeta requires s > 1, got {s}")
     if m < 1:
         raise DomainError(f"restricted_zeta requires m >= 1, got {m}")
@@ -252,7 +263,7 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
     """
     from .crossed import QmodZ  # loaded here: the other entry points need no crossed
 
-    if s <= 1:
+    if not s > 1:  # NaN fails it too
         raise DomainError(f"polylog_roots_of_unity requires s > 1, got {s}")
     if not isinstance(r, QmodZ):
         r = QmodZ(Fraction(r))

@@ -21,9 +21,9 @@ from knotstat.errors import DomainError
 def _label_product(a: Label, b: Label) -> Label:
     # both label families are abelian; the group law is componentwise addition
     if isinstance(a, QmodZ) and isinstance(b, QmodZ):
-        return a + b
+        return QmodZ(a.frac + b.frac)
     if isinstance(a, HatPiLabel) and isinstance(b, HatPiLabel):
-        return HatPiLabel(a.n_gamma + b.n_gamma, a.zeta + b.zeta)
+        return HatPiLabel(a.n_gamma + b.n_gamma, QmodZ(a.zeta.frac + b.zeta.frac))
     raise TypeError("cannot multiply group-ring elements over different groups")
 
 

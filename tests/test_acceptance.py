@@ -224,9 +224,8 @@ def test_criterion_06_kms_suite():
         frozen = bc_low_temperature(r, math.inf)
         assert abs(cold - frozen) <= 1e-12
 
-    model = MultiplicityModel()
     for n, big_n, beta, q in ((3, 12, 1.0, 2), (2, 8, 2.0, 3), (4, 5, 2.5, 5)):
-        got = ratio_witness(n, big_n, beta, q, model)
+        got = ratio_witness(n, big_n, beta, q)
         expected = float(q) ** (-beta)
         assert abs(got - expected) <= 1e-14 * expected
 

@@ -986,7 +986,7 @@ class TestCommandTable:
         "--q": ["thresholds"],
         "--n-rho": ["z-tau", "--beta", "1.5"],
         "--tolerance": ["z-qstar", "--beta", "2"],
-        "--multiplicity-c": ["ratio-witness", "--n", "3", "--big-n", "12", "--beta", "1"],
+        "--multiplicity-c": ["z-alt", "--beta", "12", "--source", "model"],
     }
 
     @pytest.mark.parametrize("variable, value, flag", [
@@ -1036,7 +1036,7 @@ OPTIONS = {
     "kms-toeplitz": "--q --catalog --filter --knot --beta --entries",
     "kms-bc": "--r --beta --u",
     "kms-psi": "--q --catalog --filter --n-rho --beta --entry --u --translate",
-    "ratio-witness": "--q --multiplicity-c --n --big-n --beta",
+    "ratio-witness": "--q --n --big-n --beta",
     "wirtinger": "--knot --braid --file --out",
     "alexander": "--knot --braid --file --sum --seifert",
     "derham": "--knot --braid --file --root --root-index --branch",
@@ -1065,7 +1065,7 @@ class TestFlagScope:
 
     def test_settable_values(self):
         assert list(OPTIONS) == list(cli._COMMANDS)
-        assert sum(len(_actions(name)) for name in OPTIONS) == 79
+        assert sum(len(_actions(name)) for name in OPTIONS) == 78
 
     @pytest.mark.parametrize("name", list(OPTIONS))
     def test_option_strings(self, name):

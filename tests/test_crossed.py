@@ -50,6 +50,11 @@ def random_element(rng, max_terms=4):
     return GroupRingElement(terms)
 
 
+def plus(*xs):
+    """The sum of group-ring elements, as the constructor merges their terms."""
+    return GroupRingElement([pair for x in xs for pair in x.terms.items()])
+
+
 class TestQmodZ:
     def test_reduced_mod_one(self):
         assert QmodZ(Fraction(7, 3)).frac == Fraction(1, 3)
@@ -61,10 +66,8 @@ class TestQmodZ:
         assert (r.numerator, r.denominator) == (1, 3)
 
     def test_arithmetic(self):
-        assert QmodZ.of(2, 3) + QmodZ.of(2, 3) == QmodZ.of(1, 3)
-        assert -QmodZ.of(1, 4) == QmodZ.of(3, 4)
         assert QmodZ.of(1, 6).scale(3) == QmodZ.of(1, 2)
-        assert QmodZ.of(1, 2).scale(2).is_zero()
+        assert QmodZ.of(1, 2).scale(2).frac == 0
 
     def test_parse(self):
         assert QmodZ.parse("1/3") == QmodZ.of(1, 3)
@@ -73,7 +76,7 @@ class TestQmodZ:
         assert str(QmodZ.of(1, 3)) == "1/3"
 
     def test_int_or_fraction_only(self):
-        assert QmodZ(3) == QmodZ(Fraction(0)) and QmodZ(-1).is_zero()
+        assert QmodZ(3) == QmodZ(Fraction(0)) and QmodZ(-1).frac == 0
         for bad in (0.5, "1/2", None, complex(1, 0)):
             with pytest.raises(DomainError, match="QmodZ frac must be an int or a Fraction"):
                 QmodZ(bad)
@@ -82,9 +85,9 @@ class TestQmodZ:
 class TestGroupRingElement:
     def test_zero_coefficients_dropped(self):
         x = GroupRingElement([(QmodZ.of(1, 3), Fraction(0))])
-        assert x.is_zero()
-        y = E(Fraction(1, 3)) - E(Fraction(1, 3))
-        assert y.is_zero()
+        assert x == GroupRingElement()
+        y = GroupRingElement([(QmodZ.of(1, 3), 1), (QmodZ.of(1, 3), -1)])
+        assert y == GroupRingElement()
 
     def test_merging(self):
         x = GroupRingElement(
@@ -106,7 +109,7 @@ class TestGroupRingElement:
             x, y, z = (random_element(rng) for _ in range(3))
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
+            assert x * plus(y, z) == plus(x * y, x * z)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -125,7 +128,7 @@ class TestGroupRingElement:
             pairs.append((HatPiLabel(g, zeta) if hatpi else zeta, c))
         folded = GroupRingElement()
         for label, c in pairs:
-            folded += GroupRingElement([(label, 1)]).scale(c)
+            folded = plus(folded, GroupRingElement([(label, c)]))
         x = GroupRingElement(pairs)
         assert x == folded and x.terms == folded.terms
         assert GroupRingElement(dict(x.terms)) == x
@@ -135,7 +138,7 @@ class TestGroupRingElement:
         # as e(1/2) but unequal to it
         assert GroupRingElement([(Fraction(3, 2), 1)]) == E(Fraction(1, 2))
         assert GroupRingElement([(HatPiLabel(1, Fraction(-1, 3)), 2)]) == (
-            GroupRingElement([(HatPiLabel(1, QmodZ.of(2, 3)), 1)]).scale(2))
+            GroupRingElement([(HatPiLabel(1, QmodZ.of(2, 3)), 2)]))
 
     def test_constructor_mixed_families_rejected(self):
         terms = [(QmodZ.of(1, 2), 1), (HatPiLabel(1, QmodZ.of(1, 2)), Fraction(1, 3))]
@@ -226,7 +229,7 @@ class TestSigmaAlpha:
 
     def test_alpha_preimage_cap(self):
         """n times the number of terms is capped before any term is built."""
-        x = E(Fraction(1, 3)) + E(Fraction(1, 5))
+        x = GroupRingElement([(QmodZ.of(1, 3), 1), (QmodZ.of(1, 5), 1)])
         cap = crossed._MAX_PREIMAGES
         assert len(alpha_n(x, cap // 2).terms) == cap
         assert len(idempotent_e(cap).terms) == cap

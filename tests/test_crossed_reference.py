@@ -60,8 +60,8 @@ IDS = [f"{size}-{'hatpi' if hatpi else 'qmodz'}" for size, hatpi in CASES]
 def assert_same(x, r):
     assert x.terms == r.terms
     assert repr(x) == repr(r)
-    assert sorted(x.terms) == r.support()
-    assert x.is_zero() == r.is_zero()
+    assert sorted(x.terms, key=ref._label_sort_key) == r.support()
+    assert (x == GroupRingElement()) == r.is_zero()
 
 
 def both(t):
@@ -76,15 +76,11 @@ def test_ring_operations_match_reference(size, hatpi, data):
     (x, r), (y, s) = both(t1), both(t2)
     assert_same(x, r)
     assert_same(x * y, r * s)
-    assert_same(x + y, r + s)
-    assert_same(x - y, r - s)
-    assert_same(x.scale(Fraction(-3, 4)), r.scale(Fraction(-3, 4)))
     for label in r.support() + s.support():
         assert x.terms.get(label, 0) == r.coefficient(label)
     assert (x == y) == (r == s)
     same = GroupRingElement(list(reversed(t1)) + [(l, 0) for l, _ in t2])
     assert same == x and hash(same) == hash(x)
-    assert (x - x).is_zero() and x - x == GroupRingElement()
 
 
 @pytest.mark.parametrize("size,hatpi", CASES, ids=IDS)
@@ -136,7 +132,8 @@ def test_canonical_form():
     """Level is the least common order, the denominator is coprime to the numerators."""
     x = GroupRingElement([(QmodZ.of(1, 6), Fraction(2, 3)), (QmodZ.of(1, 2), Fraction(4, 9))])
     assert (x._level, x._den, x._num) == (6, 9, {1: 6, 3: 4})
-    y = x - GroupRingElement([(QmodZ.of(1, 6), Fraction(2, 3))])
+    y = GroupRingElement([(QmodZ.of(1, 6), Fraction(2, 3)), (QmodZ.of(1, 2), Fraction(4, 9)),
+                          (QmodZ.of(1, 6), Fraction(-2, 3))])
     assert (y._level, y._den, y._num) == (2, 9, {1: 4})
     assert (idempotent_e(4)._level, idempotent_e(4)._den) == (4, 4)
     # a prime level near 10^16 stays one sparse entry
@@ -149,7 +146,7 @@ def test_mixed_families_rejected():
     with pytest.raises(TypeError):
         GroupRingElement([(QmodZ.of(1, 2), 1), (HatPiLabel(0, QmodZ.of(1, 2)), 1)])
     with pytest.raises(TypeError):
-        GroupRingElement.e(Fraction(1, 2)) + idempotent_e_hatpi(2)
+        GroupRingElement.e(Fraction(1, 2)) * idempotent_e_hatpi(2)
 
 
 def reachable_residues(b, n_rho):

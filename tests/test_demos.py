@@ -12,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# text a demo's stdout must contain: the residual bound the de Rham calls check
+EXPECTED = {"states_and_actions.py": "< 1e-9"}
 
 
 def test_all_demos_found():
@@ -28,6 +30,7 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
+    assert EXPECTED.get(demo.name, "") in proc.stdout
 
 
 def test_readme_python_blocks_run():

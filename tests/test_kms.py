@@ -343,7 +343,6 @@ class TestMonomialAndSupport:
         assert e.kind == "e" and e.r == QmodZ.of(1, 3)
         m = Monomial.mu(2, 3)
         assert m.kind == "mu" and (m.n, m.a) == (2, 3)
-        assert Monomial.identity() == Monomial.mu(1, 1)
 
     def test_invalid_monomials(self):
         with pytest.raises(DomainError, match="kind"):
@@ -358,7 +357,7 @@ class TestMonomialAndSupport:
     def test_duplicate_support_rejected(self):
         g = elem("3_1")
         with pytest.raises(DomainError, match="duplicate"):
-            SupportedFunction(((g, Monomial.identity()), (g, Monomial.mu(2))))
+            SupportedFunction(((g, Monomial.mu(1, 1)), (g, Monomial.mu(2))))
 
     def test_translate_moves_support(self):
         f = SupportedFunction.of({elem("4_1"): Monomial.mu(2)})
@@ -385,7 +384,7 @@ class TestPsiProductState:
         assert psi_product_state(SupportedFunction(()), 2.0, ONE, wq2, cat) == 1.0
 
     def test_identity_monomial_gives_one(self, cat, wq2):
-        f = SupportedFunction.of({elem("3_1"): Monomial.identity()})
+        f = SupportedFunction.of({elem("3_1"): Monomial.mu(1, 1)})
         assert psi_product_state(f, 2.0, ONE, wq2, cat) == 1.0
 
     def test_half_label_at_identity(self, cat, wq2):
@@ -623,31 +622,31 @@ class TestTimeEvolutionCoefficient:
 
 
 class TestRatioWitness:
-    def test_q_two_beta_one(self, model):
-        assert ratio_witness(3, 12, 1.0, 2, model) == pytest.approx(0.5, abs=1e-14)
+    def test_q_two_beta_one(self):
+        assert ratio_witness(3, 12, 1.0, 2) == pytest.approx(0.5, abs=1e-14)
 
-    def test_independent_of_n(self, model):
-        a = ratio_witness(2, 12, 1.0, 2, model)
-        b = ratio_witness(5, 12, 1.0, 2, model)
+    def test_independent_of_n(self):
+        a = ratio_witness(2, 12, 1.0, 2)
+        b = ratio_witness(5, 12, 1.0, 2)
         assert a == pytest.approx(b, rel=1e-14)
 
-    def test_general_q_beta(self, model):
-        val = ratio_witness(4, 8, 2.5, 3, model)
+    def test_general_q_beta(self):
+        val = ratio_witness(4, 8, 2.5, 3)
         assert val == pytest.approx(3.0**-2.5, rel=1e-13)
 
-    def test_threshold_precondition(self, model):
+    def test_threshold_precondition(self):
         with pytest.raises(DomainError, match="beta_plus"):
-            ratio_witness(3, 9, 1.0, 2, model)
+            ratio_witness(3, 9, 1.0, 2)
 
-    def test_bad_arguments(self, model):
+    def test_bad_arguments(self):
         with pytest.raises(DomainError, match="n"):
-            ratio_witness(0, 12, 1.0, 2, model)
+            ratio_witness(0, 12, 1.0, 2)
         with pytest.raises(DomainError, match="beta"):
-            ratio_witness(3, 12, -1.0, 2, model)
+            ratio_witness(3, 12, -1.0, 2)
 
-    def test_underflow_guard(self, model):
+    def test_underflow_guard(self):
         with pytest.raises(DomainError, match="underflow"):
-            ratio_witness(600, 12, 1.0, 2, model)
+            ratio_witness(600, 12, 1.0, 2)
 
     def test_every_model_supplies_both_weights(self):
         """Every weight w >= 2 the witness may read holds more than two model
@@ -656,21 +655,21 @@ class TestRatioWitness:
         for w in range(2, 4001):
             assert _log_count_weight(model, w) > math.log(2)
 
-    def test_past_float_range_refused(self, model):
+    def test_past_float_range_refused(self):
         """float(q) and beta * big_n raised OverflowError past the float range."""
         with pytest.raises(DomainError, match="^q must lie within the float range"):
-            ratio_witness(3, 12, 1.0, 10**400, model)
+            ratio_witness(3, 12, 1.0, 10**400)
         with pytest.raises(DomainError, match="^big_n must lie within the float range"):
-            ratio_witness(3, 10**400, 1.0, 2, model)
+            ratio_witness(3, 10**400, 1.0, 2)
         with pytest.raises(DomainError, match="^big_n"):
-            ratio_witness(3, -(10**400), 1.0, 2, model)
+            ratio_witness(3, -(10**400), 1.0, 2)
 
 
 class TestNonFiniteBeta:
     """NaN and +-inf slip past order tests such as ``beta <= 0``; each state refuses them."""
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-    def test_refused(self, cat, wq2, model, beta):
+    def test_refused(self, cat, wq2, beta):
         f = SupportedFunction.of({ID: Monomial.e(QmodZ.of(1, 2))})
         with pytest.raises(DomainError, match="finite beta"):
             toeplitz_eigenlist(Knot.prime("3_1"), beta, 2, cat)
@@ -681,7 +680,7 @@ class TestNonFiniteBeta:
         with pytest.raises(DomainError, match="finite beta"):
             psi_pushforward(elem("3_1"), f, beta, ONE, wq2, cat)
         with pytest.raises(DomainError, match="finite beta"):
-            ratio_witness(3, 12, beta, 2, model)
+            ratio_witness(3, 12, beta, 2)
 
     def test_gibbs_monomial_refuses_nan_only(self, cat):
         for a in (0, 1, 2):

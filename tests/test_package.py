@@ -124,25 +124,29 @@ def _resolve(module: str, name: str) -> tuple:
     return _resolve(*target) if isinstance(target, tuple) else (module, name)
 
 
+def _named(node: ast.AST, imports: dict, module: str = None):
+    """The (module, name) that the expression ``node`` names -- an imported
+    name, an attribute of an imported knotstat module, or a top-level name
+    of its own module -- or None."""
+    if isinstance(node, ast.Name):
+        target = imports.get(node.id)
+        if isinstance(target, tuple):
+            return _resolve(*target)
+        if target is None and node.id in DEFS.get(module, {}):
+            return _resolve(module, node.id)
+    elif isinstance(node, ast.Attribute):
+        base = node.value
+        if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+            if imports.get(base.value.id) == "__init__" and base.attr in MODULES:
+                return _resolve(base.attr, node.attr)  # knotstat.<module>.<name>
+        elif isinstance(base, ast.Name) and isinstance(imports.get(base.id), str):
+            return _resolve(imports[base.id], node.attr)
+    return None
+
+
 def _references(node: ast.AST, imports: dict, module: str = None) -> set:
-    """(module, name) pairs that ``node`` reads: imported names, attributes
-    of imported knotstat modules, and top-level names of its own module."""
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            target = imports.get(sub.id)
-            if isinstance(target, tuple):
-                out.add(target)
-            elif target is None and sub.id in DEFS.get(module, {}):
-                out.add((module, sub.id))
-        elif isinstance(sub, ast.Attribute):
-            base = sub.value
-            if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
-                if imports.get(base.value.id) == "__init__" and base.attr in MODULES:
-                    out.add((base.attr, sub.attr))  # knotstat.<module>.<name>
-            elif isinstance(base, ast.Name) and isinstance(imports.get(base.id), str):
-                out.add((imports[base.id], sub.attr))
-    return {_resolve(*ref) for ref in out}
+    """(module, name) pairs that ``node`` reads."""
+    return {ref for sub in ast.walk(node) if (ref := _named(sub, imports, module))}
 
 
 def _reached() -> set:
@@ -184,14 +188,21 @@ def test_every_public_name_is_reached():
 #
 # A public method, property or classmethod of a public class must be read as
 # ``.name`` by an entry point, or by package code an entry point reaches;
-# the methods so read add their own bodies.  The match is by name alone:
-# reading ``x.matrix`` anywhere counts for every class's ``matrix``.
+# the methods so read add their own bodies.  A read through a name of a
+# public class (``Monomial.mu``, ``kms.Monomial.e``) counts for that class
+# alone; a read from anything else is matched by name: reading ``x.matrix``
+# counts for every class's ``matrix``.
 
-PUBLIC_METHODS = {
-    (module, cls.name, fn.name): fn
+PUBLIC_CLASSES = {
+    (module, cls.name): cls
     for module, tree in MODULES.items()
     for cls in tree.body
     if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+}
+
+PUBLIC_METHODS = {
+    (*key, fn.name): fn
+    for key, cls in PUBLIC_CLASSES.items()
     for fn in cls.body
     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
 }
@@ -212,19 +223,24 @@ def _read_methods() -> set:
         for path in sorted(REPO.glob(pattern)):
             tree = _parse(path)
             todo.append((tree, _imports(tree), path.stem if path.parent.name == "knotstat" else None))
-    reached, attributes, read = set(), set(), set()
+    reached, attributes, class_reads, read = set(), set(), set(), set()
     while todo:
         node, imports, module = todo.pop()
         for part in _own_parts(node):
-            attributes |= {sub.attr for sub in ast.walk(part)
-                           if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+            for sub in ast.walk(part):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    owner = _named(sub.value, imports, module)
+                    if owner in PUBLIC_CLASSES:
+                        class_reads.add((*owner, sub.attr))
+                    else:
+                        attributes.add(sub.attr)
             for key in _references(part, imports, module) - reached:
                 reached.add(key)
                 found = DEFS.get(key[0], {}).get(key[1])
                 if found is not None:
                     todo.append((found, IMPORTS[key[0]], key[0]))
         for key, fn in PUBLIC_METHODS.items():
-            if key[2] in attributes and key not in read:
+            if (key[2] in attributes or key in class_reads) and key not in read:
                 read.add(key)
                 todo.append((fn, IMPORTS[key[0]], key[0]))
     return read

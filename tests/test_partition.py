@@ -9,6 +9,7 @@ programs.
 
 import math
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -497,6 +498,14 @@ class TestGrothWeightCounts:
             with pytest.raises(DomainError, match="2000000 weight-grid updates"):
                 groth_weight_counts(weights, max_weight)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
+    def test_weights_must_be_positive_ints(self, bad):
+        """[0] gave [4, 0, 0, 0, 0, 0] although a weight-0 prime makes
+        infinitely many elements; [-1] raised a raw IndexError."""
+        for counts in (groth_weight_counts, _multiset_weight_counts):
+            with pytest.raises(DomainError, match=f"^prime weights must be ints >= 1, got {bad!r}$"):
+                counts([3, bad], 5)
+
 
 class TestZKnotsTimesN:
     def test_factorization(self, cat):
@@ -592,6 +601,26 @@ class TestZTau:
     def test_divergence_at_one(self):
         with pytest.raises(DomainError):
             z_tau(1.0, [1])
+
+    @pytest.mark.parametrize("f_values, bad", [
+        ([1, 2.5, 3], "2.5"), ([1, 3.0], "3.0"), ([True], "True"), ({1: 1, 2.5: 1}, "2.5"),
+    ])
+    def test_non_integer_weights_refused(self, f_values, bad):
+        """2.5 was truncated to 2, and 3.0 and True passed as ints."""
+        with pytest.raises(DomainError, match=f"^f_values weights must be ints, got {bad}$"):
+            z_tau(2.0, f_values)
+
+    def test_non_integer_multiplicity_refused(self):
+        with pytest.raises(DomainError, match="^f_values multiplicities must be ints, got 1.5$"):
+            z_tau(2.0, {1: 1, 2: 1.5})
+
+    @pytest.mark.parametrize("count", [10**30, 10**400], ids=["1e30", "1e400"])
+    def test_overflow_refused(self, count):
+        """math.exp raised a raw OverflowError."""
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^Z_tau overflows a float at beta = 2.0: "):
+            z_tau(2.0, {1: 1, 2: count})
+        assert time.perf_counter() - start < 2.0
 
     def test_identity_multiplicity_enforced(self):
         with pytest.raises(DomainError):

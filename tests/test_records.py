@@ -3,9 +3,9 @@
 Each record class is checked for ``==`` over its compared fields only,
 ``hash`` equal to the hash of the tuple of those fields (so set and dict
 iteration order matches a dataclass), the dataclass ``repr`` text,
-refused assignment and deletion, and ``copy``/``pickle`` round trips;
-``QmodZ`` also keeps its ordering.  A refusal table lists what each record
-checks on construction: the input, the error type and the error text.
+refused assignment and deletion, and ``copy``/``pickle`` round trips.
+A refusal table lists what each record checks on construction: the input,
+the error type and the error text.
 """
 
 import copy
@@ -154,17 +154,6 @@ def test_uncompared_fields():
     cat = Catalog((REC,))
     assert cat.index == {"3_1": REC} and cat.weights == {"3_1": 4}
     assert hash(cat) == hash(((REC,),))
-
-
-def test_qmodz_order():
-    labels = [QmodZ.of(k, 7) for k in (5, 0, 3, 6, 1)]
-    assert [str(r) for r in sorted(labels)] == ["0/1", "1/7", "3/7", "5/7", "6/7"]
-    a, b = QmodZ.of(1, 3), QmodZ.of(1, 2)
-    assert a < b and a <= b and b > a and b >= a and a <= QmodZ.of(4, 3)
-    assert not (a > b or a >= b or b < a or b <= a)
-    with pytest.raises(TypeError):
-        a < Fraction(1, 2)  # noqa: B015
-    assert max(labels) == QmodZ.of(6, 7)
 
 
 def test_constructor_validation_kept():

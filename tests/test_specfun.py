@@ -8,6 +8,7 @@ exact rational arithmetic.
 import cmath
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -19,15 +20,18 @@ from knotstat.crossed import QmodZ
 from knotstat.errors import DomainError
 from knotstat.specfun import (
     _MAX_HURWITZ_DENOMINATOR,
+    _MAX_SIEVE,
     _factorize,
     _hurwitz_em,
     _omega_squarefree_sieve,
+    _prime_flags,
     distinct_prime_factors,
     divisors,
     lerch,
     mobius,
     mobius_f,
     polylog_roots_of_unity,
+    primes_up_to,
     restricted_zeta,
     riemann_zeta,
 )
@@ -242,6 +246,43 @@ class TestFactorizationBound:
         assert _factorize(2**64) == ((2, 64),)
         assert divisors(2**64) == [2**j for j in range(65)]
         assert mobius(2 * prime) == 1
+
+    @pytest.mark.parametrize("evaluate", [
+        mobius, divisors, distinct_prime_factors, lambda n: restricted_zeta(2.0, n),
+    ], ids=["mobius", "divisors", "distinct_prime_factors", "restricted_zeta"])
+    @pytest.mark.parametrize("n, text", [
+        (2.5, "float 2.5"), (1.5, "float 1.5"), (6.0, "float 6.0"), (True, "bool True"),
+    ])
+    def test_non_integer_refused(self, evaluate, n, text):
+        """2.5 and 1.5 were read as integers (mobius(2.5) was -1,
+        restricted_zeta(2.0, 1.5) 0.9139); 6.0 and True hash as 6 and 1."""
+        _factorize(6)  # the cached entries of 6 and 1 must not answer 6.0 and True
+        _factorize(1)
+        with pytest.raises(DomainError, match=f"^factorization needs an int, got {text}$"):
+            evaluate(n)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name, evaluate", [
+        ("restricted_zeta", lambda s: restricted_zeta(s, 1)),
+        ("polylog_roots_of_unity", lambda s: polylog_roots_of_unity(s, QmodZ.of(1, 3))),
+    ])
+    def test_nan_s_refused_by_name(self, name, evaluate):
+        """polylog_roots_of_unity(nan, 1/3) returned nan+nanj."""
+        with pytest.raises(DomainError, match=f"^{name} requires s > 1, got nan$"):
+            evaluate(math.nan)
+
+    @pytest.mark.parametrize("n", [_MAX_SIEVE + 1, 10**8, 10**9])
+    def test_sieve_cap(self, n):
+        """primes_up_to(10^8) took 4 s and 100 MB; 10^9 would need 1 GB."""
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^prime sieve up to {n} exceeds {_MAX_SIEVE}$"):
+            primes_up_to(n)
+        assert time.perf_counter() - start < 2.0
+
+    def test_sieve_at_the_cap(self):
+        flags = _prime_flags(_MAX_SIEVE)
+        assert len(flags) == _MAX_SIEVE + 1 and sum(flags[:100]) == 25
 
 
 def test_omega_squarefree_sieve_matches_factorize():
