@@ -231,8 +231,6 @@ def _poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if not n:
         return _ZERO
     low = num._low - den._low
-    if d == (1,):
-        return _poly(low, n)
     nd = len(d)
     if len(n) < nd:
         raise PresentationError("inexact polynomial division (degree)")

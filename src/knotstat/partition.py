@@ -27,10 +27,10 @@ from ._record import Record
 from .catalog import LOWER_C, Catalog, MultiplicityModel, _log_count_weight, weights_with_counts
 from .errors import DivergenceError, DomainError
 from .specfun import (
+    _MAX_SIEVE,
     _TINY_LOG,
     _huge_weight_cut,
     _omega_squarefree_sieve,
-    primes_up_to,
     restricted_zeta,
     riemann_zeta,
 )
@@ -56,17 +56,12 @@ __all__ = [
     "qstar_partition",
     "z_knots_times_n",
     "z_tau",
-    "primes_up_to",
 ]
 
 Source = Union[Catalog, MultiplicityModel]
 
 # Highest prime weight the model product sums before its geometric tail
 _MODEL_WEIGHT_CAP = 4000
-
-# qstar_partition's direct sum sieves two n_max-byte arrays and sums n_max
-# terms (about 0.5 s per 10^6); larger truncations are refused
-_MAX_QSTAR_TERMS = 10_000_000
 
 # the weight-grid DPs (_multiset_weight_counts, groth_weight_counts) update
 # every slot of their grid once or twice per prime weight, in big integers:
@@ -647,9 +642,9 @@ def qstar_partition(
             f"qstar partition function diverges for beta <= 1, got {beta}"
         )
     def direct_sum() -> tuple[float, int, float]:
-        if not 1 <= n_max <= _MAX_QSTAR_TERMS:
+        if not 1 <= n_max <= _MAX_SIEVE:
             raise DomainError(
-                f"qstar_partition needs 1 <= n_max <= {_MAX_QSTAR_TERMS}, got {n_max}"
+                f"qstar_partition needs 1 <= n_max <= {_MAX_SIEVE}, got {n_max}"
             )
         omega, squarefree = _omega_squarefree_sieve(n_max)
         # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
@@ -724,39 +719,6 @@ def z_knots_times_n(
 # ---------------------------------------------------------------------------
 
 
-def _log_restricted_zeta_prime_sum(s: float, n_rho: int) -> tuple[float, float]:
-    """ln zeta_{n_rho}(s) as a truncated prime sum with its tail bound.
-
-    Valid for s >= 2.  Sums -ln(1 - p^-s) over primes p not dividing
-    n_rho up to a cutoff chosen so the remainder sum_{n > P} n^-s is
-    below 1e-16; for 2 <= s < 8 that cutoff is out of reach and the
-    Euler-Maclaurin zeta route is just as exact, so it is used instead.
-    For arguments beyond double-precision reach the leading term p0^-s
-    (p0 the least admissible prime) already underflows and the log-factor
-    is exactly 0.0.
-    """
-    if s < 2:
-        raise DomainError(f"prime-sum route requires s >= 2, got {s}")
-    p0 = 2
-    while n_rho % p0 == 0:
-        p0 += 1
-    if -s * math.log(p0) < _TINY_LOG:
-        return 0.0, 0.0
-    if s < 8.0:
-        return math.log(restricted_zeta(s, n_rho)), 0.0
-    cutoff = 100 if s >= 40 else 1000
-    terms = []
-    for p in primes_up_to(cutoff):
-        if n_rho % p == 0:
-            continue
-        e = -s * math.log(p)
-        if e < _TINY_LOG:
-            break
-        terms.append(-math.log1p(-math.exp(e)))
-    tail = cutoff ** (1.0 - s) / (s - 1.0) + cutoff**-s
-    return math.fsum(terms), tail
-
-
 def z_tau(
     beta: float,
     f_values: Union[Sequence[int], Mapping[int, int]],
@@ -768,10 +730,13 @@ def z_tau(
     ``f_values`` is the weight function evaluated over a truncation of the
     Grothendieck group, as a list of values or as a mapping {f: number of
     elements}; exactly one element must have f = 1 (the identity).
-    Finite if and only if beta > 1.  Each distinct f is evaluated once and
-    enters the log-product weighted by its multiplicity; stabilization is
-    reported as |P_N - P_2N|, with P_N the product of the N smallest
-    factors and N half the truncation.
+    Finite if and only if beta > 1.  Each distinct f is evaluated once, as
+    ln ``restricted_zeta(f * beta, n_rho)`` (Euler-Maclaurin, to double
+    precision, so the tail bound is 0.0 and the result is converged for
+    any tol > 0), and enters the log-product weighted by its multiplicity;
+    every f above ``_huge_weight_cut(beta)`` gives the factor 1.0 exactly.
+    Stabilization is reported as |P_N - P_2N|, with P_N the product of the
+    N smallest factors and N half the truncation.
     """
     _require_finite_beta("z_tau", beta)
     if beta <= 1:
@@ -808,20 +773,15 @@ def z_tau(
     huge_cut = _huge_weight_cut(beta)
     logs: list[float] = []
     half_logs: list[float] = []
-    tail_acc = 0.0
     seen = 0
     try:
         for f, c in classes:
-            if f == 1:
-                log_f, tail_f = math.log(restricted_zeta(beta, n_rho)), 0.0
-            elif f > huge_cut:
+            if f > huge_cut:
                 # s = f*beta so large that even 2^-s underflows: this factor
                 # and every later one is 1.0
                 break
-            else:
-                log_f, tail_f = _log_restricted_zeta_prime_sum(float(f) * beta, n_rho)
+            log_f = math.log(restricted_zeta(float(f) * beta, n_rho))
             logs.append(c * log_f)
-            tail_acc += c * tail_f
             if seen < n_half:
                 half_logs.append(min(c, n_half - seen) * log_f)
             seen += c
@@ -832,17 +792,14 @@ def z_tau(
             f"Z_tau overflows a float at beta = {beta}: the product of its "
             f"zeta factors exceeds {sys.float_info.max:.4g}"
         ) from None
-    stabilization = abs(p_full - p_half)
-    value = p_full
-    tail = value * math.expm1(tail_acc) if tail_acc < 1.0 else math.inf
     return SeriesResult(
-        value=value,
+        value=p_full,
         terms_used=n_factors,
-        tail_bound=tail,
-        converged=tail < tol * max(1.0, value),
+        tail_bound=0.0,
+        converged=tol > 0,
         status="converged",
         details={
-            "stabilization": stabilization,
+            "stabilization": abs(p_full - p_half),
             "partial_half": p_half,
             "n_factors": n_factors,
         },

@@ -39,7 +39,6 @@ __all__ = [
     "mobius",
     "distinct_prime_factors",
     "divisors",
-    "primes_up_to",
 ]
 
 _TINY_LOG = -745.0  # exp() underflows to 0.0 below this
@@ -66,8 +65,9 @@ def _huge_weight_cut(beta: float) -> int:
 _MAX_TRIAL_DIVISOR = 10**6
 
 
-# typed: 2.0 and True hash as 2 and 1, and must not hit their cached entries
-@lru_cache(maxsize=None, typed=True)
+# typed: 2.0 and True hash as 2 and 1, and must not hit their cached entries;
+# bounded, since a caller such as bc_high_temperature may pass ever new moduli
+@lru_cache(maxsize=1024, typed=True)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, multiplicity), ...).
 
@@ -120,8 +120,8 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-# Largest sieve, the qstar sieve's own cap: 10^7 + 1 flag bytes take about
-# 0.05 s, and primes_up_to lists their 664,579 primes in about 0.3 s (x86_64)
+# Largest sieve, also qstar_partition's cap on n_max: 10^7 + 1 flag bytes take
+# about 0.05 s, and qstar_partition's direct sum over them about 3.6 s (x86_64)
 _MAX_SIEVE = 10**7
 
 
@@ -138,11 +138,6 @@ def _prime_flags(n: int) -> bytearray:
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
     return flags
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve of Eratosthenes."""
-    return list(compress(range(n + 1), _prime_flags(n)))
 
 
 # bytes.translate table for +1; omega(n) <= 8 for n <= 10^7 (the product of

@@ -9,6 +9,7 @@ same word along two different rewrite routes.
 import math
 import time
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from knotstat.crossed import (
     sigma_n_hatpi,
 )
 from knotstat.errors import DomainError
-from knotstat.specfun import primes_up_to
+from knotstat.specfun import _prime_flags
 
 E = GroupRingElement.e
 
@@ -147,7 +148,8 @@ class TestGroupRingElement:
 
     def test_constructor_one_pass_over_wide_levels(self):
         # 1000 distinct primes above 10^6: the level is their 17,000-bit product
-        primes = [p for p in primes_up_to(1_020_000) if p > 10**6][:1000]
+        primes = [p for p in compress(range(1_020_001), _prime_flags(1_020_000))
+                  if p > 10**6][:1000]
         assert len(primes) == 1000
         terms = [(QmodZ.of(i + 1, p), Fraction(i % 7 - 3, 1 + i % 5))
                  for i, p in enumerate(primes)]

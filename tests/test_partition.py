@@ -11,7 +11,9 @@ import math
 import sys
 import time
 from collections import Counter
+from itertools import compress
 
+import mpmath
 import pytest
 
 from knotstat.catalog import Catalog, MultiplicityModel
@@ -29,7 +31,6 @@ from knotstat.partition import (
     figure_f_value,
     groth_weight_counts,
     lambda_beta,
-    primes_up_to,
     qstar_partition,
     threshold_beta_minus,
     threshold_beta_plus,
@@ -40,8 +41,14 @@ from knotstat.partition import (
     z_knots_times_n,
     z_tau,
 )
-from knotstat.semigroup import enumerate_group_elements, enumerate_knots, omega
-from knotstat.specfun import restricted_zeta, riemann_zeta
+from knotstat.semigroup import (
+    WeightFunction,
+    enumerate_group_elements,
+    enumerate_knots,
+    f_weight,
+    omega,
+)
+from knotstat.specfun import _prime_flags, restricted_zeta, riemann_zeta
 
 
 def subset_catalog(cat, names):
@@ -404,7 +411,7 @@ class TestQstarSystem:
         errors = []
         for cutoff in (100, 1000):
             product = 1.0
-            for p in primes_up_to(cutoff):
+            for p in compress(range(cutoff + 1), _prime_flags(cutoff)):
                 product *= (1 - p ** (-2 * beta)) / (1 - p**-beta) ** 2
             bound = closed * math.expm1(2.0 / (cutoff - 1))
             assert abs(product - closed) <= bound
@@ -574,7 +581,7 @@ class TestZTau:
     @pytest.mark.parametrize("n_rho", [1, 6])
     def test_unskipped_factors_match_restricted_zeta(self, n_rho):
         # n_half = 3 takes one of the three f = 3 factors: a split class;
-        # f = 6 gives s = 9, on the prime-sum route
+        # every class sits below the underflow cut, so none is skipped
         values = [6, 3, 1, 3, 2, 6, 3]
         res = z_tau(1.5, values, n_rho=n_rho)
         factors = [restricted_zeta(f * 1.5, n_rho) for f in sorted(values)]
@@ -583,6 +590,45 @@ class TestZTau:
             math.prod(factors[:3]), rel=1e-12
         )
         assert res.details["n_factors"] == res.terms_used == 7
+
+    @pytest.mark.parametrize("n_rho", [1, 6, 30])
+    def test_every_factor_is_restricted_zeta(self, n_rho):
+        """Bit for bit the log-product of restricted_zeta over the classes:
+        no class below the underflow cut takes another route."""
+        values = [6, 3, 1, 3, 2, 6, 3]
+        logs = [c * math.log(restricted_zeta(f * 1.5, n_rho))
+                for f, c in sorted(Counter(values).items())]
+        res = z_tau(1.5, values, n_rho)
+        assert res.value == math.exp(math.fsum(logs))
+        assert res.tail_bound == 0.0
+
+    @pytest.fixture(scope="class")
+    def scale_one_weights(self, cat):
+        """f = q^v over the W = 28 group elements (44,985), for q = 2 and 3:
+        the weight function with exponent scale 1, whose small classes sit
+        below the underflow cut."""
+        elements = enumerate_group_elements(cat, 28)
+        return {q: [f_weight(g, WeightFunction(q, exponent_scale=1), cat) for g, _ in elements]
+                for q in (2, 3)}
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("beta", [1.01, 1.5, 3.0])
+    @pytest.mark.parametrize("n_rho", [1, 6, 30])
+    def test_scale_one_weights_match_mpmath(self, scale_one_weights, q, beta, n_rho):
+        f_values = scale_one_weights[q]
+        with mpmath.workdps(50):
+            log_z = mpmath.mpf(0)
+            for f, c in Counter(f_values).items():
+                s = f * mpmath.mpf(beta)
+                zeta = mpmath.zeta(s)
+                for p in (2, 3, 5):
+                    if n_rho % p == 0:
+                        zeta *= 1 - mpmath.mpf(p) ** -s
+                log_z += c * mpmath.log(zeta)
+            want = mpmath.exp(log_z)
+        got = z_tau(beta, f_values, n_rho)
+        assert abs(got.value - want) <= 1e-15 * want
+        assert got.terms_used == 44_985
 
     def test_mapping_equals_expanded_list(self):
         counts = {1: 1, 2: 1, 3: 3, 6: 2, 2**40: 5}

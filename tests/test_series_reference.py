@@ -16,6 +16,7 @@ and the same refusals; and ``_hurwitz_em`` the same float bits.
 import functools
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -39,7 +40,7 @@ from knotstat.specfun import (
     _EM_COEFFS,
     _hurwitz_em,
     _omega_squarefree_sieve,
-    primes_up_to,
+    _prime_flags,
     riemann_zeta,
 )
 
@@ -73,7 +74,7 @@ def test_group_elements_equal_reference(cat, max_w, filtered):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 97, 10**4, 10**6])
 def test_sieve_equals_reference(n):
     assert _omega_squarefree_sieve(n) == ref.omega_squarefree_sieve(n)
-    assert primes_up_to(n) == ref.primes_up_to(n)
+    assert list(compress(range(n + 1), _prime_flags(n))) == ref.primes_up_to(n)
 
 
 @settings(max_examples=15, deadline=None)
