@@ -634,7 +634,7 @@ def qstar_partition(
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
     Both sieve modes need 1 <= n_max <= 10^7; ``mode='both'`` at
-    n_max = 10^6 takes about 0.4-0.55 s.
+    n_max = 10^6 takes about 0.3-0.45 s.
     """
     _require_finite_beta("qstar_partition", beta)
     if beta <= 1:

@@ -121,7 +121,7 @@ def divisors(n: int) -> list[int]:
 
 
 # Largest sieve, also qstar_partition's cap on n_max: 10^7 + 1 flag bytes take
-# about 0.05 s, and qstar_partition's direct sum over them about 3.6 s (x86_64)
+# about 0.055 s, and qstar_partition's direct sum over them 3.5-4.7 s (x86_64)
 _MAX_SIEVE = 10**7
 
 
@@ -152,7 +152,7 @@ def _omega_squarefree_sieve(n_max: int) -> tuple[bytearray, bytearray]:
     omega starts as the primality flags, which count each prime once; then
     each prime p <= n_max/2 bumps its proper multiples 2p, 3p, ... by one
     slice-wide table lookup (a larger prime has no proper multiple in
-    range).  About 45-57 ms at n_max = 10^6."""
+    range).  About 28-43 ms at n_max = 10^6."""
     flags = _prime_flags(n_max)
     omega = flags[:]
     squarefree = bytearray([1]) * (n_max + 1)

@@ -32,8 +32,8 @@ from knotstat.semigroup import (
     GroupElement,
     Knot,
     WeightFunction,
-    _group_element,
     _knot,
+    enumerate_group_elements,
     enumerate_knots,
 )
 
@@ -50,6 +50,10 @@ REP_TEXT = (
     f"DeRhamRep(presentation={UNKNOT_TEXT}, root=1j, sqrt_root=(0.5+0.5j), "
     "x_values=(0j,), residual=0.0, kernel_dim=1)"
 )
+
+# 3_1 -- unknot as the enumeration builds it, past GroupElement's checks: the
+# last of the identity, unknot -- 3_1 and 3_1 -- unknot
+ENUMERATED_3_1 = enumerate_group_elements(Catalog((REC,)), 4)[-1][0]
 
 # (record, an equal one built separately, an unequal one, compared fields, repr)
 CASES = [
@@ -77,7 +81,7 @@ CASES = [
     (Knot((("4_1", 2), ("3_1", 1))), _knot((("3_1", 1), ("4_1", 2))), Knot((("4_1", 2),)),
      ((("3_1", 1), ("4_1", 2)),), "Knot(factors=(('3_1', 1), ('4_1', 2)))"),
     (GroupElement(Knot((("3_1", 2),)), Knot.prime("3_1")),
-     _group_element(Knot.prime("3_1"), Knot.unknot()),
+     ENUMERATED_3_1,
      GroupElement(Knot.unknot(), Knot.prime("3_1")),
      (Knot.prime("3_1"), Knot.unknot()),
      "GroupElement(positive=Knot(factors=(('3_1', 1),)), negative=Knot(factors=()))"),

@@ -6,6 +6,7 @@ independent oracle that computes signed multiplicity differences
 directly from the factor maps.
 """
 
+import gc
 import math
 import time
 from collections import Counter
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotstat import semigroup
 from knotstat.errors import CatalogError, DomainError
 from knotstat.partition import (
     _multiset_weight_counts,
@@ -400,6 +402,65 @@ class TestEnumerationCap:
         assert sum(groth_weight_counts(weights, 37)) > _MAX_ENUMERATED
         assert sum(_multiset_weight_counts(weights, 47)) <= _MAX_ENUMERATED
         assert sum(_multiset_weight_counts(weights, 48)) > _MAX_ENUMERATED
+
+
+class TestCollectorPause:
+    """Both enumerations build with the cyclic collector paused and leave it
+    as they found it: after a result, the cap's refusal or a failed build."""
+
+    ENUMERATIONS = [enumerate_group_elements, enumerate_knots]
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enumerate_", ENUMERATIONS)
+    def test_enabled_stays_enabled(self, cat, enumerate_):
+        gc.enable()
+        enumerate_(cat, 12)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enumerate_", ENUMERATIONS)
+    def test_disabled_stays_disabled(self, cat, enumerate_):
+        gc.disable()
+        enumerate_(cat, 12)
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enumerate_", ENUMERATIONS)
+    def test_enabled_after_refusal(self, cat, enumerate_):
+        gc.enable()
+        with pytest.raises(DomainError, match="max_weight 1000000 "):
+            enumerate_(cat, 10**6)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enumerate_", ENUMERATIONS)
+    def test_enabled_after_failed_build(self, cat, enumerate_, monkeypatch):
+        seen = []
+
+        def failing_tree(cat, max_weight):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(semigroup, "_knot_tree", failing_tree)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="build failed"):
+            enumerate_(cat, 12)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_builds_no_reference_cycles(self, cat):
+        """Reference counting alone frees a dropped build, so pausing the
+        collector leaves it nothing to do.  The collector stays off from
+        the build to the check, so no automatic pass can free a cycle first."""
+        gc.collect()
+        gc.collect()
+        gc.disable()
+        elements = enumerate_group_elements(cat, 20)
+        knots = enumerate_knots(cat, 20)
+        del elements, knots
+        assert gc.collect() == 0
 
 
 class TestEnumerationConstruction:
