@@ -39,7 +39,7 @@ _EXPORTS = {
     "semigroup": (
         "Knot", "GroupElement", "WeightFunction", "connected_sum", "weight_of",
         "f_weight", "parse_knot", "parse_group_element",
-        "enumerate_knots", "enumerate_group_elements",
+        "enumerate_group_elements",
     ),
     "partition": (
         "SeriesResult", "ThresholdReport", "threshold_beta_plus",

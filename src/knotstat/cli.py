@@ -184,11 +184,10 @@ def _cmd_z_tau(args) -> dict:
     cat = _load_catalog(args)
     scale = _sg.WeightFunction(q=args.q).exponent_scale
     counts = _pt.groth_weight_counts(cat.weights.values(), args.max_weight)
-    # Every class with f above the huge-weight cut is a factor 1.0 that
-    # z_tau only counts, so those classes go in as one entry, keyed by the
-    # first such f.  z_tau refuses beta <= 1 whatever the weights are.
-    _pt._require_finite_beta("z_tau", args.beta)
-    cut = _huge_weight_cut(max(args.beta, 1.0))
+    # Every class with f above the huge-weight cut is a factor 1.0 that z_tau
+    # only counts, so those classes go in as one entry, keyed by the first such
+    # f; the cut falls as beta grows, and z_tau takes only beta > 1.
+    cut = _huge_weight_cut(1.0)
     f_counts = {}
     for v, g_v in enumerate(counts):
         if g_v:
@@ -197,7 +196,7 @@ def _cmd_z_tau(args) -> dict:
                 f_counts[f] = sum(counts[v:])
                 break
             f_counts[f] = g_v
-    result = _pt.z_tau(args.beta, f_counts, n_rho=args.n_rho, tol=args.tolerance)
+    result = _pt.z_tau(args.beta, f_counts, n_rho=args.n_rho)
     return _series_payload(
         result, beta=args.beta, q=args.q, n_rho=args.n_rho,
         max_weight=args.max_weight, group_elements=sum(counts),
@@ -477,7 +476,7 @@ def _cmd_derham(args) -> dict:
                 f"{len(roots)} roots available"
             )
         root = roots[args.root_index]
-    rep = _kg.derham_solve(p, root, branch=args.branch, alexander=poly)
+    rep = _kg.derham_solve(p, root, branch=args.branch)
     return {
         "root": rep.root,
         "sqrt_root": rep.sqrt_root,
@@ -545,7 +544,7 @@ _COMMANDS = {
         ("--n-max", dict(type=int, default=1_000_000)),
     )),
     "z-tau": ("weighted product partition function over group elements", _cmd_z_tau, (
-        _Q, _CATALOG, _FILTER, _N_RHO, _TOLERANCE, _BETA,
+        _Q, _CATALOG, _FILTER, _N_RHO, _BETA,
         ("--max-weight", dict(type=int, default=12)),
     )),
     "thresholds": ("convergence thresholds and derived constants", _cmd_thresholds, (_Q,)),

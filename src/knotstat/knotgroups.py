@@ -36,8 +36,6 @@ from .errors import PresentationError
 __all__ = [
     "Word",
     "free_reduce",
-    "invert_word",
-    "exponent_sum",
     "LaurentPoly",
     "Presentation",
     "unknot_presentation",
@@ -75,19 +73,6 @@ def free_reduce(word: Sequence[int]) -> Word:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def invert_word(word: Sequence[int]) -> Word:
-    return tuple(-letter for letter in reversed(word))
-
-
-def exponent_sum(word: Sequence[int], generator: Optional[int] = None) -> int:
-    """Total exponent sum, or the exponent sum of one generator (1-based)."""
-    if generator is None:
-        return sum(1 if letter > 0 else -1 for letter in word)
-    return sum(
-        (1 if letter > 0 else -1) for letter in word if abs(letter) == generator
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +976,6 @@ def derham_solve(
     p: Presentation,
     r: complex,
     branch: int = 1,
-    alexander: Optional[LaurentPoly] = None,
 ) -> DeRhamRep:
     """Construct the based triangular representation at an Alexander root r.
 
@@ -1000,9 +984,9 @@ def derham_solve(
     the kernel of the Fox matrix at t=r with the basepoint column
     removed, and checks every relator maps to the identity within 1e-9.
     The two square-root branches give the two representations attached to
-    the root; the x-vector is branch-independent.  Without ``alexander``,
-    the Fox matrix built for the Alexander polynomial is the one the SVD
-    uses, so it is built once per call.
+    the root; the x-vector is branch-independent.  The Fox matrix built
+    for the Alexander polynomial is the one the SVD uses, so it is built
+    once per call.
     """
     import numpy as np
 
@@ -1010,15 +994,13 @@ def derham_solve(
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
     if not cmath.isfinite(r):  # inf overflows Delta(r); NaN stalls the SVD
         raise PresentationError(f"root r must be finite, got {r}")
-    delta, matrix = (alexander, None) if alexander is not None else _alexander_fox(p)
+    delta, matrix = _alexander_fox(p)
     scale = sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0
     if abs(delta.evaluate(r)) > 1e-10 * scale:
         raise PresentationError(
             f"r={r} is not a root of the Alexander polynomial "
             f"(|Delta(r)| = {abs(delta.evaluate(r)):.3e})"
         )
-    if matrix is None:
-        matrix = fox_matrix(p)
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     a = np.array(
         [[matrix[i][j].evaluate(r) for j in cols] for i in range(len(p.relators))],

@@ -27,19 +27,17 @@ from typing import Mapping, Optional
 from ._record import Record
 from .catalog import Catalog
 from .errors import DomainError
-from .partition import _multiset_weight_counts, groth_weight_counts, threshold_beta_plus
+from .partition import groth_weight_counts, threshold_beta_plus
 
 __all__ = [
     "Knot",
     "GroupElement",
     "WeightFunction",
     "connected_sum",
-    "omega",
     "weight_of",
     "f_weight",
     "parse_knot",
     "parse_group_element",
-    "enumerate_knots",
     "enumerate_group_elements",
 ]
 
@@ -169,11 +167,6 @@ def weight_of(k: Knot, cat: Catalog) -> int:
     return total
 
 
-def omega(k: Knot) -> int:
-    """Number of distinct prime factors."""
-    return len(k.factors)
-
-
 # Memo of q^e for f_weight: equal weights share one int object, and a
 # truncated enumeration has few distinct exponents (26 at W = 28, whose
 # 44,985 elements f_weight takes about 20-40 ms to weigh).  It holds
@@ -251,20 +244,20 @@ def parse_group_element(text: str) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# truncated enumerations
+# truncated enumeration
 # ---------------------------------------------------------------------------
 
 
-# An enumeration holds every element it returns: W = 36 gives 561,163 group
-# elements in about 0.5 s, W = 47 gives 509,174 knots in about 1.2 s (x86_64).
-# Larger truncations are refused, counted first by the weight-grid DPs.
+# The enumeration holds every element it returns: W = 36 gives 561,163 group
+# elements in about 0.5 s (x86_64).  Larger truncations are refused, counted
+# first by the weight-grid DP.
 _MAX_ENUMERATED = 600_000
 
 
-def _refuse_over_cap(weight_counts, cat: Catalog, max_weight: int) -> None:
-    """Refuse a truncation whose elements, as the weight-grid DP
-    ``weight_counts`` counts them, number more than ``_MAX_ENUMERATED``."""
-    total = sum(weight_counts(cat.weights.values(), max_weight))
+def _refuse_over_cap(cat: Catalog, max_weight: int) -> None:
+    """Refuse a truncation whose group elements, as ``groth_weight_counts``
+    counts them, number more than ``_MAX_ENUMERATED``."""
+    total = sum(groth_weight_counts(cat.weights.values(), max_weight))
     if total > _MAX_ENUMERATED:
         raise DomainError(
             f"max_weight {max_weight} gives {total} elements, more than {_MAX_ENUMERATED}"
@@ -288,7 +281,7 @@ def _knot(factors: tuple[tuple[str, int], ...]) -> Knot:
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector for an enumeration's build.
+    """Pause the cyclic garbage collector for the enumeration's build.
 
     The walk allocates only acyclic records and tuples, so the collector's
     passes over them free nothing; it is re-enabled on exit only if it was
@@ -338,20 +331,6 @@ def _knot_tree(
     return preorder, buckets
 
 
-def enumerate_knots(cat: Catalog, max_weight: int) -> list[tuple[Knot, int]]:
-    """All composite knots of alternating primes of invariant weight
-    <= max_weight, with weights.
-
-    Deterministic order: ascending weight, then factor tuple.  Includes
-    the unknot at weight 0 (alone when max_weight < 0).  Refused when
-    there are more than ``_MAX_ENUMERATED`` such knots.
-    """
-    _refuse_over_cap(_multiset_weight_counts, cat, max_weight)
-    with _collector_paused():
-        _, buckets = _knot_tree(cat, max_weight)
-        return [(knot, v) for v, bucket in enumerate(buckets) for knot, _ in bucket]
-
-
 def enumerate_group_elements(cat: Catalog, max_weight: int) -> list[tuple[GroupElement, int]]:
     """All reduced formal differences of knots of alternating primes of
     total invariant weight <= max_weight.
@@ -369,7 +348,7 @@ def enumerate_group_elements(cat: Catalog, max_weight: int) -> list[tuple[GroupE
     gives 44,985 elements from 51,689 mask tests in about 35-55 ms.
     More than ``_MAX_ENUMERATED`` elements are refused before any is built.
     """
-    _refuse_over_cap(groth_weight_counts, cat, max_weight)
+    _refuse_over_cap(cat, max_weight)
     with _collector_paused():
         preorder, buckets = _knot_tree(cat, max_weight)
         found: list[list[tuple[GroupElement, int]]] = [[] for _ in buckets]

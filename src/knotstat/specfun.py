@@ -256,12 +256,8 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
     direct series converges to full precision in a few dozen terms and
     avoids the overflow of zeta(s, j/b) ~ (b/j)^s.
     """
-    from .crossed import QmodZ  # loaded here: the other entry points need no crossed
-
     if not s > 1:  # NaN fails it too
         raise DomainError(f"polylog_roots_of_unity requires s > 1, got {s}")
-    if not isinstance(r, QmodZ):
-        r = QmodZ(Fraction(r))
     b = r.denominator
     if b == 1:
         return complex(riemann_zeta(s))
@@ -291,12 +287,23 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
     return scale * acc
 
 
+# Longest Lerch series: 10^6 terms take about 0.4-0.7 s (x86_64).  An input
+# whose tail bound is still above 1e-12 of the sum there (z within about 1e-5
+# of 1, or a large negative s) is refused rather than cut off.
+_LERCH_MAX_TERMS = 1_000_000
+
+
 def lerch(z: float, s: float, alpha: float) -> float:
     """Phi(z, s, alpha) = sum over ell >= 0 of z^ell / (alpha + ell)^s.
 
     Direct series with a geometric tail bound; for negative s the term
-    count is chosen so the bound is below 1e-12 of the partial sum.
+    count is chosen so the bound is below 1e-12 of the partial sum.  A
+    NaN or infinite s or alpha is refused, and so is a series whose bound
+    has not fallen that far within ``_LERCH_MAX_TERMS`` terms.
     """
+    for name, value in (("s", s), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise DomainError(f"lerch requires a finite {name}, got {name}={value}")
     if alpha <= 0:
         raise DomainError(f"lerch requires alpha > 0, got {alpha}")
     if not 0 <= z < 1:
@@ -306,7 +313,7 @@ def lerch(z: float, s: float, alpha: float) -> float:
     acc = 0.0
     comp = 0.0  # Kahan compensation
     power = 1.0
-    for ell in range(10_000_000):
+    for ell in range(_LERCH_MAX_TERMS):
         term = power * (alpha + ell) ** -s
         y = term - comp
         t = acc + y
@@ -324,6 +331,11 @@ def lerch(z: float, s: float, alpha: float) -> float:
             tail = power * (alpha + ell + 1) ** -s / (1.0 - ratio)
         if tail < 1e-12 * abs(acc) or tail < 1e-300:
             break
+    else:
+        raise DomainError(
+            f"lerch({z}, {s}, {alpha}): the tail bound is above 1e-12 of the sum "
+            f"after {_LERCH_MAX_TERMS} terms"
+        )
     return acc
 
 

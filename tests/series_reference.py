@@ -11,6 +11,8 @@ bytes and the same float bits.
 * ``enumerate_knots`` / ``enumerate_group_elements``: one depth-first walk
   collects (weight, factor tuples) and a sort puts them in order; group
   elements share one ``Knot`` per distinct factor tuple through a dict.
+  The knots are the oracle of ``semigroup._knot_tree`` and of the
+  brute-force Grothendieck sum in ``test_partition``.
 * ``omega_squarefree_sieve``: every prime p <= n bumps omega at p, 2p, ...
 * ``qstar_direct`` / ``qstar_reciprocals``: the direct sum
   sum_{n <= N} 2^omega(n) n^-beta and the squarefree reciprocal sum of

@@ -42,19 +42,10 @@ def test_unknown_name_raises_attribute_error():
 #
 # The entry points are the CLI, the benchmark, the demos and the acceptance
 # criteria.  A public name must be reached from them through the package's
-# own code, or build the inputs of a test oracle; anything else is dead code.
+# own code; anything else is dead code.
 
 REPO = Path(__file__).resolve().parent.parent
 ENTRY_POINTS = ("src/knotstat/cli.py", "bench/*.py", "demos/*.py", "tests/test_acceptance.py")
-
-# Public names no entry point reaches, kept because the named test file
-# builds an oracle's inputs with them.
-ORACLE_HELPERS = {
-    "exponent_sum": "tests/test_knotgroups.py",  # the sympy Smith-form oracle
-    "invert_word": "tests/test_knotgroups.py",
-    "omega": "tests/test_partition.py",  # the brute-force Z_G sum
-    "enumerate_knots": "tests/test_partition.py",
-}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -174,14 +165,9 @@ def test_every_public_name_is_reached():
     reached = _reached()
     unreached = sorted(
         f"{module}.{name}" for module, name in public
-        if _resolve(module, name) not in reached and name not in ORACLE_HELPERS
+        if _resolve(module, name) not in reached
     )
-    assert unreached == [], "no entry point, criterion or oracle reaches these public names"
-    for name, test_file in ORACLE_HELPERS.items():
-        imported = _imports(_parse(REPO / test_file)).values()
-        assert any(target[1:] == (name,) for target in imported if isinstance(target, tuple)), (
-            f"{test_file} no longer imports {name}"
-        )
+    assert unreached == [], "no entry point or criterion reaches these public names"
 
 
 # -- every public method is read ------------------------------------------------
@@ -255,7 +241,7 @@ def test_every_public_method_is_read():
 #
 # Every parameter with a default of a public function, a public method or a
 # public class's ``__init__``, outside ``cli`` (whose flags TestFlagScope in
-# tests/test_cli.py pins).  A new option shows up here as a diff; the four
+# tests/test_cli.py pins).  A new option shows up here as a diff; the three
 # commented entries are kept although no entry point sets them.
 
 DEFAULTED_PARAMETERS = {
@@ -273,13 +259,11 @@ DEFAULTED_PARAMETERS = {
     "kms.psi_product_state(n_rho)",
     "kms.psi_product_state(precompose)",  # psi_pushforward sets it
     "kms.psi_pushforward(n_rho)",
-    "knotgroups.exponent_sum(generator)",  # builds the sympy Smith-form oracle's inputs
     "knotgroups.LaurentPoly.__init__(coefficients)",
     "knotgroups.LaurentPoly.__init__(lowest)",
     "knotgroups.Presentation.__init__(basepoint)",  # the wirtinger command prints it
     "knotgroups.Presentation.__init__(blocks)",
     "knotgroups.derham_solve(branch)",
-    "knotgroups.derham_solve(alexander)",
     "partition.SeriesResult.__init__(status)",
     "partition.SeriesResult.__init__(details)",
     "partition.figure_f_grid(beta_min)",
@@ -329,5 +313,5 @@ def test_defaulted_parameter_census():
                     ):
                         qualname = f"{module}.{node.name}.{fn.name}"
                         found += [f"{qualname}({name})" for name in _defaulted(fn)]
-    assert len(found) == len(set(found)) == len(DEFAULTED_PARAMETERS) == 43
+    assert len(found) == len(set(found)) == len(DEFAULTED_PARAMETERS) == 41
     assert set(found) == DEFAULTED_PARAMETERS

@@ -16,6 +16,8 @@ from itertools import compress
 import mpmath
 import pytest
 
+import series_reference as ref
+
 from knotstat.catalog import Catalog, MultiplicityModel
 from knotstat.errors import DivergenceError, DomainError
 from knotstat.partition import (
@@ -44,9 +46,7 @@ from knotstat.partition import (
 from knotstat.semigroup import (
     WeightFunction,
     enumerate_group_elements,
-    enumerate_knots,
     f_weight,
-    omega,
 )
 from knotstat.specfun import _prime_flags, restricted_zeta, riemann_zeta
 
@@ -314,6 +314,18 @@ class TestZAlternating:
         assert res.status == "unknown-band"
         assert not res.converged
 
+    def test_model_tail_void_where_log_rho_is_nonnegative(self, model):
+        """At beta = 3 the bound N(w) <= exp(C^(1/6) w) grows faster than
+        q^(-beta w) shrinks (log rho >= 0), so the product runs to the weight
+        cap with an infinite tail; at q = 2 the log value passes 700 and the
+        value saturates at inf."""
+        res = z_alternating(3.0, 2, model)
+        assert (res.value, res.tail_bound, res.terms_used) == (math.inf, math.inf, 3997)
+        assert res.status == "unknown-band" and res.converged is False
+        res = z_alternating(3.0, 3, model)
+        assert (res.value, res.tail_bound, res.terms_used) == (1.0001429872586263, math.inf, 3997)
+        assert res.status == "unknown-band" and res.converged is False
+
     def test_domain_errors(self, cat):
         with pytest.raises(DomainError):
             z_alternating(0.0, 2, cat)
@@ -367,8 +379,8 @@ class TestZGrothendieck:
         sub = subset_catalog(cat, ["3_1", "4_1", "5_1"])
         beta, max_w = 2.0, 12
         brute = sum(
-            2.0 ** omega(k) * 2.0 ** (-beta * w)
-            for k, w in enumerate_knots(sub, max_w)
+            2.0 ** len(k.factors) * 2.0 ** (-beta * w)
+            for k, w in ref.enumerate_knots(sub, max_w)
         )
         res = z_grothendieck(beta, 2, sub, max_weight=max_w)
         assert res.details["direct"] == pytest.approx(brute, rel=1e-14)

@@ -34,7 +34,6 @@ from knotstat.semigroup import (
     WeightFunction,
     _knot,
     enumerate_group_elements,
-    enumerate_knots,
 )
 
 REC = KnotRecord("3_1", 3, 1, True, True, (1, -1, 1))
@@ -195,7 +194,7 @@ REFUSALS = [
      CatalogError, "record x: Alexander coefficients must be palindromic, got [2, -1, 0]"),
     # a weight-0 prime made the enumeration loop for ever
     ("weight-0-enumeration",
-     lambda: enumerate_knots(Catalog((KnotRecord("x", 0, 0, True, False, (1,)),)), 5),
+     lambda: enumerate_group_elements(Catalog((KnotRecord("x", 0, 0, True, False, (1,)),)), 5),
      CatalogError, "record x: prime knots need crossing number >= 3, got 0"),
     # a NaN crossing number passed every value check and z_alternating then
     # dropped the prime with converged=True; 3.5 was a raw TypeError later
@@ -203,7 +202,8 @@ REFUSALS = [
      lambda: z_alternating(2.0, 2, Catalog((KnotRecord("x", NAN, 1, True, False, (1, -1, 1)),))),
      CatalogError, "record x: crossing number must be an int, got float nan"),
     ("record-crossings-float",
-     lambda: enumerate_knots(Catalog((KnotRecord("x", 3.5, 1, True, False, (1, -1, 1)),)), 5),
+     lambda: enumerate_group_elements(
+         Catalog((KnotRecord("x", 3.5, 1, True, False, (1, -1, 1)),)), 5),
      CatalogError, "record x: crossing number must be an int, got float 3.5"),
     ("record-genus-bool", lambda: KnotRecord("x", 3, True, True, False, (1, -1, 1)),
      CatalogError, "record x: genus must be an int, got bool True"),

@@ -32,9 +32,7 @@ from knotstat.semigroup import (
     WeightFunction,
     connected_sum,
     enumerate_group_elements,
-    enumerate_knots,
     f_weight,
-    omega,
     parse_group_element,
     parse_knot,
     weight_of,
@@ -58,6 +56,14 @@ def random_knot(rng, max_mult=3):
 
 def random_element(rng):
     return GroupElement(random_knot(rng), random_knot(rng))
+
+
+def walked_knots(cat, max_weight):
+    """The knots of ``semigroup._knot_tree``'s weight buckets as (knot,
+    weight) pairs, ascending in weight: the halves the group-element
+    enumeration pairs."""
+    _, buckets = semigroup._knot_tree(cat, max_weight)
+    return [(knot, v) for v, bucket in enumerate(buckets) for knot, _ in bucket]
 
 
 class TestKnot:
@@ -179,12 +185,6 @@ class TestAdditiveInvariants:
         assert weight_of(Knot.prime("3_1"), cat) == 4
         assert weight_of(Knot.unknot(), cat) == 0
 
-
-class TestOmega:
-    def test_omega(self):
-        assert omega(Knot.unknot()) == 0
-        assert omega(Knot.from_map({"3_1": 5})) == 1
-        assert omega(Knot.from_map({"3_1": 1, "4_1": 2})) == 2
 
 class TestWeightFunction:
     def test_default_scale_is_ceiling_of_threshold(self, wq2):
@@ -317,7 +317,7 @@ class TestEnumeration:
                     total = deg + mult * w
             coeffs = nxt
         expected = sum(coeffs.values())
-        knots = enumerate_knots(cat, max_w)
+        knots = walked_knots(cat, max_w)
         assert len(knots) == expected
         assert len(knots) == 48
 
@@ -360,7 +360,7 @@ class TestEnumeration:
         assert len(set(elements)) == len(elements)
 
     def test_knots_sorted_by_weight(self, cat):
-        knots = enumerate_knots(cat, 12)
+        knots = walked_knots(cat, 12)
         ws = [w for _, w in knots]
         assert ws == sorted(ws)
         assert knots[0][0].is_unknot() and knots[0][1] == 0
@@ -382,12 +382,12 @@ class TestEnumeration:
 
 
 class TestEnumerationCap:
-    """Unbounded, enumerate_group_elements(cat, 10**6) and enumerate_knots(cat,
-    10**6) ran past 8 s; W = 40 took 4.1 s and 279 MB."""
+    """Unbounded, enumerate_group_elements(cat, 10**6) ran past 8 s; W = 40
+    took 4.1 s and 279 MB."""
 
     @pytest.mark.parametrize("enumerate_, max_weight", [
         (enumerate_group_elements, 37), (enumerate_group_elements, 40),
-        (enumerate_group_elements, 10**6), (enumerate_knots, 48), (enumerate_knots, 10**6),
+        (enumerate_group_elements, 10**6),
     ])
     def test_refused_in_bounded_time(self, cat, enumerate_, max_weight):
         start = time.perf_counter()
@@ -396,19 +396,17 @@ class TestEnumerationCap:
         assert time.perf_counter() - start < 2.0
 
     def test_largest_answered_truncations(self, cat):
-        """W = 36 group elements and W = 47 knots are the last under the cap."""
+        """W = 36 group elements are the last under the cap."""
         weights = cat.weights.values()
         assert sum(groth_weight_counts(weights, 36)) <= _MAX_ENUMERATED
         assert sum(groth_weight_counts(weights, 37)) > _MAX_ENUMERATED
-        assert sum(_multiset_weight_counts(weights, 47)) <= _MAX_ENUMERATED
-        assert sum(_multiset_weight_counts(weights, 48)) > _MAX_ENUMERATED
 
 
 class TestCollectorPause:
-    """Both enumerations build with the cyclic collector paused and leave it
-    as they found it: after a result, the cap's refusal or a failed build."""
+    """The enumeration builds with the cyclic collector paused and leaves it
+    as it found it: after a result, the cap's refusal or a failed build."""
 
-    ENUMERATIONS = [enumerate_group_elements, enumerate_knots]
+    ENUMERATIONS = [enumerate_group_elements]
 
     @pytest.fixture(autouse=True)
     def _restore_collector(self):
@@ -458,14 +456,14 @@ class TestCollectorPause:
         gc.collect()
         gc.disable()
         elements = enumerate_group_elements(cat, 20)
-        knots = enumerate_knots(cat, 20)
-        del elements, knots
+        del elements
         assert gc.collect() == 0
 
 
 class TestEnumerationConstruction:
-    """The enumerations build knots and group elements without the validating
-    constructors; each result must be the object those constructors give.
+    """The knot walk and the enumeration build knots and group elements
+    without the validating constructors; each result must be the object
+    those constructors give.
 
     ``filtered`` runs the enumeration on the catalog's alternating rows
     alone: only those carry a weight, so the result is the same."""
@@ -500,7 +498,7 @@ class TestEnumerationConstruction:
 
     @pytest.mark.parametrize("max_w, filtered", CASES)
     def test_knots_equal_validated_rebuild(self, cat, max_w, filtered):
-        knots = enumerate_knots(self._source(cat, filtered), max_w)
+        knots = walked_knots(self._source(cat, filtered), max_w)
         keys = [(v, k.factors) for k, v in knots]
         assert keys == sorted(set(keys))
         for k, v in knots:
@@ -517,7 +515,7 @@ class TestEnumerationConstruction:
         """Below weight 0 only the unknot and the identity remain, at weight 0,
         as the weight-grid counts keep M[0] = G[0] = 1."""
         source = self._source(cat, filtered)
-        assert enumerate_knots(source, max_w) == [(Knot.unknot(), 0)]
+        assert walked_knots(source, max_w) == [(Knot.unknot(), 0)]
         elements = enumerate_group_elements(source, max_w)
         assert elements == [(GroupElement.identity(), 0)]
         assert elements[0][0] == GroupElement.identity()

@@ -4,7 +4,8 @@
 enumerations, the per-prime omega sieve and the generator direct sum of
 ``qstar_partition``, and the per-call catalog lookups and Bernoulli
 conversions of ``f_weight`` and the Euler-Maclaurin Hurwitz zeta.  The
-bucketed enumerations must return equal objects in the same order, for
+bucketed group-element enumeration, and the knot walk it pairs, must
+return equal objects in the same order, for
 every truncation up to W = 30 (and W <= 20 run on the catalog's
 alternating rows alone, the ``True`` cases, against the reference on the
 whole catalog), with one shared ``Knot`` per distinct half;
@@ -33,7 +34,6 @@ from knotstat.semigroup import (
     Knot,
     WeightFunction,
     enumerate_group_elements,
-    enumerate_knots,
     f_weight,
 )
 from knotstat.specfun import (
@@ -57,7 +57,12 @@ def _source(filtered):
 
 @pytest.mark.parametrize("max_w, filtered", CASES)
 def test_knots_equal_reference(cat, max_w, filtered):
-    assert enumerate_knots(_source(filtered), max_w) == ref.enumerate_knots(cat, max_w)
+    """``_knot_tree``'s weight buckets, in order, are the reference knots;
+    its preorder holds the same knots in factor-tuple order."""
+    preorder, buckets = semigroup._knot_tree(_source(filtered), max_w)
+    knots = [(knot, v) for v, bucket in enumerate(buckets) for knot, _ in bucket]
+    assert knots == ref.enumerate_knots(cat, max_w)
+    assert [(k, v) for k, v, _ in preorder] == sorted(knots, key=lambda kv: kv[0].factors)
 
 
 @pytest.mark.parametrize("max_w, filtered", CASES)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from knotstat.crossed import QmodZ
 from knotstat.errors import DomainError
 from knotstat.specfun import (
+    _LERCH_MAX_TERMS,
     _MAX_HURWITZ_DENOMINATOR,
     _MAX_SIEVE,
     _factorize,
@@ -152,6 +153,7 @@ class TestLerch:
             (0.9, 1.5, 0.5),
             (0.3, -2.0, 1.5),
             (0.25, -3.5, 0.75),
+            (0.9999, 2.0, 1.0),  # near the pole, within the term cap
         ]
         for z, s, alpha in cases:
             oracle = float(mpmath.lerchphi(z, s, alpha))
@@ -180,6 +182,25 @@ class TestLerch:
             lerch(1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             lerch(-0.5, 2.0, 1.0)
+
+    @pytest.mark.parametrize("s, alpha, name, value", [
+        (math.nan, 1.0, "s", "nan"), (-math.inf, 1.0, "s", "-inf"), (math.inf, 1.0, "s", "inf"),
+        (2.0, math.nan, "alpha", "nan"), (2.0, math.inf, "alpha", "inf"),
+    ])
+    def test_non_finite_refused_by_name(self, s, alpha, name, value):
+        """NaN s or alpha summed all 10^7 terms (4-7 s) and returned nan."""
+        message = f"^lerch requires a finite {name}, got {name}={value}$"
+        with pytest.raises(DomainError, match=message):
+            lerch(0.5, s, alpha)
+
+    @pytest.mark.parametrize("z, s", [(0.9999999, 2.0), (1 - 1e-12, 0.5)])
+    def test_unconverged_series_refused_in_bounded_time(self, z, s):
+        """Within 1e-7 of the pole the partial sum at 10^7 terms was returned
+        after about 4 s, 9e-9 off in relative terms."""
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"after {_LERCH_MAX_TERMS} terms$"):
+            lerch(z, s, 1.0)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestMobius:
