@@ -21,23 +21,29 @@ The exact core of the crossed-product machinery.  It provides
       mu_n e(r) mu_n* = alpha_n(e(r)),   mu_n* e(r) mu_n = sigma_n(e(r)).
 
 Representation.  A group-ring element is a level N, a positive common
-denominator D and a sparse dict from keys to integer numerators: the key
-``r`` (a residue mod N) stands for ``e(r/N)``, the key ``(n_gamma, r)`` for
-``d(n_gamma, r/N)``, and the coefficient is numerator / D.  The form is
-canonical -- N is the least common order of the labels and D is coprime
-to the numerators -- so ``==`` and ``hash`` compare three fields.  Being
-sparse, a prime level near 10^16 costs no more than a small one.  For
-elements of t and u terms:
+denominator D, a family flag and a sparse dict from int keys to integer
+numerators; the coefficient is numerator / D.  The key ``r`` (0 <= r < N)
+stands for ``e(r/N)``, and in the pullback family ``n_gamma N + r`` stands
+for ``d(n_gamma, r/N)``.  The residue is then ``k % N`` in both families,
+gcd(N, k) = gcd(N, r), and the int order of the keys is the order of the
+labels, so no step asks which family a key is in.  The form is canonical
+-- N is the least common order of the labels, D is coprime to the
+numerators, and the zero element (N = D = 1) is in no family -- so ``==``
+and ``hash`` compare four fields.  Being sparse, a prime level near 10^16
+costs no more than a small one.  For elements of t and u terms:
 
-    x * y          t u integer multiply-adds, keys (r + s) mod lcm(N, M)
-    sigma_n(x)     t products r n mod N, at level N / gcd(n, N)
-    alpha_n(x)     n t keys r + kN at level nN, D multiplied by n
+    x * y          t u multiply-adds at L = lcm(N, M): keys lifted to L
+                   split as g + r, r < L, and add to g + g' + (r + r') mod L
+    sigma_n(x)     t keys (k // N) N' + k m mod N' (N' = N/g, m = n/g,
+                   g = gcd(n, N))
+    alpha_n(x)     n t keys b + jN, b = (k // N) nN + k mod N, j < n, at
+                   level nN, D multiplied by n
     e_n            alpha_n(1): n keys at level n with D = n
     hatpi_member   one modular inverse and two gcds
-    canonical form one gcd over the residues and one over the numerators
+    canonical form one gcd over the level and keys, one over the numerators
 
 ``QmodZ`` labels and ``Fraction`` coefficients appear only at the edge:
-the constructor, ``terms`` and ``repr``.
+the constructor and ``terms``.
 Everything here is exact: no floating point enters this module.
 """
 
@@ -125,57 +131,38 @@ class HatPiLabel(NamedTuple):
 
 
 Label = Union[QmodZ, HatPiLabel]
-# e(r/N) has key r, d(n_gamma, r/N) has key (n_gamma, r); see the module docstring.
-Key = Union[int, tuple[int, int]]
 
 
-def _residue(key: Key) -> int:
-    return key if type(key) is int else key[1]
-
-
-def _rekey(key: Key, r: int) -> Key:
-    return r if type(key) is int else (key[0], r)
-
-
-def _merge(pairs: Iterable[tuple[Key, int]]) -> dict[Key, int]:
-    """Numerators summed over equal keys."""
-    num: dict[Key, int] = {}
-    for k, c in pairs:
-        num[k] = num.get(k, 0) + c
-    return num
-
-
-def _element(level: int, den: int, num: dict[Key, int]) -> "GroupRingElement":
+def _element(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRingElement":
     """The canonical element: zero numerators dropped, N and D divided by
-    gcd(N, residues) and gcd(D, numerators) (so the zero element has N = D = 1)."""
-    num = {k: c for k, c in num.items() if c}
-    g = math.gcd(level, *map(_residue, num))
+    gcd(N, keys) and gcd(D, numerators), so the zero element has N = D = 1
+    and is in no family (``pull`` False)."""
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
+    g = math.gcd(level, *num)
     if g > 1:
         level //= g
-        num = {_rekey(k, _residue(k) // g): c for k, c in num.items()}
+        num = {k // g: c for k, c in num.items()}
     h = math.gcd(den, *num.values())
     if h > 1:
         den //= h
         num = {k: c // h for k, c in num.items()}
     x = object.__new__(GroupRingElement)
-    x._level, x._den, x._num = level, den, num
+    x._level, x._den, x._num, x._pull = level, den, num, pull and bool(num)
     return x
-
-
-def _same_group(x: "GroupRingElement", y: "GroupRingElement") -> None:
-    if x._num and y._num and type(next(iter(x._num))) is not type(next(iter(y._num))):
-        raise TypeError("cannot combine group-ring elements over different groups")
 
 
 class GroupRingElement:
     """A finite Q-linear combination of basis labels of one of the two groups.
 
-    Held in the canonical level/denominator/residue form of the module
-    docstring.  Immutable; the constructor merges (label, coefficient)
-    pairs, and * is the product.
+    Held in the canonical level/denominator/key form of the module
+    docstring, with ``_pull`` True for the pullback family.  Immutable; the
+    constructor merges (label, coefficient) pairs, and * is the product.
+    ``==`` and ``hash`` compare the level, the denominator, the family and
+    the numerators by key.
     """
 
-    __slots__ = ("_level", "_den", "_num")
+    __slots__ = ("_level", "_den", "_num", "_pull")
 
     def __init__(self, terms: Mapping[Label, Fraction] | Iterable[tuple[Label, Fraction]] = ()):
         # one common level and denominator for all terms, then one merge
@@ -183,67 +170,73 @@ class GroupRingElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         rows = [(label if isinstance(label, HatPiLabel) else (None, label), Fraction(c))
                 for label, c in items]
-        if len({g is None for (g, _), _ in rows}) > 1:
+        pulls = {g is not None for (g, _), _ in rows}
+        if len(pulls) > 1:
             raise TypeError("cannot combine group-ring elements over different groups")
         level = math.lcm(*(zeta.denominator for (_, zeta), _ in rows))
         den = math.lcm(*(c.denominator for _, c in rows))
-        x = _element(level, den, _merge(
-            (r if g is None else (g, r), c.numerator * (den // c.denominator))
-            for (g, zeta), c in rows
-            for r in [zeta.numerator * (level // zeta.denominator) % level]
-        ))
-        self._level, self._den, self._num = x._level, x._den, x._num
+        num: dict[int, int] = {}
+        for (g, zeta), c in rows:  # g is None on e(r) labels
+            k = zeta.numerator * (level // zeta.denominator) % level + (g or 0) * level
+            num[k] = num.get(k, 0) + c.numerator * (den // c.denominator)
+        x = _element(level, den, num, True in pulls)
+        self._level, self._den, self._num, self._pull = x._level, x._den, x._num, x._pull
 
     @staticmethod
     def e(r: QmodZ | Fraction | int) -> "GroupRingElement":
         """The basis element e(r) of Q[Q/Z]."""
         if not isinstance(r, QmodZ):
             r = QmodZ(Fraction(r))
-        return _element(r.denominator, 1, {r.numerator: 1})
+        return _element(r.denominator, 1, {r.numerator: 1}, False)
 
     @staticmethod
     def one() -> "GroupRingElement":
         """The unit e(0) of Q[Q/Z]."""
-        return _element(1, 1, {0: 1})
-
-    def _label(self, key: Key) -> Label:
-        zeta = QmodZ(Fraction(_residue(key), self._level))
-        return zeta if type(key) is int else HatPiLabel(key[0], zeta)
+        return _element(1, 1, {0: 1}, False)
 
     @property
     def terms(self) -> dict[Label, Fraction]:
-        return {self._label(k): Fraction(c, self._den) for k, c in self._num.items()}
+        level, den = self._level, self._den
+        return {(HatPiLabel(k // level, zeta) if self._pull else zeta): Fraction(c, den)
+                for k, c in self._num.items() for zeta in [QmodZ(Fraction(k % level, level))]}
 
-    def _lifted(self, level: int, den: int) -> list[tuple[Key, int]]:
-        """Keys and numerators over a multiple of the level and of the denominator."""
-        s, t = level // self._level, den // self._den
-        return [(_rekey(k, _residue(k) * s), c * t) for k, c in self._num.items()]
+    def _split(self, level: int) -> list[tuple[int, int, int]]:
+        """(k - r, r, numerator) per key k lifted to a multiple L of the level, r = k mod L."""
+        s = level // self._level
+        return [(k - r, r, c) for k, c in self._num.items() for k in [k * s] for r in [k % level]]
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """Convolution, e(r) e(s) = e(r + s), over the level lcm(N, M)."""
-        _same_group(self, other)
+        if self._pull != other._pull and self._num and other._num:
+            raise TypeError("cannot combine group-ring elements over different groups")
         level = math.lcm(self._level, other._level)
-        xs, ys = self._lifted(level, self._den), other._lifted(level, other._den)
-        if xs and type(xs[0][0]) is int:
-            pairs = (((r + s) % level, c * d) for r, c in xs for s, d in ys)
-        else:
-            pairs = (((g + h, (r + s) % level), c * d) for (g, r), c in xs for (h, s), d in ys)
-        return _element(level, self._den * other._den, _merge(pairs))
+        ys = other._split(level)
+        num: dict[int, int] = {}
+        for gx, rx, c in self._split(level):
+            for gy, ry, d in ys:
+                k = gx + gy + (rx + ry) % level
+                num[k] = num.get(k, 0) + c * d
+        return _element(level, self._den * other._den, num, self._pull or other._pull)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return (self._level, self._den, self._num) == (other._level, other._den, other._num)
+        return (self._level, self._den, self._pull, self._num) == (
+            other._level, other._den, other._pull, other._num)
 
     def __hash__(self) -> int:
-        return hash((self._level, self._den, frozenset(self._num.items())))
+        return hash((self._level, self._den, self._pull, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
+        """Terms in label order, printed as ``Fraction`` and ``QmodZ`` print."""
+        level, den = self._level, self._den
         parts = []
         for k in sorted(self._num):
-            label = self._label(k)
-            symbol = f"e({label})" if type(k) is int else f"d({label.n_gamma},{label.zeta})"
-            parts.append(f"{Fraction(self._num[k], self._den)}*{symbol}")
+            c, r = self._num[k], k % level
+            g, h = math.gcd(c, den), math.gcd(r, level)
+            coeff = f"{c // g}" if g == den else f"{c // g}/{den // g}"
+            zeta = f"{r // h}/{level // h}"
+            parts.append(f"{coeff}*d({k // level},{zeta})" if self._pull else f"{coeff}*e({zeta})")
         return " + ".join(parts) or "0"
 
 
@@ -292,8 +285,11 @@ def sigma_n(x: GroupRingElement, n: int) -> GroupRingElement:
     _check_n(n)
     g = math.gcd(n, x._level)
     level, m = x._level // g, n // g
-    pairs = ((_rekey(k, _residue(k) * m % level), c) for k, c in x._num.items())
-    return _element(level, x._den, _merge(pairs))
+    num: dict[int, int] = {}
+    for k, c in x._num.items():
+        k = k // x._level * level + k * m % level
+        num[k] = num.get(k, 0) + c
+    return _element(level, x._den, num, x._pull)
 
 
 def alpha_n(x: GroupRingElement, n: int) -> GroupRingElement:
@@ -309,9 +305,12 @@ def alpha_n(x: GroupRingElement, n: int) -> GroupRingElement:
         raise DomainError(
             f"alpha_{n} would build {size} preimage terms, more than {_MAX_PREIMAGES}"
         )
-    level = x._level
-    num = {_rekey(k, s): c for k, c in x._num.items() for s in range(_residue(k), n * level, level)}
-    return _element(n * level, n * x._den, num)
+    level, wide = x._level, n * x._level
+    num: dict[int, int] = {}
+    for k, c in x._num.items():
+        base = k // level * wide + k % level
+        num.update(dict.fromkeys(range(base, base + wide, level), c))
+    return _element(wide, n * x._den, num, x._pull)
 
 
 def idempotent_e(n: int) -> GroupRingElement:
@@ -360,7 +359,7 @@ def alpha_n_hatpi(x: GroupRingElement, n: int, ctx: RhoContext) -> GroupRingElem
 
 def idempotent_e_hatpi(n: int) -> GroupRingElement:
     """e_n = alpha_n(d(0, 0)) = (1/n) * sum of d(0, xi) over xi with xi^n = 1."""
-    return alpha_n(_element(1, 1, {(0, 0): 1}), n)
+    return alpha_n(_element(1, 1, {0: 1}, True), n)
 
 
 def congruence_inverse(n: int, n_rho: int) -> int:

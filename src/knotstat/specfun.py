@@ -299,7 +299,9 @@ def lerch(z: float, s: float, alpha: float) -> float:
     Direct series with a geometric tail bound; for negative s the term
     count is chosen so the bound is below 1e-12 of the partial sum.  A
     NaN or infinite s or alpha is refused, and so is a series whose bound
-    has not fallen that far within ``_LERCH_MAX_TERMS`` terms.
+    has not fallen that far within ``_LERCH_MAX_TERMS`` terms, or whose
+    terms or sum pass the float range (a large negative s, or a tiny alpha
+    with a large s).
     """
     for name, value in (("s", s), ("alpha", alpha)):
         if not math.isfinite(value):
@@ -308,8 +310,17 @@ def lerch(z: float, s: float, alpha: float) -> float:
         raise DomainError(f"lerch requires alpha > 0, got {alpha}")
     if not 0 <= z < 1:
         raise DomainError(f"lerch requires 0 <= z < 1 (pole at z >= 1), got z={z}")
-    if z == 0:
-        return alpha**-s
+    try:
+        acc = alpha**-s if z == 0 else _lerch_series(z, s, alpha)
+    except OverflowError:
+        acc = math.inf
+    if not math.isfinite(acc):  # inf, or nan from the compensation after inf
+        raise DomainError(f"lerch with s={s} and alpha={alpha}: the sum passes the float range")
+    return acc
+
+
+def _lerch_series(z: float, s: float, alpha: float) -> float:
+    """The Kahan-summed series of ``lerch`` for 0 < z < 1, cut by its tail bound."""
     acc = 0.0
     comp = 0.0  # Kahan compensation
     power = 1.0

@@ -14,6 +14,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crossed_reference as ref
 from knotstat import crossed
 from knotstat.crossed import (
     BCNormalForm,
@@ -159,11 +160,67 @@ class TestGroupRingElement:
         assert len(x.terms) == sum(1 for _, c in terms if c)
         assert x.terms[QmodZ.of(2, primes[1])] == Fraction(-2, 2)
 
+    def test_pullback_constructor_one_pass_over_wide_levels(self):
+        # the same 17,000-bit level with keys n_gamma * N + r, n_gamma in -3..3
+        primes = [p for p in compress(range(1_020_001), _prime_flags(1_020_000))
+                  if p > 10**6][:1000]
+        terms = [(HatPiLabel(i % 7 - 3, QmodZ.of(i + 1, p)), Fraction(i % 7 - 3, 1 + i % 5))
+                 for i, p in enumerate(primes)]
+        start = time.perf_counter()
+        x = GroupRingElement(terms)
+        y = x * GroupRingElement([(HatPiLabel(1, QmodZ.of(1, 2)), 1)])
+        assert time.perf_counter() - start < 1.0
+        assert len(x.terms) == len(y.terms) == sum(1 for _, c in terms if c)
+        assert x.terms[HatPiLabel(-2, QmodZ.of(2, primes[1]))] == Fraction(-2, 2)
+        assert y.terms[HatPiLabel(-1, QmodZ(Fraction(2, primes[1]) + Fraction(1, 2)))] == -1
+
     def test_mixed_label_product_rejected(self):
         x = E(Fraction(1, 2))
         y = GroupRingElement([(HatPiLabel(1, QmodZ.of(1, 2)), 1)])
         with pytest.raises(TypeError):
             x * y
+
+
+class TestLabelFamilies:
+    """Both families share int keys; the family flag keeps them apart."""
+
+    def test_units_of_the_two_families_differ(self):
+        assert GroupRingElement.one() != idempotent_e_hatpi(1)
+        assert GroupRingElement.one() != GroupRingElement([(HatPiLabel(0, QmodZ.of(0)), 1)])
+
+    def test_product_across_families_rejected(self):
+        x, y = E(Fraction(1, 2)), GroupRingElement([(HatPiLabel(0, QmodZ.of(1, 2)), 1)])
+        for a, b in [(x, y), (y, x)]:
+            with pytest.raises(TypeError, match="different groups"):
+                a * b
+
+    def test_zero_elements_of_both_families_agree(self):
+        zeros = [
+            GroupRingElement(),
+            GroupRingElement([(QmodZ.of(1, 3), 0)]),
+            GroupRingElement([(HatPiLabel(2, QmodZ.of(1, 3)), 1),
+                              (HatPiLabel(2, QmodZ.of(1, 3)), -1)]),
+            idempotent_e_hatpi(3) * GroupRingElement(),
+        ]
+        for z in zeros:
+            assert z == GroupRingElement() and hash(z) == hash(GroupRingElement())
+        # the zero element multiplies into either family
+        assert zeros[2] * idempotent_e(2) == zeros[0] == E(0) * zeros[2]
+
+    def test_negative_n_gamma_key(self):
+        x = GroupRingElement([(HatPiLabel(-1, QmodZ.of(1, 3)), 1)])
+        assert (x._level, x._den, x._num, x._pull) == (3, 1, {-2: 1}, True)
+        y = GroupRingElement([(HatPiLabel(-1, QmodZ.of(1, 3)), Fraction(1, 2)),
+                              (HatPiLabel(2, QmodZ.of(1, 6)), Fraction(1, 4))])
+        assert (y._level, y._den, y._num) == (6, 4, {-4: 2, 13: 1})
+
+    def test_negative_n_gamma_repr_and_terms(self):
+        terms = [(HatPiLabel(-1, QmodZ.of(1, 3)), Fraction(1, 2)),
+                 (HatPiLabel(-1, QmodZ.of(0)), Fraction(-3)),
+                 (HatPiLabel(2, QmodZ.of(1, 6)), Fraction(1, 4))]
+        x, r = GroupRingElement(terms), ref.GroupRingElement(terms)
+        assert repr(x) == repr(r) == "-3*d(-1,0/1) + 1/2*d(-1,1/3) + 1/4*d(2,1/6)"
+        assert x.terms == r.terms
 
 
 class TestSigmaAlpha:

@@ -202,6 +202,16 @@ class TestLerch:
             lerch(z, s, 1.0)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("z, s, alpha", [
+        (0.5, -400.0, 10.0), (0.5, -1e7, 1.0), (0.0, -400.0, 10.0),  # large negative s
+        (0.5, 400.0, 1e-3), (0.0, 400.0, 1e-3),  # tiny alpha, large s
+    ])
+    def test_past_float_range_refused_by_name(self, z, s, alpha):
+        """Each raised a raw OverflowError from the float power."""
+        message = f"^lerch with s={s} and alpha={alpha}: the sum passes the float range$"
+        with pytest.raises(DomainError, match=message):
+            lerch(z, s, alpha)
+
 
 class TestMobius:
     def test_mobius_values(self):
