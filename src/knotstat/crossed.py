@@ -157,7 +157,9 @@ class GroupRingElement:
 
     Held in the canonical level/denominator/key form of the module
     docstring, with ``_pull`` True for the pullback family.  Immutable; the
-    constructor merges (label, coefficient) pairs, and * is the product.
+    constructor merges (label, coefficient) pairs, and refuses by name a
+    label that is not a ``QmodZ``, ``Fraction`` or int (a bool neither), or a
+    ``HatPiLabel`` of one with an int ``n_gamma``; * is the product.
     ``==`` and ``hash`` compare the level, the denominator, the family and
     the numerators by key.
     """
@@ -168,8 +170,16 @@ class GroupRingElement:
         # one common level and denominator for all terms, then one merge
         # (1000 terms over distinct primes above 10^6 take about 0.25 s)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        rows = [(label if isinstance(label, HatPiLabel) else (None, label), Fraction(c))
-                for label, c in items]
+        rows = []
+        for label, c in items:
+            g, zeta = label if isinstance(label, HatPiLabel) else (None, label)
+            if not isinstance(zeta, (QmodZ, Fraction, int)) or isinstance(zeta, bool):
+                raise DomainError("GroupRingElement label must be a QmodZ, Fraction or int, "
+                                  f"or a HatPiLabel of one, got {type(zeta).__name__} {zeta!r}")
+            if g is not None and (not isinstance(g, int) or isinstance(g, bool)):
+                raise DomainError(
+                    f"HatPiLabel n_gamma must be an int, got {type(g).__name__} {g!r}")
+            rows.append(((g, zeta), Fraction(c)))
         pulls = {g is not None for (g, _), _ in rows}
         if len(pulls) > 1:
             raise TypeError("cannot combine group-ring elements over different groups")

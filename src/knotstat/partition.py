@@ -436,9 +436,11 @@ def _model_log_product(
 
     Returns (log value, weights used, tail bound on the log).  The tail
     uses N(w) <= exp(C^(1/6) w), which follows from bounding each genus
-    term by the even-order exponential series.  When the truncated sum
-    itself escapes double range (possible in the unclassified band) the
-    log value saturates at infinity.
+    term by the even-order exponential series.  Each log term
+    t = ln N(w) - beta w ln q stays below 700 for any C the model allows
+    and any beta >= beta_minus(q) (at most about 241, at q = 2), so the
+    log value is finite; in the unclassified band it can pass 700, and
+    ``z_alternating`` then saturates the value at infinity.
     """
     log_x = -beta * math.log(q)
     rate = model.C ** (1.0 / 6.0)
@@ -453,10 +455,6 @@ def _model_log_product(
         # N(w) * (-log1p(-x^w)) = exp(log N + w log x) * correction
         corr = -math.log1p(-xw) / xw if xw > 0.0 else 1.0
         t = log_n + log_x * w
-        if t > 700.0:
-            terms.append(math.inf)
-            used += 1
-            break
         if t >= _TINY_LOG:
             terms.append(math.exp(t) * corr)
         used += 1
@@ -617,6 +615,34 @@ def z_grothendieck(
 # multiplicative-integers toy system
 # ---------------------------------------------------------------------------
 
+# The direct sum's beta-independent sieve data, kept across calls: omega(n)
+# for 0 <= n <= N at the largest n_max sieved so far (omega(n) does not
+# depend on N, so a prefix serves every smaller n_max), and n_max -> (sum of
+# 1/d, count) over the squarefree d <= n_max.  The memo holds at most
+# _SQUAREFREE_MAX entries and is emptied when full; every key is <= N.
+_OMEGA = b"\x00"
+_SQUAREFREE: dict[int, tuple[float, int]] = {}
+_SQUAREFREE_MAX = 64
+
+
+def _qstar_sieve(n_max: int) -> tuple[bytes, float, int]:
+    """omega(1..n_max), and the sum of 1/d and the count of the squarefree
+    d <= n_max; sieves only on the first call at this n_max."""
+    global _OMEGA
+    memo = _SQUAREFREE.get(n_max)
+    if memo is None:
+        omega, squarefree = _omega_squarefree_sieve(n_max)
+        memo = (
+            math.fsum(map(truediv, repeat(1.0), compress(range(1, n_max + 1), squarefree[1:]))),
+            squarefree.count(1) - 1,
+        )
+        if n_max >= len(_OMEGA):
+            _OMEGA = bytes(omega)
+        if len(_SQUAREFREE) >= _SQUAREFREE_MAX:
+            _SQUAREFREE.clear()
+        _SQUAREFREE[n_max] = memo
+    return (_OMEGA[1 : n_max + 1], *memo)
+
 
 def qstar_partition(
     beta: float,
@@ -630,8 +656,12 @@ def qstar_partition(
     computes sum_{n <= n_max} 2^omega(n) n^(-beta) with a sieve and an
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
-    Both sieve modes need 1 <= n_max <= 10^7; ``mode='both'`` at
-    n_max = 10^6 takes about 0.3-0.45 s.
+    Both sieve modes need an int 1 <= n_max <= 10^7.  The sieve and the
+    squarefree reciprocal sum do not depend on beta, so they run on the
+    first call at each n_max and later calls reuse them: at n_max = 10^6
+    ``mode='both'`` takes about 0.4-0.55 s on a first call (and so on every
+    one-shot CLI call) and about a quarter less after it.  About 1 MB stays
+    retained after an n_max = 10^6 call, at most 10 MB after one at 10^7.
     """
     _require_finite_beta("qstar_partition", beta)
     if beta <= 1:
@@ -639,11 +669,15 @@ def qstar_partition(
             f"qstar partition function diverges for beta <= 1, got {beta}"
         )
     def direct_sum() -> tuple[float, int, float]:
+        if not isinstance(n_max, int) or isinstance(n_max, bool):
+            raise DomainError(
+                f"qstar_partition needs an int n_max, got {type(n_max).__name__} {n_max!r}"
+            )
         if not 1 <= n_max <= _MAX_SIEVE:
             raise DomainError(
                 f"qstar_partition needs 1 <= n_max <= {_MAX_SIEVE}, got {n_max}"
             )
-        omega, squarefree = _omega_squarefree_sieve(n_max)
+        omega, reciprocals, squarefree_count = _qstar_sieve(n_max)
         # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
         # built by map pipelines with no Python frame per term; scaling by a
         # power of two is exact, so a term has the bits of
@@ -651,7 +685,7 @@ def qstar_partition(
         direct = math.fsum(map(
             math.ldexp,
             map(math.exp, map(mul, repeat(-beta), map(math.log, range(1, n_max + 1)))),
-            omega[1:],
+            omega,
         ))
 
         # tail: sum_{n>N} 2^omega(n) n^-beta
@@ -661,14 +695,11 @@ def qstar_partition(
         # d <= N each term d^-beta T(N/d) is N^(1-beta)/((beta-1) d) + N^-beta,
         # so the d-sum is N^(1-beta)/(beta-1) * sum 1/d + Q(N) N^-beta over the
         # Q(N) squarefree d <= N.
-        reciprocals = math.fsum(
-            map(truediv, repeat(1.0), compress(range(1, n_max + 1), squarefree[1:]))
-        )
         head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
         last = float(n_max) ** -beta
         tail = math.fsum([
             head * reciprocals,
-            (squarefree.count(1) - 1) * last,
+            squarefree_count * last,
             (head + last) * riemann_zeta(beta),
         ])
         return direct, n_max, tail

@@ -147,6 +147,20 @@ class TestGroupRingElement:
         with pytest.raises(TypeError, match="different groups"):
             GroupRingElement(terms)
 
+    @pytest.mark.parametrize("label, message", [
+        (0.5, "label must be a QmodZ, Fraction or int.*got float 0.5"),
+        (True, "label must be .*got bool True"),
+        ("1/3", "label must be .*got str '1/3'"),
+        (HatPiLabel(1, 0.5), "label must be .*got float 0.5"),
+        (HatPiLabel(1.5, QmodZ.of(1, 3)), "n_gamma must be an int, got float 1.5"),
+        (HatPiLabel(True, QmodZ.of(1, 3)), "n_gamma must be an int, got bool True"),
+    ])
+    def test_constructor_refuses_bad_labels_by_name(self, label, message):
+        """A float label used to raise a raw AttributeError, a float n_gamma
+        a raw TypeError, and a bool n_gamma was read as 0 or 1."""
+        with pytest.raises(DomainError, match=message):
+            GroupRingElement([(label, 1)])
+
     def test_constructor_one_pass_over_wide_levels(self):
         # 1000 distinct primes above 10^6: the level is their 17,000-bit product
         primes = [p for p in compress(range(1_020_001), _prime_flags(1_020_000))

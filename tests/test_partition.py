@@ -11,6 +11,7 @@ import math
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import compress
 
 import mpmath
@@ -18,11 +19,12 @@ import pytest
 
 import series_reference as ref
 
-from knotstat.catalog import Catalog, MultiplicityModel
+from knotstat.catalog import DEFAULT_C, LOWER_C, Catalog, MultiplicityModel, _log_count_weight
 from knotstat.errors import DivergenceError, DomainError
 from knotstat.partition import (
     SeriesResult,
     ThresholdReport,
+    _MODEL_WEIGHT_CAP,
     _multiset_weight_counts,
     beta_minus_rhs_constant,
     bound_gap_F,
@@ -326,6 +328,23 @@ class TestZAlternating:
         assert (res.value, res.tail_bound, res.terms_used) == (1.0001429872586263, math.inf, 3997)
         assert res.status == "unknown-band" and res.converged is False
 
+    def test_model_log_terms_stay_below_700(self):
+        """Each log term t = ln N(w) - beta w ln q of the model product grows
+        with C and falls with beta, so over every C the model allows and every
+        beta >= beta_minus(q) (smaller beta is refused as divergent) it is
+        largest at C = DEFAULT_C and beta = beta_minus(q).  There it stays
+        below 700 at every weight the product sums, for q from 2 to 10^100:
+        no term overflows, and only the value saturates (test above)."""
+        weights = range(4, _MODEL_WEIGHT_CAP + 1)
+        qs = (2, 3, 5, 10, 100, 10**6, 10**20, 10**50, 10**100)
+        log_x = [-threshold_beta_minus(q) * math.log(q) for q in qs]
+        tops = []
+        for C in (LOWER_C, 1000.0, DEFAULT_C):
+            log_n = [_log_count_weight(MultiplicityModel(C), w) for w in weights]
+            tops.append([max(v + lx * w for w, v in zip(weights, log_n)) for lx in log_x])
+        assert all(low < mid < top for low, mid, top in zip(*tops))
+        assert max(tops[-1]) == tops[-1][0] < 250.0  # about 241, at q = 2
+
     def test_domain_errors(self, cat):
         with pytest.raises(DomainError):
             z_alternating(0.0, 2, cat)
@@ -474,7 +493,9 @@ class TestQstarSystem:
         assert qstar_partition(beta, n_max=100_000, mode="both").details["direct"] == res.value
 
     @pytest.mark.parametrize("mode", ["direct", "both"])
-    @pytest.mark.parametrize("n_max", [-1, 0, 10_000_001])
+    # a float n_max used to raise a raw TypeError from the sieve, and True
+    # ran as n_max = 1
+    @pytest.mark.parametrize("n_max", [-1, 0, 10_000_001, 1000.0, True, Fraction(10), "10"])
     def test_n_max_bounded(self, mode, n_max):
         with pytest.raises(DomainError, match="n_max"):
             qstar_partition(2.0, n_max=n_max, mode=mode)

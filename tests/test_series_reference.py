@@ -10,8 +10,9 @@ every truncation up to W = 30 (and W <= 20 run on the catalog's
 alternating rows alone, the ``True`` cases, against the reference on the
 whole catalog), with one shared ``Knot`` per distinct half;
 the flag-seeded sieve must give the same bytes; the ``map``-pipeline sums
-of ``qstar_partition`` the same float bits; ``f_weight`` the same integers
-and the same refusals; and ``_hurwitz_em`` the same float bits.
+of ``qstar_partition`` the same float bits, in any order of truncations
+that the kept omega table and squarefree memo serve; ``f_weight`` the same
+integers and the same refusals; and ``_hurwitz_em`` the same float bits.
 """
 
 import functools
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import series_reference as ref
-from knotstat import kms, semigroup
+from knotstat import kms, partition, semigroup
 from knotstat.catalog import builtin_catalog
 from knotstat.crossed import QmodZ
 from knotstat.errors import CatalogError, DomainError
@@ -107,6 +108,75 @@ def test_qstar_sums_bit_identical(beta, n_max):
     assert res.tail_bound.hex() == tail.hex()
     only = qstar_partition(beta, n_max=n_max, mode="direct")
     assert only.value.hex() == direct.hex() and only.tail_bound.hex() == tail.hex()
+
+
+@pytest.fixture
+def fresh_sieve_memo(monkeypatch):
+    """An empty omega table and squarefree memo, restored after the test."""
+    monkeypatch.setattr(partition, "_OMEGA", b"\x00")
+    monkeypatch.setattr(partition, "_SQUAREFREE", {})
+
+
+def _reference_qstar(beta, n_max):
+    """(direct sum, tail bound) rebuilt from the per-prime reference sieve."""
+    head = float(n_max) ** (1.0 - beta) / (beta - 1.0)
+    last = float(n_max) ** -beta
+    squarefree = ref.omega_squarefree_sieve(n_max)[1]
+    tail = math.fsum([
+        head * ref.qstar_reciprocals(n_max),
+        (squarefree.count(1) - 1) * last,
+        (head + last) * riemann_zeta(beta),
+    ])
+    return ref.qstar_direct(beta, n_max), tail
+
+
+@pytest.mark.parametrize("mode", ["direct", "both"])
+def test_qstar_memo_call_order_bit_identical(fresh_sieve_memo, mode):
+    """Growing, shrinking and repeated truncations, at a new beta each call,
+    read the kept omega prefix and squarefree sums: every bit equals a
+    fresh reference sieve, and the table keeps the largest N seen."""
+    calls = [(1.5, 10**5), (2.0, 10**3), (3.7, 2 * 10**5), (1.05, 10**5), (8.0, 1)]
+    for beta, n_max in calls:
+        res = qstar_partition(beta, n_max=n_max, mode=mode)
+        direct, tail = _reference_qstar(beta, n_max)
+        closed = riemann_zeta(beta) ** 2 / riemann_zeta(2 * beta)
+        if mode == "direct":
+            assert res.value.hex() == direct.hex()
+            assert res.details == {"closed": closed}
+        else:
+            assert res.value.hex() == closed.hex()
+            assert res.details == {"direct": direct, "agreement": abs(closed - direct)}
+        assert res.tail_bound.hex() == tail.hex() and res.terms_used == n_max
+    assert len(partition._OMEGA) == 2 * 10**5 + 1
+    assert sorted(partition._SQUAREFREE) == [1, 10**3, 10**5, 2 * 10**5]
+
+
+def test_qstar_omega_table_is_immutable_bytes(fresh_sieve_memo):
+    qstar_partition(2.0, n_max=5000, mode="direct")
+    assert type(partition._OMEGA) is bytes
+    assert partition._OMEGA == bytes(_omega_squarefree_sieve(5000)[0])
+    with pytest.raises(TypeError):
+        partition._OMEGA[2] = 0
+
+
+@pytest.mark.parametrize("n_max", [partition._MAX_SIEVE + 1, 0, 1000.0, True])
+def test_qstar_refused_n_max_leaves_memo_unchanged(fresh_sieve_memo, n_max):
+    qstar_partition(2.0, n_max=5000, mode="both")
+    omega, memo = partition._OMEGA, dict(partition._SQUAREFREE)
+    with pytest.raises(DomainError, match="n_max"):
+        qstar_partition(2.0, n_max=n_max, mode="both")
+    assert partition._OMEGA is omega and partition._SQUAREFREE == memo
+
+
+def test_qstar_memo_stays_bounded(fresh_sieve_memo):
+    """At most _SQUAREFREE_MAX truncations are kept; the memo is emptied
+    when full, and the omega table still serves every prefix."""
+    for n_max in range(1, partition._SQUAREFREE_MAX + 2):
+        qstar_partition(2.0, n_max=n_max, mode="direct")
+        assert len(partition._SQUAREFREE) <= partition._SQUAREFREE_MAX
+    assert list(partition._SQUAREFREE) == [partition._SQUAREFREE_MAX + 1]
+    assert qstar_partition(2.0, n_max=10, mode="direct").value.hex() == (
+        ref.qstar_direct(2.0, 10).hex())
 
 
 F_CASES = [(w, False) for w in range(-1, 29)] + [(w, True) for w in range(-1, 21)]
