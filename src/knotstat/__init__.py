@@ -27,6 +27,10 @@ __version__ = "0.1.0"
 # Public names by home module.  Submodules load on first attribute access
 # (PEP 562), so ``import knotstat`` stays cheap and numpy is imported only
 # by ``knotgroups``: its Alexander roots and de Rham representations.
+# ``partition`` loads only where a series runs: ``semigroup`` imports it
+# inside the enumeration's size check, and ``kms`` not at all.
+# ``fractions`` loads with ``crossed`` (so with ``kms``) and inside
+# ``specfun.mobius_f``'s exact branch, not with ``partition``.
 _EXPORTS = {
     "errors": (
         "KnotstatError", "DomainError", "DivergenceError", "CatalogError",
@@ -34,7 +38,7 @@ _EXPORTS = {
     ),
     "catalog": (
         "Catalog", "KnotRecord", "MultiplicityModel", "builtin_catalog",
-        "load_catalog",
+        "load_catalog", "threshold_beta_plus",
     ),
     "semigroup": (
         "Knot", "GroupElement", "WeightFunction", "connected_sum", "weight_of",
@@ -42,10 +46,10 @@ _EXPORTS = {
         "enumerate_group_elements",
     ),
     "partition": (
-        "SeriesResult", "ThresholdReport", "threshold_beta_plus",
-        "threshold_beta_minus", "threshold_report", "crossover_x",
-        "figure_f_grid", "figure_H_grid", "z_alternating", "z_grothendieck",
-        "qstar_partition", "z_knots_times_n", "z_tau",
+        "SeriesResult", "ThresholdReport", "threshold_beta_minus",
+        "threshold_report", "crossover_x", "figure_f_grid", "figure_H_grid",
+        "z_alternating", "z_grothendieck", "qstar_partition", "z_knots_times_n",
+        "z_tau",
     ),
     "knotgroups": (
         "Presentation", "LaurentPoly", "braid_to_wirtinger",

@@ -10,8 +10,9 @@ Multiplicity counts come from a catalog or a model.  A catalog gives the
 exact count of its rows of each weight Cr + g (``weights_with_counts``).
 The model is C_g n^{6g-4} with C_g = C^g/(6g)! and C between 400 and
 2^20/3^6; the upper value is the default since the convergence threshold
-beta_plus is derived from it.  Its count of each weight is summed in log
-form (``_log_count_weight``), which stays finite far past float range.
+beta_plus (``threshold_beta_plus``) is derived from it.  Its count of
+each weight is summed in log form (``_log_count_weight``), which stays
+finite far past float range.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "builtin_catalog",
     "builtin_catalog_path",
     "weights_with_counts",
+    "threshold_beta_plus",
 ]
 
 #: Upper and lower admissible values of the asymptotic constant C.
@@ -43,6 +45,13 @@ LOWER_C = 400.0
 
 #: Highest genus the model's weight counts sum over.
 GENUS_CAP = 64
+
+
+def threshold_beta_plus() -> float:
+    """beta_plus = ln(2^20 / 3^6) - 6 ln ln 2, the guaranteed-convergence
+    threshold (about 9.4704)."""
+    return math.log(2**20 / 3**6) - 6.0 * math.log(math.log(2.0))
+
 
 _FIELDS = ("name", "crossings", "genus", "alternating", "torus", "alexander")
 

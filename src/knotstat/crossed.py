@@ -80,13 +80,14 @@ class QmodZ(Record):
 
     ``Fraction`` keeps the value in lowest terms with a positive
     denominator, so both invariants hold by construction.  Any ``int`` or
-    ``Fraction`` is accepted and reduced mod 1; anything else is refused.
+    ``Fraction`` is accepted and reduced mod 1; anything else, a bool
+    included, is refused.
     """
 
     __slots__ = ("frac",)
 
     def __init__(self, frac: Fraction | int) -> None:
-        if not isinstance(frac, (int, Fraction)):
+        if not isinstance(frac, (int, Fraction)) or isinstance(frac, bool):
             raise DomainError(
                 f"QmodZ frac must be an int or a Fraction, got {type(frac).__name__} {frac!r}"
             )
@@ -159,7 +160,8 @@ class GroupRingElement:
     docstring, with ``_pull`` True for the pullback family.  Immutable; the
     constructor merges (label, coefficient) pairs, and refuses by name a
     label that is not a ``QmodZ``, ``Fraction`` or int (a bool neither), or a
-    ``HatPiLabel`` of one with an int ``n_gamma``; * is the product.
+    ``HatPiLabel`` of one with an int ``n_gamma``, and a coefficient that is
+    not a ``Fraction`` or int (a bool neither); * is the product.
     ``==`` and ``hash`` compare the level, the denominator, the family and
     the numerators by key.
     """
@@ -179,6 +181,9 @@ class GroupRingElement:
             if g is not None and (not isinstance(g, int) or isinstance(g, bool)):
                 raise DomainError(
                     f"HatPiLabel n_gamma must be an int, got {type(g).__name__} {g!r}")
+            if not isinstance(c, (Fraction, int)) or isinstance(c, bool):
+                raise DomainError("GroupRingElement coefficient must be a Fraction or int, "
+                                  f"got {type(c).__name__} {c!r}")
             rows.append(((g, zeta), Fraction(c)))
         pulls = {g is not None for (g, _), _ in rows}
         if len(pulls) > 1:
@@ -194,9 +199,9 @@ class GroupRingElement:
 
     @staticmethod
     def e(r: QmodZ | Fraction | int) -> "GroupRingElement":
-        """The basis element e(r) of Q[Q/Z]."""
+        """The basis element e(r) of Q[Q/Z]; r is refused as ``QmodZ`` refuses it."""
         if not isinstance(r, QmodZ):
-            r = QmodZ(Fraction(r))
+            r = QmodZ(r)
         return _element(r.denominator, 1, {r.numerator: 1}, False)
 
     @staticmethod

@@ -28,10 +28,9 @@ from math import gcd
 from typing import Mapping, Optional
 
 from ._record import Record
-from .catalog import Catalog
+from .catalog import Catalog, threshold_beta_plus
 from .crossed import QmodZ
 from .errors import DomainError
-from .partition import _pow_q, _require_finite_beta, threshold_beta_plus
 from .semigroup import (
     GroupElement,
     Knot,
@@ -41,6 +40,8 @@ from .semigroup import (
 )
 from .specfun import (
     _huge_weight_cut,
+    _pow_q,
+    _require_finite_beta,
     divisors,
     mobius,
     mobius_f,
@@ -156,7 +157,7 @@ def gibbs_monomial(k: Knot, a: int, beta: float, q: int, cat: Catalog) -> float:
 
 
 def _q_power(q: int, exponent: float) -> float:
-    """q^exponent; in log form (``partition._pow_q``) once q is past the
+    """q^exponent; in log form (``specfun._pow_q``) once q is past the
     float range.  Inside it the float power is kept, so values stay bit
     for bit."""
     if q <= sys.float_info.max:

@@ -24,13 +24,22 @@ from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
-from .catalog import LOWER_C, Catalog, MultiplicityModel, _log_count_weight, weights_with_counts
+from .catalog import (
+    LOWER_C,
+    Catalog,
+    MultiplicityModel,
+    _log_count_weight,
+    threshold_beta_plus,
+    weights_with_counts,
+)
 from .errors import DivergenceError, DomainError
 from .specfun import (
     _MAX_SIEVE,
     _TINY_LOG,
     _huge_weight_cut,
     _omega_squarefree_sieve,
+    _pow_q,
+    _require_finite_beta,
     restricted_zeta,
     riemann_zeta,
 )
@@ -68,12 +77,6 @@ _MODEL_WEIGHT_CAP = 4000
 # about 0.5 s at this many updates (max_weight 57142 with the bundled
 # table's 35 weights); larger grids are refused
 _MAX_GROTH_UPDATES = 2_000_000
-
-
-def _require_finite_beta(name: str, beta: float) -> None:
-    """Refuse NaN and +-inf, which slip past order tests such as ``beta <= 0``."""
-    if not math.isfinite(beta):
-        raise DomainError(f"{name} requires a finite beta, got {beta}")
 
 
 class SeriesResult(Record):
@@ -134,12 +137,6 @@ def lambda_beta(beta: float, q: float) -> float:
         raise DomainError(f"lambda_beta requires q >= 2, got {q}")
     x = _pow_q(q, -beta)
     return x / (1.0 - x)
-
-
-def threshold_beta_plus() -> float:
-    """beta_plus = ln(2^20 / 3^6) - 6 ln ln 2, the guaranteed-convergence
-    threshold (about 9.4704)."""
-    return math.log(2**20 / 3**6) - 6.0 * math.log(math.log(2.0))
 
 
 def beta_minus_rhs_constant() -> float:
@@ -332,17 +329,6 @@ def figure_H_grid(q_grid: Iterable[float], C: float = 400.0) -> list[tuple[float
             raise DomainError(f"H(q) positivity failed at q={q}: H={h}")
         rows.append((float(q), h))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# summation helpers
-# ---------------------------------------------------------------------------
-
-
-def _pow_q(q: float, exponent: float) -> float:
-    """q^exponent with graceful underflow to 0.0."""
-    e = exponent * math.log(q)
-    return math.exp(e) if e >= _TINY_LOG else 0.0
 
 
 # ---------------------------------------------------------------------------

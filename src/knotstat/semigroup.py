@@ -25,9 +25,8 @@ from contextlib import contextmanager
 from typing import Mapping, Optional
 
 from ._record import Record
-from .catalog import Catalog
+from .catalog import Catalog, threshold_beta_plus
 from .errors import DomainError
-from .partition import groth_weight_counts, threshold_beta_plus
 
 __all__ = [
     "Knot",
@@ -257,6 +256,8 @@ _MAX_ENUMERATED = 600_000
 def _refuse_over_cap(cat: Catalog, max_weight: int) -> None:
     """Refuse a truncation whose group elements, as ``groth_weight_counts``
     counts them, number more than ``_MAX_ENUMERATED``."""
+    from .partition import groth_weight_counts
+
     total = sum(groth_weight_counts(cat.weights.values(), max_weight))
     if total > _MAX_ENUMERATED:
         raise DomainError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -43,6 +42,19 @@ __all__ = [
 
 _TINY_LOG = -745.0  # exp() underflows to 0.0 below this
 _HUGE_LOG = math.log(sys.float_info.max)  # and overflows above this
+
+
+def _require_finite_beta(name: str, beta: float) -> None:
+    """Refuse NaN and +-inf, which slip past order tests such as ``beta <= 0``."""
+    if not math.isfinite(beta):
+        raise DomainError(f"{name} requires a finite beta, got {beta}")
+
+
+def _pow_q(q: float, exponent: float) -> float:
+    """q^exponent with graceful underflow to 0.0."""
+    e = exponent * math.log(q)
+    return math.exp(e) if e >= _TINY_LOG else 0.0
+
 
 # Below s = 30, Li_s at a b-th root of unity costs b Hurwitz zetas (about
 # 12 us each); larger denominators are refused rather than left to run.
@@ -364,6 +376,8 @@ def mobius_f(k, b: int):
     if b < 1:
         raise DomainError(f"mobius_f requires b >= 1, got {b}")
     if isinstance(k, int):
+        from fractions import Fraction
+
         total = Fraction(0)
         for d in divisors(b):
             mu = mobius(d)

@@ -819,8 +819,8 @@ class TestPresentationCommands:
         assert "error" in payload
 
 
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cli.json"
 DATA = Path(__file__).resolve().parent / "data"
+REFERENCE = DATA / "cli_reference.json"
 
 
 def test_reference_outputs_byte_identical(capsys, tmp_path, monkeypatch):

@@ -83,6 +83,12 @@ class TestQmodZ:
             with pytest.raises(DomainError, match="QmodZ frac must be an int or a Fraction"):
                 QmodZ(bad)
 
+    @pytest.mark.parametrize("bad, shown", [(True, "bool True"), (False, "bool False")])
+    def test_bool_refused_by_name(self, bad, shown):
+        """A bool used to be taken as 1 or 0, which is 0 mod 1."""
+        with pytest.raises(DomainError, match=f"QmodZ frac must be .*got {shown}"):
+            QmodZ(bad)
+
 
 class TestGroupRingElement:
     def test_zero_coefficients_dropped(self):
@@ -160,6 +166,36 @@ class TestGroupRingElement:
         a raw TypeError, and a bool n_gamma was read as 0 or 1."""
         with pytest.raises(DomainError, match=message):
             GroupRingElement([(label, 1)])
+
+    @pytest.mark.parametrize("label, message", [
+        (0.1, "QmodZ frac must be .*got float 0.1"),
+        (True, "QmodZ frac must be .*got bool True"),
+        ("1/3", "QmodZ frac must be .*got str '1/3'"),
+    ])
+    def test_e_refuses_bad_labels_by_name(self, label, message):
+        """e(0.1) used to build e(3602879701896397/36028797018963968) from
+        the float's binary value, and e(True) was e(0)."""
+        with pytest.raises(DomainError, match=message):
+            E(label)
+
+    def test_e_accepts_exact_labels(self):
+        assert E(3) == E(0) == E(QmodZ.of(0)) == GroupRingElement.one()
+        assert E(Fraction(-1, 3)) == E(QmodZ.of(2, 3))
+
+    @pytest.mark.parametrize("coeff, shown", [
+        (float("nan"), "float nan"),
+        (float("inf"), "float inf"),
+        (0.5, "float 0.5"),
+        (None, "NoneType None"),
+        ("abc", "str 'abc'"),
+        (True, "bool True"),
+    ])
+    def test_constructor_refuses_bad_coefficients_by_name(self, coeff, shown):
+        """NaN used to raise a raw ValueError, inf a raw OverflowError, None
+        a raw TypeError and 'abc' a raw ValueError; True was read as 1."""
+        for label in (QmodZ.of(1, 3), HatPiLabel(1, QmodZ.of(1, 3))):
+            with pytest.raises(DomainError, match=f"coefficient must be .*got {shown}"):
+                GroupRingElement([(label, coeff)])
 
     def test_constructor_one_pass_over_wide_levels(self):
         # 1000 distinct primes above 10^6: the level is their 17,000-bit product

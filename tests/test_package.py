@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,28 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         knotstat.no_such_name
     assert not hasattr(knotstat, "no_such_name")
+
+
+# -- cold imports load only what they run ---------------------------------------
+#
+# Each case imports in a fresh interpreter, so earlier tests' imports do not
+# count; the modules listed must stay out of ``sys.modules``.
+
+@pytest.mark.parametrize("statement, absent", [
+    ("import knotstat.catalog, knotstat.knotgroups, knotstat.semigroup",
+     ("knotstat.partition", "knotstat.specfun", "fractions")),
+    ("import knotstat.kms", ("knotstat.partition",)),
+    ("import knotstat.partition", ("fractions",)),
+])
+def test_cold_import_leaves_modules_unloaded(statement, absent):
+    src = str(Path(knotstat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys; {statement}; print(*sorted(set({absent!r}) & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # -- every public name is reached ---------------------------------------------
