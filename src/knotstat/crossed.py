@@ -40,6 +40,8 @@ costs no more than a small one.  For elements of t and u terms:
                    level nN, D multiplied by n
     e_n            alpha_n(1): n keys at level n with D = n
     hatpi_member   one modular inverse and two gcds
+    bc_normalize   one dict pass per token (an e(r) shift and a gcd over the
+                   keys, sigma's or alpha's key map), one canonical form at the end
     canonical form one gcd over the level and keys, one over the numerators
 
 ``QmodZ`` labels and ``Fraction`` coefficients appear only at the edge:
@@ -134,16 +136,21 @@ class HatPiLabel(NamedTuple):
 Label = Union[QmodZ, HatPiLabel]
 
 
+def _least_level(level: int, num: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """N and the keys divided by gcd(N, keys): the least common order of the labels."""
+    g = math.gcd(level, *num)
+    if g > 1:
+        return level // g, {k // g: c for k, c in num.items()}
+    return level, num
+
+
 def _element(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRingElement":
     """The canonical element: zero numerators dropped, N and D divided by
     gcd(N, keys) and gcd(D, numerators), so the zero element has N = D = 1
     and is in no family (``pull`` False)."""
     if 0 in num.values():
         num = {k: c for k, c in num.items() if c}
-    g = math.gcd(level, *num)
-    if g > 1:
-        level //= g
-        num = {k // g: c for k, c in num.items()}
+    level, num = _least_level(level, num)
     h = math.gcd(den, *num.values())
     if h > 1:
         den //= h
@@ -204,11 +211,6 @@ class GroupRingElement:
             r = QmodZ(r)
         return _element(r.denominator, 1, {r.numerator: 1}, False)
 
-    @staticmethod
-    def one() -> "GroupRingElement":
-        """The unit e(0) of Q[Q/Z]."""
-        return _element(1, 1, {0: 1}, False)
-
     @property
     def terms(self) -> dict[Label, Fraction]:
         level, den = self._level, self._den
@@ -266,6 +268,8 @@ class RhoContext(Record):
     __slots__ = ("n_rho",)
 
     def __init__(self, n_rho: int) -> None:
+        if not isinstance(n_rho, int) or isinstance(n_rho, bool):
+            raise DomainError(f"n_rho must be an int, got {type(n_rho).__name__} {n_rho!r}")
         if n_rho < 1:
             raise DomainError(f"n_rho must be >= 1, got {n_rho}")
         self._set(n_rho)
@@ -275,6 +279,7 @@ class RhoContext(Record):
         return n >= 1 and math.gcd(n, self.n_rho) == 1
 
     def require(self, n: int) -> None:
+        _check_n(n)
         if not self.admits(n):
             raise DomainError(f"n={n} is not coprime to n_rho={self.n_rho}")
 
@@ -285,25 +290,46 @@ class RhoContext(Record):
 
 
 # Most terms one alpha_n call may build (n preimages per term): the
-# ``bc-normalize`` CLI call that prints that many terms takes about 1.3 s
-# (2-vCPU x86_64, interpreter start-up included).
+# ``bc-normalize`` CLI call that prints that many terms takes about 0.5 s
+# (2-vCPU x86_64, Python 3.11, interpreter start-up included).
 _MAX_PREIMAGES = 40_000
 
 
 def _check_n(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"n must be an int, got {type(n).__name__} {n!r}")
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
+
+
+def _sigma_keys(level: int, num: dict[int, int], n: int) -> tuple[int, dict[int, int]]:
+    """sigma_n on (level, numerators by key): the key map of the module docstring."""
+    g = math.gcd(n, level)
+    low, m = level // g, n // g
+    out: dict[int, int] = {}
+    for k, c in num.items():
+        k = k // level * low + k * m % low
+        out[k] = out.get(k, 0) + c
+    return low, out
+
+
+def _alpha_keys(level: int, num: dict[int, int], n: int) -> tuple[int, dict[int, int]]:
+    """alpha_n on (level, numerators by key), the denominator left to the caller:
+    the key map of the module docstring, refused past ``_MAX_PREIMAGES`` keys."""
+    size = n * len(num)
+    if size > _MAX_PREIMAGES:
+        raise DomainError(
+            f"alpha_{n} would build {size} preimage terms, more than {_MAX_PREIMAGES}"
+        )
+    wide = n * level
+    return wide, {j: c for k, c in num.items() for base in [k // level * wide + k % level]
+                  for j in range(base, base + wide, level)}
 
 
 def sigma_n(x: GroupRingElement, n: int) -> GroupRingElement:
     """sigma_n(e(r)) = e(nr), extended linearly; n r/N = (n/g) r / (N/g), g = gcd(n, N)."""
     _check_n(n)
-    g = math.gcd(n, x._level)
-    level, m = x._level // g, n // g
-    num: dict[int, int] = {}
-    for k, c in x._num.items():
-        k = k // x._level * level + k * m % level
-        num[k] = num.get(k, 0) + c
+    level, num = _sigma_keys(x._level, x._num, n)
     return _element(level, x._den, num, x._pull)
 
 
@@ -315,22 +341,15 @@ def alpha_n(x: GroupRingElement, n: int) -> GroupRingElement:
     more than ``_MAX_PREIMAGES`` terms before building any.
     """
     _check_n(n)
-    size = n * len(x._num)
-    if size > _MAX_PREIMAGES:
-        raise DomainError(
-            f"alpha_{n} would build {size} preimage terms, more than {_MAX_PREIMAGES}"
-        )
-    level, wide = x._level, n * x._level
-    num: dict[int, int] = {}
-    for k, c in x._num.items():
-        base = k // level * wide + k % level
-        num.update(dict.fromkeys(range(base, base + wide, level), c))
-    return _element(wide, n * x._den, num, x._pull)
+    level, num = _alpha_keys(x._level, x._num, n)
+    return _element(level, n * x._den, num, x._pull)
 
 
 def idempotent_e(n: int) -> GroupRingElement:
     """e_n = alpha_n(e(0)) = (1/n) * sum of e(s) over the n-torsion points s in Q/Z."""
-    return alpha_n(GroupRingElement.one(), n)
+    _check_n(n)
+    level, num = _alpha_keys(1, {0: 1}, n)
+    return _element(level, n, num, False)
 
 
 def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:
@@ -411,10 +430,15 @@ class BCNormalForm(Record):
         return f"mu_{self.a} . ({self.x}) . mu*_{self.b}"
 
 
-def _fold_token(state: BCNormalForm, token: Token) -> BCNormalForm:
-    """Multiply the normal form on the right by one token.
+# Most terms the steps of one bc_normalize word may build in all; a word
+# that spends it takes about 0.01 s (2-vCPU x86_64, Python 3.11).
+_MAX_WORD_TERMS = 2 * _MAX_PREIMAGES
 
-    The rewriting rules follow from the defining relations:
+
+def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
+    """Rewrite a word over {mu_n, mu_n*, e(r)} to the normal form mu_a . x . mu_b*.
+
+    Tokens multiply on the right, by rules that follow from the relations:
 
     * ... mu_b* e(r)  =  ... sigma_b(e(r)) mu_b*            (pull e through mu*)
     * mu_b* mu_n  =  mu_{n/g} mu_{b/g}*  with g = gcd(b, n)  (cancel, commute)
@@ -422,56 +446,55 @@ def _fold_token(state: BCNormalForm, token: Token) -> BCNormalForm:
     * mu_a x mu_{nb}*  =  mu_{a/g} alpha_g(x) mu_{nb/g}*  with g = gcd(a, n)
       (split mu_a, push through x via mu_g x = alpha_g(x) mu_g, absorb
       mu_g mu_g* = e_g into alpha_g(x))
+
+    x is carried as level, denominator and numerators (all positive, so no
+    merge cancels a term) and made canonical once, at the end.  A token is
+    ("mu", n) or ("mu*", n) with an int n, or ("e", r) with r as ``QmodZ``
+    takes it.  The steps may build ``_MAX_WORD_TERMS`` terms in all, g per
+    term of x at mu*:n and one at e and mu; a word that would build more is
+    refused before the step that passes it.
     """
-    kind = token[0]
-    if kind == "e":
-        x = state.x * sigma_n(GroupRingElement.e(token[1]), state.b)
-        return BCNormalForm(state.a, x, state.b)
-    if kind == "mu":
-        n = int(token[1])
-        _check_n(n)
-        g = math.gcd(state.b, n)
-        lift = n // g
-        return BCNormalForm(state.a * lift, sigma_n(state.x, lift), state.b // g)
-    if kind == "mu*":
-        n = int(token[1])
-        _check_n(n)
-        g = math.gcd(state.a, n)
-        return BCNormalForm(state.a // g, alpha_n(state.x, g), (n // g) * state.b)
-    raise DomainError(f"unknown token kind {kind!r}")
-
-
-# Most terms the steps of one bc_normalize word may build in all; a word
-# that spends it takes about 0.1 s (2-vCPU x86_64).
-_MAX_WORD_TERMS = 2 * _MAX_PREIMAGES
-
-
-def _step_terms(state: BCNormalForm, token: Token) -> int:
-    """Terms one token's step builds: alpha_g at a mu*:n step (g = gcd(a, n))
-    builds g preimage terms per term of x; an e or mu step one per term."""
-    terms = len(state.x._num)
-    if token[0] == "mu*":
-        return math.gcd(state.a, int(token[1])) * terms
-    return terms
-
-
-def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
-    """Rewrite a word over {mu_n, mu_n*, e(r)} to the normal form mu_a . x . mu_b*.
-
-    The word's steps may build at most ``_MAX_WORD_TERMS`` terms in all; a
-    word that would build more is refused before the step that passes it.
-    """
-    state = BCNormalForm(1, GroupRingElement.one(), 1)
+    a = b = level = den = 1
+    num = {0: 1}
     spent = 0
     for token in word:
-        spent += _step_terms(state, token)
+        if not isinstance(token, tuple) or len(token) != 2:
+            raise DomainError(f"bc token must be a (kind, value) pair, got {token!r}")
+        kind, value = token
+        mu = kind == "mu" or kind == "mu*"
+        if mu and (not isinstance(value, int) or isinstance(value, bool)):
+            raise DomainError(
+                f"bc token {kind} needs an int n, got {type(value).__name__} {value!r}")
+        g = math.gcd(a, value) if kind == "mu*" else 1
+        spent += g * len(num)
         if spent > _MAX_WORD_TERMS:
             raise DomainError(
                 f"bc word would build {spent} terms, more than {_MAX_WORD_TERMS} "
                 f"(a mu*:n step builds n preimage terms per term)"
             )
-        state = _fold_token(state, token)
-    return state
+        if kind == "e":
+            # x e(br), r = p/q: keys lifted to L = lcm(N, q), shifted by that of
+            # e(bp/q) and put at the least level, as e(r) may cancel a factor of N
+            r = (value if isinstance(value, QmodZ) else QmodZ(value)).frac
+            q = r.denominator
+            wide = math.lcm(level, q)
+            lift, s = wide // level, b * r.numerator % q * (wide // q)
+            level, num = _least_level(wide, {(k * lift + s) % wide: c for k, c in num.items()})
+        elif kind == "mu":
+            _check_n(value)
+            g = math.gcd(b, value)
+            lift = value // g
+            if lift > 1:
+                level, num = _sigma_keys(level, num, lift)
+            a, b = a * lift, b // g
+        elif kind == "mu*":
+            _check_n(value)
+            if g > 1:
+                level, num = _alpha_keys(level, num, g)
+            a, b, den = a // g, value // g * b, den * g
+        else:
+            raise DomainError(f"unknown token kind {kind!r}")
+    return BCNormalForm(a, _element(level, den, num, False), b)
 
 
 def parse_bc_word(tokens: Iterable[str]) -> list[Token]:
@@ -484,11 +507,11 @@ def parse_bc_word(tokens: Iterable[str]) -> list[Token]:
         if ":" not in tok:
             raise DomainError(f"malformed token {tok!r}; expected kind:value")
         kind, value = tok.split(":", 1)
-        if kind in ("mu", "mu*"):
-            word.append((kind, int(value)))
-        elif kind == "e":
-            word.append(("e", QmodZ.parse(value)))
-        else:
+        if kind not in ("mu", "mu*", "e"):
             raise DomainError(f"unknown token kind {kind!r}")
+        try:
+            word.append((kind, QmodZ.parse(value) if kind == "e" else int(value)))
+        except ValueError as exc:
+            raise DomainError(f"malformed token {tok!r}: {exc}") from None
     return word
 

@@ -1017,7 +1017,8 @@ def derham_solve(
         )
     vec = vh[-1].conj()
     # deterministic normalization: first sizable component becomes 1
-    pivot = next(i for i, z in enumerate(vec) if abs(z) > 0.5 * np.max(np.abs(vec)))
+    half = 0.5 * np.max(np.abs(vec))
+    pivot = next(i for i, z in enumerate(vec) if abs(z) > half)
     vec = vec / vec[pivot]
     xs = [0j] * p.n_generators
     for idx, j in enumerate(cols):

@@ -7,6 +7,7 @@ same word along two different rewrite routes.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 from itertools import compress
@@ -105,12 +106,12 @@ class TestGroupRingElement:
 
     def test_convolution_is_group_law(self):
         assert E(Fraction(1, 3)) * E(Fraction(1, 3)) == E(Fraction(2, 3))
-        assert E(Fraction(1, 2)) * E(Fraction(1, 2)) == GroupRingElement.one()
+        assert E(Fraction(1, 2)) * E(Fraction(1, 2)) == GroupRingElement.e(0)
 
     def test_one_is_identity(self, rng):
         for _ in range(20):
             x = random_element(rng)
-            assert x * GroupRingElement.one() == x
+            assert x * GroupRingElement.e(0) == x
 
     def test_ring_laws(self, rng):
         for _ in range(50):
@@ -179,7 +180,7 @@ class TestGroupRingElement:
             E(label)
 
     def test_e_accepts_exact_labels(self):
-        assert E(3) == E(0) == E(QmodZ.of(0)) == GroupRingElement.one()
+        assert E(3) == E(0) == E(QmodZ.of(0)) == GroupRingElement([(QmodZ.of(0), 1)])
         assert E(Fraction(-1, 3)) == E(QmodZ.of(2, 3))
 
     @pytest.mark.parametrize("coeff, shown", [
@@ -235,8 +236,8 @@ class TestLabelFamilies:
     """Both families share int keys; the family flag keeps them apart."""
 
     def test_units_of_the_two_families_differ(self):
-        assert GroupRingElement.one() != idempotent_e_hatpi(1)
-        assert GroupRingElement.one() != GroupRingElement([(HatPiLabel(0, QmodZ.of(0)), 1)])
+        assert GroupRingElement.e(0) != idempotent_e_hatpi(1)
+        assert GroupRingElement.e(0) != GroupRingElement([(HatPiLabel(0, QmodZ.of(0)), 1)])
 
     def test_product_across_families_rejected(self):
         x, y = E(Fraction(1, 2)), GroupRingElement([(HatPiLabel(0, QmodZ.of(1, 2)), 1)])
@@ -276,7 +277,7 @@ class TestLabelFamilies:
 class TestSigmaAlpha:
     def test_sigma_examples(self):
         assert sigma_n(E(Fraction(1, 3)), 2) == E(Fraction(2, 3))
-        assert sigma_n(E(Fraction(1, 2)), 2) == GroupRingElement.one()
+        assert sigma_n(E(Fraction(1, 2)), 2) == GroupRingElement.e(0)
 
     def test_sigma_semigroup_law(self, rng):
         for _ in range(100):
@@ -292,7 +293,7 @@ class TestSigmaAlpha:
 
     def test_alpha_of_identity_is_idempotent(self):
         for n in (1, 2, 3, 6, 12):
-            assert alpha_n(GroupRingElement.one(), n) == idempotent_e(n)
+            assert alpha_n(GroupRingElement.e(0), n) == idempotent_e(n)
 
     def test_alpha_semigroup_law(self, rng):
         for _ in range(60):
@@ -313,7 +314,7 @@ class TestSigmaAlpha:
             assert alpha_n(sigma_n(x, n), n) == idempotent_e(n) * x
 
     def test_idempotents(self):
-        assert idempotent_e(1) == GroupRingElement.one()
+        assert idempotent_e(1) == GroupRingElement.e(0)
         e2 = GroupRingElement(
             [(QmodZ.of(0, 1), Fraction(1, 2)), (QmodZ.of(1, 2), Fraction(1, 2))]
         )
@@ -332,9 +333,20 @@ class TestSigmaAlpha:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sigma_n(GroupRingElement.one(), 0)
+            sigma_n(GroupRingElement.e(0), 0)
         with pytest.raises(DomainError):
-            alpha_n(GroupRingElement.one(), -2)
+            alpha_n(GroupRingElement.e(0), -2)
+
+    @pytest.mark.parametrize("n,shown", [(2.5, "float 2.5"), (2.0, "float 2.0"),
+                                         (True, "bool True"), ("3", "str '3'"),
+                                         (float("nan"), "float nan")])
+    def test_non_int_n_refused_by_name(self, n, shown):
+        x, ctx = GroupRingElement.e(0), RhoContext(5)
+        for call in (lambda: sigma_n(x, n), lambda: alpha_n(x, n), lambda: idempotent_e(n),
+                     lambda: idempotent_e_hatpi(n), lambda: sigma_n_hatpi(x, n, ctx),
+                     lambda: alpha_n_hatpi(x, n, ctx)):
+            with pytest.raises(DomainError, match=f"^n must be an int, got {shown}$"):
+                call()
 
     def test_alpha_preimage_cap(self):
         """n times the number of terms is capped before any term is built."""
@@ -364,6 +376,15 @@ class TestSigmaAlpha:
         start = time.perf_counter()
         with pytest.raises(DomainError, match="more than"):
             bc_normalize(parse_bc_word("mu:40000 e:1/3 mu*:40000".split() * 40))
+        assert time.perf_counter() - start < 0.5
+
+    def test_cancelled_denominators_leave_the_level(self):
+        """e(1/p) e(-1/p) over 8000 primes: each e step puts x back at its least
+        level, so N stays 1 rather than growing to the product of the primes."""
+        primes = list(compress(range(90_000), _prime_flags(89_999)))[-8000:]
+        word = [("e", QmodZ.of(s, p)) for p in primes for s in (1, p - 1)]
+        start = time.perf_counter()
+        assert bc_normalize(word) == BCNormalForm(1, GroupRingElement.e(0), 1)
         assert time.perf_counter() - start < 0.5
 
 
@@ -446,6 +467,9 @@ class TestHatPi:
     def test_context_domain(self):
         with pytest.raises(DomainError):
             RhoContext(0)
+        for n_rho, shown in [(2.5, "float 2.5"), (float("nan"), "float nan"), (True, "bool True")]:
+            with pytest.raises(DomainError, match=f"^n_rho must be an int, got {shown}$"):
+                RhoContext(n_rho)
         assert RhoContext(6).admits(5)
         assert not RhoContext(6).admits(4)
         assert not RhoContext(6).admits(0)
@@ -491,7 +515,7 @@ def random_word(rng, max_len=12, max_n=5):
 class TestNormalForm:
     def test_isometry_relation(self):
         nf = bc_normalize([("mu*", 2), ("mu", 2)])
-        assert nf == BCNormalForm(1, GroupRingElement.one(), 1)
+        assert nf == BCNormalForm(1, GroupRingElement.e(0), 1)
 
     def test_range_projection(self):
         nf = bc_normalize([("mu", 2), ("mu*", 2)])
@@ -527,7 +551,7 @@ class TestNormalForm:
 
     def test_coprimality_enforced_on_construction(self):
         with pytest.raises(ValueError):
-            BCNormalForm(2, GroupRingElement.one(), 4)
+            BCNormalForm(2, GroupRingElement.e(0), 4)
 
     def test_parse_word(self):
         word = parse_bc_word("mu:2 e:1/3 mu*:2".split())
@@ -538,3 +562,48 @@ class TestNormalForm:
             parse_bc_word(["mu2"])
         with pytest.raises(DomainError):
             parse_bc_word(["nu:2"])
+        for tok in ["mu:2.5", "mu*:x", "e:1/0", "e:1/x"]:
+            with pytest.raises(DomainError, match=f"^malformed token '{re.escape(tok)}': "):
+                parse_bc_word(["mu:2", tok])
+
+    @pytest.mark.parametrize("token,message", [
+        (("mu", 2.5), "bc token mu needs an int n, got float 2.5"),
+        (("mu", "3"), "bc token mu needs an int n, got str '3'"),
+        (("mu", True), "bc token mu needs an int n, got bool True"),
+        (("mu*", float("nan")), "bc token mu* needs an int n, got float nan"),
+        (("mu*", float("inf")), "bc token mu* needs an int n, got float inf"),
+        (("mu",), "bc token must be a (kind, value) pair, got ('mu',)"),
+        (("e", QmodZ.of(1, 3), 5), "bc token must be a (kind, value) pair, got "
+                                   "('e', QmodZ(frac=Fraction(1, 3)), 5)"),
+        ("mu", "bc token must be a (kind, value) pair, got 'mu'"),
+        (("e", 0.5), "QmodZ frac must be an int or a Fraction, got float 0.5"),
+        (("mu", 0), "n must be a positive integer, got 0"),
+        (("mu*", 0), "n must be a positive integer, got 0"),
+        (("nu", 2), "unknown token kind 'nu'"),
+    ])
+    def test_malformed_tokens_refused_by_name(self, token, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            bc_normalize([("mu", 2), token])
+
+    def test_refusal_order(self):
+        """The word budget is charged before each step: before the preimage
+        cap, n >= 1 and the kind are checked; a malformed token is refused
+        before its charge."""
+        cap, budget = crossed._MAX_PREIMAGES, crossed._MAX_WORD_TERMS
+        # the charge (2 + cap + 1) passes, then alpha's cap refuses
+        with pytest.raises(DomainError, match=f"^alpha_{cap + 1} would build {cap + 1} preimage "
+                                              f"terms, more than {cap}$"):
+            bc_normalize(parse_bc_word([f"mu:{cap + 1}", "e:1/3", f"mu*:{cap + 1}"]))
+        # a step past both the budget and the cap is refused by the budget
+        n = (budget - 2) // 2
+        spent = parse_bc_word([f"mu:{n}", "e:1/3", f"mu*:{n}", "mu:2"])
+        assert len(bc_normalize(spent).x.terms) == n and 2 * n > cap
+        with pytest.raises(DomainError, match=f"{budget + 2 * n} terms, more than {budget}"):
+            bc_normalize(spent + [("mu*", 2)])
+        # a spent budget refuses n = 0 and an unknown kind first, but not a
+        # token it cannot charge
+        for token in [("mu", 0), ("mu*", 0), ("nu", 1)]:
+            with pytest.raises(DomainError, match=f"more than {budget}"):
+                bc_normalize(spent + [token])
+        with pytest.raises(DomainError, match="needs an int n"):
+            bc_normalize(spent + [("mu*", 2.5)])

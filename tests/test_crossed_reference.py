@@ -4,7 +4,8 @@
 property tests draw the same terms into both and require equal products,
 actions, idempotents, ``==``/``hash``, ``.terms``, ``repr`` and normal-form
 strings.  Inputs come in two sizes: dense (label denominators <= 30,
-n <= 40) and wide (prime denominators up to 10^4), on both label families.
+n <= 40) and wide (prime denominators up to 10^4), on both label families;
+normal-form words have up to 12 tokens with mu/mu* values up to 40.
 ``hatpi_member``'s closed form is checked against the exhaustive scan over
 m <= b * n_rho on a full grid of small cases.
 """
@@ -112,9 +113,20 @@ def test_actions_match_reference(size, hatpi, data):
 
 
 def words(size):
+    """Words of the benchmark's shapes: up to 12 tokens, mu/mu* values up to 40."""
     e_token = qmodz(DENOMINATORS[size]).map(lambda r: ("e", r))
-    mu_token = st.tuples(st.sampled_from(["mu", "mu*"]), st.integers(1, 6))
-    return st.lists(st.one_of(e_token, mu_token), max_size=10)
+    mu_token = st.tuples(st.sampled_from(["mu", "mu*"]), st.integers(1, 40))
+    return st.lists(st.one_of(e_token, mu_token), max_size=12)
+
+
+def normalize_or_refuse(word):
+    """bc_normalize's result, or None when the word passes its term budget or
+    the preimage cap, which the uncapped reference would spend seconds on."""
+    try:
+        return bc_normalize(word)
+    except DomainError as exc:
+        assert "more than" in str(exc)
+        return None
 
 
 @pytest.mark.parametrize("size", ["dense", "wide"])
@@ -122,10 +134,27 @@ def words(size):
 @given(data=st.data())
 def test_normal_form_matches_reference(size, data):
     word = data.draw(words(size))
-    nf, nr = bc_normalize(word), ref.bc_normalize(word)
+    nf = normalize_or_refuse(word)
+    if nf is None:
+        return
+    nr = ref.bc_normalize(word)
     assert (nf.a, nf.b) == (nr.a, nr.b)
     assert_same(nf.x, nr.x)
     assert str(nf) == str(nr)
+
+
+@pytest.mark.parametrize("size", ["dense", "wide"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_canonical(size, data):
+    """The fold puts x in canonical form once, at the end: the constructor
+    rebuilds the same level, denominator and numerators from its terms."""
+    nf = normalize_or_refuse(data.draw(words(size)))
+    if nf is None:
+        return
+    x = GroupRingElement(nf.x.terms)
+    assert (nf.x._level, nf.x._den, nf.x._num) == (x._level, x._den, x._num)
+    assert nf.x == x and hash(nf.x) == hash(x)
 
 
 def test_canonical_form():

@@ -161,7 +161,7 @@ def test_uncompared_fields():
 
 def test_constructor_validation_kept():
     with pytest.raises(ValueError, match="gcd"):
-        BCNormalForm(2, GroupRingElement.one(), 4)
+        BCNormalForm(2, GroupRingElement.e(0), 4)
     with pytest.raises(ValueError, match="repeated factor"):
         Knot((("3_1", 1), ("3_1", 2)))
     with pytest.raises(ValueError, match="tail_bound"):
@@ -249,7 +249,7 @@ REFUSALS = [
     ("qmodz-str", lambda: QmodZ("1/2"),
      DomainError, "QmodZ frac must be an int or a Fraction, got str '1/2'"),
     ("rho-context", lambda: RhoContext(0), DomainError, "n_rho must be >= 1, got 0"),
-    ("bc-normal-form", lambda: BCNormalForm(2, GroupRingElement.one(), 4),
+    ("bc-normal-form", lambda: BCNormalForm(2, GroupRingElement.e(0), 4),
      ValueError, "normal form requires gcd(a, b) = 1"),
     ("series-result", lambda: SeriesResult(1.0, 1, -1.0, True),
      DomainError, "tail_bound must be nonnegative"),
