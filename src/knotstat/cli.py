@@ -25,7 +25,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import catalog as _catalog
-from .errors import KnotstatError
+from .errors import KnotstatError, _WorkMeter
 
 # Each handler imports the modules it runs, so a fresh process loads only
 # the code its subcommand needs (numpy only for ``derham``).
@@ -228,10 +228,7 @@ def _require_finite(*flags: tuple[str, Optional[float]]) -> None:
 def _cmd_figures(args) -> dict | tuple:
     from . import partition as _pt
 
-    if args.n_points > _MAX_VALUES:
-        raise KnotstatError(
-            f"--n-points {args.n_points} exceeds the cap of {_MAX_VALUES} grid points"
-        )
+    _WorkMeter("figures --n-points", "grid points", _MAX_VALUES).charge(args.n_points)
     if args.which == "f":
         beta_min = None if args.beta_min == "auto" else float(args.beta_min)
         _require_finite(("--beta-min", beta_min), ("--beta-max", args.beta_max))
@@ -264,8 +261,9 @@ def _cmd_kms_toeplitz(args) -> dict:
     from . import semigroup as _sg
 
     n = args.entries
-    if not 0 <= n <= _MAX_VALUES:
+    if n < 0:
         raise KnotstatError(f"--entries must lie in 0..{_MAX_VALUES}, got {n}")
+    _WorkMeter("kms-toeplitz --entries", "values", _MAX_VALUES).charge(n)
     cat = _load_catalog(args)
     knot = _sg.parse_knot(args.knot)
     ev = _kms.toeplitz_eigenlist(knot, args.beta, args.q, cat)

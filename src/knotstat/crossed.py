@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ._record import Record
-from .errors import DomainError
+from .errors import _MAX_BIG_INT_WORK, DomainError, _WorkMeter
 
 __all__ = [
     "QmodZ",
@@ -185,9 +185,8 @@ class GroupRingElement:
             if not isinstance(zeta, (QmodZ, Fraction, int)) or isinstance(zeta, bool):
                 raise DomainError("GroupRingElement label must be a QmodZ, Fraction or int, "
                                   f"or a HatPiLabel of one, got {type(zeta).__name__} {zeta!r}")
-            if g is not None and (not isinstance(g, int) or isinstance(g, bool)):
-                raise DomainError(
-                    f"HatPiLabel n_gamma must be an int, got {type(g).__name__} {g!r}")
+            if g is not None:
+                _check_int("HatPiLabel n_gamma", g)
             if not isinstance(c, (Fraction, int)) or isinstance(c, bool):
                 raise DomainError("GroupRingElement coefficient must be a Fraction or int, "
                                   f"got {type(c).__name__} {c!r}")
@@ -268,14 +267,14 @@ class RhoContext(Record):
     __slots__ = ("n_rho",)
 
     def __init__(self, n_rho: int) -> None:
-        if not isinstance(n_rho, int) or isinstance(n_rho, bool):
-            raise DomainError(f"n_rho must be an int, got {type(n_rho).__name__} {n_rho!r}")
+        _check_int("n_rho", n_rho)
         if n_rho < 1:
             raise DomainError(f"n_rho must be >= 1, got {n_rho}")
         self._set(n_rho)
 
     def admits(self, n: int) -> bool:
-        """Whether n lies in the semigroup N_rho."""
+        """Whether n lies in the semigroup N_rho; a non-int n is refused."""
+        _check_int("n", n)
         return n >= 1 and math.gcd(n, self.n_rho) == 1
 
     def require(self, n: int) -> None:
@@ -289,15 +288,19 @@ class RhoContext(Record):
 # ---------------------------------------------------------------------------
 
 
-# Most terms one alpha_n call may build (n preimages per term): the
-# ``bc-normalize`` CLI call that prints that many terms takes about 0.5 s
-# (2-vCPU x86_64, Python 3.11, interpreter start-up included).
+# Most terms one alpha_n call may build (n preimages per term), checked
+# before it allocates them: the ``bc-normalize`` CLI call that prints that
+# many terms takes about 0.5 s (2-vCPU x86_64, Python 3.11, start-up included).
 _MAX_PREIMAGES = 40_000
 
 
+def _check_int(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an int, got {type(n).__name__} {n!r}")
+    _check_int("n", n)
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
 
@@ -316,11 +319,8 @@ def _sigma_keys(level: int, num: dict[int, int], n: int) -> tuple[int, dict[int,
 def _alpha_keys(level: int, num: dict[int, int], n: int) -> tuple[int, dict[int, int]]:
     """alpha_n on (level, numerators by key), the denominator left to the caller:
     the key map of the module docstring, refused past ``_MAX_PREIMAGES`` keys."""
-    size = n * len(num)
-    if size > _MAX_PREIMAGES:
-        raise DomainError(
-            f"alpha_{n} would build {size} preimage terms, more than {_MAX_PREIMAGES}"
-        )
+    if n * len(num) > _MAX_PREIMAGES:  # no meter on the hot path below the cap
+        _WorkMeter(f"alpha_{n}", "preimage terms", _MAX_PREIMAGES).charge(n * len(num))
     wide = n * level
     return wide, {j: c for k, c in num.items() for base in [k // level * wide + k % level]
                   for j in range(base, base + wide, level)}
@@ -371,6 +371,7 @@ def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:
     p | m0 + j b for one class of j mod p only.  The Chinese remainder
     theorem picks a j outside these classes for all such p at once.
     """
+    _check_int("gamma_exp", gamma_exp)
     a, b, n_rho = zeta.numerator, zeta.denominator, ctx.n_rho
     t, rem = divmod(gamma_exp * b, n_rho)
     if rem:
@@ -401,6 +402,8 @@ def congruence_inverse(n: int, n_rho: int) -> int:
 
     The inverse of a unit is a unit, so gcd(k, n_rho) = 1 automatically.
     """
+    _check_int("n", n)
+    _check_int("n_rho", n_rho)
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
     if math.gcd(n, n_rho) != 1:
@@ -430,11 +433,6 @@ class BCNormalForm(Record):
         return f"mu_{self.a} . ({self.x}) . mu*_{self.b}"
 
 
-# Most terms the steps of one bc_normalize word may build in all; a word
-# that spends it takes about 0.01 s (2-vCPU x86_64, Python 3.11).
-_MAX_WORD_TERMS = 2 * _MAX_PREIMAGES
-
-
 def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
     """Rewrite a word over {mu_n, mu_n*, e(r)} to the normal form mu_a . x . mu_b*.
 
@@ -450,9 +448,9 @@ def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
     x is carried as level, denominator and numerators (all positive, so no
     merge cancels a term) and made canonical once, at the end.  A token is
     ("mu", n) or ("mu*", n) with an int n, or ("e", r) with r as ``QmodZ``
-    takes it.  The steps may build ``_MAX_WORD_TERMS`` terms in all, g per
-    term of x at mu*:n and one at e and mu; a word that would build more is
-    refused before the step that passes it.
+    takes it.  Each step is charged, before it runs, the bit products of its
+    g terms per term of x (g at mu*:n, one at e and mu) and of a gcd with
+    the level; a word past ``_MAX_BIG_INT_WORK`` of them is refused.
     """
     a = b = level = den = 1
     num = {0: 1}
@@ -466,12 +464,12 @@ def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
             raise DomainError(
                 f"bc token {kind} needs an int n, got {type(value).__name__} {value!r}")
         g = math.gcd(a, value) if kind == "mu*" else 1
-        spent += g * len(num)
-        if spent > _MAX_WORD_TERMS:
-            raise DomainError(
-                f"bc word would build {spent} terms, more than {_MAX_WORD_TERMS} "
-                f"(a mu*:n step builds n preimage terms per term)"
-            )
+        # a term is a key of the level's bits times a one-word factor, the
+        # interpreter's work on it priced as 2048 bits more
+        bits = level.bit_length()
+        spent += g * len(num) * (bits + 2048) * 64 + 2 * bits * bits
+        if spent > _MAX_BIG_INT_WORK:
+            _WorkMeter("bc word", "bit products", _MAX_BIG_INT_WORK).charge(spent)
         if kind == "e":
             # x e(br), r = p/q: keys lifted to L = lcm(N, q), shifted by that of
             # e(bp/q) and put at the least level, as e(r) may cancel a factor of N

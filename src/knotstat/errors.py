@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the work meter that every cost cap refuses through.
 
 The CLI maps these to exit codes: DomainError and DivergenceError exit 1,
 usage problems exit 2.  Everything else is a bug.
@@ -23,3 +23,28 @@ class CatalogError(KnotstatError, ValueError):
 
 class PresentationError(KnotstatError, ValueError):
     """A group presentation is malformed or fails a required invariant."""
+
+
+# Bit products (the bit lengths of two big-int operands multiplied, summed
+# over the products, divisions and gcds a loop runs) that the big-int loops
+# of one call may spend: Bareiss row updates and bc_normalize steps run about
+# 5-6.5 * 10^11 a second (2-vCPU x86_64, Python 3.11), so 1.1-1.4 s of work.
+_MAX_BIG_INT_WORK = 7 * 10**11
+
+
+class _WorkMeter:
+    """Units of work one call has spent, refused past a limit: every cost cap
+    refuses through ``charge``, in one form naming the work, the units spent
+    or needed and the limit.  A loop charges each row or step as it goes; a
+    check up front charges the whole size before it allocates."""
+
+    __slots__ = ("work", "unit", "limit", "spent")
+
+    def __init__(self, work: str, unit: str, limit: int) -> None:
+        self.work, self.unit, self.limit, self.spent = work, unit, limit, 0
+
+    def charge(self, units: int) -> None:
+        self.spent += units
+        if self.spent > self.limit:
+            raise DomainError(f"{self.work} would take {self.spent} {self.unit}, "
+                              f"more than the work cap of {self.limit} {self.unit}")

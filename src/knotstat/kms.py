@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from ._record import Record
 from .catalog import Catalog, threshold_beta_plus
-from .crossed import QmodZ
+from .crossed import QmodZ, _check_int
 from .errors import DomainError
 from .semigroup import (
     GroupElement,
@@ -200,6 +200,8 @@ class AdelicUnit(Record):
     def __init__(self, residues: tuple[tuple[int, int], ...] = ()) -> None:
         seen: dict[int, int] = {}
         for modulus, unit in residues:
+            _check_int("modulus", modulus)
+            _check_int("residue", unit)
             if modulus < 1:
                 raise DomainError(f"modulus must be >= 1, got {modulus}")
             if modulus in seen:
@@ -283,8 +285,11 @@ class Monomial(Record):
             raise DomainError(f"monomial kind must be 'e' or 'mu', got {kind!r}")
         if kind == "e" and r is None:
             raise DomainError("e-monomials need a label r")
-        if kind == "mu" and (n < 1 or a < 0):
-            raise DomainError("mu-monomials need n >= 1 and a >= 0")
+        if kind == "mu":
+            _check_int("n", n)
+            _check_int("a", a)
+            if n < 1 or a < 0:
+                raise DomainError("mu-monomials need n >= 1 and a >= 0")
         self._set(kind, r, n, a)
 
     @classmethod

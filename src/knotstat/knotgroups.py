@@ -16,9 +16,10 @@ All polynomial arithmetic is exact, on dense integer coefficient tuples
 (gcds by primitive pseudo-remainders).  Determinants split a matrix into
 independent blocks and run fraction-free elimination over Python ints at
 t = 2^K (Kronecker substitution), K large enough that the coefficients
-come back as the digits of the result; Smith normal forms run one pivot
-loop on sparse rows.  The representation-theoretic checks are
-complex double precision with explicit residual tolerances.
+come back as the digits of the result, and the row updates of one call's
+determinants charge one work meter in bit products.  Smith normal forms
+run one pivot loop on sparse rows.  The representation-theoretic checks
+are complex double precision with explicit residual tolerances.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ._record import Record
-from .errors import PresentationError
+from .errors import _MAX_BIG_INT_WORK, PresentationError, _WorkMeter
 
 __all__ = [
     "Word",
@@ -273,13 +274,8 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-# Bareiss on an n x n block makes about n^3 products of up to n W bits, W its
-# widest entry at t = 2^K, so n^5 W^2 prices it at schoolbook cost: a dense
-# 30x30 Seifert matrix, entries up to 1000, is 5.1e12 and 0.7 s (x86_64), 40x40 6 s.
-_MAX_DET_WORK = 10**13
-
-
-def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+def _bareiss_det(matrix: list[list[LaurentPoly]],
+                 meter: Optional[_WorkMeter] = None) -> LaurentPoly:
     """Exact determinant over ZZ[t, 1/t] of a square matrix.
 
     Rows and columns first split into the connected components of the
@@ -287,7 +283,8 @@ def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     zero row, or a component with unequal row and column counts (a zero
     column is one), makes the determinant zero.  Otherwise the determinant
     is the sign of the permutations that make the matrix block diagonal
-    times the product of the blocks' determinants (``_kronecker_det``).
+    times the product of the blocks' determinants (``_kronecker_det``),
+    whose eliminations charge ``meter`` (a fresh one when None).
     """
     parent = list(range(len(matrix)))  # union-find over the columns
     supports = [[j for j, e in enumerate(row) if e._c] for row in matrix]
@@ -303,17 +300,11 @@ def _bareiss_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
         blocks.setdefault(_find(parent, j), ([], []))[1].append(j)
     if any(len(rows) != len(cols) for rows, cols in blocks.values()):
         return _ZERO
-    # every block is evaluated, and its size checked, before any is eliminated
-    evaluated = [_kronecker_values([[matrix[i][j] for j in cols] for i in rows])
-                 for rows, cols in blocks.values()]
-    for m, k, _ in evaluated:
-        n, w = len(m), max(max(map(int.bit_length, row)) for row in m)
-        if n**5 * w * w > _MAX_DET_WORK:
-            raise PresentationError(
-                f"a {n}x{n} determinant block with {w}-bit entries at t = 2^{k} is past "
-                f"the work cap n^5 W^2 <= {_MAX_DET_WORK:.0e}"
-            )
-    det = math.prod((_kronecker_det(*block) for block in evaluated), start=_ONE)
+    meter = meter or _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
+    det = _ONE
+    for rows, cols in blocks.values():
+        block = _kronecker_values([[matrix[i][j] for j in cols] for i in rows])
+        det *= _kronecker_det(*block, meter)
     rows = [i for block in blocks.values() for i in block[0]]
     cols = [j for block in blocks.values() for j in block[1]]
     return -det if _is_odd(rows) != _is_odd(cols) else det
@@ -357,10 +348,12 @@ def _kronecker_values(matrix: list[list[LaurentPoly]]) -> tuple[list[list[int]],
     return m, k, sum(lows)
 
 
-def _kronecker_det(m: list[list[int]], k: int, low: int) -> LaurentPoly:
+def _kronecker_det(m: list[list[int]], k: int, low: int, meter: _WorkMeter) -> LaurentPoly:
     """The determinant from ``_kronecker_values``: fraction-free (Bareiss)
     elimination with exact integer divisions, step k mapping every lower
-    row to (row * p_k - m[i][k] * row_k) / p_(k-1), p_k being its pivot."""
+    row to (row * p_k - m[i][k] * row_k) / p_(k-1), p_k being its pivot.
+    Each row update charges ``meter`` its bit products: the row's entries
+    times p_k and p_(k-1), and row_k times m[i][k]."""
     n = len(m)
     sign, prev = 1, 1
     for i in range(n - 1):
@@ -372,9 +365,11 @@ def _kronecker_det(m: list[list[int]], k: int, low: int) -> LaurentPoly:
             sign = -sign
         row_i = m[i]
         pivot, tail = row_i[i], row_i[i + 1 :]
+        scale, tail_bits = pivot.bit_length() + prev.bit_length(), sum(map(int.bit_length, tail))
         for row in m[i + 1 :]:
-            x = row[i]
-            row[i + 1 :] = [(v * pivot - x * w) // prev for v, w in zip(row[i + 1 :], tail)]
+            x, rest = row[i], row[i + 1 :]
+            meter.charge(scale * sum(map(int.bit_length, rest)) + x.bit_length() * tail_bits)
+            row[i + 1 :] = [(v * pivot - x * w) // prev for v, w in zip(rest, tail)]
         prev = pivot
     det = sign * m[-1][-1]
     # balanced digits: each in [-2^(K-1), 2^(K-1)), lowest first
@@ -840,7 +835,8 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     gcd of the maximal minors, normalized to lowest exponent 0 with
     positive leading coefficient.  When the presentation records its
     Wirtinger blocks, the gcd collapses to a single square determinant;
-    otherwise more than ``_MAX_MINORS`` minors are refused up front.
+    otherwise more than ``_MAX_MINORS`` minors are refused up front.  The
+    determinants share one work meter, refused past ``_MAX_BIG_INT_WORK``.
     """
     return _alexander_fox(p)[0]
 
@@ -855,18 +851,16 @@ def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]
         )
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     rows = _alexander_rows(p)
-    minors = 1 if rows is not None else math.comb(len(p.relators), len(cols))
-    if minors > _MAX_MINORS:
-        raise PresentationError(
-            f"{len(p.relators)} relators on {p.n_generators} generators without recorded "
-            f"Wirtinger blocks have {minors} maximal minors, more than {_MAX_MINORS}"
-        )
+    if rows is None:
+        _WorkMeter(f"{len(p.relators)} relators without recorded Wirtinger blocks",
+                   "maximal minors", _MAX_MINORS).charge(math.comb(len(p.relators), len(cols)))
     matrix = fox_matrix(p)
-    # without known redundancy: the gcd over all maximal minors
+    # without known redundancy: the gcd over all maximal minors, which share one meter
     subsets = [rows] if rows is not None else combinations(range(len(p.relators)), len(cols))
+    meter = _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
     acc = _ZERO
     for subset in subsets:
-        acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset]))
+        acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset], meter))
         if acc == _ONE:
             break
     return acc, matrix

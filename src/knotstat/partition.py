@@ -32,7 +32,7 @@ from .catalog import (
     threshold_beta_plus,
     weights_with_counts,
 )
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, _WorkMeter
 from .specfun import (
     _MAX_SIEVE,
     _TINY_LOG,
@@ -346,11 +346,8 @@ def _grid_weights(weights: Iterable[int], max_weight: int) -> list[int]:
         if type(w) is not int or w < 1:
             raise DomainError(f"prime weights must be ints >= 1, got {w!r}")
     weights = [w for w in weights if w <= max_weight]
-    if max_weight * max(1, len(weights)) > _MAX_GROTH_UPDATES:
-        raise DomainError(
-            f"max_weight {max_weight} with {len(weights)} prime weights needs "
-            f"more than {_MAX_GROTH_UPDATES} weight-grid updates"
-        )
+    _WorkMeter(f"max_weight {max_weight} with {len(weights)} prime weights",
+               "weight-grid updates", _MAX_GROTH_UPDATES).charge(max_weight * max(1, len(weights)))
     return weights
 
 
@@ -642,12 +639,12 @@ def qstar_partition(
     computes sum_{n <= n_max} 2^omega(n) n^(-beta) with a sieve and an
     integral tail bound derived from 2^omega(n) = sum_{d | n} mu^2(d);
     ``mode='both'`` returns the closed form with the direct sum recorded.
-    Both sieve modes need an int 1 <= n_max <= 10^7.  The sieve and the
+    Both sieve modes need an int 1 <= n_max <= 3 * 10^6.  The sieve and the
     squarefree reciprocal sum do not depend on beta, so they run on the
     first call at each n_max and later calls reuse them: at n_max = 10^6
     ``mode='both'`` takes about 0.4-0.55 s on a first call (and so on every
     one-shot CLI call) and about a quarter less after it.  About 1 MB stays
-    retained after an n_max = 10^6 call, at most 10 MB after one at 10^7.
+    retained after an n_max = 10^6 call, at most 3 MB after one at 3 * 10^6.
     """
     _require_finite_beta("qstar_partition", beta)
     if beta <= 1:
@@ -659,10 +656,9 @@ def qstar_partition(
             raise DomainError(
                 f"qstar_partition needs an int n_max, got {type(n_max).__name__} {n_max!r}"
             )
-        if not 1 <= n_max <= _MAX_SIEVE:
-            raise DomainError(
-                f"qstar_partition needs 1 <= n_max <= {_MAX_SIEVE}, got {n_max}"
-            )
+        if n_max < 1:
+            raise DomainError(f"qstar_partition needs n_max >= 1, got {n_max}")
+        _WorkMeter(f"qstar_partition with n_max = {n_max}", "terms", _MAX_SIEVE).charge(n_max)
         omega, reciprocals, squarefree_count = _qstar_sieve(n_max)
         # each term 2^omega(n) n^-beta is ldexp(exp(-beta * log(n)), omega(n)),
         # built by map pipelines with no Python frame per term; scaling by a

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 from ._record import Record
 from .catalog import Catalog, threshold_beta_plus
-from .errors import DomainError
+from .errors import DomainError, _WorkMeter
 
 __all__ = [
     "Knot",
@@ -253,18 +253,6 @@ def parse_group_element(text: str) -> GroupElement:
 _MAX_ENUMERATED = 600_000
 
 
-def _refuse_over_cap(cat: Catalog, max_weight: int) -> None:
-    """Refuse a truncation whose group elements, as ``groth_weight_counts``
-    counts them, number more than ``_MAX_ENUMERATED``."""
-    from .partition import groth_weight_counts
-
-    total = sum(groth_weight_counts(cat.weights.values(), max_weight))
-    if total > _MAX_ENUMERATED:
-        raise DomainError(
-            f"max_weight {max_weight} gives {total} elements, more than {_MAX_ENUMERATED}"
-        )
-
-
 # the slot setters of the enumeration's records, which skip the checks of
 # Knot.__init__ and the reduction of GroupElement.__init__
 _set_factors = Knot.factors.__set__
@@ -347,9 +335,13 @@ def enumerate_group_elements(cat: Catalog, max_weight: int) -> list[tuple[GroupE
     not use, into the bucket of the total weight.  Each bucket so comes
     out ordered by (positive, negative) without a sort.  At W = 28 this
     gives 44,985 elements from 51,689 mask tests in about 35-55 ms.
-    More than ``_MAX_ENUMERATED`` elements are refused before any is built.
+    More than ``_MAX_ENUMERATED`` elements, as ``groth_weight_counts``
+    counts them, are refused before any is built.
     """
-    _refuse_over_cap(cat, max_weight)
+    from .partition import groth_weight_counts
+
+    _WorkMeter(f"enumerating to max_weight {max_weight}", "elements", _MAX_ENUMERATED).charge(
+        sum(groth_weight_counts(cat.weights.values(), max_weight)))
     with _collector_paused():
         preorder, buckets = _knot_tree(cat, max_weight)
         found: list[list[tuple[GroupElement, int]]] = [[] for _ in buckets]

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, _WorkMeter
 
 if TYPE_CHECKING:
     from .crossed import QmodZ
@@ -71,9 +71,9 @@ def _huge_weight_cut(beta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Trial division stops at this divisor, and a cofactor left above its square
-# is refused, so no factorization runs longer than a prime near 10^12 does
-# (about 0.1 s on a 2-vCPU x86_64); a prime near 10^18 would take minutes.
+# Trial division stops at this divisor, and a cofactor left that would need a
+# larger one is refused, so no factorization runs longer than a prime near
+# 10^12 does (about 0.1 s on a 2-vCPU x86_64); one near 10^18 would take minutes.
 _MAX_TRIAL_DIVISOR = 10**6
 
 
@@ -83,9 +83,9 @@ _MAX_TRIAL_DIVISOR = 10**6
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, multiplicity), ...).
 
-    Every n whose cofactor after trial division by 2..10^6 is at most
-    10^12 factors, every n <= 10^12 among them; any other n is refused,
-    and so is anything but an ``int`` (a bool too).
+    Every n whose cofactor after trial division by 2..10^6 is below
+    (10^6 + 1)^2 factors, every n <= 10^12 among them; any other n is
+    refused, and so is anything but an ``int`` (a bool too).
     """
     if type(n) is not int:
         raise DomainError(f"factorization needs an int, got {type(n).__name__} {n!r}")
@@ -102,12 +102,8 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
                 k += 1
             out.append((p, k))
         p += 1 if p == 2 else 2
-    if m > _MAX_TRIAL_DIVISOR**2:
-        raise DomainError(
-            f"cannot factor {n}: a cofactor above 10^12 has no prime factor "
-            f"up to {_MAX_TRIAL_DIVISOR}"
-        )
-    if m > 1:
+    if m > 1:  # prime unless a divisor up to isqrt(m), past the loop's, divides it
+        _WorkMeter(f"factoring {n}", "trial divisors", _MAX_TRIAL_DIVISOR).charge(math.isqrt(m))
         out.append((m, 1))
     return tuple(out)
 
@@ -132,16 +128,16 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-# Largest sieve, also qstar_partition's cap on n_max: 10^7 + 1 flag bytes take
-# about 0.055 s, and qstar_partition's direct sum over them 3.5-4.7 s (x86_64)
-_MAX_SIEVE = 10**7
+# Largest sieve, also qstar_partition's cap on n_max, checked before the flags
+# are allocated: qstar_partition's first direct sum at 3 * 10^6 takes about
+# 1.1 s (2-vCPU x86_64, Python 3.11), at 10^7 3.0 s
+_MAX_SIEVE = 3 * 10**6
 
 
 def _prime_flags(n: int) -> bytearray:
     """flags[m] = 1 if m is prime else 0, for 0 <= m <= n, by the sieve of
     Eratosthenes (empty when n < 0); refused above ``_MAX_SIEVE``."""
-    if n > _MAX_SIEVE:
-        raise DomainError(f"prime sieve up to {n} exceeds {_MAX_SIEVE}")
+    _WorkMeter("prime sieve", "numbers", _MAX_SIEVE).charge(n)
     if n < 2:
         return bytearray(max(n + 1, 0))
     flags = bytearray([1]) * (n + 1)
@@ -286,10 +282,8 @@ def polylog_roots_of_unity(s: float, r: QmodZ) -> complex:
                 break
         return acc
     if b > _MAX_HURWITZ_DENOMINATOR:
-        raise DomainError(
-            f"polylog_roots_of_unity at s = {s} < 30 sums b Hurwitz zetas; "
-            f"denominator b = {b} exceeds {_MAX_HURWITZ_DENOMINATOR}"
-        )
+        _WorkMeter(f"polylog_roots_of_unity at s = {s} < 30", "Hurwitz zetas",
+                   _MAX_HURWITZ_DENOMINATOR).charge(b)
     scale = math.exp(-s * math.log(b))
     acc = 0.0 + 0.0j
     num = r.numerator
@@ -354,11 +348,9 @@ def _lerch_series(z: float, s: float, alpha: float) -> float:
             tail = power * (alpha + ell + 1) ** -s / (1.0 - ratio)
         if tail < 1e-12 * abs(acc) or tail < 1e-300:
             break
-    else:
-        raise DomainError(
-            f"lerch({z}, {s}, {alpha}): the tail bound is above 1e-12 of the sum "
-            f"after {_LERCH_MAX_TERMS} terms"
-        )
+    else:  # the tail bound is still above 1e-12 of the sum
+        _WorkMeter(f"lerch({z}, {s}, {alpha})", "terms",
+                   _LERCH_MAX_TERMS).charge(_LERCH_MAX_TERMS + 1)
     return acc
 
 

@@ -12,18 +12,25 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
 from knotstat import cli
+from knotstat import knotgroups as kg
 from knotstat import partition as pt
-from knotstat.catalog import builtin_catalog_path
+from knotstat.catalog import builtin_catalog_path, load_catalog
 from knotstat.cli import run
+from knotstat.crossed import QmodZ, bc_normalize, idempotent_e
+from knotstat.errors import DomainError
+from knotstat.semigroup import enumerate_group_elements
+from knotstat.specfun import _MAX_SIEVE, _prime_flags, lerch
 
 CSV_HEADER = "name,crossings,genus,alternating,torus,alexander\n"
 
@@ -100,8 +107,8 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert payload == {"error": (
-            "cannot factor 1000000000000000003: a cofactor above 10^12 has no "
-            "prime factor up to 1000000")}
+            "factoring 1000000000000000003 would take 1000000000 trial divisors, "
+            "more than the work cap of 1000000 trial divisors")}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_zero_tolerance_is_one(self, capsys, value):
@@ -1132,15 +1139,33 @@ class TestFlagScope:
         assert invoke(capsys, *expected["argv"]) == (0, expected["stdout"])
 
 
+def _prime_word(count):
+    """e:1/p over the first ``count`` primes above 10^5: the level grows by
+    17 bits a token."""
+    primes = [p for p in compress(range(200_000), _prime_flags(199_999)) if p > 10**5]
+    return [("e", QmodZ.of(1, p)) for p in primes[:count]]
+
+
+def _unblocked_sum(*names):
+    """The connected sum of builtin knots without its recorded Wirtinger
+    blocks, as a saved file reads back."""
+    p = kg.builtin_presentation(names[0])
+    for name in names[1:]:
+        p = kg.amalgamate(p, kg.builtin_presentation(name))
+    return kg.Presentation(p.generators, p.relators, p.basepoint)
+
+
 class TestCostCaps:
-    """Input-sized loops are refused before they start, naming their bound."""
+    """Input-sized loops are refused before they start, or once the work they
+    charge passes their cap, naming their bound."""
 
     @pytest.mark.parametrize("argv, bound", [
         (["z-tau", "--beta", "1.5", "--max-weight", "10000000"], "weight-grid updates"),
         (["z-groth", "--beta", "2", "--max-weight", "10000000"], "weight-grid updates"),
         (["figures", "--which", "H", "--n-points", "1000000"], "100000 grid points"),
         (["figures", "--which", "f", "--n-points", "1000000"], "100000 grid points"),
-        (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "100000000"], "0..100000"),
+        (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "100000000"],
+         "more than the work cap of 100000 values"),
         (["kms-toeplitz", "--knot", "3_1", "--beta", "10", "--entries", "-3"], "0..100000"),
         (["z-alt", "--beta", "2", "--max-weight", "100000000", "--mode", "direct"],
          "weight-grid updates"),
@@ -1160,6 +1185,61 @@ class TestCostCaps:
         assert code == 0 and len(payload["entries"]) == 100_000
         code, out = invoke(capsys, "z-tau", "--beta", "1.5", "--max-weight", "50000")
         assert code == 0
+
+    # One row per cost cap: its largest accepted input and its first refused
+    # input (the first past the cap among inputs of that shape), each a CLI
+    # argv or a library call.  A check up front refuses within 0.5 s, a
+    # charged one within 2 s.  The two big-int loops share one budget.
+    CAP_TABLE = [
+        ("_MAX_VALUES", True, ["figures", "--which", "f", "--n-points", "100000"],
+         ["figures", "--which", "f", "--n-points", "100001"]),
+        ("_MAX_PREIMAGES", True, lambda: idempotent_e(40_000), lambda: idempotent_e(40_001)),
+        ("_MAX_BIG_INT_WORK-bc", False, lambda: bc_normalize(_prime_word(1554)),
+         lambda: bc_normalize(_prime_word(1555))),
+        ("_MAX_BIG_INT_WORK-det", False, ["alexander", "--braid", " ".join(["1"] * 85)],
+         ["alexander", "--braid", " ".join(["1"] * 87)]),
+        ("_MAX_MINORS", True, lambda: kg.alexander_poly_fox(_unblocked_sum("7_1", "7_1", "7_1")),
+         ["alexander", "--file", str(DATA / "7_1_relators_x3.txt")]),
+        ("_MAX_GROTH_UPDATES", True, ["z-groth", "--beta", "2", "--max-weight", "57142"],
+         ["z-groth", "--beta", "2", "--max-weight", "57143"]),
+        ("_MAX_ENUMERATED", True,
+         lambda: enumerate_group_elements(load_catalog(builtin_catalog_path()), 36),
+         lambda: enumerate_group_elements(load_catalog(builtin_catalog_path()), 37)),
+        ("_MAX_HURWITZ_DENOMINATOR", True, ["kms-bc", "--r", "1/10000", "--beta", "2"],
+         ["kms-bc", "--r", "1/10001", "--beta", "2"]),
+        ("_MAX_TRIAL_DIVISOR", True, ["kms-bc", "--r", "1/999999999989", "--beta", "0.5"],
+         ["kms-bc", "--r", f"1/{1_000_003**2}", "--beta", "0.5"]),
+        ("_MAX_SIEVE", True, ["z-qstar", "--beta", "2", "--mode", "direct", "--n-max",
+                              str(_MAX_SIEVE)],
+         ["z-qstar", "--beta", "2", "--mode", "direct", "--n-max", str(_MAX_SIEVE + 1)]),
+        ("_LERCH_MAX_TERMS", False, lambda: lerch(0.999972, 0.0, 1.0),
+         lambda: lerch(0.999973, 0.0, 1.0)),
+    ]
+
+    @staticmethod
+    def _refusal(capsys, call):
+        """The refusal's text, or None for an answer, of an argv or a call."""
+        if callable(call):
+            try:
+                call()
+            except DomainError as exc:
+                return str(exc)
+            return None
+        code, payload = invoke_json(capsys, *call)
+        assert code in (0, 1)
+        return payload["error"] if code else None
+
+    @pytest.mark.parametrize("cap, up_front, accepted, refused", CAP_TABLE,
+                             ids=[row[0] for row in CAP_TABLE])
+    def test_cap_table(self, capsys, cap, up_front, accepted, refused):
+        start = time.perf_counter()
+        assert self._refusal(capsys, accepted) is None
+        assert time.perf_counter() - start < 2.0
+        start = time.perf_counter()
+        error = self._refusal(capsys, refused)
+        assert time.perf_counter() - start < (0.5 if up_front else 2.0)
+        form = re.fullmatch(r".+ would take (\d+) (.+), more than the work cap of (\d+) \2", error)
+        assert form and int(form[1]) > int(form[3])
 
 
 def _no_constant(name):
@@ -1185,11 +1265,14 @@ class TestSingleEmitPath:
         (["z-qstar", "--beta", "1e308", "--mode", "direct", "--n-max", "10"], 0, None),
         (["derham", "--knot", "3_1", "--root", "1e400"], 1, "root r must be finite"),
         (["derham", "--knot", "3_1", "--root", "nan"], 1, "root r must be finite"),
-        (["bc-normalize", "--word", " ".join(["mu:40000 e:1/3 mu*:40000"] * 40)],
-         1, "bc word would build 80002 terms, more than 80000"),
-        (["alexander", "--braid", " ".join(["1"] * 201)], 1, "a 200x200 determinant block"),
+        (["bc-normalize", "--word", " ".join(["mu:40000 e:1/3 mu*:40000"] * 200)], 1,
+         "bc word would take 700414717564 bit products, "
+         "more than the work cap of 700000000000 bit products"),
+        (["alexander", "--braid", " ".join(["1"] * 201)], 1,
+         "exact determinants would take 700105598389 bit products, "
+         "more than the work cap of 700000000000 bit products"),
         (["alexander", "--file", str(DATA / "7_1_relators_x3.txt")],
-         1, "54264 maximal minors, more than 2000"),
+         1, "54264 maximal minors, more than the work cap of 2000 maximal minors"),
     ])
     def test_defect_inputs(self, capsys, argv, code, needle):
         start = time.perf_counter()
@@ -1207,8 +1290,13 @@ class TestSingleEmitPath:
 
     def test_long_relators_refused_in_time(self, capsys, tmp_path):
         """7_1 with [a^6000, b] appended to each relator: Fox rows are
-        linear in relator length, so the determinant cap answers in time."""
-        from knotstat.knotgroups import builtin_presentation, format_presentation
+        linear in relator length, so the determinant cap answers in time.
+        Each 6x6 minor alone passes the cap; their sum does not."""
+        from knotstat.errors import _MAX_BIG_INT_WORK, _WorkMeter
+        from knotstat.knotgroups import (
+            _bareiss_det, builtin_presentation, format_presentation, fox_matrix,
+            load_presentation,
+        )
 
         head, *relators = format_presentation(builtin_presentation("7_1")).splitlines()
         commutator = " ".join(["a"] * 6000 + ["b"] + ["A"] * 6000 + ["B"])
@@ -1218,7 +1306,15 @@ class TestSingleEmitPath:
         code, payload = invoke_json(capsys, "alexander", "--file", str(path))
         assert time.perf_counter() - start < 2.0
         assert code == 1
-        assert set(payload) == {"error"} and "past the work cap" in payload["error"]
+        assert set(payload) == {"error"} and payload["error"].endswith(
+            f"more than the work cap of {_MAX_BIG_INT_WORK} bit products")
+        p = load_presentation(path)
+        matrix, rows = fox_matrix(p), range(len(p.relators))
+        cols = [j for j in range(p.n_generators) if j != p.basepoint]
+        for dropped in rows:
+            meter = _WorkMeter("a minor", "bit products", _MAX_BIG_INT_WORK)
+            _bareiss_det([[matrix[i][j] for j in cols] for i in rows if i != dropped], meter)
+            assert 0 < meter.spent <= _MAX_BIG_INT_WORK
 
     def test_nan_payload_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "thresholds",

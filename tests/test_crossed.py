@@ -34,7 +34,7 @@ from knotstat.crossed import (
     sigma_n,
     sigma_n_hatpi,
 )
-from knotstat.errors import DomainError
+from knotstat.errors import _MAX_BIG_INT_WORK, DomainError
 from knotstat.specfun import _prime_flags
 
 E = GroupRingElement.e
@@ -51,6 +51,18 @@ def random_element(rng, max_terms=4):
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         terms.append((random_qmodz(rng), coeff))
     return GroupRingElement(terms)
+
+
+def step_charge(terms, level):
+    """The bit products a bc_normalize step over ``terms`` terms of x (times
+    g at mu*) at ``level`` charges before it runs."""
+    bits = level.bit_length()
+    return terms * (bits + 2048) * 64 + 2 * bits * bits
+
+
+def budget_refusal(spent):
+    return (f"^bc word would take {spent} bit products, "
+            f"more than the work cap of {_MAX_BIG_INT_WORK} bit products$")
 
 
 def plus(*xs):
@@ -354,7 +366,8 @@ class TestSigmaAlpha:
         cap = crossed._MAX_PREIMAGES
         assert len(alpha_n(x, cap // 2).terms) == cap
         assert len(idempotent_e(cap).terms) == cap
-        with pytest.raises(DomainError, match=f"{cap + 2} preimage terms"):
+        with pytest.raises(DomainError, match=f"would take {cap + 2} preimage terms, "
+                                              f"more than the work cap of {cap} preimage terms$"):
             alpha_n(x, cap // 2 + 1)
         with pytest.raises(DomainError, match="preimage terms"):
             idempotent_e(cap + 1)
@@ -363,20 +376,32 @@ class TestSigmaAlpha:
             bc_normalize(word)
 
     def test_word_term_budget(self):
-        """A word's steps share one budget, refused before the step past it."""
-        budget = crossed._MAX_WORD_TERMS
-        n = (budget - 2) // 2
-        assert 2 + 2 * n == budget
-        # mu:n and e:1/3 build one term each, mu*:n builds n, then e:1/7 n
-        word = parse_bc_word([f"mu:{n}", "e:1/3", f"mu*:{n}", "e:1/7"])
+        """A word's steps share one budget of bit products, each step charged
+        before it runs, so a word is refused before the step past it."""
+        n = 40_000
+        word = parse_bc_word([f"mu:{n}", "e:1/3", f"mu*:{n}"])
+        spent = 2 * step_charge(1, 1) + step_charge(n, 3)
+        # mu:1 moves no term, but is charged for the n terms at level 3n
+        step = step_charge(n, 3 * n)
+        k = (_MAX_BIG_INT_WORK - spent) // step
+        word += [("mu", 1)] * k
         assert len(bc_normalize(word).x.terms) == n
         for extra in ["e:1/11", "mu:3", "mu*:1"]:
-            with pytest.raises(DomainError, match=f"{budget + n} terms, more than {budget}"):
+            with pytest.raises(DomainError, match=budget_refusal(spent + (k + 1) * step)):
                 bc_normalize(word + parse_bc_word([extra]))
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="more than"):
-            bc_normalize(parse_bc_word("mu:40000 e:1/3 mu*:40000".split() * 40))
-        assert time.perf_counter() - start < 0.5
+        with pytest.raises(DomainError, match=budget_refusal(r"\d+")):
+            bc_normalize(parse_bc_word("mu:40000 e:1/3 mu*:40000".split() * 200))
+        assert time.perf_counter() - start < 2.0
+
+    def test_wide_level_word_refused_in_time(self):
+        """e:1/p over 4000 primes above 10^5 grows the level to 68,000 bits;
+        with terms counted but not key bits it was answered after about 6 s."""
+        primes = [p for p in compress(range(200_000), _prime_flags(199_999)) if p > 10**5]
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=budget_refusal(r"\d+")):
+            bc_normalize([("e", QmodZ.of(1, p)) for p in primes[:4000]])
+        assert time.perf_counter() - start < 2.0
 
     def test_cancelled_denominators_leave_the_level(self):
         """e(1/p) e(-1/p) over 8000 primes: each e step puts x back at its least
@@ -500,6 +525,19 @@ class TestCongruenceInverse:
         with pytest.raises(DomainError):
             congruence_inverse(3, 0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: congruence_inverse(2.5, 5), "n must be an int, got float 2.5"),
+        (lambda: congruence_inverse(True, 5), "n must be an int, got bool True"),
+        (lambda: RhoContext(5).admits(2.5), "n must be an int, got float 2.5"),
+        (lambda: hatpi_member(1.5, QmodZ.of(1, 3), RhoContext(3)),
+         "gamma_exp must be an int, got float 1.5"),
+    ], ids=["congruence_inverse-float", "congruence_inverse-bool", "admits", "hatpi_member"])
+    def test_non_int_refused_by_name(self, call, message):
+        """2.5 raised a raw TypeError, True was read as 1, and hatpi_member
+        read 1.5 as a non-member."""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
 
 def random_word(rng, max_len=12, max_n=5):
     word = []
@@ -589,21 +627,28 @@ class TestNormalForm:
         """The word budget is charged before each step: before the preimage
         cap, n >= 1 and the kind are checked; a malformed token is refused
         before its charge."""
-        cap, budget = crossed._MAX_PREIMAGES, crossed._MAX_WORD_TERMS
-        # the charge (2 + cap + 1) passes, then alpha's cap refuses
-        with pytest.raises(DomainError, match=f"^alpha_{cap + 1} would build {cap + 1} preimage "
-                                              f"terms, more than {cap}$"):
+        cap = crossed._MAX_PREIMAGES
+        # the charge passes, then alpha's cap refuses
+        with pytest.raises(DomainError, match=f"^alpha_{cap + 1} would take {cap + 1} preimage "
+                                              f"terms, more than the work cap of {cap} "
+                                              "preimage terms$"):
             bc_normalize(parse_bc_word([f"mu:{cap + 1}", "e:1/3", f"mu*:{cap + 1}"]))
-        # a step past both the budget and the cap is refused by the budget
-        n = (budget - 2) // 2
+        # a step past both the budget and the cap is refused by the budget:
+        # n odd terms at level 3n, which mu:2 permutes, then mu:1 up to the budget
+        n = 39_999
         spent = parse_bc_word([f"mu:{n}", "e:1/3", f"mu*:{n}", "mu:2"])
+        used = 2 * step_charge(1, 1) + step_charge(n, 3) + step_charge(n, 3 * n)
+        step = step_charge(n, 3 * n)
+        k = (_MAX_BIG_INT_WORK - used) // step
+        spent += [("mu", 1)] * k
+        used += k * step
         assert len(bc_normalize(spent).x.terms) == n and 2 * n > cap
-        with pytest.raises(DomainError, match=f"{budget + 2 * n} terms, more than {budget}"):
+        with pytest.raises(DomainError, match=budget_refusal(used + step_charge(2 * n, 3 * n))):
             bc_normalize(spent + [("mu*", 2)])
         # a spent budget refuses n = 0 and an unknown kind first, but not a
         # token it cannot charge
         for token in [("mu", 0), ("mu*", 0), ("nu", 1)]:
-            with pytest.raises(DomainError, match=f"more than {budget}"):
+            with pytest.raises(DomainError, match=budget_refusal(r"\d+")):
                 bc_normalize(spent + [token])
         with pytest.raises(DomainError, match="needs an int n"):
             bc_normalize(spent + [("mu*", 2.5)])

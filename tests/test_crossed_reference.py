@@ -120,12 +120,12 @@ def words(size):
 
 
 def normalize_or_refuse(word):
-    """bc_normalize's result, or None when the word passes its term budget or
+    """bc_normalize's result, or None when the word passes its work cap or
     the preimage cap, which the uncapped reference would spend seconds on."""
     try:
         return bc_normalize(word)
     except DomainError as exc:
-        assert "more than" in str(exc)
+        assert "more than the work cap of" in str(exc)
         return None
 
 

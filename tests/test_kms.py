@@ -285,6 +285,15 @@ class TestAdelicUnit:
         with pytest.raises(DomainError):
             AdelicUnit.one().residue(0)
 
+    @pytest.mark.parametrize("mapping, message", [
+        ({2.5: 1}, "modulus must be an int, got float 2.5"),
+        ({5: 2.0}, "residue must be an int, got float 2.0"),
+    ])
+    def test_non_int_refused_by_name(self, mapping, message):
+        """A float modulus raised a raw TypeError from gcd."""
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            AdelicUnit.of(mapping)
+
 
 class TestBCLowTemperature:
     def test_label_zero_gives_one(self):
@@ -353,6 +362,15 @@ class TestMonomialAndSupport:
             Monomial.mu(0)
         with pytest.raises(DomainError):
             Monomial.mu(2, -1)
+
+    @pytest.mark.parametrize("n, a, message", [
+        (1.5, 1, "n must be an int, got float 1.5"),
+        (2, True, "a must be an int, got bool True"),
+    ])
+    def test_non_int_mu_refused_by_name(self, n, a, message):
+        """Monomial.mu(1.5) raised a raw TypeError once a product state read it."""
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Monomial.mu(n, a)
 
     def test_duplicate_support_rejected(self):
         g = elem("3_1")

@@ -12,6 +12,7 @@ per-letter word product (of the assembled 4x4 matrices for a direct sum).
 import cmath
 import math
 import random
+import time
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
@@ -24,7 +25,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from knotstat import knotgroups
-from knotstat.errors import PresentationError
+from knotstat.errors import _MAX_BIG_INT_WORK, DomainError, PresentationError
 from knotstat.knotgroups import (
     Abelianization,
     DeRhamRep,
@@ -531,6 +532,24 @@ class TestAlexanderSeifert:
         assert alexander_from_seifert([[-1, 1], [0, -1]]) == alexander_poly_fox(
             builtin_presentation("3_1")
         )
+
+    @pytest.mark.parametrize("n, answered", [(30, True), (40, False)])
+    def test_dense_matrix_work_cap(self, n, answered):
+        """Dense Seifert matrices with entries up to 1000: 30x30 is answered
+        in about 0.8 s, and 40x40, about 6 s uncapped, is refused."""
+        rng = random.Random(1)
+        v = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+        start = time.perf_counter()
+        if answered:
+            coeffs = alexander_from_seifert(v).as_list()
+            # det(V - t V^T) = (-t)^n det(V - V^T / t): palindromic for even n
+            assert len(coeffs) == n + 1 and coeffs == coeffs[::-1]
+        else:
+            with pytest.raises(DomainError, match=f"^exact determinants would take \\d+ bit "
+                                                  "products, more than the work cap of "
+                                                  f"{_MAX_BIG_INT_WORK} bit products$"):
+                alexander_from_seifert(v)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestAmalgamate:

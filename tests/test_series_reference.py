@@ -159,7 +159,7 @@ def test_qstar_omega_table_is_immutable_bytes(fresh_sieve_memo):
         partition._OMEGA[2] = 0
 
 
-@pytest.mark.parametrize("n_max", [partition._MAX_SIEVE + 1, 0, 1000.0, True])
+@pytest.mark.parametrize("n_max", [partition._MAX_SIEVE + 1, 10**7 + 1, 0, 1000.0, True])
 def test_qstar_refused_n_max_leaves_memo_unchanged(fresh_sieve_memo, n_max):
     qstar_partition(2.0, n_max=5000, mode="both")
     omega, memo = partition._OMEGA, dict(partition._SQUAREFREE)
