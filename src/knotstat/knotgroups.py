@@ -411,9 +411,14 @@ class Presentation(Record):
     of single diagrams (each such block carries one redundant relator);
     constructors in this module populate it, hand-built presentations may
     leave it None.  Relators are stored free-reduced.
+
+    The memo is not a field: ``_h1`` holds the ``Abelianization`` and
+    ``_fox`` the Alexander polynomial with the Fox matrix it came from,
+    each derived from the fields on first use and written once, so they
+    take no part in ``==``, ``hash``, ``repr``, ``copy`` or ``pickle``.
     """
 
-    __slots__ = ("generators", "relators", "basepoint", "blocks")
+    __slots__ = ("generators", "relators", "basepoint", "blocks", "_h1", "_fox")
 
     def __init__(
         self,
@@ -464,6 +469,18 @@ class Presentation(Record):
         )
 
 
+def _memo(p: Presentation, slot: str, derive):
+    """``p``'s memo slot ``slot``, set to ``derive(p)`` on first use.  A
+    refusal raised by ``derive`` leaves the slot unset."""
+    try:
+        return getattr(p, slot)
+    except AttributeError:
+        pass
+    value = derive(p)
+    object.__setattr__(p, slot, value)
+    return value
+
+
 def unknot_presentation() -> Presentation:
     """The one-generator, no-relator presentation of the unknot group."""
     return Presentation(generators=("a",), relators=(), basepoint=0, blocks=())
@@ -486,20 +503,28 @@ def braid_to_wirtinger(braid: Sequence[int]) -> Presentation:
     """
     if not braid:
         raise PresentationError("empty braid word")
+    for s in braid:
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise PresentationError(
+                f"braid letters must be ints, got {type(s).__name__} {s!r}"
+            )
     if any(s == 0 for s in braid):
         raise PresentationError("braid letters must be nonzero")
     k = max(abs(s) for s in braid) + 1
 
-    # check the closure is a knot: the braid permutation must be one cycle
-    perm = list(range(k))
-    for s in braid:
-        i = abs(s) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    visited, cur = {0}, perm[0]
-    while cur != 0:
-        visited.add(cur)
-        cur = perm[cur]
-    if len(visited) != k:
+    # check the closure is a knot: the braid permutation must be one k-cycle,
+    # which takes at least k - 1 transpositions, so a shorter word is
+    # refused before its k strands are allocated
+    cycle = 0
+    if len(braid) >= k - 1:
+        perm = list(range(k))
+        for s in braid:
+            i = abs(s) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        cycle, cur = 1, perm[0]
+        while cur != 0:
+            cycle, cur = cycle + 1, perm[cur]
+    if cycle != k:
         raise PresentationError(
             "braid closure is a link with several components, not a knot"
         )
@@ -602,14 +627,20 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     reduced and in range, shifting p2's letters past p1's generators keeps
     them so, and renaming keeps the generator names distinct.
 
-    H_1 is checked once, on the result.  A Wirtinger-like presentation has
-    H_1 free of rank the number of components of its generator graph (see
+    The sum's H_1 is derived from the summands' H_1, not recomputed, and
+    stored in its memo.  A Wirtinger-like presentation has H_1 free of
+    rank the number of components of its generator graph (see
     ``abelianization``), and the identification relator is one edge
-    between the two graphs, so the result has rank c1 + c2 - 1: it is Z
+    between the two graphs, so the sum has rank c1 + c2 - 1: it is Z
     exactly when both inputs are.
     """
     if not (p1.is_wirtinger_like() and p2.is_wirtinger_like()):
         raise PresentationError("amalgamate needs Wirtinger-form presentations")
+    ab = Abelianization(abelianization(p1).free_rank + abelianization(p2).free_rank - 1, ())
+    if not ab.is_infinite_cyclic:
+        raise PresentationError(
+            f"amalgamate needs knot presentations (abelianization Z); the sum has {ab}"
+        )
     taken = set(p1.generators)
     renamed = []
     for name in p2.generators:
@@ -634,11 +665,7 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p = object.__new__(Presentation)
     p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
            p1.basepoint, blocks)
-    ab = abelianization(p)
-    if not ab.is_infinite_cyclic:
-        raise PresentationError(
-            f"amalgamate needs knot presentations (abelianization Z); the sum has {ab}"
-        )
+    object.__setattr__(p, "_h1", ab)
     return p
 
 
@@ -716,7 +743,8 @@ class Abelianization(Record):
 
 
 def abelianization(p: Presentation) -> Abelianization:
-    """H_1 from the relator exponent-sum matrix.
+    """H_1 from the relator exponent-sum matrix, derived once per
+    presentation and kept in its memo.
 
     When every row is zero or e_u - e_v, the matrix is the signed incidence
     matrix of a graph on the generators.  Such a matrix is totally
@@ -725,6 +753,10 @@ def abelianization(p: Presentation) -> Abelianization:
     amalgamated presentations are all of this kind; any other matrix takes
     ``smith_normal_form``.
     """
+    return _memo(p, "_h1", _abelianize)
+
+
+def _abelianize(p: Presentation) -> Abelianization:
     n = p.n_generators
     rows = []
     for word in p.relators:
@@ -837,12 +869,14 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     Wirtinger blocks, the gcd collapses to a single square determinant;
     otherwise more than ``_MAX_MINORS`` minors are refused up front.  The
     determinants share one work meter, refused past ``_MAX_BIG_INT_WORK``.
+    The polynomial is computed once per presentation and kept in its memo.
     """
-    return _alexander_fox(p)[0]
+    return _memo(p, "_fox", _alexander_fox)[0]
 
 
 def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
-    """``alexander_poly_fox(p)`` and the Fox matrix it was computed from."""
+    """``alexander_poly_fox(p)`` and the Fox matrix it was computed from:
+    ``p``'s ``_fox`` memo, whose matrix its readers never change."""
     ab = abelianization(p)
     if not ab.is_infinite_cyclic:
         raise PresentationError(
@@ -980,20 +1014,30 @@ def derham_solve(
     The two square-root branches give the two representations attached to
     the root; the x-vector is branch-independent.  The Fox matrix built
     for the Alexander polynomial is the one the SVD uses, so it is built
-    once per call.
+    once per presentation, whatever the number of roots and branches.
     """
+    import numbers
+
     import numpy as np
 
     if branch not in (1, -1):
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
-    if not cmath.isfinite(r):  # inf overflows Delta(r); NaN stalls the SVD
+    if not isinstance(r, numbers.Complex):
+        raise PresentationError(f"root r must be a number, got {type(r).__name__} {r!r}")
+    # inf overflows Delta(r); NaN stalls the SVD (cmath.isfinite would
+    # overflow on an int past the float range, which is finite)
+    if r != r or abs(r) == math.inf:
         raise PresentationError(f"root r must be finite, got {r}")
-    delta, matrix = _alexander_fox(p)
-    scale = sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0
-    if abs(delta.evaluate(r)) > 1e-10 * scale:
+    delta, matrix = _memo(p, "_fox", _alexander_fox)
+    try:  # an r whose Delta(r) or scale overflows lies far from every root
+        bound = 1e-10 * (sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0)
+        value = abs(delta.evaluate(r))
+    except OverflowError:
+        bound = value = math.inf
+    if not value <= bound < math.inf:
         raise PresentationError(
             f"r={r} is not a root of the Alexander polynomial "
-            f"(|Delta(r)| = {abs(delta.evaluate(r)):.3e})"
+            f"(|Delta(r)| = {value:.3e})"
         )
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     a = np.array(

@@ -1273,6 +1273,12 @@ class TestSingleEmitPath:
          "more than the work cap of 700000000000 bit products"),
         (["alexander", "--file", str(DATA / "7_1_relators_x3.txt")],
          1, "54264 maximal minors, more than the work cap of 2000 maximal minors"),
+        (["derham", "--knot", "3_1", "--root", "1e300"], 1,
+         "r=(1e+300+0j) is not a root of the Alexander polynomial (|Delta(r)| = inf)"),
+        (["derham", "--knot", "3_1", "--root", "1e200+1e200j"], 1,
+         "r=(1e+200+1e+200j) is not a root of the Alexander polynomial (|Delta(r)| = inf)"),
+        (["wirtinger", "--braid", "1000000000"], 1,
+         "braid closure is a link with several components, not a knot"),
     ])
     def test_defect_inputs(self, capsys, argv, code, needle):
         start = time.perf_counter()

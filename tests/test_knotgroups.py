@@ -12,9 +12,11 @@ per-letter word product (of the assembled 4x4 matrices for a direct sum).
 import cmath
 import math
 import random
+import re
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,31 @@ class TestBraidClosure:
         with pytest.raises(PresentationError):
             braid_to_wirtinger(())
 
+    @pytest.mark.parametrize("braid", [(10**6,), (4 * 10**6,), (1, 2, 10**9)])
+    def test_too_short_for_its_strands_refused_before_allocating(self, braid):
+        """A k-cycle takes k - 1 transpositions: a word shorter than max |i|
+        is refused without allocating max |i| + 1 strands."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(PresentationError, match="several components, not a knot$"):
+                braid_to_wirtinger(braid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("braid, text", [
+        ([1.5, 1.5, 1.5], "float 1.5"),
+        ("111", "str '1'"),
+        ([True, True, True], "bool True"),
+        ([1, -2, 1, None], "NoneType None"),
+    ])
+    def test_non_int_letter_refused_by_name(self, braid, text):
+        with pytest.raises(PresentationError, match=f"^braid letters must be ints, got {text}$"):
+            braid_to_wirtinger(braid)
+
 
 class TestAbelianization:
     def test_builtins_are_infinite_cyclic(self):
@@ -588,10 +615,70 @@ class TestAmalgamate:
         for pair in ((trefoil, free2), (free2, trefoil), (free2, unknot_presentation())):
             with pytest.raises(PresentationError, match="abelianization Z"):
                 amalgamate(*pair)
+
+    def test_derived_h1_matches_fresh(self):
+        """The sum's H_1, derived from its summands', is the abelianization
+        of an equal presentation built fresh (whose memo is empty); so is
+        the H_1 that a refusal names."""
+        names = sorted(builtin_braids())
+        cases = [(n1, n2) for n1 in names for n2 in names]
+        cases += [("3_1", "4_1", "7_1"), ("5_2", "5_2", "6_1"), ("6_3", "3_1", "6_2")]
+        for case in cases:
+            s = builtin_presentation(case[0])
+            for name in case[1:]:
+                s = amalgamate(s, builtin_presentation(name))
+                derived = s._h1
+                fresh = Presentation(s.generators, s.relators, s.basepoint, s.blocks)
+                assert fresh == s and not hasattr(fresh, "_h1")
+                assert abelianization(fresh) == derived == Abelianization(1, ())
+            assert abelianization(s) is derived
+        trefoil = builtin_presentation("3_1")
+        free2 = Presentation(generators=("a", "b"), relators=())
+        for p1, p2 in ((trefoil, free2), (free2, trefoil), (free2, unknot_presentation())):
+            n1 = p1.n_generators
+            fresh = Presentation(
+                tuple(f"x{i}" for i in range(n1 + p2.n_generators)),
+                p1.relators
+                + tuple(tuple(x + n1 if x > 0 else x - n1 for x in w) for w in p2.relators)
+                + ((p1.basepoint + 1, -(n1 + p2.basepoint + 1)),),
+            )
+            text = f"the sum has {abelianization(fresh)}"
+            with pytest.raises(PresentationError, match=re.escape(text) + "$"):
+                amalgamate(p1, p2)
         torsion = Presentation(generators=("a",), relators=((1, 1),))
         for pair in ((trefoil, torsion), (torsion, trefoil)):
             with pytest.raises(PresentationError, match="Wirtinger-form"):
                 amalgamate(*pair)
+
+
+class TestMemo:
+    """A presentation derives its H_1 and Fox data once; a refusal leaves
+    nothing behind, and ``fox_matrix`` stays a fresh build."""
+
+    @pytest.mark.parametrize("make, error, text", [
+        (lambda: load_presentation(Path(__file__).parent / "data" / "7_1_relators_x3.txt"),
+         DomainError, "54264 maximal minors, more than the work cap of 2000 maximal minors"),
+        (lambda: Presentation(generators=("a", "b"), relators=()),
+         PresentationError, "needs abelianization Z, got rank 2, torsion ()"),
+        (lambda: Presentation(generators=("a",), relators=((1, 1),)),
+         PresentationError, "needs abelianization Z, got rank 0, torsion (2,)"),
+    ], ids=["minor-cap", "free-rank-2", "torsion"])
+    def test_refusal_caches_nothing(self, make, error, text):
+        p = make()
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(text) + "$"):
+                alexander_poly_fox(p)
+            assert not hasattr(p, "_fox")
+
+    def test_fox_matrix_is_fresh_each_call(self):
+        p = builtin_presentation("5_2")
+        delta = alexander_poly_fox(p)
+        first, second = fox_matrix(p), fox_matrix(p)
+        assert first == second == p._fox[1]
+        assert first is not second and first is not p._fox[1]
+        assert all(a is not b for a, b in zip(first, p._fox[1]))
+        first[0][0] = second[1] = None
+        assert alexander_poly_fox(p) is delta and fox_matrix(p) == p._fox[1]
 
 
 class TestDeRham:
@@ -632,25 +719,48 @@ class TestDeRham:
         with pytest.raises(PresentationError):
             derham_solve(builtin_presentation("3_1"), 1j, branch=2)
 
+    @pytest.mark.parametrize("r", [1e300, 1e200 + 1e200j, -1e160, 10**400])
+    def test_overflowing_root_is_not_a_root(self, r):
+        """Delta(r) or its scale overflows: refused as not a root."""
+        with pytest.raises(PresentationError, match=r"is not a root .*\(\|Delta\(r\)\| = inf\)$"):
+            derham_solve(builtin_presentation("3_1"), r)
+
+    @pytest.mark.parametrize("r, text", [("1", "str '1'"), (None, "NoneType None"),
+                                         ([1j], "list [1j]")])
+    def test_non_number_root_refused_by_name(self, r, text):
+        text = f"root r must be a number, got {text}"
+        with pytest.raises(PresentationError, match=re.escape(text) + "$"):
+            derham_solve(builtin_presentation("3_1"), r)
+
     @pytest.mark.parametrize("name", sorted(builtin_braids()))
     def test_residual_and_shared_fox_matrix(self, name, monkeypatch):
         """At every root and branch: the residual is max |w - I| over the
-        relators by the public per-letter product, and one call builds one
-        Fox matrix, for the Alexander polynomial and the SVD alike."""
-        p = builtin_presentation(name)
-        delta = alexander_poly_fox(p)
-        eye = np.eye(2, dtype=complex)
+        relators by the public per-letter product, and a fresh presentation
+        builds one Fox matrix, for its Alexander polynomial and every SVD."""
         built = []
         monkeypatch.setattr(knotgroups, "fox_matrix",
                             lambda p, build=fox_matrix: built.append(p) or build(p))
+        p = builtin_presentation(name)
+        delta = alexander_poly_fox(p)
+        eye = np.eye(2, dtype=complex)
         for root in alexander_roots(delta):
             for branch in (1, -1):
-                built.clear()
                 rep = derham_solve(p, root, branch)
-                assert built == [p]
                 assert rep.residual == max(
                     float(np.max(np.abs(word_matrix(rep.matrix, word, 2) - eye)))
                     for word in p.relators)
+        assert built == [p]
+
+    def test_cli_derham_builds_one_fox_matrix(self, monkeypatch, capsys):
+        """The CLI's root search and solve share the presentation's memo."""
+        from knotstat import cli
+
+        built = []
+        monkeypatch.setattr(knotgroups, "fox_matrix",
+                            lambda p, build=fox_matrix: built.append(p) or build(p))
+        assert cli.run(["derham", "--knot", "3_1", "--root-index", "0"]) == 0
+        assert "residual" in capsys.readouterr().out
+        assert built == [builtin_presentation("3_1")]
 
     @pytest.mark.parametrize("n1, n2", list(permutations(sorted(builtin_braids()), 2)))
     def test_direct_sum_residual(self, n1, n2):

@@ -23,6 +23,8 @@ from knotstat.knotgroups import (
     DeRhamRep,
     DirectSumRep,
     Presentation,
+    alexander_poly_fox,
+    builtin_presentation,
     unknot_presentation,
 )
 from knotstat.errors import CatalogError, DomainError, PresentationError
@@ -157,6 +159,26 @@ def test_uncompared_fields():
     cat = Catalog((REC,))
     assert cat.index == {"3_1": REC} and cat.weights == {"3_1": 4}
     assert hash(cat) == hash(((REC,),))
+
+
+def test_presentation_memo_is_invisible():
+    """Filling a presentation's memo changes none of its record behaviour;
+    copies and pickles carry the fields alone."""
+    p = builtin_presentation("5_2")
+
+    def observed():
+        clones = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)))
+        return (p == builtin_presentation("5_2"), hash(p), repr(p),
+                [(type(c), c == p, hash(c), repr(c), hasattr(c, "_fox")) for c in clones],
+                pickle.dumps(p))
+
+    before = observed()
+    alexander_poly_fox(p)
+    assert hasattr(p, "_h1") and hasattr(p, "_fox")
+    assert observed() == before
+    assert not any(has_memo for *_, has_memo in before[3])
+    with pytest.raises(AttributeError, match="cannot assign to field '_fox'"):
+        p._fox = None
 
 
 def test_constructor_validation_kept():
