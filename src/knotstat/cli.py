@@ -428,11 +428,17 @@ def _cmd_alexander(args) -> dict:
     from . import knotgroups as _kg
 
     if args.seifert:
-        rows = [
-            [int(x) for x in row.split()]
-            for row in args.seifert.split(";")
-            if row.strip()
-        ]
+        try:
+            rows = [
+                [int(x) for x in row.split()]
+                for row in args.seifert.split(";")
+                if row.strip()
+            ]
+        except ValueError:
+            raise KnotstatError(
+                f"--seifert takes integer rows separated by ';', as in 'a b; c d', "
+                f"got {args.seifert!r}"
+            ) from None
         poly = _kg.alexander_from_seifert(rows)
         return {
             "method": "seifert",

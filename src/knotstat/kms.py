@@ -246,7 +246,13 @@ class AdelicUnit(Record):
 
 
 def _unit_phase(r: QmodZ, u: AdelicUnit) -> QmodZ:
-    """The rotated label u_b * r, the root of unity u(r)."""
+    """The rotated label u_b * r, the root of unity u(r); an ``r`` that is
+    not a ``QmodZ`` or a ``u`` that is not an ``AdelicUnit`` is refused by
+    name."""
+    if not isinstance(r, QmodZ):
+        raise DomainError(f"r must be a QmodZ, got {type(r).__name__} {r!r}")
+    if not isinstance(u, AdelicUnit):
+        raise DomainError(f"u must be an AdelicUnit, got {type(u).__name__} {u!r}")
     return r.scale(u.residue(r.denominator))
 
 

@@ -147,9 +147,12 @@ class LaurentPoly:
         return _poly(low, tuple(out))
 
     def evaluate(self, z: complex) -> complex:
+        """The sum of c z^e over the nonzero terms, lowest exponent first,
+        read straight from the dense coefficients."""
         total = 0j
-        for e, c in self.coeffs:
-            total += c * z**e
+        for e, c in enumerate(self._c, self._low):
+            if c:
+                total += c * z**e
         return total
 
     def normalized(self) -> "LaurentPoly":
@@ -205,6 +208,7 @@ def _poly(low: int, c: tuple[int, ...]) -> LaurentPoly:
 
 _ZERO = _poly(0, ())
 _ONE = _poly(0, (1,))
+_MINUS_ONE = _poly(0, (-1,))
 
 
 def _poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -412,13 +416,15 @@ class Presentation(Record):
     constructors in this module populate it, hand-built presentations may
     leave it None.  Relators are stored free-reduced.
 
-    The memo is not a field: ``_h1`` holds the ``Abelianization`` and
-    ``_fox`` the Alexander polynomial with the Fox matrix it came from,
-    each derived from the fields on first use and written once, so they
-    take no part in ``==``, ``hash``, ``repr``, ``copy`` or ``pickle``.
+    The memo is not a field: its slots hold one datum each, ``_h1`` the
+    ``Abelianization``, ``_fox`` the Fox matrix (never changed by its
+    readers) and ``_delta`` the Alexander polynomial.  Each is derived
+    from the fields on first use, or by ``amalgamate`` from the summands'
+    memo, and written once, so they take no part in ``==``, ``hash``,
+    ``repr``, ``copy`` or ``pickle``.
     """
 
-    __slots__ = ("generators", "relators", "basepoint", "blocks", "_h1", "_fox")
+    __slots__ = ("generators", "relators", "basepoint", "blocks", "_h1", "_fox", "_delta")
 
     def __init__(
         self,
@@ -633,6 +639,14 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     ``abelianization``), and the identification relator is one edge
     between the two graphs, so the sum has rank c1 + c2 - 1: it is Z
     exactly when both inputs are.
+
+    So is the sum's Fox matrix, when both summands hold theirs: a Fox row
+    depends on its relator alone, so the sum's rows are p1's padded on
+    the right with zeros, p2's shifted right by n1 columns, and the
+    identification relator's, +1 at p1's basepoint and -1 at n1 plus
+    p2's.  When either summand has none yet, none is built here, so
+    ``amalgamate`` stays linear in the presentations' size; the sum then
+    builds its own on first use.
     """
     if not (p1.is_wirtinger_like() and p2.is_wirtinger_like()):
         raise PresentationError("amalgamate needs Wirtinger-form presentations")
@@ -666,6 +680,14 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
            p1.basepoint, blocks)
     object.__setattr__(p, "_h1", ab)
+    try:
+        fox1, fox2 = p1._fox, p2._fox
+    except AttributeError:
+        return p
+    pad1, pad2 = [_ZERO] * p2.n_generators, [_ZERO] * n1
+    row = pad2 + pad1
+    row[p1.basepoint], row[n1 + p2.basepoint] = _ONE, _MINUS_ONE
+    object.__setattr__(p, "_fox", [r + pad1 for r in fox1] + [pad2 + r for r in fox2] + [row])
     return p
 
 
@@ -869,14 +891,14 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     Wirtinger blocks, the gcd collapses to a single square determinant;
     otherwise more than ``_MAX_MINORS`` minors are refused up front.  The
     determinants share one work meter, refused past ``_MAX_BIG_INT_WORK``.
-    The polynomial is computed once per presentation and kept in its memo.
+    The polynomial and the Fox matrix are each computed once per
+    presentation and kept in its memo.
     """
-    return _memo(p, "_fox", _alexander_fox)[0]
+    return _memo(p, "_delta", _alexander_fox)
 
 
-def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]]]:
-    """``alexander_poly_fox(p)`` and the Fox matrix it was computed from:
-    ``p``'s ``_fox`` memo, whose matrix its readers never change."""
+def _alexander_fox(p: Presentation) -> LaurentPoly:
+    """``alexander_poly_fox(p)`` from ``p``'s memoized Fox matrix."""
     ab = abelianization(p)
     if not ab.is_infinite_cyclic:
         raise PresentationError(
@@ -888,7 +910,7 @@ def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]
     if rows is None:
         _WorkMeter(f"{len(p.relators)} relators without recorded Wirtinger blocks",
                    "maximal minors", _MAX_MINORS).charge(math.comb(len(p.relators), len(cols)))
-    matrix = fox_matrix(p)
+    matrix = _memo(p, "_fox", fox_matrix)
     # without known redundancy: the gcd over all maximal minors, which share one meter
     subsets = [rows] if rows is not None else combinations(range(len(p.relators)), len(cols))
     meter = _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
@@ -897,7 +919,7 @@ def _alexander_fox(p: Presentation) -> tuple[LaurentPoly, list[list[LaurentPoly]
         acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset], meter))
         if acc == _ONE:
             break
-    return acc, matrix
+    return acc
 
 
 def alexander_from_seifert(
@@ -980,22 +1002,26 @@ class DeRhamRep(Record):
 def _max_relator_residual(p: Presentation, matrix) -> float:
     """max |w - I| over the relators w under the 2x2 generator matrices
     ``matrix(j)``: each relator's product of its letters' matrices (the
-    inverse for a letter < 0), with each signed letter's matrix built once
-    per call."""
+    inverse for a letter < 0), from the identity left to right.
+
+    Batched: the generator matrices are stacked and inverted in one call,
+    and the relators of one length are multiplied together, one letter
+    position per ``@``, in the same order as one relator at a time."""
     import numpy as np
 
-    steps = {}
+    n = p.n_generators
+    gens = np.array([matrix(j) for j in range(n)])
+    steps = np.concatenate((gens, np.linalg.inv(gens)))
+    by_length: dict[int, list[list[int]]] = {}
     for word in p.relators:
-        for letter in word:
-            if letter not in steps:
-                m = matrix(abs(letter) - 1)
-                steps[letter] = m if letter > 0 else np.linalg.inv(m)
-    worst = 0.0
+        by_length.setdefault(len(word), []).append(
+            [letter - 1 if letter > 0 else n - letter - 1 for letter in word])
     eye = np.eye(2, dtype=complex)
-    for word in p.relators:
+    worst = 0.0
+    for words in by_length.values():
         out = eye
-        for letter in word:
-            out = out @ steps[letter]
+        for position in np.array(words).T:
+            out = out @ steps[position]
         worst = max(worst, float(np.max(np.abs(out - eye))))
     return worst
 
@@ -1028,7 +1054,8 @@ def derham_solve(
     # overflow on an int past the float range, which is finite)
     if r != r or abs(r) == math.inf:
         raise PresentationError(f"root r must be finite, got {r}")
-    delta, matrix = _memo(p, "_fox", _alexander_fox)
+    delta = _memo(p, "_delta", _alexander_fox)
+    matrix = _memo(p, "_fox", fox_matrix)
     try:  # an r whose Delta(r) or scale overflows lies far from every root
         bound = 1e-10 * (sum(abs(c) * abs(r) ** e for e, c in delta.coeffs) or 1.0)
         value = abs(delta.evaluate(r))
@@ -1041,7 +1068,7 @@ def derham_solve(
         )
     cols = [j for j in range(p.n_generators) if j != p.basepoint]
     a = np.array(
-        [[matrix[i][j].evaluate(r) for j in cols] for i in range(len(p.relators))],
+        [[e.evaluate(r) if e._c else 0j for e in map(row.__getitem__, cols)] for row in matrix],
         dtype=complex,
     )
     _, sigma, vh = np.linalg.svd(a)

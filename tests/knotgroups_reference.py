@@ -6,7 +6,8 @@ construction, with the Fraction Euclid for gcds.  It is slow but follows
 the definitions term by term, so the property tests compare the dense
 integer implementation against it: arithmetic, ``normalized``, ``str``,
 ``==``/``hash``, Bareiss determinants, exact division, gcds, Fox rows and
-the gcd-of-minors Alexander fallback.
+the gcd-of-minors Alexander fallback.  It also keeps the per-letter relator
+residual of the triangular representations, the oracle of the batched one.
 """
 
 from __future__ import annotations
@@ -276,3 +277,26 @@ def alexander_minor_gcd(
         if acc == LaurentPoly.one():
             break
     return acc.normalized()
+
+
+def max_relator_residual(p, matrix) -> float:
+    """max |w - I| over the relators w of ``p`` under the 2x2 generator
+    matrices ``matrix(j)``: each relator multiplied one letter at a time
+    from the identity, with each signed letter's matrix (``np.linalg.inv``
+    of it for a letter < 0) built once per call."""
+    import numpy as np
+
+    steps = {}
+    for word in p.relators:
+        for letter in word:
+            if letter not in steps:
+                m = matrix(abs(letter) - 1)
+                steps[letter] = m if letter > 0 else np.linalg.inv(m)
+    worst = 0.0
+    eye = np.eye(2, dtype=complex)
+    for word in p.relators:
+        out = eye
+        for letter in word:
+            out = out @ steps[letter]
+        worst = max(worst, float(np.max(np.abs(out - eye))))
+    return worst

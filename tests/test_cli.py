@@ -746,6 +746,13 @@ class TestPresentationCommands:
         assert payload["coefficients"] == [1, -1, 1]
         assert payload["method"] == "seifert"
 
+    @pytest.mark.parametrize("text", ["[[1]]", "[[1, 2], [3]]", "x"])
+    def test_alexander_seifert_refusal_names_the_flag(self, capsys, text):
+        code, payload = invoke_json(capsys, "alexander", "--seifert", text)
+        assert code == 1 and set(payload) == {"error"}
+        assert payload["error"] == (f"--seifert takes integer rows separated by ';', "
+                                    f"as in 'a b; c d', got {text!r}")
+
     def test_alexander_link_rejected(self, capsys):
         code, payload = invoke_json(capsys, "alexander", "--braid", "1 1")
         assert code == 1

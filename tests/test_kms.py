@@ -8,6 +8,7 @@ checks compare two independently computed sides at huge exact weights.
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -344,6 +345,16 @@ class TestBCLowTemperature:
             bc_low_temperature(QmodZ.of(1, 2), 1.0)
         with pytest.raises(DomainError, match="beta"):
             bc_low_temperature(QmodZ.of(1, 2), 0.5)
+
+    @pytest.mark.parametrize("args, text", [
+        ((2.0, 0.5), "r must be a QmodZ, got float 2.0"),
+        (("1/2", 2.0), "r must be a QmodZ, got str '1/2'"),
+        ((None, 2.0), "r must be a QmodZ, got NoneType None"),
+        ((QmodZ.of(1, 2), 2.0, 3), "u must be an AdelicUnit, got int 3"),
+    ], ids=["swapped", "str-r", "none-r", "int-u"])
+    def test_wrong_argument_types_refused_by_name(self, args, text):
+        with pytest.raises(DomainError, match=re.escape(text) + "$"):
+            bc_low_temperature(*args)
 
 
 class TestMonomialAndSupport:

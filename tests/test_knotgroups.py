@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import knotgroups_reference as ref
 from knotstat import knotgroups
 from knotstat.errors import _MAX_BIG_INT_WORK, DomainError, PresentationError
 from knotstat.knotgroups import (
@@ -580,6 +581,10 @@ class TestAlexanderSeifert:
 
 
 class TestAmalgamate:
+    # every ordered builtin pair and three triples
+    SUMS = [(n1, n2) for n1 in sorted(builtin_braids()) for n2 in sorted(builtin_braids())]
+    SUMS += [("3_1", "4_1", "7_1"), ("5_2", "5_2", "6_1"), ("6_3", "3_1", "6_2")]
+
     def test_generator_and_relator_counts(self):
         p = amalgamate(builtin_presentation("3_1"), builtin_presentation("4_1"))
         assert p.n_generators == 7
@@ -620,10 +625,7 @@ class TestAmalgamate:
         """The sum's H_1, derived from its summands', is the abelianization
         of an equal presentation built fresh (whose memo is empty); so is
         the H_1 that a refusal names."""
-        names = sorted(builtin_braids())
-        cases = [(n1, n2) for n1 in names for n2 in names]
-        cases += [("3_1", "4_1", "7_1"), ("5_2", "5_2", "6_1"), ("6_3", "3_1", "6_2")]
-        for case in cases:
+        for case in self.SUMS:
             s = builtin_presentation(case[0])
             for name in case[1:]:
                 s = amalgamate(s, builtin_presentation(name))
@@ -650,10 +652,55 @@ class TestAmalgamate:
             with pytest.raises(PresentationError, match="Wirtinger-form"):
                 amalgamate(*pair)
 
+    def test_sum_fox_matrix_from_summands(self):
+        """With the summands' Fox matrices memoized, the sum's memo holds
+        ``fox_matrix`` of the sum: every ordered builtin pair, three triples,
+        and the unknot on either side."""
+        cases = [[builtin_presentation(name) for name in case] for case in self.SUMS]
+        knot, unknot = builtin_presentation("5_2"), unknot_presentation()
+        cases += [[knot, unknot], [unknot, knot], [unknot, unknot]]
+        for summands in cases:
+            for q in summands:
+                alexander_poly_fox(q)
+            s = summands[0]
+            for q in summands[1:]:
+                s = amalgamate(s, q)
+                assert s._fox == fox_matrix(s) and not hasattr(s, "_delta")
+
+    def test_sum_of_memoized_summands_builds_no_fox_matrix(self, monkeypatch):
+        """A sum of memoized summands takes its Fox matrix from them; an
+        equal presentation built fresh gives the same polynomial."""
+        built = []
+        monkeypatch.setattr(knotgroups, "fox_matrix",
+                            lambda p, build=fox_matrix: built.append(p) or build(p))
+        summands = [builtin_presentation(name) for name in ("7_1", "6_3", "5_2")]
+        for q in summands:
+            alexander_poly_fox(q)
+        built.clear()
+        s = amalgamate(amalgamate(summands[0], summands[1]), summands[2])
+        delta = alexander_poly_fox(s)
+        assert built == []
+        fresh = Presentation(s.generators, s.relators, s.basepoint, s.blocks)
+        assert alexander_poly_fox(fresh) == delta and built == [fresh]
+
+    def test_summand_without_fox_matrix_leaves_the_sum_to_build_its_own(self, monkeypatch):
+        """``amalgamate`` builds no summand's Fox matrix; the sum then
+        builds its own on first use."""
+        built = []
+        monkeypatch.setattr(knotgroups, "fox_matrix",
+                            lambda p, build=fox_matrix: built.append(p) or build(p))
+        p1, p2 = builtin_presentation("3_1"), builtin_presentation("4_1")
+        alexander_poly_fox(p1)
+        s = amalgamate(p1, p2)
+        assert not hasattr(s, "_fox") and not hasattr(p2, "_fox")
+        assert alexander_poly_fox(s).as_list() == [1, -4, 5, -4, 1]
+        assert built == [p1, s] and s._fox == fox_matrix(s)
+
 
 class TestMemo:
-    """A presentation derives its H_1 and Fox data once; a refusal leaves
-    nothing behind, and ``fox_matrix`` stays a fresh build."""
+    """A presentation derives its H_1, its Fox matrix and its Alexander
+    polynomial once; a refusal leaves the polynomial's slot unset, and
+    ``fox_matrix`` stays a fresh build."""
 
     @pytest.mark.parametrize("make, error, text", [
         (lambda: load_presentation(Path(__file__).parent / "data" / "7_1_relators_x3.txt"),
@@ -668,17 +715,30 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(error, match=re.escape(text) + "$"):
                 alexander_poly_fox(p)
-            assert not hasattr(p, "_fox")
+            assert not hasattr(p, "_fox") and not hasattr(p, "_delta")
+
+    def test_work_meter_refusal_leaves_polynomial_unset(self, monkeypatch):
+        """A determinant refused by the work meter leaves ``_delta`` unset
+        (the Fox matrix it ran on stays memoized), and the same call
+        answers once the cap allows it."""
+        p = builtin_presentation("5_2")
+        monkeypatch.setattr(knotgroups, "_MAX_BIG_INT_WORK", 10)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="more than the work cap of 10 bit products$"):
+                alexander_poly_fox(p)
+            assert not hasattr(p, "_delta") and p._fox == fox_matrix(p)
+        monkeypatch.undo()
+        assert alexander_poly_fox(p) == alexander_poly_fox(builtin_presentation("5_2"))
 
     def test_fox_matrix_is_fresh_each_call(self):
         p = builtin_presentation("5_2")
         delta = alexander_poly_fox(p)
         first, second = fox_matrix(p), fox_matrix(p)
-        assert first == second == p._fox[1]
-        assert first is not second and first is not p._fox[1]
-        assert all(a is not b for a, b in zip(first, p._fox[1]))
+        assert first == second == p._fox
+        assert first is not second and first is not p._fox
+        assert all(a is not b for a, b in zip(first, p._fox))
         first[0][0] = second[1] = None
-        assert alexander_poly_fox(p) is delta and fox_matrix(p) == p._fox[1]
+        assert alexander_poly_fox(p) is delta and fox_matrix(p) == p._fox
 
 
 class TestDeRham:
@@ -750,6 +810,43 @@ class TestDeRham:
                     float(np.max(np.abs(word_matrix(rep.matrix, word, 2) - eye)))
                     for word in p.relators)
         assert built == [p]
+
+    def test_residual_matches_per_letter_oracle(self):
+        """The batched residual has the bits of the per-letter product of
+        ``knotgroups_reference``: every builtin knot at every root and
+        branch, 3_1 # 4_1 and 7_1 # 6_3 # 5_2."""
+        cases = [builtin_presentation(name) for name in sorted(builtin_braids())]
+        cases.append(amalgamate(builtin_presentation("3_1"), builtin_presentation("4_1")))
+        cases.append(amalgamate(amalgamate(builtin_presentation("7_1"), builtin_presentation("6_3")),
+                                builtin_presentation("5_2")))
+        for p in cases:
+            for root in alexander_roots(alexander_poly_fox(p)):
+                for branch in (1, -1):
+                    rep = derham_solve(p, root, branch)
+                    oracle = ref.max_relator_residual(p, rep.matrix)
+                    assert rep.residual.hex() == oracle.hex(), (p, root, branch)
+
+    def test_direct_sum_residual_matches_per_letter_oracle(self):
+        """``derham_direct_sum`` over every ordered builtin pair, two
+        representations of each knot (256 sums): its residual has the bits
+        of the per-letter oracle on both blocks."""
+        reps = {}
+        for name in sorted(builtin_braids()):
+            p = builtin_presentation(name)
+            roots = alexander_roots(alexander_poly_fox(p))
+            reps[name] = (derham_solve(p, roots[0]), derham_solve(p, roots[-1], branch=-1))
+        pairs = [(r1, r2) for reps1 in reps.values() for reps2 in reps.values()
+                 for r1 in reps1 for r2 in reps2]
+        assert len(pairs) == 256
+        for r1, r2 in pairs:
+            rep = derham_direct_sum(r1, r2)
+            amal = rep.presentation
+            top = r1.x_values + (0j,) * len(r2.x_values)
+            bottom = (0j,) * len(r1.x_values) + r2.x_values
+            oracle = max(
+                ref.max_relator_residual(amal, DeRhamRep(amal, r.root, r.sqrt_root, xs, 0.0, 0).matrix)
+                for r, xs in ((r1, top), (r2, bottom)))
+            assert rep.residual.hex() == oracle.hex()
 
     def test_cli_derham_builds_one_fox_matrix(self, monkeypatch, capsys):
         """The CLI's root search and solve share the presentation's memo."""

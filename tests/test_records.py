@@ -169,16 +169,18 @@ def test_presentation_memo_is_invisible():
     def observed():
         clones = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)))
         return (p == builtin_presentation("5_2"), hash(p), repr(p),
-                [(type(c), c == p, hash(c), repr(c), hasattr(c, "_fox")) for c in clones],
+                [(type(c), c == p, hash(c), repr(c), hasattr(c, "_fox") or hasattr(c, "_delta"))
+                 for c in clones],
                 pickle.dumps(p))
 
     before = observed()
     alexander_poly_fox(p)
-    assert hasattr(p, "_h1") and hasattr(p, "_fox")
+    assert hasattr(p, "_h1") and hasattr(p, "_fox") and hasattr(p, "_delta")
     assert observed() == before
     assert not any(has_memo for *_, has_memo in before[3])
-    with pytest.raises(AttributeError, match="cannot assign to field '_fox'"):
-        p._fox = None
+    for slot in ("_fox", "_delta"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{slot}'"):
+            setattr(p, slot, None)
 
 
 def test_constructor_validation_kept():
