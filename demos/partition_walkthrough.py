@@ -8,16 +8,24 @@ truncation tail, then checks two structural identities: the
 Grothendieck-group partition function Z_G = Z_a(beta)^2 / Z_a(2 beta),
 and the multiplicative-integers toy model whose value at beta = 2 is
 zeta(2)^2 / zeta(4) = 5/2 exactly.  It closes with the weighted product
-function Z_tau over all group elements of invariant weight <= 12,
-whose truncations stabilize for beta > 1 and diverge at beta = 1.
+function Z_tau over all group elements of invariant weight <= 12, taken
+by weight class from their counts, whose truncations stabilize for
+beta > 1 and diverge at beta = 1.
 
 Run:  python3 demos/partition_walkthrough.py
 """
 
 from knotstat.catalog import builtin_catalog
 from knotstat.errors import DomainError
-from knotstat.partition import qstar_partition, z_alternating, z_grothendieck, z_tau
-from knotstat.semigroup import WeightFunction, enumerate_group_elements, f_weight
+from knotstat.partition import (
+    groth_weight_counts,
+    qstar_partition,
+    weight_classes,
+    z_alternating,
+    z_grothendieck,
+    z_tau,
+)
+from knotstat.semigroup import WeightFunction
 
 
 def main() -> None:
@@ -56,18 +64,19 @@ def main() -> None:
 
     print()
     print("Z_tau over group elements of invariant weight <= 12")
-    w = WeightFunction(q=q)
-    values = [f_weight(g, w, cat) for g, _ in enumerate_group_elements(cat, 12)]
-    print(f"  {len(values)} group elements; weights range "
-          f"2^0 .. 2^{max(values).bit_length() - 1}")
+    scale = WeightFunction(q=q).exponent_scale
+    counts = groth_weight_counts(cat.weights.values(), 12)
+    classes = weight_classes(counts, q, scale)
+    top = max(v for v, g_v in enumerate(counts) if g_v)
+    print(f"  {sum(counts)} group elements; weights range {q}^0 .. {q}^{scale * top}")
     for beta in (1.5, 2.0):
-        res = z_tau(beta, values)
+        res = z_tau(beta, classes)
         print(
             f"  beta = {beta:4.1f}   Z_tau = {res.value:.12f}   "
             f"truncation gap {res.details['stabilization']:.1e}"
         )
     try:
-        z_tau(1.0, values)
+        z_tau(1.0, classes)
     except DomainError as exc:
         print(f"  beta = 1.0   rejected: {exc}")
 

@@ -70,7 +70,9 @@ class KnotRecord(Record):
 
     Every field but the flags is an ``int``; the crossing number is at
     least 3, the genus at least 1, and the Alexander coefficients are
-    nonempty, palindromic and sum to +-1 (Delta(1) = +-1).
+    nonempty, palindromic and sum to +-1 (Delta(1) = +-1), and span a
+    degree of at most 2g (Seifert: a genus-g surface has a 2g x 2g
+    Seifert matrix V, and Delta = det(V - t V^T)).
     """
 
     __slots__ = ("name", "crossing_number", "genus", "alternating", "torus",
@@ -107,6 +109,12 @@ class KnotRecord(Record):
             raise CatalogError(
                 f"record {name}: Alexander coefficients must be palindromic, "
                 f"got {list(alexander_coeffs)}"
+            )
+        support = [i for i, coeff in enumerate(alexander_coeffs) if coeff]
+        if support[-1] - support[0] > 2 * genus:
+            raise CatalogError(
+                f"record {name}: Alexander polynomial of degree {support[-1] - support[0]} "
+                f"breaks Seifert's bound deg Delta <= 2g = {2 * genus}"
             )
         self._set(name, crossing_number, genus, alternating, torus, alexander_coeffs)
 

@@ -177,26 +177,11 @@ def _cmd_z_qstar(args) -> dict:
 def _cmd_z_tau(args) -> dict:
     from . import partition as _pt
     from . import semigroup as _sg
-    from .specfun import _huge_weight_cut
 
-    # f(g) = q^(scale * v) depends on g only through its weight v, so the
-    # product runs over the G(v) group elements of each weight at once.
     cat = _load_catalog(args)
     scale = _sg.WeightFunction(q=args.q).exponent_scale
     counts = _pt.groth_weight_counts(cat.weights.values(), args.max_weight)
-    # Every class with f above the huge-weight cut is a factor 1.0 that z_tau
-    # only counts, so those classes go in as one entry, keyed by the first such
-    # f; the cut falls as beta grows, and z_tau takes only beta > 1.
-    cut = _huge_weight_cut(1.0)
-    f_counts = {}
-    for v, g_v in enumerate(counts):
-        if g_v:
-            f = args.q ** (scale * v)
-            if f > cut:
-                f_counts[f] = sum(counts[v:])
-                break
-            f_counts[f] = g_v
-    result = _pt.z_tau(args.beta, f_counts, n_rho=args.n_rho)
+    result = _pt.z_tau(args.beta, _pt.weight_classes(counts, args.q, scale), n_rho=args.n_rho)
     return _series_payload(
         result, beta=args.beta, q=args.q, n_rho=args.n_rho,
         max_weight=args.max_weight, group_elements=sum(counts),

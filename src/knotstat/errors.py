@@ -36,7 +36,8 @@ class _WorkMeter:
     """Units of work one call has spent, refused past a limit: every cost cap
     refuses through ``charge``, in one form naming the work, the units spent
     or needed and the limit.  A loop charges each row or step as it goes; a
-    check up front charges the whole size before it allocates."""
+    check up front charges the whole size before it allocates, or, through
+    ``check``, refuses a lower bound of what a loop would charge."""
 
     __slots__ = ("work", "unit", "limit", "spent")
 
@@ -48,3 +49,10 @@ class _WorkMeter:
         if self.spent > self.limit:
             raise DomainError(f"{self.work} would take {self.spent} {self.unit}, "
                               f"more than the work cap of {self.limit} {self.unit}")
+
+    def check(self, units: int) -> None:
+        """Refuse as ``charge`` does if ``units`` more would pass the limit, and
+        charge nothing otherwise: ``units`` is a lower bound of work that a
+        loop charges as it runs, checked before the loop allocates."""
+        if self.spent + units > self.limit:
+            self.charge(units)

@@ -307,7 +307,7 @@ def _bareiss_det(matrix: list[list[LaurentPoly]],
     meter = meter or _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
     det = _ONE
     for rows, cols in blocks.values():
-        block = _kronecker_values([[matrix[i][j] for j in cols] for i in rows])
+        block = _kronecker_values([[matrix[i][j] for j in cols] for i in rows], meter)
         det *= _kronecker_det(*block, meter)
     rows = [i for block in blocks.values() for i in block[0]]
     cols = [j for block in blocks.values() for j in block[1]]
@@ -328,7 +328,14 @@ def _is_odd(order: list[int]) -> bool:
     return (len(order) - cycles) % 2 == 1
 
 
-def _kronecker_values(matrix: list[list[LaurentPoly]]) -> tuple[list[list[int]], int, int]:
+# Blocks of at least this many bits at t = 2^K (K n^2) are checked against the
+# work meter before their values are built; a 3-summand Fox sum's blocks stay
+# below 700, a 30x30 dense Seifert matrix reaches about 400,000.
+_CHECKED_BLOCK_BITS = 1 << 16
+
+
+def _kronecker_values(matrix: list[list[LaurentPoly]],
+                      meter: _WorkMeter) -> tuple[list[list[int]], int, int]:
     """A square matrix without zero rows at t = 2^K, with K and a shift.
 
     Each row is divided by t to its lowest exponent (the shift is their
@@ -337,9 +344,24 @@ def _kronecker_values(matrix: list[list[LaurentPoly]]) -> tuple[list[list[int]],
     the rows of their entries' coefficient 1-norms, so with 2^(K-1) > B
     they are the balanced base-2^K digits of the determinant of the integer
     matrix returned (evaluation is a ring homomorphism).
+
+    An entry whose top exponent is d above its row's lowest has at least
+    K d bits at t = 2^K, since its lower digits sum to less than 2^(Kd-1).
+    So before a block of ``_CHECKED_BLOCK_BITS`` or more is built, K^2 times
+    the first elimination step's charge in those degrees (pivot times row,
+    and column entry times pivot row, over the rows below the pivot) is
+    checked against ``meter``, uncharged: a block the first step would
+    refuse is refused before its values exist.
     """
     lows = [min(e._low for e in row if e._c) for row in matrix]
     k = math.prod(sum(abs(c) for e in row for c in e._c) for row in matrix).bit_length() + 1
+    if k * len(matrix) ** 2 >= _CHECKED_BLOCK_BITS:
+        degrees = [[e._low + len(e._c) - 1 - low if e._c else 0 for e in row]
+                   for row, low in zip(matrix, lows)]
+        top = next(i for i, row in enumerate(matrix) if row[0]._c)  # the first pivot row
+        pivot, tail = degrees[top][0], sum(degrees[top][1:])
+        meter.check(k * k * sum(pivot * sum(row[1:]) + row[0] * tail
+                                for i, row in enumerate(degrees) if i != top))
     m = []
     for row, low in zip(matrix, lows):
         values = []

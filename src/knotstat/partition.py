@@ -62,6 +62,7 @@ __all__ = [
     "z_alternating",
     "z_grothendieck",
     "groth_weight_counts",
+    "weight_classes",
     "qstar_partition",
     "z_knots_times_n",
     "z_tau",
@@ -366,6 +367,14 @@ def _multiset_weight_counts(weights: Iterable[int], max_weight: int) -> list[int
     return counts
 
 
+def _weight_series(counts: Sequence[int], beta: float, q: int, max_weight: int, half: float):
+    """The direct sum of counts[v] x^v at x = q^-beta (``math.fsum``, ascending
+    v), its number of nonzero terms, and the two-temperature tail bound
+    sum_{v > W} c(v) x^v <= x^((W+1)/2) * half, ``half`` being the series at beta/2."""
+    terms = [c * _pow_q(q, -beta * v) for v, c in enumerate(counts) if c]
+    return math.fsum(terms), len(terms), _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
+
+
 def _checked_closed_form(
     mode: str, closed_mode: str, closed: float, closed_terms: int, direct_sum, tol: float,
     **extra_details: float,
@@ -499,19 +508,11 @@ def z_alternating(
         )
 
     cat = source
-
-    def direct_sum() -> tuple[float, int, float]:
-        counts = _multiset_weight_counts([rec.weight for rec in cat], max_weight)
-        direct = math.fsum(m_v * _pow_q(q, -beta * v) for v, m_v in enumerate(counts) if m_v)
-        used = sum(1 for m_v in counts if m_v)
-        tail = _pow_q(q, -beta * (max_weight + 1) / 2.0) * _catalog_product(
-            beta / 2.0, q, cat
-        )
-        return direct, used, tail
-
     return _checked_closed_form(
-        mode, "product", _catalog_product(beta, q, cat),
-        len(weights_with_counts(cat)), direct_sum, tol,
+        mode, "product", _catalog_product(beta, q, cat), len(weights_with_counts(cat)),
+        lambda: _weight_series(_multiset_weight_counts([rec.weight for rec in cat], max_weight),
+                               beta, q, max_weight, _catalog_product(beta / 2.0, q, cat)),
+        tol,
     )
 
 
@@ -529,7 +530,8 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
     = (1 + x^w)/(1 - x^w): multiplicity zero counts once, any positive
     multiplicity twice (once for each sign).  The divisions are the
     ascending passes of ``_multiset_weight_counts`` (and its cost cap), each
-    multiplication one descending pass over the weight grid.
+    multiplication one descending pass over the weight grid.  They feed
+    ``z_grothendieck``'s direct sum and ``z_tau`` via ``weight_classes``.
     """
     weights = list(weights)
     counts = _multiset_weight_counts(weights, max_weight)
@@ -537,6 +539,23 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
         for v in range(max_weight, w - 1, -1):
             counts[v] += counts[v - w]
     return counts
+
+
+def weight_classes(counts: Sequence[int], q: int, scale: int) -> dict[int, int]:
+    """{q^(scale v): G(v)} over the counts of ``groth_weight_counts``: the
+    f-classes of ``semigroup.WeightFunction`` that ``z_tau`` takes.  Classes
+    with f above ``_huge_weight_cut(1.0)`` are factors 1.0 at every beta > 1,
+    so they go in as one class, keyed by the first such f."""
+    cut = _huge_weight_cut(1.0)
+    classes = {}
+    for v, count in enumerate(counts):
+        if count:
+            f = q ** (scale * v)
+            if f > cut:
+                classes[f] = sum(counts[v:])
+                break
+            classes[f] = count
+    return classes
 
 
 def z_grothendieck(
@@ -580,17 +599,11 @@ def z_grothendieck(
     cat = source
     za = _catalog_product(beta, q, cat)
     za2 = _catalog_product(2 * beta, q, cat)
-
-    def direct_sum() -> tuple[float, int, float]:
-        counts = groth_weight_counts([rec.weight for rec in cat], max_weight)
-        direct = math.fsum(g_v * _pow_q(q, -beta * v) for v, g_v in enumerate(counts) if g_v)
-        used = sum(1 for g_v in counts if g_v)
-        # two-temperature trick: G(v) x^v <= x^((W+1)/2) G(v) x^(v/2)
-        half = _catalog_product(beta / 2.0, q, cat) ** 2 / za
-        return direct, used, _pow_q(q, -beta * (max_weight + 1) / 2.0) * half
-
     return _checked_closed_form(
-        "both", "closed", za**2 / za2, 0, direct_sum, tol, z_a_beta=za, z_a_2beta=za2
+        "both", "closed", za**2 / za2, 0,
+        lambda: _weight_series(groth_weight_counts([rec.weight for rec in cat], max_weight),
+                               beta, q, max_weight, _catalog_product(beta / 2.0, q, cat) ** 2 / za),
+        tol, z_a_beta=za, z_a_2beta=za2,
     )
 
 
@@ -738,8 +751,9 @@ def z_tau(
     """Z_tau(beta) = product over group elements g of zeta_{n_rho}(f(g) beta).
 
     ``f_values`` is the weight function evaluated over a truncation of the
-    Grothendieck group, as a list of values or as a mapping {f: number of
-    elements}; exactly one element must have f = 1 (the identity).
+    Grothendieck group, as the mapping {f: number of elements} that
+    ``weight_classes`` builds or as a list of values; exactly one element
+    must have f = 1 (the identity).
     Finite if and only if beta > 1.  Each distinct f is evaluated once, as
     ln ``restricted_zeta(f * beta, n_rho)`` (Euler-Maclaurin, to double
     precision, so the tail bound is 0.0 and the result is converged for

@@ -55,6 +55,8 @@ from knotstat.knotgroups import (
 from knotstat.partition import (
     figure_H_grid,
     figure_f_grid,
+    groth_weight_counts,
+    weight_classes,
     z_alternating,
     z_grothendieck,
     z_knots_times_n,
@@ -304,19 +306,21 @@ def test_criterion_09_derham_representations():
 
 
 def test_criterion_10_z_tau_stabilization():
-    """With f over all 117 group elements of invariant weight <= 12,
-    successive truncations of Z_tau at beta = 1.5 differ by less than
+    """With f over all 117 group elements of invariant weight <= 12, taken
+    by weight class from their counts, successive truncations of Z_tau at beta = 1.5 differ by less than
     1e-9, and beta <= 1 signals divergence."""
     w = WeightFunction(q=2)
     values = [f_weight(g, w, CAT) for g, _ in enumerate_group_elements(CAT, 12)]
     assert len(values) == 117
-    result = z_tau(1.5, values)
+    classes = weight_classes(groth_weight_counts(CAT.weights.values(), 12), 2, w.exponent_scale)
+    assert sum(classes.values()) == len(values)
+    result = z_tau(1.5, classes)
     assert result.converged
     assert result.details["stabilization"] < 1e-9
     with pytest.raises(DomainError):
-        z_tau(1.0, values)
+        z_tau(1.0, classes)
     with pytest.raises(DomainError):
-        z_tau(0.5, values)
+        z_tau(0.5, classes)
 
 
 def test_criterion_11_figure_grids():

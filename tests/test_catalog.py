@@ -122,6 +122,20 @@ class TestKnotRecord:
         with pytest.raises(CatalogError, match="genus"):
             KnotRecord("bad", 3, 0, True, False, (1, -1, 1))
 
+    def test_seifert_bound(self):
+        """deg Delta <= 2g: 5_1's degree-4 Delta needs genus 2."""
+        with pytest.raises(CatalogError, match="^record 5_1: Alexander polynomial of degree 4 "
+                                               "breaks Seifert's bound deg Delta <= 2g = 2$"):
+            KnotRecord("5_1", 5, 1, True, True, (1, -1, 1, -1, 1))
+        assert KnotRecord("5_1", 5, 2, True, True, (1, -1, 1, -1, 1)).genus == 2
+        # zero coefficients at both ends take no part in the degree
+        assert KnotRecord("3_1", 3, 1, True, True, (0, 1, -1, 1, 0)).genus == 1
+
+    def test_seifert_bound_names_the_row(self, tmp_path):
+        path = write_csv(tmp_path, "3_1,3,1,true,true,1 -1 1\n5_1,5,1,true,true,1 -1 1 -1 1\n")
+        with pytest.raises(CatalogError, match="^record 5_1: .* deg Delta <= 2g = 2$"):
+            load_catalog(path)
+
     def test_weight_is_crossings_plus_genus(self):
         rec = KnotRecord("3_1", 3, 1, True, True, (1, -1, 1))
         assert rec.weight == 4

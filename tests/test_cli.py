@@ -272,6 +272,17 @@ class TestIngest:
         assert code == 0
         assert payload["rows"] == 2
 
+    def test_seifert_bound_refused_by_row(self, capsys, tmp_path):
+        """A genus-1 row with a degree-4 Delta breaks deg Delta <= 2g."""
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "3_1,3,1,true,true,1 -1 1\n"
+                        + "5_1,5,1,true,true,1 -1 1 -1 1\n")
+        code, payload = invoke_json(capsys, "ingest", "--catalog", str(path))
+        assert code == 1
+        assert set(payload) == {"error"}
+        assert payload["error"].startswith("record 5_1: ")
+        assert "Seifert's bound deg Delta <= 2g = 2" in payload["error"]
+
     def test_missing_catalog_is_error(self, capsys, tmp_path):
         code, payload = invoke_json(
             capsys, "ingest", "--catalog", str(tmp_path / "absent.csv")

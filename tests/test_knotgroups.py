@@ -28,7 +28,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import knotgroups_reference as ref
 from knotstat import knotgroups
-from knotstat.errors import _MAX_BIG_INT_WORK, DomainError, PresentationError
+from knotstat.errors import _MAX_BIG_INT_WORK, DomainError, PresentationError, _WorkMeter
 from knotstat.knotgroups import (
     Abelianization,
     DeRhamRep,
@@ -578,6 +578,82 @@ class TestAlexanderSeifert:
                                                   f"{_MAX_BIG_INT_WORK} bit products$"):
                 alexander_from_seifert(v)
         assert time.perf_counter() - start < 2.0
+
+
+class _RecordingMeter(_WorkMeter):
+    """A meter with no practical limit that logs every check and charge."""
+
+    __slots__ = ("log",)
+
+    def __init__(self) -> None:
+        super().__init__("test", "bit products", 10**40)
+        self.log = []
+
+    def charge(self, units: int) -> None:
+        self.log.append(("charge", units))
+        super().charge(units)
+
+    def check(self, units: int) -> None:
+        self.log.append(("check", units))
+        super().check(units)
+
+
+class TestDenseRefusalBeforeBuild:
+    """A block is checked against the work meter before it is evaluated at
+    t = 2^K: the check bounds the first elimination step's charge from below
+    and charges nothing, so only the moment of a refusal changes."""
+
+    def test_dense_seifert_refused_before_values(self):
+        """At the parent the seeded dense 200x200 matrix peaked at 39.3 MB
+        (tracemalloc) and took 1.4 s before the meter refused it."""
+        import tracemalloc
+
+        rng = random.Random(7)
+        v = [[rng.randint(-1000, 1000) for _ in range(200)] for _ in range(200)]
+        pattern = (f"^exact determinants would take \\d+ bit products, more than the "
+                   f"work cap of {_MAX_BIG_INT_WORK} bit products$")
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=pattern):
+            alexander_from_seifert(v)
+        assert time.perf_counter() - start < 0.6
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=pattern):
+                alexander_from_seifert(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_check_bounds_the_first_step(self, monkeypatch, seed):
+        """With every block checked, the checked units never exceed what
+        the first elimination step then charges (its n - 1 row updates),
+        on random dense Laurent matrices, a zero first pivot included."""
+        monkeypatch.setattr(knotgroups, "_CHECKED_BLOCK_BITS", 0)
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        raw = [[([rng.choice([-9, -2, -1, 1, 3, 7]) for _ in range(rng.randint(1, 4))],
+                 rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if seed % 2:
+            raw[0][0] = ([], 0)
+        matrix = [[LaurentPoly(*e) for e in row] for row in raw]
+        meter = _RecordingMeter()
+        det = knotgroups._bareiss_det(matrix, meter)
+        want = ref._bareiss_det([[ref.LaurentPoly.from_list(*e) for e in row] for row in raw])
+        assert det.as_list() == want.as_list() and str(det) == str(want)
+        (kind, bound), *charges = meter.log
+        assert kind == "check" and all(kind == "charge" for kind, _ in charges)
+        assert 0 < bound <= sum(units for _, units in charges[: n - 1])
+
+    def test_check_charges_nothing(self):
+        meter = _WorkMeter("a block", "bit products", 100)
+        meter.charge(60)
+        meter.check(40)
+        assert meter.spent == 60
+        with pytest.raises(DomainError, match="^a block would take 101 bit products, "
+                                              "more than the work cap of 100 bit products$"):
+            meter.check(41)
 
 
 class TestAmalgamate:

@@ -25,7 +25,9 @@ from knotstat.partition import (
     SeriesResult,
     ThresholdReport,
     _MODEL_WEIGHT_CAP,
+    _catalog_product,
     _multiset_weight_counts,
+    _weight_series,
     beta_minus_rhs_constant,
     bound_gap_F,
     crossover_x,
@@ -40,6 +42,7 @@ from knotstat.partition import (
     threshold_beta_plus,
     threshold_beta_tilde,
     threshold_report,
+    weight_classes,
     z_alternating,
     z_grothendieck,
     z_knots_times_n,
@@ -50,7 +53,7 @@ from knotstat.semigroup import (
     enumerate_group_elements,
     f_weight,
 )
-from knotstat.specfun import _prime_flags, restricted_zeta, riemann_zeta
+from knotstat.specfun import _pow_q, _prime_flags, restricted_zeta, riemann_zeta
 
 
 def subset_catalog(cat, names):
@@ -583,6 +586,33 @@ class TestZKnotsTimesN:
             z_knots_times_n(beta, 2, cat)
 
 
+class TestWeightSeries:
+    @pytest.mark.parametrize("max_weight", [-1, 0])
+    def test_tail_reads_max_weight(self, max_weight):
+        """At W = -1 and W = 0 the counts are both [1]; the tail
+        x^((W+1)/2) * half comes from W, as the direct sums always took it."""
+        direct, used, tail = _weight_series([1], 1.5, 3, max_weight, 1.25)
+        assert (direct, used) == (1.0, 1)
+        assert tail == _pow_q(3, -1.5 * (max_weight + 1) / 2.0) * 1.25
+        assert (tail == 1.25) is (max_weight == -1)
+
+    @pytest.mark.parametrize("max_weight", [-1, 0, 12])
+    def test_direct_sums_keep_their_tails(self, cat, max_weight):
+        za = _catalog_product(1.5, 2, cat)
+        half = _catalog_product(0.75, 2, cat)
+        x = _pow_q(2, -1.5 * (max_weight + 1) / 2.0)
+        alt = z_alternating(1.5, 2, cat, mode="direct", max_weight=max_weight)
+        assert alt.tail_bound == x * half
+        groth = z_grothendieck(1.5, 2, cat, max_weight=max_weight)
+        assert groth.tail_bound == x * (half**2 / za)
+
+    def test_direct_value_is_one_fsum(self):
+        counts = [1, 0, 2, 0, 5]
+        direct, used, _ = _weight_series(counts, 2.0, 3, 4, 1.0)
+        assert used == 3
+        assert direct == math.fsum([1.0, 2 * _pow_q(3, -4.0), 5 * _pow_q(3, -8.0)])
+
+
 class TestZTau:
     def test_identity_only(self):
         assert z_tau(1.5, [1]).value == pytest.approx(
@@ -665,6 +695,30 @@ class TestZTau:
         got = z_tau(beta, f_values, n_rho)
         assert abs(got.value - want) <= 1e-15 * want
         assert got.terms_used == 44_985
+
+    @pytest.mark.parametrize("max_weight", [-1, 0, 4, 9, 12, 16])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_weight_classes_group_the_enumeration(self, cat, q, max_weight):
+        """The enumerated elements grouped by ``f_weight`` are the classes
+        {q^(10 v): G(v)}, and z_tau over ``weight_classes`` has the bits,
+        ``details`` included, of z_tau over the enumerated list."""
+        w = WeightFunction(q)
+        values = [f_weight(g, w, cat) for g, _ in enumerate_group_elements(cat, max_weight)]
+        counts = groth_weight_counts(cat.weights.values(), max_weight)
+        assert Counter(values) == {q ** (10 * v): g_v for v, g_v in enumerate(counts) if g_v}
+        classes = weight_classes(counts, q, w.exponent_scale)
+        for n_rho in (1, 6):
+            for beta in (1.0000001, 1.01, 1.5, 2.0, 4.0, 30.0):
+                by_class, by_list = z_tau(beta, classes, n_rho), z_tau(beta, values, n_rho)
+                assert repr(by_class) == repr(by_list)
+                assert repr(by_class.details) == repr(by_list.details)
+
+    def test_weight_classes_fold_past_the_cut(self):
+        """f = 2^v passes _huge_weight_cut(1.0) = 2150 at v = 12: that class
+        and every later one go in as one."""
+        counts = [1, 0, 3, 0, 5, 0, 0, 0, 0, 0, 0, 7, 0, 11, 13]
+        assert weight_classes(counts, 2, 1) == {1: 1, 4: 3, 16: 5, 2048: 7, 8192: 24}
+        assert weight_classes([1], 3, 10) == {1: 1}
 
     def test_mapping_equals_expanded_list(self):
         counts = {1: 1, 2: 1, 3: 3, 6: 2, 2**40: 5}
