@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Literal, Union
 
 from ._record import Record
-from .errors import CatalogError
+from .errors import CatalogError, _check_type
 
 __all__ = [
     "KnotRecord",
@@ -56,14 +56,6 @@ def threshold_beta_plus() -> float:
 _FIELDS = ("name", "crossings", "genus", "alternating", "torus", "alexander")
 
 
-def _require_int(record: str, field: str, value) -> None:
-    """Refuse a record field that is not an int (a bool is refused too)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CatalogError(
-            f"record {record}: {field} must be an int, got {type(value).__name__} {value!r}"
-        )
-
-
 class KnotRecord(Record):
     """One prime knot: its classical invariants and Alexander coefficients,
     checked on construction (a violated invariant names the record).
@@ -87,8 +79,9 @@ class KnotRecord(Record):
         torus: bool,
         alexander_coeffs: tuple[int, ...],
     ) -> None:
-        _require_int(name, "crossing number", crossing_number)
-        _require_int(name, "genus", genus)
+        _check_type(crossing_number, f"record {name}: crossing number must be an int",
+                    error=CatalogError)
+        _check_type(genus, f"record {name}: genus must be an int", error=CatalogError)
         if crossing_number < 3:
             raise CatalogError(
                 f"record {name}: prime knots need crossing number >= 3, "
@@ -99,7 +92,8 @@ class KnotRecord(Record):
         if not alexander_coeffs:
             raise CatalogError(f"record {name}: empty Alexander coefficients")
         for coeff in alexander_coeffs:
-            _require_int(name, "Alexander coefficient", coeff)
+            _check_type(coeff, f"record {name}: Alexander coefficient must be an int",
+                        error=CatalogError)
         if abs(sum(alexander_coeffs)) != 1:
             raise CatalogError(
                 f"record {name}: Alexander polynomial must evaluate to +-1 "
@@ -178,10 +172,7 @@ class MultiplicityModel(Record):
     __slots__ = ("C",)
 
     def __init__(self, C: float = DEFAULT_C) -> None:
-        if not isinstance(C, (int, float)) or isinstance(C, bool):
-            raise CatalogError(
-                f"asymptotic constant C must be a real number, got {type(C).__name__} {C!r}"
-            )
+        _check_type(C, "asymptotic constant C must be a real number", (int, float), CatalogError)
         if not LOWER_C <= C <= DEFAULT_C:  # NaN fails it too
             raise CatalogError(
                 f"asymptotic constant C must lie in [{LOWER_C}, {DEFAULT_C}], "

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     from . import knotgroups as _kg
     from . import partition as _pt
     from . import semigroup as _sg
+    from .crossed import QmodZ
 
 ENV_PREFIX = "KNOTSTAT_"
 
@@ -49,6 +50,18 @@ def _check_common(args: argparse.Namespace) -> None:
         raise KnotstatError(
             f"tolerance must be positive and finite, got {args.tolerance}"
         )
+
+
+def _parsed(flag: str, form: str, parse, text: str):
+    """``parse(text)``, where text that ``parse`` cannot read (a ``ValueError``
+    that is not a library refusal, which keeps its own text) is refused by
+    the flag's name."""
+    try:
+        return parse(text)
+    except KnotstatError:
+        raise
+    except ValueError:
+        raise KnotstatError(f"{flag} takes {form}, got {text!r}") from None
 
 
 def _load_catalog(args) -> _catalog.Catalog:
@@ -280,12 +293,24 @@ def _parse_unit(text: Optional[str]) -> _kms.AdelicUnit:
     return _kms.AdelicUnit.of(mapping)
 
 
-def _cmd_kms_bc(args) -> dict:
-    from . import kms as _kms
+def _unit(args) -> _kms.AdelicUnit:
+    return _parsed("--u", "integer modulus:residue pairs separated by ','", _parse_unit, args.u)
+
+
+def _rational(text: str) -> QmodZ:
+    """``QmodZ.parse(text)`` once ``int`` reads each side of the '/'."""
     from .crossed import QmodZ
 
-    r, beta = QmodZ.parse(args.r), args.beta
-    u = _parse_unit(args.u)
+    for part in text.split("/", 1):
+        int(part)
+    return QmodZ.parse(text)
+
+
+def _cmd_kms_bc(args) -> dict:
+    from . import kms as _kms
+
+    r, beta = _parsed("--r", "a rational label a/b", _rational, args.r), args.beta
+    u = _unit(args)
     if beta <= 1.0:
         value: complex = complex(_kms.bc_high_temperature(r, beta))
         regime = "high"
@@ -297,11 +322,10 @@ def _cmd_kms_bc(args) -> dict:
 
 def _parse_monomial(text: str) -> _kms.Monomial:
     from . import kms as _kms
-    from .crossed import QmodZ
 
     parts = text.split(":")
     if parts[0] == "e" and len(parts) >= 2:
-        return _kms.Monomial.e(QmodZ.parse(":".join(parts[1:])))
+        return _kms.Monomial.e(_rational(":".join(parts[1:])))
     if parts[0] == "mu" and len(parts) in (2, 3):
         n = int(parts[1])
         a = int(parts[2]) if len(parts) == 3 else 1
@@ -331,8 +355,9 @@ def _cmd_kms_psi(args) -> dict:
 
     cat = _load_catalog(args)
     w = _sg.WeightFunction(q=args.q)
-    u = _parse_unit(args.u)
-    entries = tuple(_parse_entry(e) for e in args.entry or ())
+    u = _unit(args)
+    entries = tuple(_parsed("--entry", "GROUP::MONOMIAL, the monomial e:A/B, mu:N or mu:N:A "
+                            "in integers", _parse_entry, e) for e in args.entry or ())
     f = _kms.SupportedFunction(entries)
     if args.translate:
         h = _sg.parse_group_element(args.translate)
@@ -381,7 +406,9 @@ def _presentation_from_args(args) -> _kg.Presentation:
     if args.knot:
         return _kg.builtin_presentation(args.knot)
     if args.braid:
-        word = [int(tok) for tok in args.braid.replace(",", " ").split()]
+        word = _parsed("--braid", "integers separated by spaces or ','",
+                       lambda text: [int(tok) for tok in text.replace(",", " ").split()],
+                       args.braid)
         return _kg.braid_to_wirtinger(word)
     return _kg.load_presentation(args.file)
 
@@ -413,17 +440,10 @@ def _cmd_alexander(args) -> dict:
     from . import knotgroups as _kg
 
     if args.seifert:
-        try:
-            rows = [
-                [int(x) for x in row.split()]
-                for row in args.seifert.split(";")
-                if row.strip()
-            ]
-        except ValueError:
-            raise KnotstatError(
-                f"--seifert takes integer rows separated by ';', as in 'a b; c d', "
-                f"got {args.seifert!r}"
-            ) from None
+        rows = _parsed("--seifert", "integer rows separated by ';', as in 'a b; c d'",
+                       lambda text: [[int(x) for x in row.split()]
+                                     for row in text.split(";") if row.strip()],
+                       args.seifert)
         poly = _kg.alexander_from_seifert(rows)
         return {
             "method": "seifert",
@@ -454,7 +474,8 @@ def _cmd_derham(args) -> dict:
     p = _presentation_from_args(args)
     poly = _kg.alexander_poly_fox(p)
     if args.root is not None:
-        root = _parse_complex(args.root)
+        root = _parsed("--root", "a complex number, as in '0.5+0.8660254i'", _parse_complex,
+                       args.root)
     else:
         roots = _kg.alexander_roots(poly)
         if not roots:

@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ._record import Record
-from .errors import _MAX_BIG_INT_WORK, DomainError, _WorkMeter
+from .errors import _MAX_BIG_INT_WORK, DomainError, _check_type, _WorkMeter
 
 __all__ = [
     "QmodZ",
@@ -89,14 +89,15 @@ class QmodZ(Record):
     __slots__ = ("frac",)
 
     def __init__(self, frac: Fraction | int) -> None:
-        if not isinstance(frac, (int, Fraction)) or isinstance(frac, bool):
-            raise DomainError(
-                f"QmodZ frac must be an int or a Fraction, got {type(frac).__name__} {frac!r}"
-            )
+        _check_type(frac, "QmodZ frac must be an int or a Fraction", (int, Fraction))
         object.__setattr__(self, "frac", frac % 1)
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "QmodZ":
+        _check_type(numerator, "QmodZ numerator must be an int")
+        _check_type(denominator, "QmodZ denominator must be an int")
+        if not denominator:
+            raise DomainError(f"zero denominator in QmodZ.of({numerator}, 0)")
         return cls(Fraction(numerator, denominator))
 
     @property
@@ -109,6 +110,7 @@ class QmodZ(Record):
 
     def scale(self, n: int) -> "QmodZ":
         """n * r mod 1, the n-th power of the corresponding root of unity."""
+        _check_type(n, "QmodZ.scale needs an int n")
         return QmodZ(n * self.frac)
 
     def __str__(self) -> str:
@@ -116,14 +118,16 @@ class QmodZ(Record):
 
     @classmethod
     def parse(cls, text: str) -> "QmodZ":
-        """Parse 'a/b' or a bare integer."""
+        """Parse 'a/b' or a bare integer; other text is refused by name."""
         text = text.strip()
-        if "/" in text:
-            num, den = (int(part) for part in text.split("/", 1))
-            if den == 0:
-                raise DomainError(f"zero denominator in {text!r}")
-            return cls(Fraction(num, den))
-        return cls(Fraction(int(text)))
+        num, slash, den = text.partition("/")
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:
+            raise DomainError(f"QmodZ text must be 'a/b' or an integer, got {text!r}") from None
+        if den == 0:
+            raise DomainError(f"zero denominator in {text!r}")
+        return cls(Fraction(num, den))
 
 
 class HatPiLabel(NamedTuple):
@@ -182,14 +186,11 @@ class GroupRingElement:
         rows = []
         for label, c in items:
             g, zeta = label if isinstance(label, HatPiLabel) else (None, label)
-            if not isinstance(zeta, (QmodZ, Fraction, int)) or isinstance(zeta, bool):
-                raise DomainError("GroupRingElement label must be a QmodZ, Fraction or int, "
-                                  f"or a HatPiLabel of one, got {type(zeta).__name__} {zeta!r}")
+            _check_type(zeta, "GroupRingElement label must be a QmodZ, Fraction or int, "
+                        "or a HatPiLabel of one", (QmodZ, Fraction, int))
             if g is not None:
-                _check_int("HatPiLabel n_gamma", g)
-            if not isinstance(c, (Fraction, int)) or isinstance(c, bool):
-                raise DomainError("GroupRingElement coefficient must be a Fraction or int, "
-                                  f"got {type(c).__name__} {c!r}")
+                _check_type(g, "HatPiLabel n_gamma must be an int")
+            _check_type(c, "GroupRingElement coefficient must be a Fraction or int", (Fraction, int))
             rows.append(((g, zeta), Fraction(c)))
         pulls = {g is not None for (g, _), _ in rows}
         if len(pulls) > 1:
@@ -267,14 +268,14 @@ class RhoContext(Record):
     __slots__ = ("n_rho",)
 
     def __init__(self, n_rho: int) -> None:
-        _check_int("n_rho", n_rho)
+        _check_type(n_rho, "n_rho must be an int")
         if n_rho < 1:
             raise DomainError(f"n_rho must be >= 1, got {n_rho}")
         self._set(n_rho)
 
     def admits(self, n: int) -> bool:
         """Whether n lies in the semigroup N_rho; a non-int n is refused."""
-        _check_int("n", n)
+        _check_type(n, "n must be an int")
         return n >= 1 and math.gcd(n, self.n_rho) == 1
 
     def require(self, n: int) -> None:
@@ -294,13 +295,8 @@ class RhoContext(Record):
 _MAX_PREIMAGES = 40_000
 
 
-def _check_int(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-
-
 def _check_n(n: int) -> None:
-    _check_int("n", n)
+    _check_type(n, "n must be an int")
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
 
@@ -371,7 +367,7 @@ def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:
     p | m0 + j b for one class of j mod p only.  The Chinese remainder
     theorem picks a j outside these classes for all such p at once.
     """
-    _check_int("gamma_exp", gamma_exp)
+    _check_type(gamma_exp, "gamma_exp must be an int")
     a, b, n_rho = zeta.numerator, zeta.denominator, ctx.n_rho
     t, rem = divmod(gamma_exp * b, n_rho)
     if rem:
@@ -402,8 +398,8 @@ def congruence_inverse(n: int, n_rho: int) -> int:
 
     The inverse of a unit is a unit, so gcd(k, n_rho) = 1 automatically.
     """
-    _check_int("n", n)
-    _check_int("n_rho", n_rho)
+    _check_type(n, "n must be an int")
+    _check_type(n_rho, "n_rho must be an int")
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
     if math.gcd(n, n_rho) != 1:
@@ -425,8 +421,10 @@ class BCNormalForm(Record):
     __slots__ = ("a", "x", "b")
 
     def __init__(self, a: int, x: GroupRingElement, b: int) -> None:
+        _check_type(a, "normal form a must be an int")
+        _check_type(b, "normal form b must be an int")
         if math.gcd(a, b) != 1:
-            raise ValueError("normal form requires gcd(a, b) = 1")
+            raise DomainError("normal form requires gcd(a, b) = 1")
         self._set(a, x, b)
 
     def __str__(self) -> str:
@@ -460,9 +458,8 @@ def bc_normalize(word: Sequence[Token]) -> BCNormalForm:
             raise DomainError(f"bc token must be a (kind, value) pair, got {token!r}")
         kind, value = token
         mu = kind == "mu" or kind == "mu*"
-        if mu and (not isinstance(value, int) or isinstance(value, bool)):
-            raise DomainError(
-                f"bc token {kind} needs an int n, got {type(value).__name__} {value!r}")
+        if mu:
+            _check_type(value, f"bc token {kind} needs an int n")
         g = math.gcd(a, value) if kind == "mu*" else 1
         # a term is a key of the level's bits times a one-word factor, the
         # interpreter's work on it priced as 2048 bits more

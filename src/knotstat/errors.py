@@ -1,4 +1,5 @@
-"""Shared exception types, and the work meter that every cost cap refuses through.
+"""Shared exception types, the one type test that every argument refused by
+type goes through, and the work meter that every cost cap refuses through.
 
 The CLI maps these to exit codes: DomainError and DivergenceError exit 1,
 usage problems exit 2.  Everything else is a bug.
@@ -23,6 +24,16 @@ class CatalogError(KnotstatError, ValueError):
 
 class PresentationError(KnotstatError, ValueError):
     """A group presentation is malformed or fails a required invariant."""
+
+
+def _check_type(value, what: str, types=int, error=DomainError) -> None:
+    """Refuse ``value`` unless it is an instance of ``types`` (int by default),
+    a bool always, with ``error(f"{what}, got <type> <repr>")``: ``what``
+    names the argument and what it must be, and ``error`` is ``DomainError``
+    or, in catalog and presentation code, ``CatalogError`` or
+    ``PresentationError``."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise error(f"{what}, got {type(value).__name__} {value!r}")
 
 
 # Bit products (the bit lengths of two big-int operands multiplied, summed

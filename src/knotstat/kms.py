@@ -29,8 +29,8 @@ from typing import Mapping, Optional
 
 from ._record import Record
 from .catalog import Catalog, threshold_beta_plus
-from .crossed import QmodZ, _check_int
-from .errors import DomainError
+from .crossed import QmodZ
+from .errors import DomainError, _check_type
 from .semigroup import (
     GroupElement,
     Knot,
@@ -93,16 +93,19 @@ class EigenvalueList(Record):
 
     def entries(self, n: int) -> float:
         """The n-th eigenvalue, n >= 0."""
+        _check_type(n, "eigenvalue index must be an int")
         if n < 0:
             raise DomainError("eigenvalue index must be >= 0")
         return self.lambda1 * self.generator_ratio**n
 
     def partial_sum(self, n: int) -> float:
         """Sum of the first n eigenvalues, 1 - ratio^n."""
+        _check_type(n, "eigenvalue count must be an int")
         return 1.0 - self.generator_ratio**n
 
     def tail(self, n: int) -> float:
         """Everything past the first n eigenvalues, ratio^n exactly."""
+        _check_type(n, "eigenvalue count must be an int")
         return self.generator_ratio**n
 
 
@@ -136,6 +139,7 @@ def gibbs_monomial(k: Knot, a: int, beta: float, q: int, cat: Catalog) -> float:
     also at beta = +inf.  beta = -inf is refused, and so is a negative
     beta whose value passes the float range.
     """
+    _check_type(a, "monomial power a must be an int")
     if a < 0:
         raise DomainError("monomial powers must be >= 0")
     if math.isnan(beta) or beta == -math.inf:  # beta = inf stays: the ground state
@@ -159,7 +163,10 @@ def gibbs_monomial(k: Knot, a: int, beta: float, q: int, cat: Catalog) -> float:
 def _q_power(q: int, exponent: float) -> float:
     """q^exponent; in log form (``specfun._pow_q``) once q is past the
     float range.  Inside it the float power is kept, so values stay bit
-    for bit."""
+    for bit.  A q that is not an int >= 2 is refused."""
+    _check_type(q, "q must be an int")
+    if q < 2:
+        raise DomainError(f"q must be >= 2, got {q}")
     if q <= sys.float_info.max:
         return float(q) ** exponent
     return _pow_q(q, exponent)
@@ -200,8 +207,8 @@ class AdelicUnit(Record):
     def __init__(self, residues: tuple[tuple[int, int], ...] = ()) -> None:
         seen: dict[int, int] = {}
         for modulus, unit in residues:
-            _check_int("modulus", modulus)
-            _check_int("residue", unit)
+            _check_type(modulus, "modulus must be an int")
+            _check_type(unit, "residue must be an int")
             if modulus < 1:
                 raise DomainError(f"modulus must be >= 1, got {modulus}")
             if modulus in seen:
@@ -232,6 +239,7 @@ class AdelicUnit(Record):
 
     def residue(self, b: int) -> int:
         """The residue at modulus b: stored, reduced from a multiple, or 1."""
+        _check_type(b, "modulus must be an int")
         if b < 1:
             raise DomainError(f"modulus must be >= 1, got {b}")
         if b == 1:
@@ -292,8 +300,8 @@ class Monomial(Record):
         if kind == "e" and r is None:
             raise DomainError("e-monomials need a label r")
         if kind == "mu":
-            _check_int("n", n)
-            _check_int("a", a)
+            _check_type(n, "n must be an int")
+            _check_type(a, "a must be an int")
             if n < 1 or a < 0:
                 raise DomainError("mu-monomials need n >= 1 and a >= 0")
         self._set(kind, r, n, a)
@@ -390,6 +398,7 @@ def psi_product_state(
     _require_finite_beta("psi_product_state", beta)
     if beta <= 1.0:
         raise DomainError(f"product states need beta > 1, got {beta}")
+    _check_type(n_rho, "n_rho must be an int")
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
     total = complex(1.0)
@@ -464,6 +473,7 @@ def time_evolution_coefficient(
     cocycle identity holds to rounding error even for the enormous
     weight values the semigroup produces.
     """
+    _check_type(m, "semigroup index m must be an int")
     if m < 1:
         raise DomainError(f"semigroup index m must be >= 1, got {m}")
     if not math.isfinite(t):
@@ -492,8 +502,12 @@ def ratio_witness(n: int, big_n: int, beta: float, q: int) -> float:
     relative.
     """
     _require_finite_beta("ratio_witness", beta)
+    for name, value in (("n", n), ("big_n", big_n), ("q", q)):
+        _check_type(value, f"{name} must be an int")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if q < 2:
+        raise DomainError(f"q must be >= 2, got {q}")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     for name, value in (("q", q), ("big_n", big_n)):

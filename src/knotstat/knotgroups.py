@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ._record import Record
-from .errors import _MAX_BIG_INT_WORK, PresentationError, _WorkMeter
+from .errors import _MAX_BIG_INT_WORK, PresentationError, _check_type, _WorkMeter
 
 __all__ = [
     "Word",
@@ -95,9 +94,11 @@ class LaurentPoly:
     __slots__ = ("_low", "_c")
 
     def __init__(self, coefficients: Sequence[int] = (), lowest: int = 0):
-        self._low, self._c = _trim(
-            operator.index(lowest), [operator.index(c) for c in coefficients]
-        )
+        _check_type(lowest, "LaurentPoly lowest must be an int", error=PresentationError)
+        coefficients = list(coefficients)
+        for c in coefficients:
+            _check_type(c, "LaurentPoly coefficients must be ints", error=PresentationError)
+        self._low, self._c = _trim(lowest, coefficients)
 
     # -- constructors ------------------------------------------------------
 
@@ -459,6 +460,7 @@ class Presentation(Record):
             raise PresentationError("a presentation needs at least one generator")
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
+        _check_type(basepoint, "basepoint index must be an int", error=PresentationError)
         if not 0 <= basepoint < len(generators):
             raise PresentationError(f"basepoint index {basepoint} out of range")
         n = len(generators)
@@ -532,10 +534,7 @@ def braid_to_wirtinger(braid: Sequence[int]) -> Presentation:
     if not braid:
         raise PresentationError("empty braid word")
     for s in braid:
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise PresentationError(
-                f"braid letters must be ints, got {type(s).__name__} {s!r}"
-            )
+        _check_type(s, "braid letters must be ints", error=PresentationError)
     if any(s == 0 for s in braid):
         raise PresentationError("braid letters must be nonzero")
     k = max(abs(s) for s in braid) + 1
@@ -958,10 +957,10 @@ def alexander_from_seifert(
         return LaurentPoly.one()
     if any(len(row) != n for row in v):
         raise PresentationError("Seifert matrix must be square")
-    matrix = [
-        [LaurentPoly((int(v[i][j]), -int(v[j][i]))) for j in range(n)]
-        for i in range(n)
-    ]
+    for row in v:
+        for x in row:
+            _check_type(x, "Seifert matrix entries must be ints", error=PresentationError)
+    matrix = [[LaurentPoly((v[i][j], -v[j][i])) for j in range(n)] for i in range(n)]
     return _bareiss_det(matrix).normalized()
 
 
@@ -1013,8 +1012,12 @@ class DeRhamRep(Record):
         self._set(presentation, root, sqrt_root, x_values, residual, kernel_dim)
 
     def matrix(self, index: int) -> np.ndarray:
+        """The 2x2 matrix of generator ``index``, an int in range."""
         import numpy as np
 
+        _check_type(index, "generator index must be an int", error=PresentationError)
+        if not 0 <= index < len(self.x_values):
+            raise PresentationError(f"generator index {index} out of range")
         s = self.sqrt_root
         return np.array(
             [[s, self.x_values[index]], [0.0, 1.0 / s]], dtype=complex

@@ -32,7 +32,7 @@ from .catalog import (
     threshold_beta_plus,
     weights_with_counts,
 )
-from .errors import DivergenceError, DomainError, _WorkMeter
+from .errors import DivergenceError, DomainError, _check_type, _WorkMeter
 from .specfun import (
     _MAX_SIEVE,
     _TINY_LOG,
@@ -103,7 +103,7 @@ class SeriesResult(Record):
         status: str = "converged",
         details: Optional[dict] = None,
     ) -> None:
-        if tail_bound < 0:
+        if not tail_bound >= 0:  # NaN fails it too
             raise DomainError("tail_bound must be nonnegative")
         self._set(value, terms_used, tail_bound, converged, status,
                   {} if details is None else details)
@@ -210,6 +210,13 @@ def _bisect(fn, lo: float, hi: float, name: str) -> float:
     raise DomainError(f"{name}: residual at root too large: {residual}")
 
 
+def _require_q(name: str, q: int) -> None:
+    """Refuse a weight base q that is not an int >= 2, naming the caller."""
+    _check_type(q, f"{name} requires an int q")
+    if q < 2:
+        raise DomainError(f"{name} requires q >= 2, got {q}")
+
+
 def _threshold_bracket(q: int) -> tuple[float, float]:
     """Bisection bracket for the threshold equations: from just above
     ln2/lnq to beta = 60, capped at 700/ln q so that q^(-beta), and with
@@ -222,8 +229,7 @@ def threshold_beta_minus(q: int) -> float:
 
     The partition series is divergent for beta below this value.
     """
-    if q < 2:
-        raise DomainError(f"threshold_beta_minus requires q >= 2, got {q}")
+    _require_q("threshold_beta_minus", q)
     rhs = beta_minus_rhs_constant()
 
     def fn(beta: float) -> float:
@@ -239,8 +245,7 @@ def threshold_beta_tilde(q: int) -> float:
     Sits strictly below beta_minus(q); for beta below it the unique KMS
     state is of type III with ratio q^(-beta).
     """
-    if q < 2:
-        raise DomainError(f"threshold_beta_tilde requires q >= 2, got {q}")
+    _require_q("threshold_beta_tilde", q)
     rhs = math.log(LOWER_C) - 6.0 * math.log(math.log(q))
 
     def fn(beta: float) -> float:
@@ -298,6 +303,7 @@ def figure_f_grid(
         raise DomainError(
             f"beta_min must exceed ln2/lnq = {left:.6g}, got {beta_min}"
         )
+    _check_type(n_points, "figure_f_grid needs an int n_points")
     if beta_max <= beta_min or n_points < 2:
         raise DomainError("need beta_max > beta_min and n_points >= 2")
     step = (beta_max - beta_min) / (n_points - 1)
@@ -341,10 +347,13 @@ def _grid_weights(weights: Iterable[int], max_weight: int) -> list[int]:
     """The weights <= max_weight, the only ones a DP over the weight grid
     0..max_weight uses; refused when one is not an int >= 1 (a weight-0
     prime has infinitely many multisets) or when max_weight times their
-    number exceeds ``_MAX_GROTH_UPDATES``."""
+    number exceeds ``_MAX_GROTH_UPDATES``; a max_weight that is not an int
+    is refused first."""
+    _check_type(max_weight, "max_weight must be an int")
     weights = list(weights)
     for w in weights:
-        if type(w) is not int or w < 1:
+        _check_type(w, "prime weights must be ints >= 1")
+        if w < 1:
             raise DomainError(f"prime weights must be ints >= 1, got {w!r}")
     weights = [w for w in weights if w <= max_weight]
     _WorkMeter(f"max_weight {max_weight} with {len(weights)} prime weights",
@@ -484,8 +493,7 @@ def z_alternating(
     _require_finite_beta("z_alternating", beta)
     if beta <= 0:
         raise DomainError(f"z_alternating requires beta > 0, got {beta}")
-    if q < 2:
-        raise DomainError(f"z_alternating requires q >= 2, got {q}")
+    _require_q("z_alternating", q)
     if isinstance(source, MultiplicityModel):
         regime = _model_regime(beta, q)
         if regime == "diverged":
@@ -543,14 +551,19 @@ def groth_weight_counts(weights: Iterable[int], max_weight: int) -> list[int]:
 
 def weight_classes(counts: Sequence[int], q: int, scale: int) -> dict[int, int]:
     """{q^(scale v): G(v)} over the counts of ``groth_weight_counts``: the
-    f-classes of ``semigroup.WeightFunction`` that ``z_tau`` takes.  Classes
-    with f above ``_huge_weight_cut(1.0)`` are factors 1.0 at every beta > 1,
-    so they go in as one class, keyed by the first such f."""
+    f-classes of ``semigroup.WeightFunction`` that ``z_tau`` takes, so q and
+    scale are refused as it refuses them, and each f is built as ``f_weight``
+    builds it, under the same cap.  Classes with f above
+    ``_huge_weight_cut(1.0)`` are factors 1.0 at every beta > 1, so they go
+    in as one class, keyed by the first such f."""
+    from .semigroup import WeightFunction, _power
+
+    w = WeightFunction(q, scale)
     cut = _huge_weight_cut(1.0)
     classes = {}
     for v, count in enumerate(counts):
         if count:
-            f = q ** (scale * v)
+            f = _power(w.q, w.exponent_scale * v)
             if f > cut:
                 classes[f] = sum(counts[v:])
                 break
@@ -597,6 +610,7 @@ def z_grothendieck(
             details={"z_a_beta": za.value, "z_a_2beta": za2.value},
         )
     cat = source
+    _require_q("z_grothendieck", q)
     za = _catalog_product(beta, q, cat)
     za2 = _catalog_product(2 * beta, q, cat)
     return _checked_closed_form(
@@ -665,10 +679,7 @@ def qstar_partition(
             f"qstar partition function diverges for beta <= 1, got {beta}"
         )
     def direct_sum() -> tuple[float, int, float]:
-        if not isinstance(n_max, int) or isinstance(n_max, bool):
-            raise DomainError(
-                f"qstar_partition needs an int n_max, got {type(n_max).__name__} {n_max!r}"
-            )
+        _check_type(n_max, "qstar_partition needs an int n_max")
         if n_max < 1:
             raise DomainError(f"qstar_partition needs n_max >= 1, got {n_max}")
         _WorkMeter(f"qstar_partition with n_max = {n_max}", "terms", _MAX_SIEVE).charge(n_max)
@@ -767,15 +778,14 @@ def z_tau(
         raise DomainError(
             f"Z_tau is trace-class only for beta > 1, got beta = {beta}"
         )
+    _check_type(n_rho, "n_rho must be an int")
     if n_rho < 1:
         raise DomainError(f"n_rho must be >= 1, got {n_rho}")
     # a mapping is copied, a list counted: W = 28 passes 44,985 values
     counts = Counter(f_values)
     for f, c in counts.items():
-        if type(c) is not int:
-            raise DomainError(f"f_values multiplicities must be ints, got {c!r}")
-        if type(f) is not int:
-            raise DomainError(f"f_values weights must be ints, got {f!r}")
+        _check_type(c, "f_values multiplicities must be ints")
+        _check_type(f, "f_values weights must be ints")
     if any(c < 0 for c in counts.values()):
         raise DomainError("weight multiplicities must be >= 0")
     classes = sorted((f, c) for f, c in counts.items() if c)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _WorkMeter
+from .errors import DomainError, _check_type, _WorkMeter
 
 if TYPE_CHECKING:
     from .crossed import QmodZ
@@ -87,8 +87,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     (10^6 + 1)^2 factors, every n <= 10^12 among them; any other n is
     refused, and so is anything but an ``int`` (a bool too).
     """
-    if type(n) is not int:
-        raise DomainError(f"factorization needs an int, got {type(n).__name__} {n!r}")
+    _check_type(n, "factorization needs an int")
     if n < 1:
         raise DomainError(f"factorization needs n >= 1, got {n}")
     out = []
@@ -241,6 +240,7 @@ def restricted_zeta(s: float, m: int) -> float:
     """zeta_m(s): the Riemann zeta with Euler factors of primes dividing m removed."""
     if not s > 1:  # NaN fails it too
         raise DomainError(f"restricted_zeta requires s > 1, got {s}")
+    _check_type(m, "factorization needs an int")  # as _factorize refuses m, text and all
     if m < 1:
         raise DomainError(f"restricted_zeta requires m >= 1, got {m}")
     value = riemann_zeta(s)
@@ -365,6 +365,7 @@ def mobius_f(k, b: int):
     Exact (int for k >= 0, Fraction for negative integer k) when k is an
     integer; double precision for real k.  f_1 is Euler's totient.
     """
+    _check_type(b, "mobius_f requires an int b")
     if b < 1:
         raise DomainError(f"mobius_f requires b >= 1, got {b}")
     if isinstance(k, int):

@@ -1173,6 +1173,41 @@ def _unblocked_sum(*names):
     return kg.Presentation(p.generators, p.relators, p.basepoint)
 
 
+class TestUnreadableFlagText:
+    """A flag text that its parser cannot read is refused by the flag's name,
+    as ``--seifert`` is (``TestPresentationCommands``)."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["alexander", "--braid", "1,x"],
+         "--braid takes integers separated by spaces or ',', got '1,x'"),
+        (["kms-bc", "--r", "1/x", "--beta", "2"], "--r takes a rational label a/b, got '1/x'"),
+        (["kms-bc", "--r", "1/2", "--beta", "2", "--u", "2:1.5"],
+         "--u takes integer modulus:residue pairs separated by ',', got '2:1.5'"),
+        (["kms-psi", "--beta", "2", "--entry", "unknot::mu:x"],
+         "--entry takes GROUP::MONOMIAL, the monomial e:A/B, mu:N or mu:N:A in integers, "
+         "got 'unknot::mu:x'"),
+        (["kms-psi", "--beta", "2", "--entry", "unknot::mu:2:1.5"],
+         "--entry takes GROUP::MONOMIAL, the monomial e:A/B, mu:N or mu:N:A in integers, "
+         "got 'unknot::mu:2:1.5'"),
+        (["kms-psi", "--beta", "2", "--entry", "unknot::e:1/x"],
+         "--entry takes GROUP::MONOMIAL, the monomial e:A/B, mu:N or mu:N:A in integers, "
+         "got 'unknot::e:1/x'"),
+        (["derham", "--knot", "3_1", "--root", "abc"],
+         "--root takes a complex number, as in '0.5+0.8660254i', got 'abc'"),
+    ], ids=["braid", "r", "u", "entry-n", "entry-a", "entry-e", "root"])
+    def test_refused_by_the_flag(self, capsys, argv, error):
+        """Each printed Python's own parse text, which names no flag."""
+        code, payload = invoke_json(capsys, *argv)
+        assert (code, payload) == (1, {"error": error})
+
+
+def _trefoils_psi(n):
+    """kms-psi on e(1/2) at the sum of n trefoils with q = 10^100, whose weight
+    q^(40 n) has 13320 n bits."""
+    return ["kms-psi", "--beta", "2", "--q", str(10**100),
+            "--entry", "#".join(["3_1"] * n) + "::e:1/2"]
+
+
 class TestCostCaps:
     """Input-sized loops are refused before they start, or once the work they
     charge passes their cap, naming their bound."""
@@ -1232,6 +1267,7 @@ class TestCostCaps:
          ["z-qstar", "--beta", "2", "--mode", "direct", "--n-max", str(_MAX_SIEVE + 1)]),
         ("_LERCH_MAX_TERMS", False, lambda: lerch(0.999972, 0.0, 1.0),
          lambda: lerch(0.999973, 0.0, 1.0)),
+        ("_MAX_WEIGHT_BITS", True, _trefoils_psi(450), _trefoils_psi(451)),
     ]
 
     @staticmethod

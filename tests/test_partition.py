@@ -547,9 +547,11 @@ class TestGrothWeightCounts:
     @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
     def test_weights_must_be_positive_ints(self, bad):
         """[0] gave [4, 0, 0, 0, 0, 0] although a weight-0 prime makes
-        infinitely many elements; [-1] raised a raw IndexError."""
+        infinitely many elements; [-1] raised a raw IndexError.  A non-int
+        weight is refused with its type."""
+        got = f"{bad!r}" if type(bad) is int else f"{type(bad).__name__} {bad!r}"
         for counts in (groth_weight_counts, _multiset_weight_counts):
-            with pytest.raises(DomainError, match=f"^prime weights must be ints >= 1, got {bad!r}$"):
+            with pytest.raises(DomainError, match=f"^prime weights must be ints >= 1, got {got}$"):
                 counts([3, bad], 5)
 
 
@@ -742,12 +744,14 @@ class TestZTau:
         ([1, 2.5, 3], "2.5"), ([1, 3.0], "3.0"), ([True], "True"), ({1: 1, 2.5: 1}, "2.5"),
     ])
     def test_non_integer_weights_refused(self, f_values, bad):
-        """2.5 was truncated to 2, and 3.0 and True passed as ints."""
-        with pytest.raises(DomainError, match=f"^f_values weights must be ints, got {bad}$"):
+        """2.5 was truncated to 2, and 3.0 and True passed as ints; each is
+        refused with its type."""
+        kind = next(type(f).__name__ for f in f_values if type(f) is not int)
+        with pytest.raises(DomainError, match=f"^f_values weights must be ints, got {kind} {bad}$"):
             z_tau(2.0, f_values)
 
     def test_non_integer_multiplicity_refused(self):
-        with pytest.raises(DomainError, match="^f_values multiplicities must be ints, got 1.5$"):
+        with pytest.raises(DomainError, match="^f_values multiplicities must be ints, got float 1.5$"):
             z_tau(2.0, {1: 1, 2: 1.5})
 
     @pytest.mark.parametrize("count", [10**30, 10**400], ids=["1e30", "1e400"])

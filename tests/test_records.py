@@ -284,7 +284,7 @@ REFUSALS = [
     ("knot-repeated", lambda: Knot((("3_1", 1), ("3_1", 2))),
      DomainError, "repeated factor name '3_1'"),
     ("weight-q-float", lambda: WeightFunction(2.0),
-     DomainError, "weight base q must be an integer, got 2.0"),
+     DomainError, "weight base q must be an integer, got float 2.0"),
     ("weight-q-small", lambda: WeightFunction(1),
      DomainError, "weight base q must be >= 2, got 1"),
     ("weight-scale", lambda: WeightFunction(2, 0),

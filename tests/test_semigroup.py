@@ -23,6 +23,7 @@ from knotstat.partition import (
     _multiset_weight_counts,
     groth_weight_counts,
     threshold_beta_plus,
+    weight_classes,
     z_grothendieck,
 )
 from knotstat.semigroup import (
@@ -238,6 +239,19 @@ class TestFWeight:
         assert f_weight(g1.compose(g2), wq2, cat) == f_weight(
             g1, wq2, cat
         ) * f_weight(g2, wq2, cat)
+
+    def test_power_past_the_cap_refused_before_it_is_built(self, cat):
+        """q^e had no cap: the sum of 10,000 trefoils at q = 10^100 took 83 s
+        and 80 MB, and weight_classes at scale 10^7 peaked at 18.7 MB."""
+        start = time.perf_counter()
+        g = GroupElement.of(Knot((("3_1", 10_000),)))
+        with pytest.raises(DomainError, match=r"^the weight q\^400000 of a 333-bit q would "
+                           r"take 133200000 bits, more than the work cap of 6000000 bits$"):
+            f_weight(g, WeightFunction(10**100), cat)
+        with pytest.raises(DomainError, match=r"^the weight q\^40000000 of a 2-bit q would "
+                           r"take 80000000 bits, more than the work cap of 6000000 bits$"):
+            weight_classes([1, 0, 0, 0, 2], 2, 10**7)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestActOnWeight:
