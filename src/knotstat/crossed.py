@@ -119,6 +119,7 @@ class QmodZ(Record):
     @classmethod
     def parse(cls, text: str) -> "QmodZ":
         """Parse 'a/b' or a bare integer; other text is refused by name."""
+        _check_type(text, "QmodZ text must be a str", str)
         text = text.strip()
         num, slash, den = text.partition("/")
         try:
@@ -496,6 +497,7 @@ def parse_bc_word(tokens: Iterable[str]) -> list[Token]:
     """Parse whitespace-split tokens of the form mu:2, mu*:2, e:1/3."""
     word: list[Token] = []
     for tok in tokens:
+        _check_type(tok, "bc word tokens must be str", str)
         tok = tok.strip()
         if not tok:
             continue

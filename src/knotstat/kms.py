@@ -440,19 +440,20 @@ def _unit_ipow(base: complex, n: int) -> complex:
     Rescaling to the unit circle after every multiply keeps the modulus
     pinned at 1, so the error grows only linearly in the bit length of n
     and group identities like z^(a+b) = z^a z^b survive to rounding even
-    for exponents far beyond float range.
+    for exponents far beyond float range.  The bits are read from
+    ``bin(n)`` in one pass, where shifting n once per bit would copy the
+    big int each time and cost time quadratic in its length.
     """
     if n < 0:
         return _unit_ipow(base.conjugate(), -n)
     result = complex(1.0)
     acc = base / abs(base)
-    while n:
-        if n & 1:
+    for bit in bin(n)[:1:-1]:  # the low bit first
+        if bit == "1":
             result *= acc
             result /= abs(result)
         acc *= acc
         acc /= abs(acc)
-        n >>= 1
     return result
 
 

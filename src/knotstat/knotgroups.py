@@ -668,6 +668,11 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p2's.  When either summand has none yet, none is built here, so
     ``amalgamate`` stays linear in the presentations' size; the sum then
     builds its own on first use.
+
+    And so is the sum's Alexander polynomial, when both summands hold
+    theirs: Delta(K1 # K2) = Delta(K1) Delta(K2), and the product of two
+    unit-normal polynomials is unit-normal.  When either has none, the sum
+    runs its own determinant on first use.
     """
     if not (p1.is_wirtinger_like() and p2.is_wirtinger_like()):
         raise PresentationError("amalgamate needs Wirtinger-form presentations")
@@ -701,6 +706,10 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
            p1.basepoint, blocks)
     object.__setattr__(p, "_h1", ab)
+    try:
+        object.__setattr__(p, "_delta", p1._delta * p2._delta)
+    except AttributeError:
+        pass
     try:
         fox1, fox2 = p1._fox, p2._fox
     except AttributeError:
@@ -913,7 +922,9 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     otherwise more than ``_MAX_MINORS`` minors are refused up front.  The
     determinants share one work meter, refused past ``_MAX_BIG_INT_WORK``.
     The polynomial and the Fox matrix are each computed once per
-    presentation and kept in its memo.
+    presentation and kept in its memo; a connected sum built by
+    ``amalgamate`` from two summands that hold their polynomials holds
+    the product of theirs, and runs no determinant.
     """
     return _memo(p, "_delta", _alexander_fox)
 
@@ -1024,18 +1035,21 @@ class DeRhamRep(Record):
         )
 
 
-def _max_relator_residual(p: Presentation, matrix) -> float:
+def _max_relator_residual(p: Presentation, s: complex, x_values: Sequence[complex]) -> float:
     """max |w - I| over the relators w under the 2x2 generator matrices
-    ``matrix(j)``: each relator's product of its letters' matrices (the
-    inverse for a letter < 0), from the identity left to right.
+    [[s, x_j], [0, 1/s]] (``DeRhamRep.matrix``): each relator's product of
+    its letters' matrices (the inverse for a letter < 0), from the identity
+    left to right.
 
-    Batched: the generator matrices are stacked and inverted in one call,
-    and the relators of one length are multiplied together, one letter
-    position per ``@``, in the same order as one relator at a time."""
+    Batched: the generator matrices are built as one stacked array and
+    inverted in one call, and the relators of one length are multiplied
+    together, one letter position per ``@``, in the same order as one
+    relator at a time."""
     import numpy as np
 
     n = p.n_generators
-    gens = np.array([matrix(j) for j in range(n)])
+    gens = np.zeros((n, 2, 2), dtype=complex)
+    gens[:, 0, 0], gens[:, 0, 1], gens[:, 1, 1] = s, x_values, 1.0 / s
     steps = np.concatenate((gens, np.linalg.inv(gens)))
     by_length: dict[int, list[list[int]]] = {}
     for word in p.relators:
@@ -1071,6 +1085,7 @@ def derham_solve(
 
     import numpy as np
 
+    _check_type(branch, "branch must be +1 or -1", error=PresentationError)
     if branch not in (1, -1):
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
     if not isinstance(r, numbers.Complex):
@@ -1114,8 +1129,7 @@ def derham_solve(
     for idx, j in enumerate(cols):
         xs[j] = complex(vec[idx])
     root, sqrt_root, xs = complex(r), cmath.sqrt(r) * branch, tuple(xs)
-    rep = DeRhamRep(p, root, sqrt_root, xs, 0.0, kernel_dim)
-    residual = _max_relator_residual(p, rep.matrix)
+    residual = _max_relator_residual(p, sqrt_root, xs)
     if residual > 1e-9:
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
@@ -1159,8 +1173,7 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     top = r1.x_values + (0j,) * p2.n_generators
     bottom = (0j,) * p1.n_generators + r2.x_values
     residual = max(
-        _max_relator_residual(amal, DeRhamRep(amal, r.root, r.sqrt_root, xs, 0.0, 0).matrix)
-        for r, xs in ((r1, top), (r2, bottom))
+        _max_relator_residual(amal, r.sqrt_root, xs) for r, xs in ((r1, top), (r2, bottom))
     )
     if residual > 1e-9:
         raise PresentationError(

@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knotstat.catalog import Catalog, MultiplicityModel, builtin_catalog
@@ -297,6 +298,13 @@ def test_criterion_09_derham_representations():
     trefoil = builtin_presentation("3_1")
     rep = derham_solve(trefoil, cmath.exp(1j * math.pi / 3.0))
     assert rep.residual < 1e-9
+    # each relator's word product of the generator matrices, one letter at a time
+    for word in trefoil.relators:
+        product = np.eye(2, dtype=complex)
+        for letter in word:
+            m = rep.matrix(abs(letter) - 1)
+            product = product @ (m if letter > 0 else np.linalg.inv(m))
+        assert np.max(np.abs(product - np.eye(2))) < 1e-9
 
     figure_eight = builtin_presentation("4_1")
     rep2 = derham_solve(figure_eight, (3.0 - math.sqrt(5.0)) / 2.0)

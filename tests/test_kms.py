@@ -8,9 +8,12 @@ checks compare two independently computed sides at huge exact weights.
 
 import cmath
 import math
+import random
 import re
+import time
 from fractions import Fraction
 
+import kms_reference as kms_ref
 import mpmath
 import pytest
 
@@ -22,6 +25,7 @@ from knotstat.kms import (
     EigenvalueList,
     Monomial,
     SupportedFunction,
+    _unit_ipow,
     bc_high_temperature,
     bc_low_temperature,
     gibbs_monomial,
@@ -630,6 +634,28 @@ class TestTimeEvolutionCoefficient:
         want = cmath.exp(1j * t * delta * math.log(m))
         got = time_evolution_coefficient(h, g, m, t, w1, cat)
         assert abs(got - want) <= 1e-12
+
+    def test_unit_power_matches_shift_loop(self):
+        """The bits of n read from ``bin(n)`` give the same multiplies in the
+        same order as the shift loop of ``kms_reference``: the same bits, for
+        300 seeded exponents of up to 3000 bits of either sign, and 0."""
+        rng = random.Random(34)
+        cases = [(cmath.exp(0.7j), 0)]
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(1, 3000)) * rng.choice((1, -1))
+            cases.append((cmath.exp(1j * rng.uniform(-math.pi, math.pi)), n))
+        for base, n in cases:
+            got, want = _unit_ipow(base, n), kms_ref.unit_ipow(base, n)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_unit_power_linear_in_the_bits(self):
+        """A 10^6-bit exponent takes one pass over its bits: 0.16 s on a
+        2-vCPU x86_64 host, where shifting n once per bit took 0.15 s at
+        10^5 bits and grows with the square of the length."""
+        n = random.Random(34).getrandbits(10**6)
+        start = time.perf_counter()
+        assert abs(abs(_unit_ipow(cmath.exp(0.7j), n)) - 1.0) <= 1e-12
+        assert time.perf_counter() - start < 2.0
 
     def test_cocycle_identity_huge_weights(self, cat, wq2, rng):
         """U_t picks up multiplicative phases under composition even when

@@ -108,6 +108,11 @@ def catalog_poly(cat, name):
     return LaurentPoly(cat.get(name).alexander_coeffs).normalized()
 
 
+def unblocked(p):
+    """``p`` without its recorded Wirtinger blocks, as a saved file reads back."""
+    return Presentation(p.generators, p.relators, p.basepoint)
+
+
 def sympy_factors(m):
     """The nonzero invariant factors by sympy, made positive."""
     return [abs(v) for v in sympy_snf(Matrix(m)).diagonal() if v != 0]
@@ -728,20 +733,31 @@ class TestAmalgamate:
             with pytest.raises(PresentationError, match="Wirtinger-form"):
                 amalgamate(*pair)
 
-    def test_sum_fox_matrix_from_summands(self):
-        """With the summands' Fox matrices memoized, the sum's memo holds
-        ``fox_matrix`` of the sum: every ordered builtin pair, three triples,
-        and the unknot on either side."""
-        cases = [[builtin_presentation(name) for name in case] for case in self.SUMS]
+    def test_sum_fox_matrix_from_summands(self, cat):
+        """With the summands' Fox matrices and polynomials memoized, the
+        sum's memo holds ``fox_matrix`` of the sum, and its polynomial, the
+        product of theirs, is the determinant of an equal presentation built
+        fresh and the product of the catalog rows: every ordered builtin
+        pair, three triples, the unknot on either side, and two pairs
+        without recorded blocks, whose determinants are gcds of minors."""
+        named = [(case, [builtin_presentation(name) for name in case]) for case in self.SUMS]
         knot, unknot = builtin_presentation("5_2"), unknot_presentation()
-        cases += [[knot, unknot], [unknot, knot], [unknot, unknot]]
-        for summands in cases:
+        named += [(("5_2",), [knot, unknot]), (("5_2",), [unknot, knot]), ((), [unknot, unknot])]
+        for case in (("3_1", "4_1"), ("5_2", "6_3")):
+            named.append((case, [unblocked(builtin_presentation(name)) for name in case]))
+        for case, summands in named:
             for q in summands:
                 alexander_poly_fox(q)
             s = summands[0]
             for q in summands[1:]:
                 s = amalgamate(s, q)
-                assert s._fox == fox_matrix(s) and not hasattr(s, "_delta")
+                assert s._fox == fox_matrix(s)
+            fresh = Presentation(s.generators, s.relators, s.basepoint, s.blocks)
+            assert not hasattr(fresh, "_delta")
+            product = LaurentPoly.one()
+            for name in case:
+                product = product * catalog_poly(cat, name)
+            assert s._delta == alexander_poly_fox(fresh) == product.normalized(), case
 
     def test_sum_of_memoized_summands_builds_no_fox_matrix(self, monkeypatch):
         """A sum of memoized summands takes its Fox matrix from them; an
@@ -771,6 +787,27 @@ class TestAmalgamate:
         assert not hasattr(s, "_fox") and not hasattr(p2, "_fox")
         assert alexander_poly_fox(s).as_list() == [1, -4, 5, -4, 1]
         assert built == [p1, s] and s._fox == fox_matrix(s)
+
+    def test_sum_of_summands_with_polynomials_past_the_minor_cap(self):
+        """Four 7_1 presentations without recorded blocks sum to one whose
+        gcd over 31465 maximal minors is refused; summands that hold their
+        polynomials give the sum its polynomial, the fourth power of 7_1's,
+        and fresh summands leave the sum to the refusal."""
+        held = [unblocked(builtin_presentation("7_1")) for _ in range(4)]
+        for q in held:
+            alexander_poly_fox(q)
+        s = held[0]
+        for q in held[1:]:
+            s = amalgamate(s, q)
+        assert s.blocks is None and len(s.relators) == 31
+        square = held[0]._delta * held[0]._delta
+        assert alexander_poly_fox(s) == square * square
+        fresh = unblocked(builtin_presentation("7_1"))
+        s = amalgamate(amalgamate(amalgamate(fresh, fresh), fresh), fresh)
+        text = ("31 relators without recorded Wirtinger blocks would take 31465 "
+                "maximal minors, more than the work cap of 2000 maximal minors")
+        with pytest.raises(DomainError, match=re.escape(text) + "$"):
+            alexander_poly_fox(s)
 
 
 class TestMemo:

@@ -6,7 +6,8 @@ The callables are found by AST over each module's ``__all__`` (functions,
 and the ``__init__`` and public methods of classes); ``VALID`` gives every
 other argument a valid value, so only the drawn one is out of place.  Then
 one case per argument that was found refused with a raw exception, given a
-wrong answer, or refused without its name.
+wrong answer, or refused without its name, the text of the str parsers
+included.
 """
 
 import ast
@@ -33,6 +34,7 @@ from knotstat.crossed import (
     hatpi_member,
     idempotent_e,
     idempotent_e_hatpi,
+    parse_bc_word,
     sigma_n,
     sigma_n_hatpi,
 )
@@ -272,6 +274,8 @@ LIBRARY_REFUSALS = [
     ("qmodz-parse", lambda: QmodZ.parse("1/x"),
      DomainError, "QmodZ text must be 'a/b' or an integer, got '1/x'"),
     ("qmodz-of", lambda: QmodZ.of(1, 0), DomainError, "zero denominator in QmodZ.of(1, 0)"),
+    ("qmodz-parse-str", lambda: QmodZ.parse(5), DomainError, "QmodZ text must be a str, got int 5"),
+    ("bc-word-str", lambda: parse_bc_word([5]), DomainError, "bc word tokens must be str, got int 5"),
     ("parse-knot", lambda: parse_knot(5), DomainError, "knot expression must be a str, got int 5"),
     ("parse-element", lambda: parse_group_element(5),
      DomainError, "group element expression must be a str, got int 5"),
@@ -309,6 +313,8 @@ LIBRARY_REFUSALS = [
      DomainError, "eigenvalue index must be an int, got float 2.5"),
     ("series-nan-tail", lambda: SeriesResult(1.0, 1, math.nan, True),
      DomainError, "tail_bound must be nonnegative"),
+    ("derham-branch-bool", lambda: derham_solve(TREFOIL, REP.root, branch=True),
+     PresentationError, "branch must be +1 or -1, got bool True"),
     # refused without the argument's name
     ("z-tau-n-rho", lambda: z_tau(2.0, [1], n_rho=1.5),
      DomainError, "n_rho must be an int, got float 1.5"),
