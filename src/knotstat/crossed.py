@@ -32,13 +32,24 @@ numerators, and the zero element (N = D = 1) is in no family -- so ``==``
 and ``hash`` compare four fields.  Being sparse, a prime level near 10^16
 costs no more than a small one.  For elements of t and u terms:
 
-    x * y          t u multiply-adds at L = lcm(N, M): keys lifted to L
-                   split as g + r, r < L, and add to g + g' + (r + r') mod L
+    x * y          at L = lcm(N, M).  Dense, when neither is in the pullback
+                   family and 2L <= t u: one multiply of the numerators
+                   evaluated at 2^W (Kronecker substitution), W of 1, 2, 4
+                   or 8 bytes, or more whole bytes, above max|c| max|d|
+                   min(t, u), the 2L slots of the product read back and
+                   slot s + L folded onto s.
+                   Otherwise t u multiply-adds: keys lifted to L split as
+                   g + r, r < L, and add to g + g' + (r + r') mod L.  Either
+                   is refused before it starts past 3 * 10^6 term pairs or
+                   slot bits (2L W)
     sigma_n(x)     t keys (k // N) N' + k m mod N' (N' = N/g, m = n/g,
                    g = gcd(n, N))
     alpha_n(x)     n t keys b + jN, b = (k // N) nN + k mod N, j < n, at
-                   level nN, D multiplied by n
-    e_n            alpha_n(1): n keys at level n with D = n
+                   level nN, D multiplied by n / h and the numerators
+                   divided by h = gcd(n, numerators); x canonical makes the
+                   result canonical, so it takes no canonical pass
+    e_n            alpha_n(1): keys 0..n-1 at level n, numerator 1, D = n,
+                   canonical as built
     hatpi_member   one modular inverse and two gcds
     bc_normalize   one dict pass per token (an e(r) shift and a gcd over the
                    keys, sigma's or alpha's key map), one canonical form at the end
@@ -52,6 +63,8 @@ Everything here is exact: no floating point enters this module.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -149,6 +162,13 @@ def _least_level(level: int, num: dict[int, int]) -> tuple[int, dict[int, int]]:
     return level, num
 
 
+def _canonical(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRingElement":
+    """The element of fields already in canonical form, stored as given."""
+    x = object.__new__(GroupRingElement)
+    x._level, x._den, x._num, x._pull = level, den, num, pull
+    return x
+
+
 def _element(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRingElement":
     """The canonical element: zero numerators dropped, N and D divided by
     gcd(N, keys) and gcd(D, numerators), so the zero element has N = D = 1
@@ -160,9 +180,62 @@ def _element(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRin
     if h > 1:
         den //= h
         num = {k: c // h for k, c in num.items()}
-    x = object.__new__(GroupRingElement)
-    x._level, x._den, x._num, x._pull = level, den, num, pull and bool(num)
-    return x
+    return _canonical(level, den, num, pull and bool(num))
+
+
+# Most work one product may do: t u term pairs on the sparse path, 2 L W
+# slot bits on the dense path, each refused before it starts.  At the cap
+# the pair loop takes about 0.5 s (2-vCPU x86_64, Python 3.11), and the
+# dense path's multiply of two 1.5 * 10^6-bit ints about 0.15 s.
+_MAX_PRODUCT_WORK = 3_000_000
+
+
+# struct codes of the slot widths that pack and unpack in one call
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _from_slots(digits: list[int], slot: int) -> int:
+    """The int whose little-endian ``slot``-byte digits are ``digits``."""
+    code = _WORDS.get(slot)
+    raw = (struct.pack(f"<{len(digits)}{code}", *digits) if code
+           else b"".join(d.to_bytes(slot, "little") for d in digits))
+    return int.from_bytes(raw, "little")
+
+
+def _to_slots(value: int, slot: int, count: int) -> Sequence[int]:
+    """The ``count`` little-endian ``slot``-byte digits of ``value`` >= 0."""
+    raw = value.to_bytes(slot * count, "little")
+    code = _WORDS.get(slot)
+    if code:
+        return struct.unpack(f"<{count}{code}", raw)
+    return [int.from_bytes(raw[i:i + slot], "little") for i in range(0, len(raw), slot)]
+
+
+def _cyclic_product(x: "GroupRingElement", y: "GroupRingElement", level: int) -> dict[int, int]:
+    """The numerators of x * y at level L by Kronecker substitution: both
+    evaluated at t = 2^W, one multiply, the 2L slots of the product read
+    back as balanced W-bit digits (offset by 2^(W-1)) and slot s + L folded
+    onto slot s.  A slot sums at most min(t, u) products c d, so W takes
+    2^(W-1) above max|c| max|d| min(t, u): 1, 2, 4 or 8 bytes, whose slots
+    pack and unpack in one call, or more whole bytes."""
+    bound = (max(map(abs, x._num.values())) * max(map(abs, y._num.values()))
+             * min(len(x._num), len(y._num)))
+    slot = next((s for s in _WORDS if bound >> 8 * s - 1 == 0), bound.bit_length() // 8 + 1)
+    if 16 * level * slot > _MAX_PRODUCT_WORK:
+        _WorkMeter("group-ring product", "slot bits", _MAX_PRODUCT_WORK).charge(16 * level * slot)
+    half = 1 << 8 * slot - 1
+    ones = int.from_bytes((bytes(slot - 1) + b"\x80") * level, "little")  # half in each slot
+
+    def value(z: "GroupRingElement") -> int:
+        digits, lift = [half] * level, level // z._level
+        for k, c in z._num.items():
+            digits[k * lift] = c + half
+        return _from_slots(digits, slot) - ones
+
+    digits = _to_slots(value(x) * value(y) + ones + (ones << 8 * slot * level), slot, 2 * level)
+    base = 2 * half
+    return {s: c - base for s, c in enumerate(map(operator.add, digits[:level], digits[level:]))
+            if c != base}
 
 
 class GroupRingElement:
@@ -228,13 +301,18 @@ class GroupRingElement:
         if self._pull != other._pull and self._num and other._num:
             raise TypeError("cannot combine group-ring elements over different groups")
         level = math.lcm(self._level, other._level)
+        pairs, pull = len(self._num) * len(other._num), self._pull or other._pull
+        if not pull and 2 * level <= pairs:
+            return _element(level, self._den * other._den, _cyclic_product(self, other, level), False)
+        if pairs > _MAX_PRODUCT_WORK:  # no meter on the hot path below the cap
+            _WorkMeter("group-ring product", "term pairs", _MAX_PRODUCT_WORK).charge(pairs)
         ys = other._split(level)
         num: dict[int, int] = {}
         for gx, rx, c in self._split(level):
             for gy, ry, d in ys:
                 k = gx + gy + (rx + ry) % level
                 num[k] = num.get(k, 0) + c * d
-        return _element(level, self._den * other._den, num, self._pull or other._pull)
+        return _element(level, self._den * other._den, num, pull)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
@@ -338,15 +416,20 @@ def alpha_n(x: GroupRingElement, n: int) -> GroupRingElement:
     more than ``_MAX_PREIMAGES`` terms before building any.
     """
     _check_n(n)
-    level, num = _alpha_keys(x._level, x._num, n)
-    return _element(level, n * x._den, num, x._pull)
+    if not x._num:
+        return x
+    # x canonical: gcd(N, keys) = 1 keeps the lifted keys at the least level
+    # nN, and gcd(D, numerators) = 1 leaves gcd(n, numerators) to divide out
+    h = math.gcd(n, *x._num.values())
+    level, num = _alpha_keys(x._level, {k: c // h for k, c in x._num.items()} if h > 1 else x._num, n)
+    return _canonical(level, n // h * x._den, num, x._pull)
 
 
 def idempotent_e(n: int) -> GroupRingElement:
     """e_n = alpha_n(e(0)) = (1/n) * sum of e(s) over the n-torsion points s in Q/Z."""
     _check_n(n)
-    level, num = _alpha_keys(1, {0: 1}, n)
-    return _element(level, n, num, False)
+    level, num = _alpha_keys(1, {0: 1}, n)  # keys 0..n-1 at level n, numerator 1
+    return _canonical(level, n, num, False)
 
 
 def hatpi_member(gamma_exp: int, zeta: QmodZ, ctx: RhoContext) -> bool:

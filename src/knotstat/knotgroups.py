@@ -782,11 +782,16 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 class Abelianization(Record):
-    """H_1 data of a presentation: free rank and torsion divisors."""
+    """H_1 data of a presentation: free rank and torsion divisors, an int
+    and a tuple of ints, each refused by name otherwise."""
 
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        _check_type(free_rank, "free_rank must be an int", error=PresentationError)
+        _check_type(torsion, "torsion must be a tuple of ints", tuple, PresentationError)
+        for d in torsion:
+            _check_type(d, "torsion divisors must be ints", error=PresentationError)
         self._set(free_rank, torsion)
 
     @property
@@ -1044,7 +1049,7 @@ def _max_relator_residual(p: Presentation, s: complex, x_values: Sequence[comple
     Batched: the generator matrices are built as one stacked array and
     inverted in one call, and the relators of one length are multiplied
     together, one letter position per ``@``, in the same order as one
-    relator at a time."""
+    relator at a time.  A NaN in any product makes the residual NaN."""
     import numpy as np
 
     n = p.n_generators
@@ -1061,8 +1066,8 @@ def _max_relator_residual(p: Presentation, s: complex, x_values: Sequence[comple
         out = eye
         for position in np.array(words).T:
             out = out @ steps[position]
-        worst = max(worst, float(np.max(np.abs(out - eye))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(out - eye)))  # keeps a NaN, as max drops it
+    return float(worst)
 
 
 def derham_solve(
@@ -1130,7 +1135,7 @@ def derham_solve(
         xs[j] = complex(vec[idx])
     root, sqrt_root, xs = complex(r), cmath.sqrt(r) * branch, tuple(xs)
     residual = _max_relator_residual(p, sqrt_root, xs)
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # NaN fails it too
         raise PresentationError(
             f"relator verification failed: residual {residual:.3e} > 1e-9"
         )
@@ -1161,6 +1166,8 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     construction); verifies every relator of the amalgamation, including
     the meridian identification, to residual < 1e-9.
     """
+    import numpy as np
+
     p1, p2 = r1.presentation, r2.presentation
     if abs(r1.x_values[p1.basepoint]) > 1e-12:
         raise PresentationError("first representation is not based")
@@ -1172,10 +1179,10 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     # amalgamation whose x is 0 on the other summand (the carrier diag(s, 1/s))
     top = r1.x_values + (0j,) * p2.n_generators
     bottom = (0j,) * p1.n_generators + r2.x_values
-    residual = max(
+    residual = float(np.max([
         _max_relator_residual(amal, r.sqrt_root, xs) for r, xs in ((r1, top), (r2, bottom))
-    )
-    if residual > 1e-9:
+    ]))  # a NaN of either block stays, as max would drop it
+    if not residual <= 1e-9:
         raise PresentationError(
             f"amalgamated relator verification failed: residual {residual:.3e}"
         )

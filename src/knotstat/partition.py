@@ -88,7 +88,8 @@ class SeriesResult(Record):
     from the divergent one and from the band where the bounding method is
     silent.  ``details`` carries cross-check values (alternate evaluation
     routes, stabilization gaps) keyed by name; it takes no part in ``==``
-    or ``hash``, and defaults to a new empty dict.
+    or ``hash``, and defaults to a new empty dict.  A ``terms_used`` that is
+    not an int, or a bool, is refused by name.
     """
 
     __slots__ = ("value", "terms_used", "tail_bound", "converged", "status", "details")
@@ -103,6 +104,7 @@ class SeriesResult(Record):
         status: str = "converged",
         details: Optional[dict] = None,
     ) -> None:
+        _check_type(terms_used, "terms_used must be an int")
         if not tail_bound >= 0:  # NaN fails it too
             raise DomainError("tail_bound must be nonnegative")
         self._set(value, terms_used, tail_bound, converged, status,
@@ -110,13 +112,14 @@ class SeriesResult(Record):
 
 
 class ThresholdReport(Record):
-    """The three convergence thresholds at a given weight base q."""
+    """The three convergence thresholds at a given weight base q, an int."""
 
     __slots__ = ("beta_plus", "beta_minus", "beta_tilde_minus", "q")
 
     def __init__(
         self, beta_plus: float, beta_minus: float, beta_tilde_minus: float, q: int
     ) -> None:
+        _check_type(q, "ThresholdReport q must be an int")
         if not beta_tilde_minus < beta_minus < beta_plus:
             raise DomainError(
                 "threshold ordering beta_tilde_minus < beta_minus < beta_plus "

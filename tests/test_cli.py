@@ -27,7 +27,7 @@ from knotstat import knotgroups as kg
 from knotstat import partition as pt
 from knotstat.catalog import builtin_catalog_path, load_catalog
 from knotstat.cli import run
-from knotstat.crossed import QmodZ, bc_normalize, idempotent_e
+from knotstat.crossed import GroupRingElement, QmodZ, alpha_n, bc_normalize, idempotent_e
 from knotstat.errors import DomainError
 from knotstat.semigroup import enumerate_group_elements
 from knotstat.specfun import _MAX_SIEVE, _prime_flags, lerch
@@ -1164,6 +1164,20 @@ def _prime_word(count):
     return [("e", QmodZ.of(1, p)) for p in primes[:count]]
 
 
+def _alpha_images(t, u):
+    """alpha_t(e(1/97)) alpha_u(e(1/89)): t u term pairs at a level far above
+    them, which the pair loop multiplies."""
+    return (alpha_n(GroupRingElement.e(QmodZ.of(1, 97)), t)
+            * alpha_n(GroupRingElement.e(QmodZ.of(1, 89)), u))
+
+
+def _scaled_square(c):
+    """(c e_40000)^2, a dense product: for c odd and prime to 5 the slot
+    width holds c^2 40000, 4 bytes up to c = 231 and 8 from c = 233."""
+    x = GroupRingElement([(0, c)]) * idempotent_e(40_000)
+    return x * x
+
+
 def _unblocked_sum(*names):
     """The connected sum of builtin knots without its recorded Wirtinger
     blocks, as a saved file reads back."""
@@ -1247,6 +1261,9 @@ class TestCostCaps:
         ("_MAX_VALUES", True, ["figures", "--which", "f", "--n-points", "100000"],
          ["figures", "--which", "f", "--n-points", "100001"]),
         ("_MAX_PREIMAGES", True, lambda: idempotent_e(40_000), lambda: idempotent_e(40_001)),
+        ("_MAX_PRODUCT_WORK-pairs", True, lambda: _alpha_images(2000, 1500),
+         lambda: _alpha_images(2000, 1501)),
+        ("_MAX_PRODUCT_WORK-slots", True, lambda: _scaled_square(231), lambda: _scaled_square(233)),
         ("_MAX_BIG_INT_WORK-bc", False, lambda: bc_normalize(_prime_word(1554)),
          lambda: bc_normalize(_prime_word(1555))),
         ("_MAX_BIG_INT_WORK-det", False, ["alexander", "--braid", " ".join(["1"] * 85)],

@@ -335,6 +335,37 @@ class TestSigmaAlpha:
             e = idempotent_e(n)
             assert e * e == e
 
+    def test_alpha_and_idempotents_born_canonical(self, rng):
+        """alpha_n and e_n build their canonical fields directly: the level,
+        denominator and numerators the constructor makes of their terms,
+        on both label families, the zero element and common factors of n
+        and the numerators included."""
+        xs = [random_element(rng) for _ in range(200)]
+        xs += [GroupRingElement(), E(0), GroupRingElement([(QmodZ.of(1, 3), 6)]),
+               GroupRingElement([(HatPiLabel(-2, QmodZ.of(1, 4)), Fraction(4, 9))])]
+        for x in xs:
+            for n in (1, 2, 6, rng.randint(1, 40)):
+                y = alpha_n(x, n)
+                z = GroupRingElement(y.terms)
+                assert (y._level, y._den, y._pull, y._num) == (z._level, z._den, z._pull, z._num)
+        for n in (1, 2, 7, 40):
+            e = idempotent_e(n)
+            assert (e._level, e._den, e._num) == (n, n, dict.fromkeys(range(n), 1))
+
+    def test_product_caps(self):
+        """The pair loop is refused past 3 * 10^6 term pairs and the dense
+        path past 3 * 10^6 slot bits, both before they start."""
+        x = alpha_n(E(Fraction(1, 97)), 2000)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^group-ring product would take 3002000 term "
+                                              "pairs, more than the work cap of 3000000 term pairs$"):
+            x * alpha_n(E(Fraction(1, 89)), 1501)
+        e = GroupRingElement([(0, 233)]) * idempotent_e(40_000)
+        with pytest.raises(DomainError, match="^group-ring product would take 5120000 slot "
+                                              "bits, more than the work cap of 3000000 slot bits$"):
+            e * e
+        assert time.perf_counter() - start < 0.5
+
     def test_sigma_fixes_coprime_idempotent(self, rng):
         for _ in range(100):
             n = rng.randint(1, 20)

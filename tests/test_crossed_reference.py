@@ -6,6 +6,13 @@ actions, idempotents, ``==``/``hash``, ``.terms``, ``repr`` and normal-form
 strings.  Inputs come in two sizes: dense (label denominators <= 30,
 n <= 40) and wide (prime denominators up to 10^4), on both label families;
 normal-form words have up to 12 tokens with mu/mu* values up to 40.
+Those draws have at most 4 terms, so they reach the dense product (level L
+with 2L <= t u for t and u terms, one big-int multiply) only at levels of 8
+or less; the dense draws multiply idempotents e_n, alpha_n images and
+e_n x for n, m <= 40, with numerators up to 10^30, the zero element and
+one-term factors, and compare ``==``, ``hash``, ``.terms`` and ``repr``.
+Fixed cases sit on each side of the cutover, and a pullback-family
+product, which always takes the pair loop.
 ``hatpi_member``'s closed form is checked against the exhaustive scan over
 m <= b * n_rho on a full grid of small cases.
 """
@@ -18,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crossed_reference as ref
+from knotstat import crossed
 from knotstat.crossed import (
     GroupRingElement,
     HatPiLabel,
@@ -110,6 +118,88 @@ def test_actions_match_reference(size, hatpi, data):
     assert_same(e * x, f * r)
     back = sigma_n(ax, n)
     assert back == x and hash(back) == hash(x)
+
+
+def assert_canonical(x, r):
+    """x matches r term for term, and holds the fields and hash of the
+    element the constructor builds from r's terms."""
+    assert_same(x, r)
+    y = GroupRingElement(r.terms)
+    assert (x._level, x._den, x._pull, x._num) == (y._level, y._den, y._pull, y._num)
+    assert x == y and hash(x) == hash(y)
+
+
+def big_terms(g):
+    """0 to 4 terms (at most g) on distinct labels a/g, with numerators up
+    to 10^30 in size, none of them 0."""
+    coeff = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 9))
+    term = st.tuples(st.integers(0, g - 1).map(lambda a: QmodZ.of(a, g)), coeff)
+    return st.integers(0, min(4, g)).flatmap(
+        lambda k: st.lists(term, min_size=k, max_size=k, unique_by=lambda t: t[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40))
+def test_idempotent_products_match_reference(n, m):
+    assert_canonical(idempotent_e(n) * idempotent_e(m), ref.idempotent_e(n) * ref.idempotent_e(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_products_match_reference(data):
+    """alpha_n(x) alpha_m(y), alpha_n(x) y and e_n x on labels a/g, 2 <= g <= 6,
+    with n often a multiple of g and m often a divisor of n, so that many of
+    them are dense; the zero element and one-term factors are among the
+    draws."""
+    g = data.draw(st.integers(2, 6))
+    (x, r), (y, s) = both(data.draw(big_terms(g))), both(data.draw(big_terms(g)))
+    n = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 40 // g).map(g.__mul__)))
+    m = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(
+        [d for d in range(1, n + 1) if n % d == 0])))
+    ax, ar, ay, as_ = alpha_n(x, n), ref.alpha_n(r, n), alpha_n(y, m), ref.alpha_n(s, m)
+    assert_canonical(ax, ar)
+    assert_canonical(ax * ay, ar * as_)
+    assert_canonical(ax * y, ar * s)
+    assert_canonical(idempotent_e(n) * x, ref.idempotent_e(n) * r)
+    assert_canonical(x * idempotent_e(m), r * ref.idempotent_e(m))
+
+
+def spy_dense(monkeypatch):
+    """The levels at which products take the dense path."""
+    levels = []
+    cyclic = crossed._cyclic_product
+    monkeypatch.setattr(crossed, "_cyclic_product",
+                        lambda x, y, level: levels.append(level) or cyclic(x, y, level))
+    return levels
+
+
+def test_cutover_sides(monkeypatch):
+    """4 terms times 3 at level 6 (2L = t u) take the dense path, at level 7
+    (2L = t u + 2) the pair loop; both match the reference."""
+    levels = spy_dense(monkeypatch)
+    for level, dense in ((6, True), (7, False)):
+        t1 = [(QmodZ.of(k, level), Fraction(10**30 - k, k + 1)) for k in range(4)]
+        t2 = [(QmodZ.of(k, level), Fraction(-3 - k, 7)) for k in range(1, 4)]
+        (x, r), (y, s) = both(t1), both(t2)
+        levels.clear()
+        assert_canonical(x * y, r * s)
+        assert levels == ([level] if dense else [])
+
+
+def test_pullback_products_take_the_pair_loop(monkeypatch):
+    levels = spy_dense(monkeypatch)
+    for n, m in ((12, 8), (40, 40)):
+        assert_canonical(idempotent_e_hatpi(n) * idempotent_e_hatpi(m),
+                         ref.idempotent_e_hatpi(n) * ref.idempotent_e_hatpi(m))
+    assert levels == []
+
+
+def test_dense_idempotent_square_in_time():
+    """e_4000^2 = e_4000: 16 * 10^6 term pairs, about 2.9 s by the pair loop."""
+    e = idempotent_e(4000)
+    start = time.perf_counter()
+    assert e * e == e
+    assert time.perf_counter() - start < 0.5
 
 
 def words(size):

@@ -114,8 +114,8 @@ def unblocked(p):
 
 
 def sympy_factors(m):
-    """The nonzero invariant factors by sympy, made positive."""
-    return [abs(v) for v in sympy_snf(Matrix(m)).diagonal() if v != 0]
+    """The nonzero invariant factors by sympy, made positive ints."""
+    return [int(abs(v)) for v in sympy_snf(Matrix(m)).diagonal() if v != 0]
 
 
 def sympy_abelianization(p):
@@ -993,6 +993,24 @@ class TestDeRham:
         rep = derham_direct_sum(r1, r2)
         assert rep.residual < 1e-9
         assert len(rep.presentation.relators) == 8
+
+    def test_nan_residual_refused(self, monkeypatch):
+        """A NaN in a relator product makes the residual NaN, which fails the
+        1e-9 check: 3_1 with x-values (0, nan, 1j) read 0.0, and its direct
+        sum with 4_1 was accepted with residual 2.6e-16."""
+        p = builtin_presentation("3_1")
+        r1 = derham_solve(p, cmath.exp(1j * math.pi / 3))
+        r2 = derham_solve(builtin_presentation("4_1"), (3 - math.sqrt(5)) / 2)
+        bad_x = (0j, complex(math.nan), 1j)
+        assert math.isnan(knotgroups._max_relator_residual(p, r1.sqrt_root, bad_x))
+        bad = DeRhamRep(p, r1.root, r1.sqrt_root, bad_x, 0.0, 1)
+        for pair in ((bad, r2), (r2, bad)):
+            with pytest.raises(PresentationError,
+                               match=r"^amalgamated relator verification failed: residual nan$"):
+                derham_direct_sum(*pair)
+        monkeypatch.setattr(knotgroups, "_max_relator_residual", lambda *args: math.nan)
+        with pytest.raises(PresentationError, match=r"residual nan > 1e-9$"):
+            derham_solve(p, r1.root)
 
     def test_direct_sum_restriction_compatibility(self, rng):
         """Words in the first summand act through the top 2x2 block exactly

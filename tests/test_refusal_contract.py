@@ -315,6 +315,16 @@ LIBRARY_REFUSALS = [
      DomainError, "tail_bound must be nonnegative"),
     ("derham-branch-bool", lambda: derham_solve(TREFOIL, REP.root, branch=True),
      PresentationError, "branch must be +1 or -1, got bool True"),
+    ("series-terms-str", lambda: SeriesResult(1.0, "3", 0.0, True),
+     DomainError, "terms_used must be an int, got str '3'"),
+    ("threshold-q-str", lambda: ThresholdReport(3.0, 2.0, 1.0, q="2"),
+     DomainError, "ThresholdReport q must be an int, got str '2'"),
+    ("abelianization-str", lambda: Abelianization("3", ()),
+     PresentationError, "free_rank must be an int, got str '3'"),
+    ("abelianization-torsion", lambda: Abelianization(1, (2.0,)),
+     PresentationError, "torsion divisors must be ints, got float 2.0"),
+    ("abelianization-torsion-list", lambda: Abelianization(1, [2]),
+     PresentationError, "torsion must be a tuple of ints, got list [2]"),
     # refused without the argument's name
     ("z-tau-n-rho", lambda: z_tau(2.0, [1], n_rho=1.5),
      DomainError, "n_rho must be an int, got float 1.5"),
