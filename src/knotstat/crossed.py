@@ -32,16 +32,18 @@ numerators, and the zero element (N = D = 1) is in no family -- so ``==``
 and ``hash`` compare four fields.  Being sparse, a prime level near 10^16
 costs no more than a small one.  For elements of t and u terms:
 
-    x * y          at L = lcm(N, M).  Dense, when neither is in the pullback
-                   family and 2L <= t u: one multiply of the numerators
-                   evaluated at 2^W (Kronecker substitution), W of 1, 2, 4
-                   or 8 bytes, or more whole bytes, above max|c| max|d|
-                   min(t, u), the 2L slots of the product read back and
-                   slot s + L folded onto s.
+    x * y          at L = lcm(N, M), with G and G' the n_gamma spans of the
+                   factors (1 in the plain family).  Dense, when
+                   2L (G + G' - 1) <= t u, in either family: one multiply of
+                   the numerators evaluated at 2^W (Kronecker substitution),
+                   a key g L + r at slot (g - g0) 2L + r, W of 1, 2, 4 or 8
+                   bytes, or more whole bytes, above max|c| max|d| min(t, u),
+                   the 2L slots of each of the G + G' - 1 blocks of the
+                   product read back and slot s + L folded onto s.
                    Otherwise t u multiply-adds: keys lifted to L split as
                    g + r, r < L, and add to g + g' + (r + r') mod L.  Either
                    is refused before it starts past 3 * 10^6 term pairs or
-                   slot bits (2L W)
+                   slot bits (2L (G + G' - 1) W)
     sigma_n(x)     t keys (k // N) N' + k m mod N' (N' = N/g, m = n/g,
                    g = gcd(n, N))
     alpha_n(x)     n t keys b + jN, b = (k // N) nN + k mod N, j < n, at
@@ -69,7 +71,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ._record import Record
-from .errors import _MAX_BIG_INT_WORK, DomainError, _check_type, _WorkMeter
+from .errors import _MAX_BIG_INT_WORK, DomainError, _check_n_rho, _check_type, _WorkMeter
 
 __all__ = [
     "QmodZ",
@@ -183,10 +185,11 @@ def _element(level: int, den: int, num: dict[int, int], pull: bool) -> "GroupRin
     return _canonical(level, den, num, pull and bool(num))
 
 
-# Most work one product may do: t u term pairs on the sparse path, 2 L W
-# slot bits on the dense path, each refused before it starts.  At the cap
-# the pair loop takes about 0.5 s (2-vCPU x86_64, Python 3.11), and the
-# dense path's multiply of two 1.5 * 10^6-bit ints about 0.15 s.
+# Most work one product may do: t u term pairs on the sparse path,
+# 2 L (G + G' - 1) W slot bits on the dense path, each refused before it
+# starts.  At the cap the pair loop takes about 0.5 s (2-vCPU x86_64,
+# Python 3.11), and the dense path's multiply of two 1.5 * 10^6-bit ints
+# about 0.15 s.
 _MAX_PRODUCT_WORK = 3_000_000
 
 
@@ -211,30 +214,57 @@ def _to_slots(value: int, slot: int, count: int) -> Sequence[int]:
     return [int.from_bytes(raw[i:i + slot], "little") for i in range(0, len(raw), slot)]
 
 
-def _cyclic_product(x: "GroupRingElement", y: "GroupRingElement", level: int) -> dict[int, int]:
-    """The numerators of x * y at level L by Kronecker substitution: both
-    evaluated at t = 2^W, one multiply, the 2L slots of the product read
-    back as balanced W-bit digits (offset by 2^(W-1)) and slot s + L folded
-    onto slot s.  A slot sums at most min(t, u) products c d, so W takes
+def _span(z: "GroupRingElement") -> tuple[int, int]:
+    """The least and greatest n_gamma of z's keys, k // N: (0, 0) in the plain
+    family, whose keys all lie below N, so that only pullback keys are scanned."""
+    if not z._pull:
+        return 0, 0
+    return min(z._num) // z._level, max(z._num) // z._level
+
+
+def _cyclic_product(x: "GroupRingElement", y: "GroupRingElement", level: int,
+                    spans: tuple[tuple[int, int], tuple[int, int]]) -> dict[int, int]:
+    """The numerators of x * y at level L by Kronecker substitution.  A key
+    g L + r (r < L) of a factor whose n_gamma span (``spans``, G of them)
+    starts at g0 goes to slot (g - g0) 2L + r; both factors are evaluated
+    at t = 2^W and multiplied once, and each of the product's G + G' - 1
+    blocks of 2L slots is read back as balanced W-bit digits (offset by
+    2^(W-1)), slot s + L folded onto slot s.  The plain family is the one
+    block at g0 = 0.  A slot sums at most min(t, u) products c d, so W takes
     2^(W-1) above max|c| max|d| min(t, u): 1, 2, 4 or 8 bytes, whose slots
     pack and unpack in one call, or more whole bytes."""
     bound = (max(map(abs, x._num.values())) * max(map(abs, y._num.values()))
              * min(len(x._num), len(y._num)))
-    slot = next((s for s in _WORDS if bound >> 8 * s - 1 == 0), bound.bit_length() // 8 + 1)
-    if 16 * level * slot > _MAX_PRODUCT_WORK:
-        _WorkMeter("group-ring product", "slot bits", _MAX_PRODUCT_WORK).charge(16 * level * slot)
+    slot = bound.bit_length() // 8 + 1
+    if slot <= 8:
+        slot = 1 << (slot - 1).bit_length()
+    (lx, hx), (ly, hy) = spans
+    width = 2 * level
+    size = width * (hx + hy - lx - ly + 1)
+    if 8 * slot * size > _MAX_PRODUCT_WORK:
+        _WorkMeter("group-ring product", "slot bits", _MAX_PRODUCT_WORK).charge(8 * slot * size)
     half = 1 << 8 * slot - 1
-    ones = int.from_bytes((bytes(slot - 1) + b"\x80") * level, "little")  # half in each slot
+    ones = int.from_bytes((bytes(slot - 1) + b"\x80") * size, "little")  # half in each slot
 
-    def value(z: "GroupRingElement") -> int:
-        digits, lift = [half] * level, level // z._level
-        for k, c in z._num.items():
-            digits[k * lift] = c + half
-        return _from_slots(digits, slot) - ones
+    def value(z: "GroupRingElement", low: int, high: int) -> int:
+        lift = level // z._level
+        if low == high:  # one block: a key less g0 N, lifted, is its slot
+            digits = [half] * level
+            for k, c in ({k - low * z._level: c for k, c in z._num.items()} if low
+                         else z._num).items():
+                digits[k * lift] = c + half
+        else:
+            digits = [half] * (width * (high - low) + level)
+            for k, c in z._num.items():
+                g, r = divmod(k * lift, level)
+                digits[(g - low) * width + r] = c + half
+        return _from_slots(digits, slot) - (ones >> 8 * slot * (size - len(digits)))
 
-    digits = _to_slots(value(x) * value(y) + ones + (ones << 8 * slot * level), slot, 2 * level)
-    base = 2 * half
-    return {s: c - base for s, c in enumerate(map(operator.add, digits[:level], digits[level:]))
+    digits = _to_slots(value(x, lx, hx) * value(y, ly, hy) + ones, slot, size)
+    base, first = 2 * half, (lx + ly) * level
+    return {k: c - base for b in range(0, size, width)
+            for k, c in enumerate(map(operator.add, digits[b:b + level],
+                                      digits[b + level:b + width]), first + b // 2)
             if c != base}
 
 
@@ -301,18 +331,20 @@ class GroupRingElement:
         if self._pull != other._pull and self._num and other._num:
             raise TypeError("cannot combine group-ring elements over different groups")
         level = math.lcm(self._level, other._level)
-        pairs, pull = len(self._num) * len(other._num), self._pull or other._pull
-        if not pull and 2 * level <= pairs:
-            return _element(level, self._den * other._den, _cyclic_product(self, other, level), False)
-        if pairs > _MAX_PRODUCT_WORK:  # no meter on the hot path below the cap
-            _WorkMeter("group-ring product", "term pairs", _MAX_PRODUCT_WORK).charge(pairs)
-        ys = other._split(level)
-        num: dict[int, int] = {}
-        for gx, rx, c in self._split(level):
-            for gy, ry, d in ys:
-                k = gx + gy + (rx + ry) % level
-                num[k] = num.get(k, 0) + c * d
-        return _element(level, self._den * other._den, num, pull)
+        pairs = len(self._num) * len(other._num)
+        (lx, hx), (ly, hy) = spans = _span(self), _span(other)
+        if 2 * level * (hx + hy - lx - ly + 1) <= pairs:
+            num = _cyclic_product(self, other, level, spans)
+        else:
+            if pairs > _MAX_PRODUCT_WORK:  # no meter on the hot path below the cap
+                _WorkMeter("group-ring product", "term pairs", _MAX_PRODUCT_WORK).charge(pairs)
+            ys = other._split(level)
+            num = {}
+            for gx, rx, c in self._split(level):
+                for gy, ry, d in ys:
+                    k = gx + gy + (rx + ry) % level
+                    num[k] = num.get(k, 0) + c * d
+        return _element(level, self._den * other._den, num, self._pull or other._pull)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
@@ -347,9 +379,7 @@ class RhoContext(Record):
     __slots__ = ("n_rho",)
 
     def __init__(self, n_rho: int) -> None:
-        _check_type(n_rho, "n_rho must be an int")
-        if n_rho < 1:
-            raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+        _check_n_rho(n_rho)
         self._set(n_rho)
 
     def admits(self, n: int) -> bool:
@@ -483,9 +513,7 @@ def congruence_inverse(n: int, n_rho: int) -> int:
     The inverse of a unit is a unit, so gcd(k, n_rho) = 1 automatically.
     """
     _check_type(n, "n must be an int")
-    _check_type(n_rho, "n_rho must be an int")
-    if n_rho < 1:
-        raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+    _check_n_rho(n_rho)
     if math.gcd(n, n_rho) != 1:
         raise DomainError(f"n={n} and n_rho={n_rho} are not coprime")
     return pow(n, -1, n_rho) or n_rho  # 0 only for n_rho = 1; representative in 1..n_rho

@@ -36,6 +36,13 @@ def _check_type(value, what: str, types=int, error=DomainError) -> None:
         raise error(f"{what}, got {type(value).__name__} {value!r}")
 
 
+def _check_n_rho(n_rho) -> None:
+    """Refuse an ``n_rho``, the order of the cyclic target, that is not an int >= 1."""
+    _check_type(n_rho, "n_rho must be an int")
+    if n_rho < 1:
+        raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+
+
 # Bit products (the bit lengths of two big-int operands multiplied, summed
 # over the products, divisions and gcds a loop runs) that the big-int loops
 # of one call may spend: Bareiss row updates and bc_normalize steps run about

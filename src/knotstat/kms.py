@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 from ._record import Record
 from .catalog import Catalog, threshold_beta_plus
 from .crossed import QmodZ
-from .errors import DomainError, _check_type
+from .errors import DomainError, _check_n_rho, _check_type
 from .semigroup import (
     GroupElement,
     Knot,
@@ -398,9 +398,7 @@ def psi_product_state(
     _require_finite_beta("psi_product_state", beta)
     if beta <= 1.0:
         raise DomainError(f"product states need beta > 1, got {beta}")
-    _check_type(n_rho, "n_rho must be an int")
-    if n_rho < 1:
-        raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+    _check_n_rho(n_rho)
     total = complex(1.0)
     for g, mono in f.entries:
         g_eff = precompose.compose(g) if precompose is not None else g

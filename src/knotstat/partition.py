@@ -32,7 +32,7 @@ from .catalog import (
     threshold_beta_plus,
     weights_with_counts,
 )
-from .errors import DivergenceError, DomainError, _check_type, _WorkMeter
+from .errors import DivergenceError, DomainError, _check_n_rho, _check_type, _WorkMeter
 from .specfun import (
     _MAX_SIEVE,
     _TINY_LOG,
@@ -218,6 +218,12 @@ def _require_q(name: str, q: int) -> None:
     _check_type(q, f"{name} requires an int q")
     if q < 2:
         raise DomainError(f"{name} requires q >= 2, got {q}")
+
+
+def _require_source(name: str, source: Source) -> None:
+    """Refuse a source that is neither a catalog nor a model, naming the caller."""
+    _check_type(source, f"{name} needs a Catalog or MultiplicityModel source",
+                (Catalog, MultiplicityModel))
 
 
 def _threshold_bracket(q: int) -> tuple[float, float]:
@@ -497,6 +503,7 @@ def z_alternating(
     if beta <= 0:
         raise DomainError(f"z_alternating requires beta > 0, got {beta}")
     _require_q("z_alternating", q)
+    _require_source("z_alternating", source)
     if isinstance(source, MultiplicityModel):
         regime = _model_regime(beta, q)
         if regime == "diverged":
@@ -591,6 +598,7 @@ def z_grothendieck(
     _require_finite_beta("z_grothendieck", beta)
     if beta <= 0:
         raise DomainError(f"z_grothendieck requires beta > 0, got {beta}")
+    _require_source("z_grothendieck", source)
     if isinstance(source, MultiplicityModel):
         if beta < threshold_beta_plus():
             raise DivergenceError(
@@ -735,6 +743,7 @@ def z_knots_times_n(
         raise DivergenceError(
             f"z_knots_times_n requires beta > 1 (zeta factor diverges), got {beta}"
         )
+    _require_source("z_knots_times_n", source)
     if isinstance(source, MultiplicityModel) and beta < threshold_beta_plus():
         raise DivergenceError(
             f"z_knots_times_n on a model source needs beta >= beta_plus, got {beta}"
@@ -781,9 +790,7 @@ def z_tau(
         raise DomainError(
             f"Z_tau is trace-class only for beta > 1, got beta = {beta}"
         )
-    _check_type(n_rho, "n_rho must be an int")
-    if n_rho < 1:
-        raise DomainError(f"n_rho must be >= 1, got {n_rho}")
+    _check_n_rho(n_rho)
     # a mapping is copied, a list counted: W = 28 passes 44,985 values
     counts = Counter(f_values)
     for f, c in counts.items():

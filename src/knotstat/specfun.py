@@ -240,7 +240,7 @@ def restricted_zeta(s: float, m: int) -> float:
     """zeta_m(s): the Riemann zeta with Euler factors of primes dividing m removed."""
     if not s > 1:  # NaN fails it too
         raise DomainError(f"restricted_zeta requires s > 1, got {s}")
-    _check_type(m, "factorization needs an int")  # as _factorize refuses m, text and all
+    _check_type(m, "restricted_zeta needs an int m")
     if m < 1:
         raise DomainError(f"restricted_zeta requires m >= 1, got {m}")
     value = riemann_zeta(s)

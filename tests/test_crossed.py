@@ -354,7 +354,7 @@ class TestSigmaAlpha:
 
     def test_product_caps(self):
         """The pair loop is refused past 3 * 10^6 term pairs and the dense
-        path past 3 * 10^6 slot bits, both before they start."""
+        path past 3 * 10^6 slot bits, 2L (G + G' - 1) W, both before they start."""
         x = alpha_n(E(Fraction(1, 97)), 2000)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="^group-ring product would take 3002000 term "
@@ -364,6 +364,11 @@ class TestSigmaAlpha:
         with pytest.raises(DomainError, match="^group-ring product would take 5120000 slot "
                                               "bits, more than the work cap of 3000000 slot bits$"):
             e * e
+        # 80,000 terms spanning n_gamma 0 and 1: three blocks of 2L 32-bit slots
+        x = GroupRingElement([(HatPiLabel(g, 0), 1) for g in (0, 1)]) * idempotent_e_hatpi(40_000)
+        with pytest.raises(DomainError, match="^group-ring product would take 7680000 slot "
+                                              "bits, more than the work cap of 3000000 slot bits$"):
+            x * x
         assert time.perf_counter() - start < 0.5
 
     def test_sigma_fixes_coprime_idempotent(self, rng):

@@ -7,12 +7,13 @@ strings.  Inputs come in two sizes: dense (label denominators <= 30,
 n <= 40) and wide (prime denominators up to 10^4), on both label families;
 normal-form words have up to 12 tokens with mu/mu* values up to 40.
 Those draws have at most 4 terms, so they reach the dense product (level L
-with 2L <= t u for t and u terms, one big-int multiply) only at levels of 8
-or less; the dense draws multiply idempotents e_n, alpha_n images and
-e_n x for n, m <= 40, with numerators up to 10^30, the zero element and
-one-term factors, and compare ``==``, ``hash``, ``.terms`` and ``repr``.
-Fixed cases sit on each side of the cutover, and a pullback-family
-product, which always takes the pair loop.
+with 2L (G + G' - 1) <= t u for t and u terms spanning G and G' n_gamma,
+one big-int multiply) only at levels of 8 or less; the dense draws multiply
+idempotents e_n, alpha_n images and e_n x for n, m <= 40, with numerators
+up to 10^30, the zero element and one-term factors, in both label families
+(n_gamma in [-3, 3]), and compare ``==``, ``hash``, ``.terms`` and ``repr``.
+Fixed cases sit on each side of the cutover in both families, and a
+pullback product of a wide n_gamma span takes the pair loop.
 ``hatpi_member``'s closed form is checked against the exhaustive scan over
 m <= b * n_rho on a full grid of small cases.
 """
@@ -129,77 +130,138 @@ def assert_canonical(x, r):
     assert x == y and hash(x) == hash(y)
 
 
-def big_terms(g):
-    """0 to 4 terms (at most g) on distinct labels a/g, with numerators up
-    to 10^30 in size, none of them 0."""
+# alpha_n and e_n of each label family, in crossed and in the reference;
+# RhoContext(1) admits every n
+ANY = RhoContext(1)
+FAMILY = {
+    False: (alpha_n, ref.alpha_n, idempotent_e, ref.idempotent_e),
+    True: (lambda x, n: alpha_n_hatpi(x, n, ANY), lambda r, n: ref.alpha_n_hatpi(r, n, ANY),
+           idempotent_e_hatpi, ref.idempotent_e_hatpi),
+}
+
+
+def big_terms(g, hatpi):
+    """0 to 4 terms (at most g) on distinct labels a/g, or d(n_gamma, a/g) with
+    n_gamma in [-3, 3], with numerators up to 10^30 in size, none of them 0."""
     coeff = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 9))
-    term = st.tuples(st.integers(0, g - 1).map(lambda a: QmodZ.of(a, g)), coeff)
+    label = st.integers(0, g - 1).map(lambda a: QmodZ.of(a, g))
+    if hatpi:
+        label = st.builds(HatPiLabel, st.integers(-3, 3), label)
     return st.integers(0, min(4, g)).flatmap(
-        lambda k: st.lists(term, min_size=k, max_size=k, unique_by=lambda t: t[0]))
+        lambda k: st.lists(st.tuples(label, coeff), min_size=k, max_size=k,
+                           unique_by=lambda t: t[0]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), m=st.integers(1, 40))
-def test_idempotent_products_match_reference(n, m):
-    assert_canonical(idempotent_e(n) * idempotent_e(m), ref.idempotent_e(n) * ref.idempotent_e(m))
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40), hatpi=st.booleans())
+def test_idempotent_products_match_reference(n, m, hatpi):
+    _, _, e, f = FAMILY[hatpi]
+    assert_canonical(e(n) * e(m), f(n) * f(m))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_dense_products_match_reference(data):
     """alpha_n(x) alpha_m(y), alpha_n(x) y and e_n x on labels a/g, 2 <= g <= 6,
-    with n often a multiple of g and m often a divisor of n, so that many of
-    them are dense; the zero element and one-term factors are among the
-    draws."""
-    g = data.draw(st.integers(2, 6))
-    (x, r), (y, s) = both(data.draw(big_terms(g))), both(data.draw(big_terms(g)))
+    in either family, with n often a multiple of g and m often a divisor of
+    n, so that many of them are dense; the zero element and one-term factors
+    are among the draws."""
+    g, hatpi = data.draw(st.integers(2, 6)), data.draw(st.booleans())
+    alpha, ref_alpha, e, f = FAMILY[hatpi]
+    (x, r), (y, s) = both(data.draw(big_terms(g, hatpi))), both(data.draw(big_terms(g, hatpi)))
     n = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 40 // g).map(g.__mul__)))
     m = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(
         [d for d in range(1, n + 1) if n % d == 0])))
-    ax, ar, ay, as_ = alpha_n(x, n), ref.alpha_n(r, n), alpha_n(y, m), ref.alpha_n(s, m)
+    ax, ar, ay, as_ = alpha(x, n), ref_alpha(r, n), alpha(y, m), ref_alpha(s, m)
     assert_canonical(ax, ar)
     assert_canonical(ax * ay, ar * as_)
     assert_canonical(ax * y, ar * s)
-    assert_canonical(idempotent_e(n) * x, ref.idempotent_e(n) * r)
-    assert_canonical(x * idempotent_e(m), r * ref.idempotent_e(m))
+    assert_canonical(e(n) * x, f(n) * r)
+    assert_canonical(x * e(m), r * f(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_products_spanning_several_n_gamma(data):
+    """4 to 12 terms d(n_gamma, a/b) with one b <= 4, n_gamma in a window of
+    1 to 3 values from [-3, 5] for each factor, numerators up to 10^30: most
+    products are dense, with factors spanning one or several n_gamma."""
+    b = data.draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 9))
+
+    def terms():
+        low, high = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, 2))
+        label = st.builds(HatPiLabel, st.integers(low, low + high), qmodz(st.just(b)))
+        return data.draw(st.lists(st.tuples(label, coeff), min_size=4, max_size=12))
+
+    (x, r), (y, s) = both(terms()), both(terms())
+    assert_canonical(x * y, r * s)
 
 
 def spy_dense(monkeypatch):
     """The levels at which products take the dense path."""
     levels = []
     cyclic = crossed._cyclic_product
-    monkeypatch.setattr(crossed, "_cyclic_product",
-                        lambda x, y, level: levels.append(level) or cyclic(x, y, level))
+    monkeypatch.setattr(crossed, "_cyclic_product", lambda x, y, level, spans:
+                        levels.append(level) or cyclic(x, y, level, spans))
     return levels
 
 
+def d(g, a, b):
+    return HatPiLabel(g, QmodZ.of(a, b))
+
+
+def cutover_cases():
+    """(x terms, y terms, whether dense): 4 terms times 3 at level 6
+    (2L = t u) and at level 7 (2L = t u + 2), as plain labels and as
+    pullback labels of one n_gamma each (-2 and 3); at level 3, 6 terms
+    spanning n_gamma 0 and 1 times 2 terms of one n_gamma (2L (G + G' - 1)
+    = 12 = t u) and times 2 terms spanning two (18 > t u)."""
+    for level in (6, 7):
+        for g1, g2 in ((None, None), (-2, 3)):
+            t1 = [(QmodZ.of(k, level) if g1 is None else d(g1, k, level),
+                   Fraction(10**30 - k, k + 1)) for k in range(4)]
+            t2 = [(QmodZ.of(k, level) if g2 is None else d(g2, k, level),
+                   Fraction(-3 - k, 7)) for k in range(1, 4)]
+            yield t1, t2, level == 6
+    t1 = [(d(g, k, 3), Fraction(7 * g + k + 1, k + 2)) for g in (0, 1) for k in range(3)]
+    for g, dense in ((0, True), (1, False)):
+        yield t1, [(d(0, 1, 3), Fraction(-5, 3)), (d(g, 2, 3), Fraction(10**20, 11))], dense
+
+
 def test_cutover_sides(monkeypatch):
-    """4 terms times 3 at level 6 (2L = t u) take the dense path, at level 7
-    (2L = t u + 2) the pair loop; both match the reference."""
+    """Each side of the cutover 2L (G + G' - 1) <= t u in both families takes
+    its path, and every product matches the reference."""
     levels = spy_dense(monkeypatch)
-    for level, dense in ((6, True), (7, False)):
-        t1 = [(QmodZ.of(k, level), Fraction(10**30 - k, k + 1)) for k in range(4)]
-        t2 = [(QmodZ.of(k, level), Fraction(-3 - k, 7)) for k in range(1, 4)]
+    for t1, t2, dense in cutover_cases():
         (x, r), (y, s) = both(t1), both(t2)
         levels.clear()
         assert_canonical(x * y, r * s)
-        assert levels == ([level] if dense else [])
+        assert_canonical(y * x, s * r)
+        assert levels == ([x._level] * 2 if dense else [])
 
 
-def test_pullback_products_take_the_pair_loop(monkeypatch):
+def test_pullback_products_take_the_dense_path(monkeypatch):
+    """e_n e_m of the pullback family is dense, as in the plain family; a
+    product whose n_gamma span is wide, d(0, 0) + d(10^6, 0) squared, takes
+    the pair loop."""
     levels = spy_dense(monkeypatch)
     for n, m in ((12, 8), (40, 40)):
         assert_canonical(idempotent_e_hatpi(n) * idempotent_e_hatpi(m),
                          ref.idempotent_e_hatpi(n) * ref.idempotent_e_hatpi(m))
-    assert levels == []
+    assert levels == [24, 40]
+    x, r = both([(d(0, 0, 1), 1), (d(10**6, 0, 1), 1)])
+    assert_canonical(x * x, r * r)
+    assert levels == [24, 40]
 
 
 def test_dense_idempotent_square_in_time():
-    """e_4000^2 = e_4000: 16 * 10^6 term pairs, about 2.9 s by the pair loop."""
-    e = idempotent_e(4000)
-    start = time.perf_counter()
-    assert e * e == e
-    assert time.perf_counter() - start < 0.5
+    """e_4000^2 = e_4000 in either family: 16 * 10^6 term pairs, about 2.9 s
+    by the pair loop, which refuses them."""
+    for e in (idempotent_e(4000), idempotent_e_hatpi(4000)):
+        start = time.perf_counter()
+        assert e * e == e
+        assert time.perf_counter() - start < 0.5
 
 
 def words(size):

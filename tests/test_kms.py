@@ -16,15 +16,17 @@ from fractions import Fraction
 import kms_reference as kms_ref
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotstat.catalog import LOWER_C, MultiplicityModel, _log_count_weight
-from knotstat.crossed import QmodZ
+from knotstat.crossed import GroupRingElement, QmodZ, alpha_n, idempotent_e
 from knotstat.errors import DomainError
 from knotstat.kms import (
     AdelicUnit,
     EigenvalueList,
     Monomial,
     SupportedFunction,
+    _e_factor,
     _unit_ipow,
     bc_high_temperature,
     bc_low_temperature,
@@ -359,6 +361,37 @@ class TestBCLowTemperature:
     def test_wrong_argument_types_refused_by_name(self, args, text):
         with pytest.raises(DomainError, match=re.escape(text) + "$"):
             bc_low_temperature(*args)
+
+
+class TestScalingLaw:
+    """The KMS scaling law across ``crossed`` and ``kms``: phi(alpha_n(x)) =
+    n^-beta phi(x) for n coprime to n_rho, and phi(e_n) = n^-beta, for the
+    low-temperature state ``bc_low_temperature`` and the states of
+    ``_e_factor`` restricted to integers coprime to n_rho, each extended
+    linearly over x's terms.  Each state value is good to a few roundings
+    and has modulus at most 1, so both sides are good to a few roundings
+    per unit of the coefficient mass sum |c| of x; the bound, 1e-12 per
+    unit of mass, leaves room for about 10^3 of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_alpha_and_idempotent_scale_by_n_to_minus_beta(self, data):
+        n_rho = data.draw(st.sampled_from([1, 2, 6, 10]))
+        beta = data.draw(st.floats(1.0, 40.0, exclude_min=True))
+        n = data.draw(st.integers(1, 12).filter(lambda m: math.gcd(m, n_rho) == 1))
+        b = data.draw(st.integers(1, 6))
+        label = st.integers(0, b - 1).map(lambda a: QmodZ.of(a, b))
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+        x = GroupRingElement(data.draw(st.lists(st.tuples(label, coeff), min_size=1, max_size=3)))
+        states = [lambda r: _e_factor(r, 1, beta, ONE, n_rho)]
+        if n_rho == 1:
+            states.append(lambda r: bc_low_temperature(r, beta))
+        mass = float(sum(abs(c) for c in x.terms.values()))
+        for value in states:
+            lhs = kms_ref.linear_state(value, alpha_n(x, n))
+            rhs = n ** -beta * kms_ref.linear_state(value, x)
+            assert abs(lhs - rhs) <= 1e-12 * mass
+            assert abs(kms_ref.linear_state(value, idempotent_e(n)) - n ** -beta) <= 1e-12
 
 
 class TestMonomialAndSupport:

@@ -285,7 +285,7 @@ LIBRARY_REFUSALS = [
     ("seifert-str", lambda: alexander_from_seifert([[1, "a"], [0, 1]]),
      PresentationError, "Seifert matrix entries must be ints, got str 'a'"),
     ("restricted-zeta-str", lambda: restricted_zeta(2.0, "3"),
-     DomainError, "factorization needs an int, got str '3'"),
+     DomainError, "restricted_zeta needs an int m, got str '3'"),
     ("bc-normal-form", lambda: BCNormalForm(2, E13, 2),
      DomainError, "normal form requires gcd(a, b) = 1"),
     # returned a value
@@ -325,6 +325,14 @@ LIBRARY_REFUSALS = [
      PresentationError, "torsion divisors must be ints, got float 2.0"),
     ("abelianization-torsion-list", lambda: Abelianization(1, [2]),
      PresentationError, "torsion must be a tuple of ints, got list [2]"),
+    ("z-alt-source-str", lambda: z_alternating(2.0, 2, "cat"), DomainError,
+     "z_alternating needs a Catalog or MultiplicityModel source, got str 'cat'"),
+    ("z-alt-source-none", lambda: z_alternating(2.0, 2, None, mode="direct"), DomainError,
+     "z_alternating needs a Catalog or MultiplicityModel source, got NoneType None"),
+    ("z-groth-source", lambda: z_grothendieck(2.0, 2, 3), DomainError,
+     "z_grothendieck needs a Catalog or MultiplicityModel source, got int 3"),
+    ("z-knots-n-source", lambda: z_knots_times_n(2.0, 2, "cat"), DomainError,
+     "z_knots_times_n needs a Catalog or MultiplicityModel source, got str 'cat'"),
     # refused without the argument's name
     ("z-tau-n-rho", lambda: z_tau(2.0, [1], n_rho=1.5),
      DomainError, "n_rho must be an int, got float 1.5"),

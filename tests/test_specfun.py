@@ -280,18 +280,20 @@ class TestFactorizationBound:
         assert divisors(2**64) == [2**j for j in range(65)]
         assert mobius(2 * prime) == 1
 
-    @pytest.mark.parametrize("evaluate", [
-        mobius, divisors, distinct_prime_factors, lambda n: restricted_zeta(2.0, n),
+    @pytest.mark.parametrize("evaluate, needs", [
+        (mobius, "factorization needs an int"), (divisors, "factorization needs an int"),
+        (distinct_prime_factors, "factorization needs an int"),
+        (lambda n: restricted_zeta(2.0, n), "restricted_zeta needs an int m"),
     ], ids=["mobius", "divisors", "distinct_prime_factors", "restricted_zeta"])
     @pytest.mark.parametrize("n, text", [
         (2.5, "float 2.5"), (1.5, "float 1.5"), (6.0, "float 6.0"), (True, "bool True"),
     ])
-    def test_non_integer_refused(self, evaluate, n, text):
+    def test_non_integer_refused(self, evaluate, needs, n, text):
         """2.5 and 1.5 were read as integers (mobius(2.5) was -1,
         restricted_zeta(2.0, 1.5) 0.9139); 6.0 and True hash as 6 and 1."""
         _factorize(6)  # the cached entries of 6 and 1 must not answer 6.0 and True
         _factorize(1)
-        with pytest.raises(DomainError, match=f"^factorization needs an int, got {text}$"):
+        with pytest.raises(DomainError, match=f"^{needs}, got {text}$"):
             evaluate(n)
 
     def test_cache_is_bounded(self):
