@@ -10,7 +10,9 @@ consequence of the others (the relator sphere at infinity), which is what
 lets the Alexander polynomial of a presentation assembled from Wirtinger
 blocks be computed from a single square Fox determinant.  Presentations
 built here record their block structure; unstructured input falls back to
-the gcd over all maximal minors.
+the gcd over all maximal minors.  A connected sum takes its polynomial
+from its summands alone, Delta(K1 # K2) = Delta(K1) Delta(K2), and runs
+no determinant of its own.
 
 All polynomial arithmetic is exact, on dense integer coefficient tuples
 (gcds by primitive pseudo-remainders).  Determinants split a matrix into
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -63,9 +66,11 @@ Word = tuple[int, ...]
 
 
 def free_reduce(word: Sequence[int]) -> Word:
-    """Cancel adjacent inverse pairs; 0 is not a valid letter."""
+    """Cancel adjacent inverse pairs; every letter must be a nonzero int."""
     out: list[int] = []
     for letter in word:
+        if letter.__class__ is not int:  # an exact int, the common case, skips the call
+            _check_type(letter, "relator letters must be ints", error=PresentationError)
         if letter == 0:
             raise PresentationError("0 is not a valid generator letter")
         if out and out[-1] == -letter:
@@ -209,7 +214,6 @@ def _poly(low: int, c: tuple[int, ...]) -> LaurentPoly:
 
 _ZERO = _poly(0, ())
 _ONE = _poly(0, (1,))
-_MINUS_ONE = _poly(0, (-1,))
 
 
 def _poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -434,17 +438,21 @@ def _is_identification_relator(word: Word) -> bool:
 class Presentation(Record):
     """A finite group presentation with a distinguished basepoint generator.
 
-    ``blocks`` records which relators form complete Wirtinger relator sets
-    of single diagrams (each such block carries one redundant relator);
-    constructors in this module populate it, hand-built presentations may
-    leave it None.  Relators are stored free-reduced.
+    ``generators`` is a tuple of str names and ``relators`` a tuple of
+    words, each a tuple of nonzero int letters (not bools) in range; any
+    other type is refused by name.  ``blocks`` records which relators form
+    complete Wirtinger relator sets of single diagrams (each such block
+    carries one redundant relator); constructors in this module populate
+    it, hand-built presentations may leave it None.  Relators are stored
+    free-reduced.
 
     The memo is not a field: its slots hold one datum each, ``_h1`` the
     ``Abelianization``, ``_fox`` the Fox matrix (never changed by its
     readers) and ``_delta`` the Alexander polynomial.  Each is derived
-    from the fields on first use, or by ``amalgamate`` from the summands'
-    memo, and written once, so they take no part in ``==``, ``hash``,
-    ``repr``, ``copy`` or ``pickle``.
+    from the fields on first use, except that ``amalgamate`` writes a
+    sum's ``_h1`` and ``_delta`` from its summands' memo; each is written
+    once, so they take no part in ``==``, ``hash``, ``repr``, ``copy`` or
+    ``pickle``.
     """
 
     __slots__ = ("generators", "relators", "basepoint", "blocks", "_h1", "_fox", "_delta")
@@ -456,6 +464,11 @@ class Presentation(Record):
         basepoint: int = 0,
         blocks: Optional[tuple[tuple[int, ...], ...]] = None,
     ) -> None:
+        _check_type(generators, "generators must be a tuple of str", tuple, PresentationError)
+        for g in generators:
+            if g.__class__ is not str:  # as in free_reduce
+                _check_type(g, "generators must be a tuple of str", str, PresentationError)
+        _check_type(relators, "relators must be a tuple of words", tuple, PresentationError)
         if not generators:
             raise PresentationError("a presentation needs at least one generator")
         if len(set(generators)) != len(generators):
@@ -466,6 +479,8 @@ class Presentation(Record):
         n = len(generators)
         reduced = []
         for word in relators:
+            if word.__class__ is not tuple:
+                _check_type(word, "relators must be tuples of ints", tuple, PresentationError)
             w = free_reduce(word)
             for letter in w:
                 if not 1 <= abs(letter) <= n:
@@ -661,19 +676,17 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     between the two graphs, so the sum has rank c1 + c2 - 1: it is Z
     exactly when both inputs are.
 
-    So is the sum's Fox matrix, when both summands hold theirs: a Fox row
-    depends on its relator alone, so the sum's rows are p1's padded on
-    the right with zeros, p2's shifted right by n1 columns, and the
-    identification relator's, +1 at p1's basepoint and -1 at n1 plus
-    p2's.  When either summand has none yet, none is built here, so
-    ``amalgamate`` stays linear in the presentations' size; the sum then
-    builds its own on first use.
-
-    And so is the sum's Alexander polynomial, when both summands hold
-    theirs: Delta(K1 # K2) = Delta(K1) Delta(K2), and the product of two
-    unit-normal polynomials is unit-normal.  When either has none, the sum
-    runs its own determinant on first use.
+    So is the sum's Alexander polynomial: Delta(K1 # K2) = Delta(K1)
+    Delta(K2), and the product of two unit-normal polynomials is
+    unit-normal.  Each summand's is read from its memo, or derived there
+    first as ``alexander_poly_fox`` does, the determinants of both
+    summands charging one work meter; a summand that is itself a sum
+    already holds its own, so no chain of sums is walked.  A refusal of
+    either summand's polynomial refuses the sum.  The sum builds a Fox
+    matrix only if ``derham_solve`` asks for one.
     """
+    for q in (p1, p2):
+        _check_type(q, "amalgamate needs Presentations", Presentation, PresentationError)
     if not (p1.is_wirtinger_like() and p2.is_wirtinger_like()):
         raise PresentationError("amalgamate needs Wirtinger-form presentations")
     ab = Abelianization(abelianization(p1).free_rank + abelianization(p2).free_rank - 1, ())
@@ -706,18 +719,9 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
     p._set(p1.generators + tuple(renamed), p1.relators + shifted + (identification,),
            p1.basepoint, blocks)
     object.__setattr__(p, "_h1", ab)
-    try:
-        object.__setattr__(p, "_delta", p1._delta * p2._delta)
-    except AttributeError:
-        pass
-    try:
-        fox1, fox2 = p1._fox, p2._fox
-    except AttributeError:
-        return p
-    pad1, pad2 = [_ZERO] * p2.n_generators, [_ZERO] * n1
-    row = pad2 + pad1
-    row[p1.basepoint], row[n1 + p2.basepoint] = _ONE, _MINUS_ONE
-    object.__setattr__(p, "_fox", [r + pad1 for r in fox1] + [pad2 + r for r in fox2] + [row])
+    derive = partial(_alexander_fox, meter=_WorkMeter("exact determinants", "bit products",
+                                                      _MAX_BIG_INT_WORK))
+    object.__setattr__(p, "_delta", _memo(p1, "_delta", derive) * _memo(p2, "_delta", derive))
     return p
 
 
@@ -729,7 +733,8 @@ def amalgamate(p1: Presentation, p2: Presentation) -> Presentation:
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Returns the nonzero invariant factors d_1 | d_2 | ... (positive).  One
+    Returns the nonzero invariant factors d_1 | d_2 | ... (positive); an
+    entry that is not an int, or is a bool, is refused by name.  One
     loop on sparse ``{column: value}`` rows takes the entry of least
     absolute value as pivot (its search stops at the row of the first +-1)
     and clears its column by row operations and its row by column
@@ -738,7 +743,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     is added to its row first.  Each pass splits off a pivot or lowers the
     least absolute value, and each pivot divides all that is left.
     """
-    sparse = [{j: v for j, v in enumerate(map(int, row)) if v} for row in rows]
+    sparse = []
+    for row in rows:
+        for v in row:
+            _check_type(v, "Smith normal form entries must be ints", error=PresentationError)
+        sparse.append({j: v for j, v in enumerate(row) if v})
     divisors: list[int] = []
     while True:
         least = 0
@@ -810,6 +819,7 @@ def abelianization(p: Presentation) -> Abelianization:
     amalgamated presentations are all of this kind; any other matrix takes
     ``smith_normal_form``.
     """
+    _check_type(p, "abelianization needs a Presentation", Presentation, PresentationError)
     return _memo(p, "_h1", _abelianize)
 
 
@@ -853,6 +863,7 @@ def fox_matrix(p: Presentation) -> list[list[LaurentPoly]]:
     relator adds each letter's monomial to an ``{exponent: coefficient}``
     map of its column, so a row costs time linear in the relator's length.
     """
+    _check_type(p, "fox_matrix needs a Presentation", Presentation, PresentationError)
     rows = []
     for word in p.relators:
         cols: dict[int, dict[int, int]] = {}  # generator -> {exponent: coefficient}
@@ -928,14 +939,16 @@ def alexander_poly_fox(p: Presentation) -> LaurentPoly:
     determinants share one work meter, refused past ``_MAX_BIG_INT_WORK``.
     The polynomial and the Fox matrix are each computed once per
     presentation and kept in its memo; a connected sum built by
-    ``amalgamate`` from two summands that hold their polynomials holds
-    the product of theirs, and runs no determinant.
+    ``amalgamate`` holds the product of its summands' polynomials, and
+    runs no determinant.
     """
+    _check_type(p, "alexander_poly_fox needs a Presentation", Presentation, PresentationError)
     return _memo(p, "_delta", _alexander_fox)
 
 
-def _alexander_fox(p: Presentation) -> LaurentPoly:
-    """``alexander_poly_fox(p)`` from ``p``'s memoized Fox matrix."""
+def _alexander_fox(p: Presentation, meter: Optional[_WorkMeter] = None) -> LaurentPoly:
+    """``alexander_poly_fox(p)`` from ``p``'s memoized Fox matrix, its
+    determinants charging ``meter`` (a fresh one when None)."""
     ab = abelianization(p)
     if not ab.is_infinite_cyclic:
         raise PresentationError(
@@ -950,7 +963,7 @@ def _alexander_fox(p: Presentation) -> LaurentPoly:
     matrix = _memo(p, "_fox", fox_matrix)
     # without known redundancy: the gcd over all maximal minors, which share one meter
     subsets = [rows] if rows is not None else combinations(range(len(p.relators)), len(cols))
-    meter = _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
+    meter = meter or _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
     acc = _ZERO
     for subset in subsets:
         acc = _poly_gcd(acc, _bareiss_det([[matrix[i][j] for j in cols] for i in subset], meter))
@@ -1090,6 +1103,7 @@ def derham_solve(
 
     import numpy as np
 
+    _check_type(p, "derham_solve needs a Presentation", Presentation, PresentationError)
     _check_type(branch, "branch must be +1 or -1", error=PresentationError)
     if branch not in (1, -1):
         raise PresentationError(f"branch must be +1 or -1, got {branch}")
@@ -1166,6 +1180,8 @@ def derham_direct_sum(r1: DeRhamRep, r2: DeRhamRep) -> DirectSumRep:
     construction); verifies every relator of the amalgamation, including
     the meridian identification, to residual < 1e-9.
     """
+    for r in (r1, r2):
+        _check_type(r, "derham_direct_sum needs DeRhamReps", DeRhamRep, PresentationError)
     import numpy as np
 
     p1, p2 = r1.presentation, r2.presentation
@@ -1246,6 +1262,7 @@ def format_presentation(p: Presentation) -> str:
     basepoint is moved to the front so the format's basepoint convention
     is preserved.
     """
+    _check_type(p, "format_presentation needs a Presentation", Presentation, PresentationError)
     if p.n_generators > 26:
         raise PresentationError("file format supports at most 26 generators")
     order = [p.basepoint] + [i for i in range(p.n_generators) if i != p.basepoint]
@@ -1262,4 +1279,5 @@ def format_presentation(p: Presentation) -> str:
 
 def save_presentation(p: Presentation, path: Union[str, Path]) -> None:
     """Write format_presentation(p) to path."""
+    _check_type(p, "save_presentation needs a Presentation", Presentation, PresentationError)
     Path(path).write_text(format_presentation(p))

@@ -9,10 +9,16 @@ is everything a finite catalog's weight series gives:
   factor from the binomial series, not by the library's weight-grid passes;
 * ``truncated_sum``: sum_{v <= W} c(v) x^v in ``Fraction``s;
 * ``euler_product`` / ``groth_product``: the full products, which the
-  truncated sums approach from below.
+  truncated sums approach from below;
+* ``BERNOULLI`` / ``bernoulli_poly``: the Bernoulli numbers B_0..B_48 and
+  the polynomials B_n(x), which give zeta(2k) = (-1)^(k+1) B_2k (2 pi)^2k /
+  (2 (2k)!) and Re Li_2k(e^(2 pi i x)) = zeta(2k) B_2k(x) / B_2k on
+  0 <= x <= 1, so the values at even beta of ``qstar_partition`` and
+  ``bc_low_temperature`` are rational.
 
 The oracle tests compare the float direct sums, their tail bounds and the
-closed forms of ``knotstat.partition`` with these values.
+closed forms of ``knotstat.partition``, and the even-beta values of
+``qstar_partition`` and ``bc_low_temperature``, with these values.
 """
 
 from __future__ import annotations
@@ -74,3 +80,20 @@ def euler_product(cat, k: int, q: int) -> Fraction:
 def groth_product(cat, k: int, q: int) -> Fraction:
     """Z_G(k) = Z_a(k)^2 / Z_a(2k) = prod_w ((1 + x^w) / (1 - x^w))^(m_w), exactly."""
     return euler_product(cat, k, q) ** 2 / euler_product(cat, 2 * k, q)
+
+
+def _bernoulli(n_max: int) -> list[Fraction]:
+    """B_0..B_n_max (B_1 = -1/2) from sum_{j <= m} C(m + 1, j) B_j = 0."""
+    b: list[Fraction] = []
+    for m in range(n_max + 1):
+        b.append(Fraction(1) if m == 0 else
+                 -sum((comb(m + 1, j) * b[j] for j in range(m)), Fraction(0)) / (m + 1))
+    return b
+
+
+BERNOULLI = _bernoulli(48)
+
+
+def bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_j C(n, j) B_j x^(n - j)."""
+    return sum((comb(n, j) * BERNOULLI[j] * x ** (n - j) for j in range(n + 1)), Fraction(0))

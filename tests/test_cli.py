@@ -749,6 +749,28 @@ class TestPresentationCommands:
         assert payload["coefficients"] == [1, -4, 5, -4, 1]
         assert payload["method"] == "fox-amalgamated"
 
+    def test_alexander_saved_sum_plus_builtin(self, capsys, tmp_path):
+        """A saved 3_1 # 4_1 # 5_1 has no recorded blocks, and its sum with
+        7_1 has 7315 maximal minors, past the cap: each summand is answered
+        alone, so the sum is, with the product of their coefficients."""
+        from knotstat import knotgroups as kg
+
+        p = kg.builtin_presentation("3_1")
+        for name in ("4_1", "5_1"):
+            p = kg.amalgamate(p, kg.builtin_presentation(name))
+        path = tmp_path / "sum.txt"
+        kg.save_presentation(p, path)
+        f, g = (invoke_json(capsys, "alexander", *argv)[1]["coefficients"]
+                for argv in (["--file", str(path)], ["--knot", "7_1"]))
+        product = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                product[i + j] += a * b
+        code, payload = invoke_json(capsys, "alexander", "--file", str(path), "--sum", "7_1")
+        assert code == 0, payload
+        assert payload["coefficients"] == product
+        assert payload["method"] == "fox-amalgamated"
+
     def test_alexander_seifert(self, capsys):
         code, payload = invoke_json(
             capsys, "alexander", "--seifert", "-1 1; 0 -1",

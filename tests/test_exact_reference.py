@@ -5,19 +5,25 @@ products in ``Fraction``s, so these tests check the float routes of
 ``z_alternating`` and ``z_grothendieck`` against numbers that carry no
 rounding: each direct sum is within 2^-50 of its exact truncation, the
 exact remainder of the series is at most the printed tail bound (compared
-exactly), and the product and closed forms hold 12 significant digits.
+exactly), and the product and closed forms hold 12 significant digits.  At
+even beta, ``qstar_partition`` and ``bc_low_temperature`` are checked
+against their rational values from the Bernoulli numbers.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import exact_reference as ex
 
 from knotstat.catalog import builtin_catalog
+from knotstat.crossed import QmodZ
+from knotstat.kms import bc_low_temperature
 from knotstat.partition import (
     _multiset_weight_counts,
     groth_weight_counts,
+    qstar_partition,
     z_alternating,
     z_grothendieck,
 )
@@ -63,3 +69,34 @@ def test_product_mode_holds_twelve_digits(name, k, q):
     exact = ex.euler_product(cat, k, q)
     result = z_alternating(float(k), q, cat)
     assert abs(Fraction(result.value) - exact) <= exact / 10**12
+
+
+def test_bernoulli_table():
+    """The first values, and B_n = 0 for odd n > 1."""
+    b = ex.BERNOULLI
+    assert b[:9] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+                     Fraction(1, 42), 0, Fraction(-1, 30)]
+    assert b[12] == Fraction(-691, 2730) and b[48] == Fraction(-5609403368997817686249127547,
+                                                                 46410)
+    assert not any(b[n] for n in range(3, 49, 2))
+    assert ex.bernoulli_poly(4, Fraction(0)) == b[4] == ex.bernoulli_poly(4, Fraction(1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_qstar_at_even_beta(k):
+    """zeta(2k)^2 / zeta(4k) = -B_2k^2 (4k)! / (2 (2k)!^2 B_4k): 12 digits."""
+    b = ex.BERNOULLI
+    exact = -b[2 * k] ** 2 * factorial(4 * k) / (2 * factorial(2 * k) ** 2 * b[4 * k])
+    value = qstar_partition(2.0 * k).value
+    assert abs(Fraction(value) - exact) <= Fraction(1, 10**12) * exact
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("b", [2, 3, 5, 7, 12, 97])
+def test_bc_low_temperature_at_even_beta(k, b):
+    """Re Li_2k(e(a/b)) / zeta(2k) = B_2k({a/b}) / B_2k for every a mod b,
+    within 1e-12 (each value has modulus at most 1)."""
+    for a in range(b):
+        exact = ex.bernoulli_poly(2 * k, Fraction(a, b)) / ex.BERNOULLI[2 * k]
+        value = bc_low_temperature(QmodZ.of(a, b), 2.0 * k).real
+        assert abs(value - exact) <= 1e-12, (a, b, k)

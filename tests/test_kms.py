@@ -27,6 +27,7 @@ from knotstat.kms import (
     Monomial,
     SupportedFunction,
     _e_factor,
+    _mu_factor,
     _unit_ipow,
     bc_high_temperature,
     bc_low_temperature,
@@ -392,6 +393,23 @@ class TestScalingLaw:
             rhs = n ** -beta * kms_ref.linear_state(value, x)
             assert abs(lhs - rhs) <= 1e-12 * mass
             assert abs(kms_ref.linear_state(value, idempotent_e(n)) - n ** -beta) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mu_state_is_the_e_state_on_e_n_to_the_a(self, data):
+        """mu_n^a mu_n*^a = e_(n^a), so ``_mu_factor``, the closed form
+        n^(-a w beta), is the e-state extended linearly over e_(n^a), for n
+        coprime to n_rho, weights w up to past the huge-weight cut, and
+        n^a <= 64.  e_(n^a) has coefficient mass 1, so the bound is the
+        class's 1e-12."""
+        n_rho = data.draw(st.sampled_from([1, 2, 6, 10, 30]))
+        n = data.draw(st.integers(1, 64).filter(lambda m: math.gcd(m, n_rho) == 1))
+        a = data.draw(st.integers(0, max(a for a in range(7) if n**a <= 64)))
+        w = data.draw(st.sampled_from([1, 2, 3, 16, 10**6]))
+        beta = data.draw(st.floats(1.0, 40.0, exclude_min=True))
+        state = kms_ref.linear_state(lambda r: _e_factor(r, w, beta, ONE, n_rho),
+                                     idempotent_e(n**a))
+        assert abs(_mu_factor(n, a, w, beta, n_rho) - state) <= 1e-12
 
 
 class TestMonomialAndSupport:

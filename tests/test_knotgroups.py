@@ -13,6 +13,7 @@ import cmath
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
@@ -734,9 +735,8 @@ class TestAmalgamate:
                 amalgamate(*pair)
 
     def test_sum_fox_matrix_from_summands(self, cat):
-        """With the summands' Fox matrices and polynomials memoized, the
-        sum's memo holds ``fox_matrix`` of the sum, and its polynomial, the
-        product of theirs, is the determinant of an equal presentation built
+        """The sum holds no Fox matrix, and its polynomial, the product of
+        its summands', is the determinant of an equal presentation built
         fresh and the product of the catalog rows: every ordered builtin
         pair, three triples, the unknot on either side, and two pairs
         without recorded blocks, whose determinants are gcds of minors."""
@@ -746,12 +746,10 @@ class TestAmalgamate:
         for case in (("3_1", "4_1"), ("5_2", "6_3")):
             named.append((case, [unblocked(builtin_presentation(name)) for name in case]))
         for case, summands in named:
-            for q in summands:
-                alexander_poly_fox(q)
             s = summands[0]
             for q in summands[1:]:
                 s = amalgamate(s, q)
-                assert s._fox == fox_matrix(s)
+                assert not hasattr(s, "_fox")
             fresh = Presentation(s.generators, s.relators, s.basepoint, s.blocks)
             assert not hasattr(fresh, "_delta")
             product = LaurentPoly.one()
@@ -760,8 +758,8 @@ class TestAmalgamate:
             assert s._delta == alexander_poly_fox(fresh) == product.normalized(), case
 
     def test_sum_of_memoized_summands_builds_no_fox_matrix(self, monkeypatch):
-        """A sum of memoized summands takes its Fox matrix from them; an
-        equal presentation built fresh gives the same polynomial."""
+        """A sum of memoized summands builds no Fox matrix, its own or
+        theirs; an equal presentation built fresh gives the same polynomial."""
         built = []
         monkeypatch.setattr(knotgroups, "fox_matrix",
                             lambda p, build=fox_matrix: built.append(p) or build(p))
@@ -776,38 +774,76 @@ class TestAmalgamate:
         assert alexander_poly_fox(fresh) == delta and built == [fresh]
 
     def test_summand_without_fox_matrix_leaves_the_sum_to_build_its_own(self, monkeypatch):
-        """``amalgamate`` builds no summand's Fox matrix; the sum then
-        builds its own on first use."""
+        """``amalgamate`` writes a fresh summand's polynomial, building the
+        Fox matrix that summand's determinant runs on, and builds none for
+        the sum; only ``derham_solve`` would."""
         built = []
         monkeypatch.setattr(knotgroups, "fox_matrix",
                             lambda p, build=fox_matrix: built.append(p) or build(p))
         p1, p2 = builtin_presentation("3_1"), builtin_presentation("4_1")
         alexander_poly_fox(p1)
         s = amalgamate(p1, p2)
-        assert not hasattr(s, "_fox") and not hasattr(p2, "_fox")
+        assert p2._delta.as_list() == [1, -3, 1]
+        assert built == [p1, p2] and not hasattr(s, "_fox")
         assert alexander_poly_fox(s).as_list() == [1, -4, 5, -4, 1]
-        assert built == [p1, s] and s._fox == fox_matrix(s)
+        assert built == [p1, p2] and not hasattr(s, "_fox")
+        derham_solve(s, alexander_roots(p1._delta)[0])
+        assert built == [p1, p2, s] and s._fox == fox_matrix(s)
 
     def test_sum_of_summands_with_polynomials_past_the_minor_cap(self):
         """Four 7_1 presentations without recorded blocks sum to one whose
-        gcd over 31465 maximal minors is refused; summands that hold their
-        polynomials give the sum its polynomial, the fourth power of 7_1's,
-        and fresh summands leave the sum to the refusal."""
-        held = [unblocked(builtin_presentation("7_1")) for _ in range(4)]
-        for q in held:
-            alexander_poly_fox(q)
-        s = held[0]
-        for q in held[1:]:
-            s = amalgamate(s, q)
-        assert s.blocks is None and len(s.relators) == 31
-        square = held[0]._delta * held[0]._delta
-        assert alexander_poly_fox(s) == square * square
-        fresh = unblocked(builtin_presentation("7_1"))
-        s = amalgamate(amalgamate(amalgamate(fresh, fresh), fresh), fresh)
-        text = ("31 relators without recorded Wirtinger blocks would take 31465 "
+        gcd over 31465 maximal minors would be refused; memoized or fresh,
+        the summands give the sum its polynomial, the fourth power of
+        7_1's.  A summand past the cap refuses the sum with its own text."""
+        for memoized in (True, False):
+            held = [unblocked(builtin_presentation("7_1")) for _ in range(4)]
+            if memoized:
+                for q in held:
+                    alexander_poly_fox(q)
+            s = held[0]
+            for q in held[1:]:
+                s = amalgamate(s, q)
+            assert s.blocks is None and len(s.relators) == 31
+            square = held[0]._delta * held[0]._delta
+            assert alexander_poly_fox(s) == square * square
+        past = load_presentation(Path(__file__).parent / "data" / "7_1_relators_x3.txt")
+        text = ("21 relators without recorded Wirtinger blocks would take 54264 "
                 "maximal minors, more than the work cap of 2000 maximal minors")
+        for pair in ((past, builtin_presentation("3_1")), (builtin_presentation("3_1"), past)):
+            with pytest.raises(DomainError, match=re.escape(text) + "$"):
+                amalgamate(*pair)
         with pytest.raises(DomainError, match=re.escape(text) + "$"):
-            alexander_poly_fox(s)
+            alexander_poly_fox(past)
+
+    def test_one_meter_spans_both_summands(self, monkeypatch):
+        """Both summands' determinants charge one work meter: with the cap
+        at 1.5 times one fresh 7_1's charge, one 7_1 is answered and the
+        sum of two fresh ones is refused."""
+        meter = _WorkMeter("exact determinants", "bit products", _MAX_BIG_INT_WORK)
+        knotgroups._alexander_fox(builtin_presentation("7_1"), meter)
+        monkeypatch.setattr(knotgroups, "_MAX_BIG_INT_WORK", meter.spent * 3 // 2)
+        alexander_poly_fox(builtin_presentation("7_1"))
+        p1, p2 = builtin_presentation("7_1"), builtin_presentation("7_1")
+        with pytest.raises(DomainError, match=f"more than the work cap of {meter.spent * 3 // 2} "
+                                              "bit products$"):
+            amalgamate(p1, p2)
+        assert hasattr(p1, "_delta") and not hasattr(p2, "_delta")
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        """A chain of fresh trefoils longer than the recursion limit: each
+        sum holds its polynomial, so none is found by walking the chain."""
+        n = sys.getrecursionlimit() + 10
+        s = builtin_presentation("3_1")
+        for _ in range(n - 1):
+            s = amalgamate(s, builtin_presentation("3_1"))
+        trefoil, power = LaurentPoly([1, -1, 1]), LaurentPoly.one()
+        for bit in bin(n)[2:]:
+            power = power * power
+            if bit == "1":
+                power = power * trefoil
+        delta = alexander_poly_fox(s)
+        assert delta == power
+        assert sum(c if e % 2 == 0 else -c for e, c in delta.coeffs) == 3**n  # Delta(-1)
 
 
 class TestMemo:

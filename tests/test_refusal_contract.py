@@ -58,9 +58,16 @@ from knotstat.knotgroups import (
     Presentation,
     alexander_from_seifert,
     alexander_poly_fox,
+    abelianization,
     alexander_roots,
+    amalgamate,
     builtin_presentation,
+    derham_direct_sum,
     derham_solve,
+    format_presentation,
+    fox_matrix,
+    save_presentation,
+    smith_normal_form,
 )
 from knotstat.partition import (
     SeriesResult,
@@ -333,6 +340,46 @@ LIBRARY_REFUSALS = [
      "z_grothendieck needs a Catalog or MultiplicityModel source, got int 3"),
     ("z-knots-n-source", lambda: z_knots_times_n(2.0, 2, "cat"), DomainError,
      "z_knots_times_n needs a Catalog or MultiplicityModel source, got str 'cat'"),
+    ("alexander-none", lambda: alexander_poly_fox(None),
+     PresentationError, "alexander_poly_fox needs a Presentation, got NoneType None"),
+    ("abelianization-int", lambda: abelianization(3),
+     PresentationError, "abelianization needs a Presentation, got int 3"),
+    ("amalgamate-str", lambda: amalgamate("a", "b"),
+     PresentationError, "amalgamate needs Presentations, got str 'a'"),
+    ("amalgamate-second", lambda: amalgamate(TREFOIL, None),
+     PresentationError, "amalgamate needs Presentations, got NoneType None"),
+    ("derham-solve-str", lambda: derham_solve("a", 1.0),
+     PresentationError, "derham_solve needs a Presentation, got str 'a'"),
+    ("derham-direct-sum-int", lambda: derham_direct_sum(1, 2),
+     PresentationError, "derham_direct_sum needs DeRhamReps, got int 1"),
+    ("derham-direct-sum-second", lambda: derham_direct_sum(REP, TREFOIL),
+     PresentationError, "derham_direct_sum needs DeRhamReps, got Presentation " + repr(TREFOIL)),
+    ("fox-matrix-list", lambda: fox_matrix([(1, -1)]),
+     PresentationError, "fox_matrix needs a Presentation, got list [(1, -1)]"),
+    ("format-presentation-str", lambda: format_presentation("a b"),
+     PresentationError, "format_presentation needs a Presentation, got str 'a b'"),
+    ("save-presentation-none", lambda: save_presentation(None, "unused.txt"),
+     PresentationError, "save_presentation needs a Presentation, got NoneType None"),
+    ("presentation-float-letters", lambda: Presentation(("a", "b"), ((1.0, 2, -1.0, -2),)),
+     PresentationError, "relator letters must be ints, got float 1.0"),
+    ("presentation-bool-letter", lambda: Presentation(("a", "b"), ((True, 2, -1, -2),)),
+     PresentationError, "relator letters must be ints, got bool True"),
+    ("presentation-cancelled-letters", lambda: Presentation(("a",), ((1.0, -1.0),)),
+     PresentationError, "relator letters must be ints, got float 1.0"),
+    ("presentation-str-generators", lambda: Presentation("ab", ()),
+     PresentationError, "generators must be a tuple of str, got str 'ab'"),
+    ("presentation-int-generators", lambda: Presentation((1, 2), ()),
+     PresentationError, "generators must be a tuple of str, got int 1"),
+    ("presentation-int-relator", lambda: Presentation(("a",), (5,)),
+     PresentationError, "relators must be tuples of ints, got int 5"),
+    ("presentation-int-relators", lambda: Presentation(("a",), 5),
+     PresentationError, "relators must be a tuple of words, got int 5"),
+    ("smith-float", lambda: smith_normal_form([[1.5]]),
+     PresentationError, "Smith normal form entries must be ints, got float 1.5"),
+    ("smith-str", lambda: smith_normal_form([["3"]]),
+     PresentationError, "Smith normal form entries must be ints, got str '3'"),
+    ("smith-bool", lambda: smith_normal_form([[True, 2]]),
+     PresentationError, "Smith normal form entries must be ints, got bool True"),
     # refused without the argument's name
     ("z-tau-n-rho", lambda: z_tau(2.0, [1], n_rho=1.5),
      DomainError, "n_rho must be an int, got float 1.5"),
